@@ -87,17 +87,33 @@ def abs_pow(values, p: float) -> np.ndarray:
     return out
 
 
-def lp_power_sum(values, p: float) -> float:
-    """sum_i |x_i|^p with exact accumulation."""
-    return compensated_sum(abs_pow(values, p))
+def _row_fsums(d: np.ndarray):
+    """Exactly-rounded sum over the last axis: a float for 1-D input, one
+    float per row for a 2-D block.  math.fsum is exact, so a row's sum does
+    not depend on the rest of the block or on zero entries padded onto it."""
+    if d.ndim <= 1:
+        return compensated_sum(d)
+    return [math.fsum(row) for row in d.tolist()]
 
 
-def lp_margin(x_star, h, p: float) -> float:
+def lp_power_sum(values, p: float):
+    """sum_i |x_i|^p with exact accumulation, over the last axis.
+
+    A 1-D vector gives a float; a (rows, n) block gives a list of floats, one
+    per row, from a single abs_pow call.
+    """
+    return _row_fsums(abs_pow(values, p))
+
+
+def lp_margin(x_star, h, p: float):
     """||x* + h||_p^p - ||x*||_p^p, accumulated termwise with exact summation.
 
     Termwise differences keep the near-cancellation on the support of x* from
-    being swamped by the off-support bulk before it is ever summed.
+    being swamped by the off-support bulk before it is ever summed.  h is one
+    perturbation of shape (n,), giving a float, or a (samples, n) block,
+    giving a list with one margin per row; the block makes one abs_pow call
+    for x* + h and each row's margin is bit-identical to evaluating it alone.
     """
     x = np.asarray(x_star, dtype=float)
     d = abs_pow(x + np.asarray(h, dtype=float), p) - abs_pow(x, p)
-    return compensated_sum(d)
+    return _row_fsums(d)

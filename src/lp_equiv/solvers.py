@@ -54,8 +54,10 @@ from .numerics import (
 from .spark import compute_spark
 from .spectral import gram_spectrum
 
-# Support-rank decisions reuse the spark convention (singular values below
-# RANK_TOL * sigma_max are zero); residuals are accepted relative to ||b||.
+# Support-rank decisions treat singular values below RANK_TOL * sigma_max of
+# the raw, unequilibrated submatrix as zero.  This is not the spark
+# convention (1e-11 relative after row/column equilibration); residuals are
+# accepted relative to ||b||.
 RANK_TOL = 1e-9
 RESIDUAL_TOL = 1e-6
 
@@ -257,23 +259,30 @@ class Theorem3Report:
     seed: int
 
 
-def _support_svd(sub: np.ndarray):
-    u, s, vt = np.linalg.svd(sub, full_matrices=False)
-    rank = int(np.sum(s > RANK_TOL * s[0])) if s.size and s[0] > 0.0 else 0
-    return u, s, vt, rank
+def _solve_supports(M: np.ndarray, b: np.ndarray, supports: np.ndarray):
+    """Least-squares solves of M[:, S] c = b for a (count, k) block of supports.
 
-
-def _solve_on_support(M: np.ndarray, b: np.ndarray, support: tuple[int, ...]):
-    """Least-squares coefficients on one support, or None if rank deficient.
-
-    Returns (coefficients, residual_norm)."""
-    sub = M[:, list(support)]
-    u, s, vt, rank = _support_svd(sub)
-    if rank < len(support):
-        return None
-    coeff = vt.T @ ((u.T @ b) / s)
-    res = float(np.linalg.norm(sub @ coeff - b))
-    return coeff, res
+    One stacked SVD covers the block.  Returns (full, coeff, res): the mask
+    of full-column-rank supports and, for those rows only, the (count_full, k)
+    coefficients and residual norms ||M[:, S] c - b||.  Each row is
+    bit-identical to solving its support on its own: the stacked LAPACK and
+    BLAS calls see every matrix in the same layout, and the residual is
+    sqrt(<r, r>) through the same BLAS dot as the 1-D np.linalg.norm (a
+    row-wise norm(axis=1) sums in another order).
+    """
+    k = supports.shape[1]
+    u, s, vt = np.linalg.svd(np.moveaxis(M[:, supports], 1, 0), full_matrices=False)
+    smax = s[:, :1]
+    full = (smax[:, 0] > 0.0) & (np.sum(s > RANK_TOL * smax, axis=1) == k)
+    u, s, vt = u[full], s[full], vt[full]
+    # (count_full, m, k) in the column-major per-matrix layout numpy gives the
+    # single-support slice M[:, support], so the residual matmul sums alike
+    subs = np.moveaxis(M[:, supports[full]], 1, 0)
+    y = np.matmul(u.transpose(0, 2, 1), b) / s
+    coeff = np.matmul(vt.transpose(0, 2, 1), y[:, :, None])[:, :, 0]
+    r = np.matmul(subs, coeff[:, :, None])[:, :, 0] - b
+    res = np.sqrt(np.matmul(r[:, None, :], r[:, :, None])[:, 0, 0])
+    return full, coeff, res
 
 
 def solve_l0(prob: SparseProblem, budget: int | None = None) -> SparseSolutionSet:
@@ -297,16 +306,10 @@ def solve_l0(prob: SparseProblem, budget: int | None = None) -> SparseSolutionSe
     for size in range(1, r + 1):
         hits: list[SparseSolution] = []
         for subsets in iter_subset_chunks(n, size):
-            for row in subsets:
-                support = tuple(int(v) for v in row)
-                solved = _solve_on_support(M, b, support)
-                if solved is None:
-                    continue
-                coeff, res = solved
-                if res <= RESIDUAL_TOL * nb:
-                    hits.append(
-                        SparseSolution(support=support, coefficients=tuple(float(c) for c in coeff))
-                    )
+            full, coeff, res = _solve_supports(M, b, subsets)
+            ok = res <= RESIDUAL_TOL * nb
+            for support, c in zip(subsets[full][ok].tolist(), coeff[ok].tolist()):
+                hits.append(SparseSolution(support=tuple(support), coefficients=tuple(c)))
         if hits:
             return SparseSolutionSet(level=size, solutions=tuple(hits))
     raise InfeasibleProblemError("no support of size <= rank(A) reproduces b")
@@ -333,20 +336,15 @@ def enumerate_basic_solutions(prob: SparseProblem, budget: int | None = None) ->
     out: list[SparseSolution] = []
     for size in range(1, r + 1):
         for subsets in iter_subset_chunks(n, size):
-            for row in subsets:
-                support = tuple(int(v) for v in row)
-                solved = _solve_on_support(M, b, support)
-                if solved is None:
-                    continue
-                coeff, res = solved
-                if res > RESIDUAL_TOL * nb:
-                    continue
-                cmax = float(np.max(np.abs(coeff)))
-                if cmax == 0.0 or float(np.min(np.abs(coeff))) <= ZERO_COEFF * cmax:
-                    continue  # not minimal-support; counted at a smaller size
-                out.append(
-                    SparseSolution(support=support, coefficients=tuple(float(c) for c in coeff))
-                )
+            full, coeff, res = _solve_supports(M, b, subsets)
+            mag = np.abs(coeff)
+            cmax = np.max(mag, axis=1)
+            # a numerically zero coefficient means the support is not minimal;
+            # the solution is counted at a smaller size
+            ok = (res <= RESIDUAL_TOL * nb) & (cmax > 0.0)
+            ok &= np.min(mag, axis=1) > ZERO_COEFF * cmax
+            for support, c in zip(subsets[full][ok].tolist(), coeff[ok].tolist()):
+                out.append(SparseSolution(support=tuple(support), coefficients=tuple(c)))
     if not out:
         raise InfeasibleProblemError("no basic solution found")
     return tuple(out)
@@ -361,7 +359,11 @@ def solve_lp_basic(
     """Global lp minimum over basic solutions (ties within 1e-10 relative)."""
     if basics is None:
         basics = enumerate_basic_solutions(prob, budget=budget)
-    values = [lp_power_sum(s.coefficients, p) for s in basics]
+    # zero padding adds exactly 0.0 to each row's exact sum
+    padded = np.zeros((len(basics), max(len(s.coefficients) for s in basics)))
+    for row, s in zip(padded, basics):
+        row[: len(s.coefficients)] = s.coefficients
+    values = lp_power_sum(padded, p)
     vmin = min(values)
     tie = vmin + 1e-10 * max(1.0, abs(vmin))
     winners = tuple(s for s, v in zip(basics, values) if v <= tie)
@@ -473,15 +475,15 @@ def verify_strict_inequality(
     A violation is margin <= 0 (ties count as violations: the claim under
     test is strict).  argmin_match is left unset; the T1 harness fills it.
     """
-    x = np.asarray(x_star, dtype=float)
-    margin_min = math.inf
+    items = list(h_set)
+    if not items:
+        raise ValueError("empty kernel sample set")
+    H = np.array(
+        [item.vector if isinstance(item, KernelSample) else item for item in items], dtype=float
+    )
+    margins = lp_margin(x_star, H, p)
     violations: list[dict] = []
-    total = 0
-    for idx, item in enumerate(h_set):
-        h = item.vector if isinstance(item, KernelSample) else np.asarray(item, dtype=float)
-        margin = lp_margin(x, h, p)
-        total += 1
-        margin_min = min(margin_min, margin)
+    for idx, (item, margin) in enumerate(zip(items, margins)):
         if margin <= 0.0:
             entry = {"index": idx, "margin": margin, "p": p}
             if isinstance(item, KernelSample):
@@ -489,13 +491,11 @@ def verify_strict_inequality(
                 entry["scale"] = item.scale
                 entry["h"] = [float(v) for v in item.vector]
             violations.append(entry)
-    if total == 0:
-        raise ValueError("empty kernel sample set")
     return EquivalenceReport(
         p=p,
-        margin_min=margin_min,
+        margin_min=min(margins),
         argmin_match=None,
-        trials=total,
+        trials=len(items),
         seed=seed,
         below_threshold=None if p_star is None else p < p_star,
         violations=tuple(violations),
@@ -703,6 +703,9 @@ def verify_theorem2(
     samples = sample_null(A, count=count, seed=derive_seed(seed, "thm2-null"), budget=budget)
 
     base_power = lp_power_sum(x, p)
+    H = np.array([sample.vector for sample in samples])
+    margins = lp_margin(x, H, p)
+    shifted_powers = lp_power_sum(x + H, p)
     margin_min = math.inf
     violations: list[dict] = []
     records: list[dict] = []
@@ -718,7 +721,7 @@ def verify_theorem2(
                 {"index": idx, "kind": sample.kind, "scale": sample.scale, "degenerate": True}
             )
             continue
-        final_margin = lp_margin(x, h, p)
+        final_margin = margins[idx]
         margin_min = min(margin_min, final_margin)
         if final_margin <= 0.0:
             violations.append(
@@ -731,7 +734,7 @@ def verify_theorem2(
                     "h": [float(v) for v in h],
                 }
             )
-        shifted_power = lp_power_sum(x + h, p)
+        shifted_power = shifted_powers[idx]
         steps = []
         for t in t_schedule:
             x_t, y_t = theorem2_sequences(m, float(labs[0]), float(labs[1]), p, t)
@@ -837,19 +840,21 @@ def verify_theorem3(
     samples = sample_null(A, count=count, seed=derive_seed(seed, "thm3-null"), budget=budget)
 
     pad_n = ext.n - n
+    H = np.array([sample.vector for sample in samples])
+    H_tilde = np.pad(H, ((0, 0), (0, pad_n)))
+    margins = lp_margin(x, H, p)
+    # padding with zeros changes neither side of the inequality
+    margins_emb = lp_margin(np.pad(x, (0, pad_n)), H_tilde, p)
     worst_embed = 0.0
     margin_min = math.inf
     violations: list[dict] = []
     for idx, sample in enumerate(samples):
         h = sample.vector
-        h_tilde = np.concatenate([h, np.zeros(pad_n)])
+        h_tilde = H_tilde[idx]
         resid = float(np.linalg.norm(A_ext.entries @ h_tilde)) / float(np.linalg.norm(h_tilde))
         worst_embed = max(worst_embed, resid)
-        margin = lp_margin(x, h, p)
-        # padding with zeros changes neither side of the inequality
-        x_tilde = np.concatenate([x, np.zeros(pad_n)])
-        margin_emb = lp_margin(x_tilde, h_tilde, p)
-        if not math.isclose(margin, margin_emb, rel_tol=1e-9, abs_tol=1e-12):
+        margin = margins[idx]
+        if not math.isclose(margin, margins_emb[idx], rel_tol=1e-9, abs_tol=1e-12):
             raise AssertionError("zero padding changed an lp margin")
         margin_min = min(margin_min, margin)
         if margin <= 0.0:

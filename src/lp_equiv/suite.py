@@ -37,6 +37,7 @@ from .analysis import (
 from .matgen import DEFAULT_EIG_TOL, build_vandermonde, sample_instance
 from .numerics import BudgetExceededError, SamplingError, derive_seed, lp_margin
 from .solvers import (
+    DEFAULT_T_SCHEDULE,
     default_p_grid,
     plant_with_level,
     sample_null,
@@ -47,8 +48,6 @@ from .solvers import (
 )
 from .spark import check_submatrix_invertibility, compute_spark
 from .spectral import gram_spectrum, lemma1_constants
-
-DEFAULT_T_SCHEDULE = (10.0, 100.0, 1000.0, 10000.0)
 
 _CONFIG_FIELD_ORDER = (
     "seed",
@@ -230,9 +229,7 @@ def _csv_text(header: tuple[str, ...], rows: list[tuple]) -> str:
 
 
 def _check_from_exception(name: str, asserted: bool, exc: Exception) -> CheckResult:
-    if isinstance(exc, BudgetExceededError):
-        return CheckResult(name, "skipped", asserted, {"reason": str(exc)})
-    if isinstance(exc, SamplingError):
+    if isinstance(exc, (BudgetExceededError, SamplingError)):
         return CheckResult(name, "skipped", asserted, {"reason": str(exc)})
     raise exc
 
@@ -511,11 +508,10 @@ def _run_margin_block(
         return
     grid = config.p_grid if config.p_grid is not None else default_p_grid(p_star)
     l0_supports = l0.supports
+    H = np.array([s.vector for s in samples])
     for p in sorted(grid):
-        margins = []
-        for s in samples:
-            margin = lp_margin(planted.x_star, s.vector, p)
-            margins.append(margin)
+        margins = lp_margin(planted.x_star, H, p)
+        for s, margin in zip(samples, margins):
             margin_rows.append(
                 (config.m, config.n, k, float(p), s.kind, float(s.scale), margin)
             )

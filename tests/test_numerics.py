@@ -65,6 +65,32 @@ def test_lp_margin_exact_zero_for_zero_h():
     assert lp_margin(x, np.zeros(2), 0.3) == 0.0
 
 
+def _margin_one_row(x, h, p):
+    # the per-sample formula the block evaluation replaced
+    return math.fsum((abs_pow(x + h, p) - abs_pow(x, p)).tolist())
+
+
+@pytest.mark.parametrize("p", [1e-6, 0.013, 0.5, 1.0])
+def test_block_margins_and_power_sums_are_bit_identical_to_one_row_at_a_time(p):
+    rng = np.random.default_rng(3)
+    x = np.array([0.0, 1.5, -0.7, 1e-301, 0.0, 2.0, -1e-300, 0.0])
+    H = rng.standard_normal((64, x.size)) * rng.choice([1e-3, 1.0, 1e3], size=(64, 1))
+    H[:, 4] = 0.0  # a coordinate zero in x* and in every h
+    H[1] = 0.0  # zero perturbation
+    H[2] = -x  # cancels x* exactly
+    H[3, 3] = 1e-305  # x* + h stays at or below POWER_FLOOR
+    margins = lp_margin(x, H, p)
+    assert isinstance(margins, list) and all(type(v) is float for v in margins)
+    assert margins == [_margin_one_row(x, h, p) for h in H]
+    assert margins == [lp_margin(x, h, p) for h in H]
+    assert margins[1] == 0.0
+
+    powers = lp_power_sum(x + H, p)
+    assert powers == [math.fsum(abs_pow(row, p).tolist()) for row in x + H]
+    # padded zeros add exactly nothing to an exact sum
+    assert lp_power_sum(np.pad(x + H, ((0, 0), (0, 3))), p) == powers
+
+
 def test_power_floor_is_subnormal_guard():
     assert 0.0 < POWER_FLOOR < 1e-250
 

@@ -1,4 +1,6 @@
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +8,9 @@ import pytest
 from lp_equiv.matgen import DenseMatrix, VandermondeSpec, build_vandermonde, sample_instance
 from lp_equiv.numerics import derive_seed, lp_margin
 from lp_equiv.solvers import (
+    RANK_TOL,
     InfeasibleProblemError,
+    KernelSample,
     SparseProblem,
     default_p_grid,
     enumerate_basic_solutions,
@@ -22,6 +26,7 @@ from lp_equiv.solvers import (
     verify_theorem2,
     verify_theorem3,
 )
+from lp_equiv.solvers import _solve_supports
 
 
 def worked_problem() -> SparseProblem:
@@ -77,6 +82,34 @@ def test_basic_solutions_drop_zero_coefficients():
     # the lp minimum at tiny p is the singleton, not a padded 2-support
     lp = solve_lp_basic(prob, 0.01, basics=basics)
     assert [s.support for s in lp.minimizers] == [(0,)]
+
+
+def _solve_one_support(M, b, support):
+    # the per-support solve the stacked block replaced; None if rank deficient
+    sub = M[:, list(support)]
+    u, s, vt = np.linalg.svd(sub, full_matrices=False)
+    if not (s[0] > 0.0 and int(np.sum(s > RANK_TOL * s[0])) == len(support)):
+        return None
+    coeff = vt.T @ ((u.T @ b) / s)
+    return coeff, float(np.linalg.norm(sub @ coeff - b))
+
+
+def test_stacked_support_solve_is_bit_identical_to_one_support_at_a_time():
+    A = build_vandermonde(sample_instance(3, 8, seed=5)).entries
+    # column 8 is parallel to column 0 and column 9 is zero: rank-deficient supports
+    M = np.concatenate([A, 2.0 * A[:, :1], np.zeros((3, 1))], axis=1)
+    b = M[:, [1, 4]] @ np.array([0.75, -1.25])
+    for k in (1, 2, 3):
+        supports = np.array(list(itertools.combinations(range(M.shape[1]), k)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            full, coeff, res = _solve_supports(M, b, supports)
+        expected = [_solve_one_support(M, b, tuple(row)) for row in supports.tolist()]
+        assert full.tolist() == [e is not None for e in expected]
+        assert not full.all()
+        kept = [e for e in expected if e is not None]
+        assert coeff.tolist() == [c.tolist() for c, _ in kept]
+        assert res.tolist() == [r for _, r in kept]
 
 
 def test_null_space_basis_annihilates():
@@ -146,6 +179,29 @@ def test_verify_strict_inequality_flags_planted_violation():
     rep2 = verify_strict_inequality(x, [h_good], 0.5)
     assert rep2.margin_min > 0.0
     assert not rep2.violations
+
+
+def test_verify_strict_inequality_accepts_generators_arrays_and_samples():
+    x = np.array([1.0, 0.0, 0.0])
+    hs = [np.array([0.1, 0.3, -0.2]), np.array([-1.0, 0.25, 0.25]), np.zeros(3)]
+    samples = [KernelSample(vector=h, kind="unit", scale=1.0) for h in hs]
+    from_list = verify_strict_inequality(x, hs, 1.0)
+    from_gen = verify_strict_inequality(x, (h.tolist() for h in hs), 1.0)
+    from_samples = verify_strict_inequality(x, iter(samples), 1.0)
+    for rep in (from_list, from_gen, from_samples):
+        assert rep.trials == 3
+        assert rep.margin_min == lp_margin(x, hs[1], 1.0)
+        assert [v["index"] for v in rep.violations] == [1, 2]
+    assert from_gen == from_list
+    assert "kind" not in from_list.violations[0]
+    assert from_samples.violations[0]["kind"] == "unit"
+    assert from_samples.violations[1]["h"] == [0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("empty", [[], iter(()), np.empty((0, 3))])
+def test_verify_strict_inequality_rejects_empty_sample_set(empty):
+    with pytest.raises(ValueError, match="empty kernel sample set"):
+        verify_strict_inequality(np.ones(3), empty, 0.5)
 
 
 def test_default_p_grid_contents():
