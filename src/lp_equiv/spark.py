@@ -7,10 +7,21 @@ m columns are independent, any m+1 are forced to be dependent by the row
 count), and for the scaled augmentation A_t it equals 2m+3.  Both facts are
 certified here by enumeration, never assumed.
 
-Search order is sizes ascending, subsets lexicographic within a size, so the
-returned witness is the lexicographically smallest dependent subset of the
-critical size.  Enumeration is chunked through stacked LAPACK SVDs and capped
-by the subset budget.
+The search scans level r = rank(A) first.  "Some k-subset is dependent" is
+monotone in k: by singular-value interlacing, adding a column never raises
+sigma_min/sigma_max.  So if every r-subset is independent, no smaller subset
+is dependent either and spark is r+1, which is the common, maximal case; the
+witness is then the lexicographically first dependent (r+1)-subset.  Only a
+dependency at level r sends the search back to sizes ascending from 1, with
+subsets lexicographic within a size, and level r itself reuses the probe's
+result.  Either way the returned witness is the lexicographically smallest
+dependent subset of the critical size, exactly as a plain ascending search
+would return.  Dependent subsets calibrate at 0..1e-15 relative and
+independent ones above 3e-9, so floating-point error would have to be 10^4
+times too large to flip a subset across the 1e-11 tolerance and break the
+monotonicity the probe relies on.  Enumeration is chunked through stacked
+LAPACK SVDs, and the subset budget is charged for the worst case,
+C(n, 1..r+1), whichever path runs.
 """
 
 from __future__ import annotations
@@ -38,7 +49,9 @@ class SparkCertificate:
     """spark value plus the dependent witness subset that certifies it.
 
     witness columns have numerical rank |witness| - 1: removing any single
-    column yields an independent set (guaranteed by the ascending search).
+    column yields an independent set (no smaller subset is dependent: either
+    level rank(A) was all independent, which by monotonicity clears every
+    smaller size, or the ascending search cleared them one by one).
     """
 
     spark: int
@@ -135,22 +148,34 @@ def compute_spark(
     total = sum(math.comb(n, k) for k in range(1, r + 2))
     check_budget(total, budget, "compute_spark")
 
-    for k in range(1, r + 2):
-        if k > m_rows:
-            # More columns than rows: dependent outright; the lexicographic
-            # minimum at this size is the first k columns.
-            witness = tuple(range(k))
+    # Level r decides: all independent there means spark r+1 (monotonicity).
+    at_rank = _first_dependent(M, r, tol_rel) if r > 0 else None
+    if at_rank is None:
+        witness = _first_dependent(M, r + 1, tol_rel)
+        if witness is None:
+            raise AssertionError("unreachable: every (rank+1)-subset is dependent")
+        return SparkCertificate(spark=r + 1, witness=witness, tol=tol_rel)
+    for k in range(1, r):
+        witness = _first_dependent(M, k, tol_rel)
+        if witness is not None:
             return SparkCertificate(spark=k, witness=witness, tol=tol_rel)
-        for subsets in iter_subset_chunks(n, k):
-            sub = M[:, subsets].transpose(1, 0, 2)  # (chunk, m_rows, k)
-            s = np.linalg.svd(sub, compute_uv=False)
-            smax, smin = s[:, 0], s[:, -1]
-            dependent = smin <= tol_rel * smax
-            if np.any(dependent):
-                idx = int(np.argmax(dependent))  # first hit = lex smallest
-                witness = tuple(int(j) for j in subsets[idx])
-                return SparkCertificate(spark=k, witness=witness, tol=tol_rel)
-    raise AssertionError("unreachable: every (rank+1)-subset is dependent")
+    return SparkCertificate(spark=r, witness=at_rank, tol=tol_rel)
+
+
+def _first_dependent(M: np.ndarray, k: int, tol_rel: float) -> tuple[int, ...] | None:
+    """Lexicographically first dependent k-subset of M's columns, or None."""
+    m_rows, n = M.shape
+    if k > m_rows:
+        # More columns than rows: dependent outright, so the first k columns.
+        return tuple(range(k))
+    for subsets in iter_subset_chunks(n, k):
+        sub = M[:, subsets].transpose(1, 0, 2)  # (chunk, m_rows, k)
+        s = np.linalg.svd(sub, compute_uv=False)
+        dependent = s[:, -1] <= tol_rel * s[:, 0]
+        if np.any(dependent):
+            idx = int(np.argmax(dependent))  # first hit = lex smallest
+            return tuple(int(j) for j in subsets[idx])
+    return None
 
 
 def check_submatrix_invertibility(

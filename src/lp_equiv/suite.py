@@ -39,6 +39,7 @@ from .numerics import BudgetExceededError, SamplingError, derive_seed, lp_margin
 from .solvers import (
     DEFAULT_T_SCHEDULE,
     default_p_grid,
+    enumerate_basic_solutions,
     plant_with_level,
     sample_null,
     solve_lp_basic,
@@ -506,6 +507,8 @@ def _run_margin_block(
         )
     except (SamplingError, BudgetExceededError):
         return
+    # one enumeration serves every grid p; its errors propagate as before
+    basics = enumerate_basic_solutions(planted.problem, budget=config.budget)
     grid = config.p_grid if config.p_grid is not None else default_p_grid(p_star)
     l0_supports = l0.supports
     H = np.array([s.vector for s in samples])
@@ -530,7 +533,7 @@ def _run_margin_block(
                         "lambda": [float(v) for v in spec.lam],
                     }
                 )
-        lp_min = solve_lp_basic(planted.problem, float(p), budget=config.budget)
+        lp_min = solve_lp_basic(planted.problem, float(p), basics=basics)
         argmin_supports = {sol.support for sol in lp_min.minimizers}
         argmin_match = argmin_supports.issubset(set(l0_supports))
         phase_rows.append(
