@@ -96,10 +96,8 @@ from .spectral import (
     SpectralSummary,
     gram_spectrum,
     lemma1_constants,
-    normalize_columns,
     p_star_from_extremes,
     restricted_extremes,
-    ric,
 )
 from .suite import CheckResult, RunConfig, RunManifest, json_safe, run_suite
 
@@ -137,9 +135,7 @@ __all__ = [
     "gram_spectrum",
     "restricted_extremes",
     "lemma1_constants",
-    "normalize_columns",
     "p_star_from_extremes",
-    "ric",
     # solvers and harnesses
     "InfeasibleProblemError",
     "SparseProblem",

@@ -164,7 +164,8 @@ class KernelSample:
 
 @dataclass(frozen=True)
 class EquivalenceReport:
-    """Margin sweep of ||x*+h||_p^p - ||x*||_p^p over a kernel sample set."""
+    """Margin sweep of ||x*+h||_p^p - ||x*||_p^p over a kernel sample set,
+    with one margin per sample in sample order."""
 
     p: float
     margin_min: float
@@ -173,6 +174,7 @@ class EquivalenceReport:
     seed: int | None
     below_threshold: bool | None
     violations: tuple[dict, ...]
+    margins: tuple[float, ...]
 
     def to_json_dict(self) -> dict:
         return {
@@ -183,6 +185,7 @@ class EquivalenceReport:
             "seed": self.seed,
             "below_threshold": self.below_threshold,
             "violations": list(self.violations),
+            "margins": list(self.margins),
         }
 
 
@@ -199,7 +202,11 @@ class PlantedInstance:
 
 @dataclass(frozen=True)
 class Theorem1Report:
-    """T1 harness outcome for one planted instance."""
+    """T1 harness outcome for one planted instance.
+
+    x_star is the planted vector; sample_labels gives each kernel sample's
+    (kind, scale), in the order of every report's margins.
+    """
 
     m: int
     n: int
@@ -215,6 +222,8 @@ class Theorem1Report:
     trials: int
     seed: int
     grid_below_threshold_empty: bool
+    x_star: tuple[float, ...]
+    sample_labels: tuple[tuple[str, float], ...]
 
 
 @dataclass(frozen=True)
@@ -285,6 +294,41 @@ def _solve_supports(M: np.ndarray, b: np.ndarray, supports: np.ndarray):
     return full, coeff, res
 
 
+def _scan_supports(prob: SparseProblem, budget: int | None, caller: str):
+    """Ascending support sizes, scanned lazily: for each size, the
+    full-column-rank supports whose least-squares solution reproduces b.
+
+    Yields one (supports, coeff) pair per size: a (count, size) block of
+    supports in lexicographic order and their coefficients.  A numerically
+    zero b yields only the empty support.  The budget is charged for every
+    size up to rank(A) before the first one is scanned.
+    """
+    M = prob.matrix.entries
+    n = M.shape[1]
+    b = prob.b
+    nb = float(np.linalg.norm(b))
+    if nb <= POWER_FLOOR:
+        yield np.zeros((1, 0), dtype=np.intp), np.zeros((1, 0))
+        return
+    r = np.linalg.matrix_rank(M)
+    check_budget(sum(math.comb(n, k) for k in range(1, r + 1)), budget, caller)
+    for size in range(1, r + 1):
+        supports, coeffs = [], []
+        for subsets in iter_subset_chunks(n, size):
+            full, coeff, res = _solve_supports(M, b, subsets)
+            ok = res <= RESIDUAL_TOL * nb
+            supports.append(subsets[full][ok])
+            coeffs.append(coeff[ok])
+        yield np.concatenate(supports), np.concatenate(coeffs)
+
+
+def _solutions(supports: np.ndarray, coeff: np.ndarray) -> tuple[SparseSolution, ...]:
+    return tuple(
+        SparseSolution(support=tuple(s), coefficients=tuple(c))
+        for s, c in zip(supports.tolist(), coeff.tolist())
+    )
+
+
 def solve_l0(prob: SparseProblem, budget: int | None = None) -> SparseSolutionSet:
     """Exact l0 minimization by ascending exhaustive support search.
 
@@ -294,24 +338,9 @@ def solve_l0(prob: SparseProblem, budget: int | None = None) -> SparseSolutionSe
     fact: a minimal-support solution's columns are independent, so skipping
     rank-deficient supports cannot miss the minimum.
     """
-    M = prob.matrix.entries
-    n = M.shape[1]
-    b = prob.b
-    nb = float(np.linalg.norm(b))
-    if nb <= POWER_FLOOR:
-        return SparseSolutionSet(level=0, solutions=(SparseSolution((), ()),))
-    r = np.linalg.matrix_rank(M)
-    check_budget(sum(math.comb(n, k) for k in range(1, r + 1)), budget, "solve_l0")
-
-    for size in range(1, r + 1):
-        hits: list[SparseSolution] = []
-        for subsets in iter_subset_chunks(n, size):
-            full, coeff, res = _solve_supports(M, b, subsets)
-            ok = res <= RESIDUAL_TOL * nb
-            for support, c in zip(subsets[full][ok].tolist(), coeff[ok].tolist()):
-                hits.append(SparseSolution(support=tuple(support), coefficients=tuple(c)))
-        if hits:
-            return SparseSolutionSet(level=size, solutions=tuple(hits))
+    for supports, coeff in _scan_supports(prob, budget, "solve_l0"):
+        if len(supports):
+            return SparseSolutionSet(level=supports.shape[1], solutions=_solutions(supports, coeff))
     raise InfeasibleProblemError("no support of size <= rank(A) reproduces b")
 
 
@@ -324,30 +353,24 @@ def enumerate_basic_solutions(prob: SparseProblem, budget: int | None = None) ->
     ||x||_p^p honest for very small p, where roundoff-sized coefficients
     would otherwise each contribute nearly 1.
     """
-    M = prob.matrix.entries
-    n = M.shape[1]
-    b = prob.b
-    nb = float(np.linalg.norm(b))
-    if nb <= POWER_FLOOR:
-        return (SparseSolution((), ()),)
-    r = np.linalg.matrix_rank(M)
-    check_budget(sum(math.comb(n, k) for k in range(1, r + 1)), budget, "enumerate_basic_solutions")
-
     out: list[SparseSolution] = []
-    for size in range(1, r + 1):
-        for subsets in iter_subset_chunks(n, size):
-            full, coeff, res = _solve_supports(M, b, subsets)
-            mag = np.abs(coeff)
-            cmax = np.max(mag, axis=1)
-            # a numerically zero coefficient means the support is not minimal;
-            # the solution is counted at a smaller size
-            ok = (res <= RESIDUAL_TOL * nb) & (cmax > 0.0)
-            ok &= np.min(mag, axis=1) > ZERO_COEFF * cmax
-            for support, c in zip(subsets[full][ok].tolist(), coeff[ok].tolist()):
-                out.append(SparseSolution(support=tuple(support), coefficients=tuple(c)))
+    for supports, coeff in _scan_supports(prob, budget, "enumerate_basic_solutions"):
+        # a numerically zero coefficient (all of them, when the max is 0)
+        # means the support is not minimal; the solution is counted at a
+        # smaller size.  The empty support passes: its min is +inf.
+        mag = np.abs(coeff)
+        keep = np.min(mag, axis=1, initial=np.inf) > ZERO_COEFF * np.max(mag, axis=1, initial=0.0)
+        out.extend(_solutions(supports[keep], coeff[keep]))
     if not out:
         raise InfeasibleProblemError("no basic solution found")
     return tuple(out)
+
+
+def _l0_from_basics(basics: tuple[SparseSolution, ...]) -> SparseSolutionSet:
+    """The l0 solution set read off the basic solutions: the smallest support
+    size among them and every basic solution of that size."""
+    level = min(len(s.support) for s in basics)
+    return SparseSolutionSet(level, tuple(s for s in basics if len(s.support) == level))
 
 
 def solve_lp_basic(
@@ -499,6 +522,7 @@ def verify_strict_inequality(
         seed=seed,
         below_threshold=None if p_star is None else p < p_star,
         violations=tuple(violations),
+        margins=tuple(margins),
     )
 
 
@@ -547,8 +571,9 @@ def verify_theorem1(
     seed: int = 0,
     budget: int | None = None,
 ) -> Theorem1Report:
-    """T1 harness: plant a k-sparse instance (k < spark/2), solve l0 exactly,
-    then sweep margins and the basic-solution lp argmin across the p grid.
+    """T1 harness: plant a k-sparse instance (k < spark/2), enumerate its
+    basic solutions once (the l0 solutions are the smallest of them), then
+    sweep margins and the basic-solution lp argmin across the p grid.
 
     Grid points below p_star are the claim under test; points at or above it
     are recorded without judgement.  Counterexamples carry enough data to
@@ -558,7 +583,6 @@ def verify_theorem1(
     if not 1 <= k or 2 * k >= cert.spark:
         raise ValueError(f"need 1 <= k < spark/2 = {cert.spark / 2}, got k={k}")
     inst = plant_sparse_instance(A, k, derive_seed(seed, "plant"))
-    sol = solve_l0(inst.problem, budget=budget)
     summary = gram_spectrum(A)
     grid = default_p_grid(summary.p_star) if p_grid is None else tuple(sorted(set(p_grid)))
     below_empty = not any(p < summary.p_star for p in grid)
@@ -568,6 +592,7 @@ def verify_theorem1(
         A, count=count, seed=derive_seed(seed, "null"), witness=cert.witness, budget=budget
     )
     basics = enumerate_basic_solutions(inst.problem, budget=budget)
+    sol = _l0_from_basics(basics)
     l0_supports = set(sol.supports)
 
     reports: list[EquivalenceReport] = []
@@ -607,6 +632,8 @@ def verify_theorem1(
         trials=len(samples),
         seed=seed,
         grid_below_threshold_empty=below_empty,
+        x_star=tuple(inst.x_star.tolist()),
+        sample_labels=tuple((s.kind, s.scale) for s in samples),
     )
 
 

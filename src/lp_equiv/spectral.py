@@ -9,8 +9,7 @@ A^T A, and p_star = 1 when the two coincide.  Below this exponent the strict
 lp/l0 inequality claims are supposed to hold; the solvers module tests them.
 
 Also computed here: restricted eigenvalue extremes over all k-column subsets
-(the operational version of the two-sided norm sandwich on sparse vectors)
-and the restricted isometry constant in the squared convention.
+(the operational version of the two-sided norm sandwich on sparse vectors).
 
 Caution on the sandwich: the claim lmp <= u^2, with u^2 the restricted
 minimum at subset size spark-1, is FALSE in general (clustered-node instances
@@ -201,37 +200,3 @@ def lemma1_constants(
         argmax_support=rs.argmax_support,
     )
 
-
-def normalize_columns(A: DenseMatrix) -> DenseMatrix:
-    """Rescale every column to unit l2 norm (zero columns are rejected)."""
-    M = A.entries
-    norms = np.linalg.norm(M, axis=0)
-    if np.any(norms == 0.0):
-        raise ValueError("cannot normalize a zero column")
-    return DenseMatrix(entries=M / norms, tol=A.tol)
-
-
-def ric(A: DenseMatrix, k: int, budget: int | None = None) -> float:
-    """Restricted isometry constant delta_k, squared-norm convention:
-
-        delta_k = max_{|S|=k} max(lambda_max(G_S) - 1, 1 - lambda_min(G_S)),
-
-    over Gram blocks G_S of the (pre-normalized) columns.  Columns must
-    already have unit l2 norm; exhaustive over supports.
-    """
-    M = A.entries
-    norms = np.linalg.norm(M, axis=0)
-    if not np.allclose(norms, 1.0, atol=1e-8):
-        raise ValueError("ric expects columns pre-normalized to unit l2 norm")
-    n = M.shape[1]
-    if not 1 <= k <= n:
-        raise ValueError(f"k must lie in [1, {n}], got {k}")
-    check_budget(math.comb(n, k), budget, "ric")
-
-    worst = 0.0
-    for subsets in iter_subset_chunks(n, k):
-        sub = M[:, subsets].transpose(1, 0, 2)
-        grams = np.einsum("cik,cil->ckl", sub, sub)
-        evals = np.linalg.eigvalsh(grams)
-        worst = max(worst, float(np.max(evals[:, -1] - 1.0)), float(np.max(1.0 - evals[:, 0])))
-    return worst

@@ -7,6 +7,12 @@ Artifacts (all deterministic for a fixed config; no wall-clock data anywhere):
   margins.csv           one row per (k, p, kernel sample): the raw margin
   counterexamples.json  every recorded violation, with enough data to replay
 
+The phase and margin rows of each k are read from that k's verify_theorem1
+report, so each sparsity level gets one T1 sweep.  RunConfig.tol is the
+eigenvalue tolerance of the base matrix: it reaches its spectrum, p_star and
+kernel samples, but not the T2/T3 harnesses, which build their own matrices
+at DEFAULT_EIG_TOL (one shared rank policy is ROADMAP open item 1).
+
 Checks are split into two tiers.  Asserted checks are machinery the package
 guarantees (instance generation, spark certificates, the scalar/sequence
 bounds, the asserted steps of the chain audit); any failure is a bug and the
@@ -35,14 +41,11 @@ from .analysis import (
     phi_bound_grid,
 )
 from .matgen import DEFAULT_EIG_TOL, build_vandermonde, sample_instance
-from .numerics import BudgetExceededError, SamplingError, derive_seed, lp_margin
+from .numerics import BudgetExceededError, SamplingError, derive_seed
 from .solvers import (
     DEFAULT_T_SCHEDULE,
-    default_p_grid,
-    enumerate_basic_solutions,
     plant_with_level,
     sample_null,
-    solve_lp_basic,
     verify_theorem1,
     verify_theorem2,
     verify_theorem3,
@@ -411,13 +414,11 @@ def run_suite(config: RunConfig) -> RunManifest:
     except BudgetExceededError as exc:
         checks.append(_check_from_exception("cross-term", False, exc))
 
-    # --- per-k margin artifacts and the T1 harness -----------------------------
+    # --- the T1 harness per k, which also fills the phase and margin rows ------
     if spark is not None:
         k_max = (spark - 1) // 2
+        lam = [float(v) for v in spec.lam]
         for k in range(1, k_max + 1):
-            _run_margin_block(
-                config, spec, A, summary.p_star, k, phase_rows, margin_rows, counterexamples
-            )
             try:
                 report = verify_theorem1(
                     A,
@@ -436,8 +437,17 @@ def run_suite(config: RunConfig) -> RunManifest:
                     "counterexample_count": len(report.counterexamples),
                 }
                 checks.append(CheckResult(f"t1-margins-k{k}", status, False, detail))
+                x_star = list(report.x_star)
                 for ce in report.counterexamples:
-                    counterexamples.append({"check": f"t1-margins-k{k}", **json_safe(ce)})
+                    counterexamples.append(
+                        {"check": f"t1-margins-k{k}", **json_safe(ce),
+                         "x_star": x_star, "lambda": lam}
+                    )
+                for rep in report.reports:
+                    p = float(rep.p)
+                    phase_rows.append((m, n, k, p, report.p_star, rep.margin_min, rep.argmin_match))
+                    for (kind, scale), margin in zip(report.sample_labels, rep.margins):
+                        margin_rows.append((m, n, k, p, kind, scale, margin))
             except (BudgetExceededError, SamplingError) as exc:
                 checks.append(_check_from_exception(f"t1-margins-k{k}", False, exc))
 
@@ -480,84 +490,19 @@ def run_suite(config: RunConfig) -> RunManifest:
             checks.append(_check_from_exception("chain-asserted", True, exc))
 
     # --- deep-sparsity regime: augmented family -------------------------------
-    _run_deep_regime(config, spec, checks, counterexamples)
+    _run_deep_regime(config, spec, A, checks, counterexamples)
 
     return _finalize(config, checks, counterexamples, phase_rows, margin_rows)
 
 
-def _run_margin_block(
-    config: RunConfig,
-    spec,
-    A,
-    p_star: float,
-    k: int,
-    phase_rows: list[tuple],
-    margin_rows: list[tuple],
-    counterexamples: list[dict],
-) -> None:
-    """Populate phase_diagram.csv / margins.csv rows for one sparsity level."""
-    seed = derive_seed(config.seed, f"margins-k{k}")
-    try:
-        planted, l0 = plant_with_level(A, k, seed=seed, budget=config.budget)
-        samples = sample_null(
-            A,
-            count=max(2, config.trials // 3),
-            seed=derive_seed(seed, "h"),
-            budget=config.budget,
-        )
-    except (SamplingError, BudgetExceededError):
-        return
-    # one enumeration serves every grid p; its errors propagate as before
-    basics = enumerate_basic_solutions(planted.problem, budget=config.budget)
-    grid = config.p_grid if config.p_grid is not None else default_p_grid(p_star)
-    l0_supports = l0.supports
-    H = np.array([s.vector for s in samples])
-    for p in sorted(grid):
-        margins = lp_margin(planted.x_star, H, p)
-        for s, margin in zip(samples, margins):
-            margin_rows.append(
-                (config.m, config.n, k, float(p), s.kind, float(s.scale), margin)
-            )
-            if margin <= 0.0 and p < p_star:
-                counterexamples.append(
-                    {
-                        "check": "phase-margin",
-                        "k": k,
-                        "p": float(p),
-                        "p_star": p_star,
-                        "kind": s.kind,
-                        "scale": float(s.scale),
-                        "margin": margin,
-                        "h": [float(v) for v in s.vector],
-                        "x_star": [float(v) for v in planted.x_star],
-                        "lambda": [float(v) for v in spec.lam],
-                    }
-                )
-        lp_min = solve_lp_basic(planted.problem, float(p), basics=basics)
-        argmin_supports = {sol.support for sol in lp_min.minimizers}
-        argmin_match = argmin_supports.issubset(set(l0_supports))
-        phase_rows.append(
-            (
-                config.m,
-                config.n,
-                k,
-                float(p),
-                p_star,
-                min(margins),
-                argmin_match,
-            )
-        )
-
-
 def _run_deep_regime(
-    config: RunConfig, spec, checks: list[CheckResult], counterexamples: list[dict]
+    config: RunConfig, spec, A, checks: list[CheckResult], counterexamples: list[dict]
 ) -> None:
     """Route the high-sparsity check by column count: wide instances exercise
     the t-indexed augmented family directly, narrow ones go through the
     node-extension embedding."""
     m, n = config.m, config.n
     k = m  # deepest admissible level: (m+1)/2 <= k <= m
-    A = build_vandermonde(spec, tol=config.tol)
     try:
         planted, _ = plant_with_level(
             A, k, seed=derive_seed(config.seed, "deep"), budget=config.budget

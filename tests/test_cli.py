@@ -89,6 +89,14 @@ def test_verify_thm1_exit_code(tmp_path, capsys):
     assert main(["verify-thm1", "--matrix", str(mat), "--k", "1", "--trials", "12"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["all_hold"] is True
+    # per-sample margins and labels, but no kernel vectors
+    assert len(out["x_star"]) == 7 and len(out["sample_labels"]) == out["trials"]
+    assert all(len(r["margins"]) == out["trials"] for r in out["reports"])
+    assert set(out) == {
+        "m", "n", "k", "spark", "p_star", "level", "recovered", "l0_unique", "reports",
+        "counterexamples", "all_hold", "trials", "seed", "grid_below_threshold_empty",
+        "x_star", "sample_labels",
+    }
 
 
 def test_verify_thm2_and_thm3(tmp_path, capsys):

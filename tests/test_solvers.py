@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from lp_equiv.matgen import DenseMatrix, VandermondeSpec, build_vandermonde, sample_instance
+from lp_equiv.matgen import MAX_M, DenseMatrix, VandermondeSpec, build_vandermonde, sample_instance
 from lp_equiv.numerics import derive_seed, lp_margin
 from lp_equiv.solvers import (
     RANK_TOL,
@@ -15,6 +15,7 @@ from lp_equiv.solvers import (
     default_p_grid,
     enumerate_basic_solutions,
     null_space_basis,
+    plant_sparse_instance,
     plant_with_level,
     sample_null,
     solve_l0,
@@ -26,7 +27,7 @@ from lp_equiv.solvers import (
     verify_theorem2,
     verify_theorem3,
 )
-from lp_equiv.solvers import _solve_supports
+from lp_equiv.solvers import _l0_from_basics, _solve_supports
 
 
 def worked_problem() -> SparseProblem:
@@ -62,6 +63,7 @@ def test_zero_rhs_gives_level_zero():
     sol = solve_l0(SparseProblem(A, np.zeros(2)))
     assert sol.level == 0
     assert sol.solutions[0].support == ()
+    assert enumerate_basic_solutions(SparseProblem(A, np.zeros(2))) == sol.solutions
 
 
 def test_infeasible_rhs_rejected():
@@ -235,6 +237,31 @@ def test_verify_theorem1_clean_run():
     below = [r for r in rep.reports if r.below_threshold]
     assert below and all(r.margin_min > 0 for r in below)
     assert all(r.argmin_match for r in below)
+
+
+@pytest.mark.parametrize("m", range(2, MAX_M + 1))
+def test_l0_set_read_off_basic_solutions_equals_solve_l0(m):
+    # k runs up to m, past spark/2, where the l0 solution may not be unique
+    # and may sit below the planted k
+    for n, seed in itertools.product((m + 1, m + 4), (0, 1)):
+        A = build_vandermonde(sample_instance(m, n, seed=derive_seed(seed, f"l0-{m}-{n}")))
+        for k in range(1, m + 1):
+            prob = plant_sparse_instance(A, k, derive_seed(seed, f"l0-plant-{k}")).problem
+            assert _l0_from_basics(enumerate_basic_solutions(prob)) == solve_l0(prob)
+
+
+@pytest.mark.parametrize("m", range(2, MAX_M + 1))
+def test_verify_theorem1_l0_fields_match_solve_l0(m):
+    for n, seed in itertools.product((m + 1, m + 4), (0, 1)):
+        A = build_vandermonde(sample_instance(m, n, seed=derive_seed(seed, f"t1-{m}-{n}")))
+        for k in range(1, m // 2 + 1):  # k < spark/2 = (m+1)/2
+            rep = verify_theorem1(A, k, trials=3, seed=seed)
+            inst = plant_sparse_instance(A, k, derive_seed(seed, "plant"))
+            sol = solve_l0(inst.problem)
+            assert rep.x_star == tuple(inst.x_star)
+            assert rep.level == sol.level == k
+            assert rep.l0_unique == (len(sol.solutions) == 1)
+            assert rep.recovered == (inst.support in sol.supports)
 
 
 def test_verify_theorem1_rejects_deep_k():

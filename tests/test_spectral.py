@@ -7,10 +7,8 @@ from lp_equiv.matgen import DenseMatrix, VandermondeSpec, build_vandermonde, sam
 from lp_equiv.spectral import (
     gram_spectrum,
     lemma1_constants,
-    normalize_columns,
     p_star_from_extremes,
     restricted_extremes,
-    ric,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -100,19 +98,6 @@ def test_sandwich_on_duplicated_orthogonal_columns_holds():
     assert rep.u_sq == pytest.approx(1.0, rel=1e-12)
     assert rep.lambda_min_plus == pytest.approx(1.0, rel=1e-12)
     assert rep.sandwich_holds
-
-
-def test_normalize_columns_and_ric():
-    A = worked_matrix()
-    N = normalize_columns(A)
-    assert np.allclose(np.linalg.norm(N.entries, axis=0), 1.0, atol=1e-12)
-    # for unit columns, delta_1 = 0 and delta_2 = max |<a_i, a_j>| over pairs
-    assert ric(N, 1) == pytest.approx(0.0, abs=1e-12)
-    G = N.entries.T @ N.entries
-    coh = max(abs(G[i, j]) for i in range(3) for j in range(i + 1, 3))
-    assert ric(N, 2) == pytest.approx(coh, rel=1e-12)
-    with pytest.raises(ValueError):
-        ric(A, 1)  # columns must be unit length
 
 
 def test_p_star_increases_with_conditioning():

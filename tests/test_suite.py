@@ -1,9 +1,15 @@
+import csv
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from lp_equiv import suite
+from lp_equiv.matgen import build_vandermonde, sample_instance
+from lp_equiv.numerics import derive_seed
+from lp_equiv.solvers import verify_theorem1
 from lp_equiv.suite import (
     CheckResult,
     RunConfig,
@@ -158,3 +164,54 @@ def test_manifest_violation_count_matches_dump(tmp_path):
     out = tmp_path / "vc"
     dumped = json.loads((out / "counterexamples.json").read_text())
     assert manifest.violation_count == len(dumped)
+
+
+def _csv_rows(path):
+    with open(path, newline="") as handle:
+        return list(csv.DictReader(handle))
+
+
+def test_phase_and_margin_rows_are_the_t1_harness_reports(tmp_path):
+    cfg = RunConfig(seed=4, m=4, n=7, trials=6, output_dir=str(tmp_path / "t1"))
+    run_suite(cfg)
+    phase = _csv_rows(tmp_path / "t1" / "phase_diagram.csv")
+    margins = _csv_rows(tmp_path / "t1" / "margins.csv")
+    spec = sample_instance(4, 7, seed=derive_seed(cfg.seed, "instance"))
+    A = build_vandermonde(spec, tol=cfg.tol)
+    assert sorted({int(r["k"]) for r in phase}) == [1, 2]
+    for k in (1, 2):
+        rep = verify_theorem1(A, k, trials=cfg.trials, seed=derive_seed(cfg.seed, f"thm1-k{k}"))
+        got = [
+            (float(r["p"]), float(r["p_star"]), float(r["margin_min"]), r["argmin_match"] == "true")
+            for r in phase
+            if int(r["k"]) == k
+        ]
+        assert got == [(r.p, rep.p_star, r.margin_min, r.argmin_match) for r in rep.reports]
+        got = [
+            (float(r["p"]), r["h_kind"], float(r["h_scale"]), float(r["margin"]))
+            for r in margins
+            if int(r["k"]) == k
+        ]
+        want = [
+            (r.p, kind, scale, margin)
+            for r in rep.reports
+            for (kind, scale), margin in zip(rep.sample_labels, r.margins)
+        ]
+        assert got == sorted(want, key=lambda row: row[:3])  # the CSV sort is stable
+
+
+def test_t1_counterexamples_carry_replay_data(tmp_path, monkeypatch):
+    harness = suite.verify_theorem1
+
+    def one_violation(*args, **kwargs):
+        rep = harness(*args, **kwargs)
+        return replace(rep, counterexamples=({"p": 0.1, "margin": -1.0, "h": [0.0] * rep.n},))
+
+    monkeypatch.setattr(suite, "verify_theorem1", one_violation)
+    cfg, manifest = run_small(tmp_path, name="ce")
+    dumped = json.loads((tmp_path / "ce" / "counterexamples.json").read_text())
+    t1 = [c for c in dumped if c["check"] == "t1-margins-k1"]
+    instance = next(c for c in manifest.checks if c.name == "instance")
+    assert len(t1) == 1
+    assert t1[0]["lambda"] == instance.detail["lambda"]
+    assert len(t1[0]["x_star"]) == cfg.n and sum(v != 0.0 for v in t1[0]["x_star"]) == 1
