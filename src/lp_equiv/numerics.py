@@ -56,11 +56,12 @@ def iter_subset_chunks(n: int, k: int, chunk: int = 4096) -> Iterator[np.ndarray
         yield np.empty((1, 0), dtype=np.intp)
         return
     it = itertools.combinations(range(n), k)
-    while True:
-        block = list(itertools.islice(it, chunk))
-        if not block:
-            return
-        yield np.asarray(block, dtype=np.intp)
+    remaining = math.comb(n, k)
+    while remaining:
+        count = min(chunk, remaining)
+        flat = itertools.chain.from_iterable(itertools.islice(it, count))
+        yield np.fromiter(flat, dtype=np.intp, count=count * k).reshape(count, k)
+        remaining -= count
 
 
 def derive_seed(seed: int, name: str) -> int:

@@ -22,6 +22,28 @@ times too large to flip a subset across the 1e-11 tolerance and break the
 monotonicity the probe relies on.  Enumeration is chunked through stacked
 LAPACK SVDs, and the subset budget is charged for the worst case,
 C(n, 1..r+1), whichever path runs.
+
+Square subsets (k = rows: the level-r probe of every full-row-rank matrix,
+node matrices and each A_t among them) pass a determinant screen before the
+SVD.  For a k x k block with Frobenius norm F, AM-GM on the k-1 largest
+singular values gives prod_{i<k} sigma_i <= (F^2/(k-1))^((k-1)/2), so
+sigma_min = |det| / prod_{i<k} sigma_i >= |det| ((k-1)/F^2)^((k-1)/2)
+(Hong and Pan, 1992); with sigma_max <= F,
+
+    beta = |det| (k-1)^((k-1)/2) / F^k <= sigma_min / sigma_max.
+
+A subset with beta > SCREEN_FACTOR * tol_rel is independent and skips the
+SVD; only the rest go through the one sigma_min/sigma_max test, in
+lexicographic order, so the witness is unchanged.  The screen is one-sided
+and its margin covers floating point: a cleared block has condition number
+below 1/beta, so the LU determinant's relative error is at most about
+k^2 eps / beta, under 1e-3 even at beta = 1e-10 (tol_rel = 1e-13), and the
+SVD's own ratio is off by about k eps absolute; both sit far inside the
+factor SCREEN_FACTOR = 10^3 between a cleared subset and the tolerance, so
+every cleared subset would also pass the SVD test.  A NaN or zero beta (a
+zero column, F = 0, determinant underflow) leaves the subset to the SVD.
+Tall levels (k < rows: the ascending fallback and rank-deficient inputs)
+keep the plain SVD.
 """
 
 from __future__ import annotations
@@ -40,8 +62,15 @@ from .numerics import check_budget, iter_subset_chunks
 # mixed row scales -- tiny glue rows against lam^(2m+1) powers -- from faking
 # rank deficiency).  Calibrated on instances with known spark: dependent
 # subsets land at 0..1e-15 relative, the worst independent subset observed
-# across the augmented sweeps sits near 3e-9.
+# across the augmented sweeps sits near 3e-9.  Square subsets may skip the
+# SVD through the determinant screen below, which clears a subset only when
+# its provable lower bound on that ratio exceeds SCREEN_FACTOR * tol_rel, so
+# the decision at this tolerance is the SVD's alone.
 DEFAULT_SPARK_TOL = 1e-11
+
+# Margin between the screen's bound and the tolerance, covering the LU
+# determinant's rounding error (see the module docstring).
+SCREEN_FACTOR = 1e3
 
 
 @dataclass(frozen=True)
@@ -170,12 +199,27 @@ def _first_dependent(M: np.ndarray, k: int, tol_rel: float) -> tuple[int, ...] |
         return tuple(range(k))
     for subsets in iter_subset_chunks(n, k):
         sub = M[:, subsets].transpose(1, 0, 2)  # (chunk, m_rows, k)
+        if k == m_rows:
+            # NaN compares False, so an undecidable bound leaves the subset open
+            open_ = ~(_ratio_lower_bound(sub) > SCREEN_FACTOR * tol_rel)
+            if not np.any(open_):
+                continue
+            subsets, sub = subsets[open_], sub[open_]
         s = np.linalg.svd(sub, compute_uv=False)
         dependent = s[:, -1] <= tol_rel * s[:, 0]
         if np.any(dependent):
             idx = int(np.argmax(dependent))  # first hit = lex smallest
             return tuple(int(j) for j in subsets[idx])
     return None
+
+
+def _ratio_lower_bound(sub: np.ndarray) -> np.ndarray:
+    """beta = |det| (k-1)^((k-1)/2) / F^k <= sigma_min/sigma_max per square block."""
+    k = sub.shape[-1]
+    with np.errstate(all="ignore"):
+        det = np.abs(np.linalg.det(sub))
+        fro = np.sqrt(np.einsum("cij,cij->c", sub, sub))
+        return det * (k - 1) ** ((k - 1) / 2) / fro**k
 
 
 def check_submatrix_invertibility(

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -96,8 +97,6 @@ def test_power_floor_is_subnormal_guard():
 
 
 def test_iter_subset_chunks_lexicographic_and_complete():
-    import itertools
-
     got = np.concatenate(list(iter_subset_chunks(6, 3, chunk=4)), axis=0)
     want = np.array(list(itertools.combinations(range(6), 3)))
     assert got.shape == want.shape
@@ -108,6 +107,30 @@ def test_iter_subset_chunks_empty_subset():
     chunks = list(iter_subset_chunks(5, 0))
     assert len(chunks) == 1
     assert chunks[0].shape == (1, 0)
+
+
+def reference_subset_chunks(n, k, chunk):
+    """The list-based chunking iter_subset_chunks must reproduce exactly."""
+    if k == 0:
+        yield np.empty((1, 0), dtype=np.intp)
+        return
+    it = itertools.combinations(range(n), k)
+    while block := list(itertools.islice(it, chunk)):
+        yield np.asarray(block, dtype=np.intp)
+
+
+@pytest.mark.parametrize(
+    "n, k, chunk",
+    [(5, 0, 4096), (6, 6, 4096), (4, 6, 4096), (0, 0, 3), (7, 3, 4), (7, 3, 35), (9, 4, 5), (14, 8, 4096), (14, 8, 1000)],
+)
+def test_iter_subset_chunks_equal_reference_chunking(n, k, chunk):
+    got = list(iter_subset_chunks(n, k, chunk=chunk))
+    want = list(reference_subset_chunks(n, k, chunk))
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype == np.intp
+        assert g.shape == w.shape
+        assert np.array_equal(g, w)
 
 
 def test_check_budget_raises_past_cap():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,9 @@ from lp_equiv.matgen import (
 from lp_equiv.numerics import BudgetExceededError, iter_subset_chunks
 from lp_equiv.spark import (
     DEFAULT_SPARK_TOL,
+    SCREEN_FACTOR,
     _equilibrated,
+    _ratio_lower_bound,
     check_submatrix_invertibility,
     compute_spark,
     matrix_rank,
@@ -58,9 +61,11 @@ def ascending_spark(A: DenseMatrix, tol_rel: float = DEFAULT_SPARK_TOL) -> tuple
     raise AssertionError("no dependent subset up to rank+1")
 
 
-def assert_matches_reference(A: DenseMatrix) -> tuple[int, tuple[int, ...]]:
-    cert = compute_spark(A)
-    expected = ascending_spark(A)
+def assert_matches_reference(
+    A: DenseMatrix, tol_rel: float = DEFAULT_SPARK_TOL
+) -> tuple[int, tuple[int, ...]]:
+    cert = compute_spark(A, tol_rel=tol_rel)
+    expected = ascending_spark(A, tol_rel)
     assert (cert.spark, cert.witness) == expected
     return expected
 
@@ -203,6 +208,130 @@ def test_spark_matches_ascending_reference_property():
         assert_matches_reference(DenseMatrix(entries))
 
     check()
+
+
+SCREEN_TOLS = (1e-13, DEFAULT_SPARK_TOL, 1e-9, 1e-6, 1e-4, 1e-2)
+
+
+def planted_square_block(rho: float, extra: int = 2, seed: int = 3) -> np.ndarray:
+    """4 x (4 + extra) matrix whose first four columns have sigma ratio rho.
+
+    The block is I - (1 - rho) q q^T with q a normalized Hadamard column:
+    singular values 1, 1, 1, rho, so the screen's bound sits within sqrt(3)
+    of the ratio.  Every block row has the same max-abs entry and the extra
+    columns stay below it, so equilibration rescales the block uniformly
+    and leaves its ratio at rho.  The default seed draws extra columns that
+    put no other subset below ratio 1e-2, so the block alone decides spark.
+    """
+    q = np.array([1.0, -1.0, 1.0, -1.0]) / 2.0
+    block = np.eye(4) - (1.0 - rho) * np.outer(q, q)
+    rest = np.random.default_rng(seed).uniform(-0.5, 0.5, size=(4, extra))
+    return np.hstack([block, rest])
+
+
+def screen_families() -> dict[str, DenseMatrix]:
+    fams = {}
+    for m in (1, 2, 3):
+        spec = sample_instance(m, 2 * m + 2, seed=7 * m)
+        for x_t, y_t in ((1.0, 1.0), (0.1, 0.01), (0.01, 1.0)):
+            fams[f"A_t m={m} ({x_t}, {y_t})"] = build_augmented_t(AugmentedSpec(spec, x_t=x_t, y_t=y_t))
+        fams[f"A_0 m={m}"] = build_augmented_0(spec)
+    for m in range(2, MAX_M + 1):
+        fams[f"nodes m={m}"] = build_vandermonde(sample_instance(m, m + 3, seed=m))
+    base = build_vandermonde(VandermondeSpec(3, (0.5, -1.2, 2.0, 0.8, -1.7))).entries
+    fams["duplicate"] = DenseMatrix(np.hstack([base, base[:, 3:4]]))
+    fams["zero column"] = DenseMatrix(np.hstack([base[:, :2], np.zeros((3, 1)), base[:, 2:]]))
+    fams["single row with zeros"] = DenseMatrix(np.array([[0.0, 2.0, 0.0, -1.0]]))
+    return fams
+
+
+@pytest.mark.parametrize("tol_rel", SCREEN_TOLS)
+def test_screened_spark_matches_ascending_reference_at_every_tolerance(tol_rel):
+    for name, A in screen_families().items():
+        cert = compute_spark(A, tol_rel=tol_rel)
+        assert (cert.spark, cert.witness) == ascending_spark(A, tol_rel), name
+
+
+@pytest.mark.parametrize("tol_rel", SCREEN_TOLS)
+def test_screen_leaves_planted_near_dependent_blocks_to_the_svd(tol_rel):
+    # ratios just below tol_rel are dependent, ratios between tol_rel and the
+    # screen's threshold are independent; neither may be decided by the screen
+    for factor in (0.3, 3.0, 30.0, 0.3 * SCREEN_FACTOR):
+        rho = factor * tol_rel
+        if rho >= 1.0:
+            continue
+        M = planted_square_block(rho)
+        ratio = np.linalg.svd(_equilibrated(M)[:, :4], compute_uv=False)
+        assert ratio[-1] / ratio[0] == pytest.approx(rho, rel=1e-3)
+        expected = (4, (0, 1, 2, 3)) if rho <= tol_rel else (5, (0, 1, 2, 3, 4))
+        assert assert_matches_reference(DenseMatrix(M), tol_rel) == expected, factor
+
+
+def test_screen_bound_is_below_the_svd_ratio_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(
+        k=st.integers(1, 8),
+        kind=st.sampled_from(["random", "flat spectrum", "near-dependent column"]),
+        depth=st.floats(0.0, 12.0),
+        log_scale=st.floats(-3.0, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def check(k, kind, depth, log_scale, seed):
+        rng = np.random.default_rng(seed)
+        if k == 2:
+            # at k = 2 the bound equals the ratio to first order, so deep
+            # near-singular blocks would compare two roundings of one number
+            depth = min(depth, 4.0)
+        if kind == "random":
+            A = rng.standard_normal((k, k))
+        elif kind == "flat spectrum":
+            # singular values 1, ..., 1, 10^-depth: where the bound is tightest
+            Q, _ = np.linalg.qr(rng.standard_normal((k, k)))
+            s = np.ones(k)
+            s[-1] = 10.0**-depth
+            A = (Q * s) @ Q.T
+        else:
+            A = rng.standard_normal((k, k))
+            if k > 1:
+                A[:, -1] = A[:, :-1] @ rng.standard_normal(k - 1) + 10.0**-depth * rng.standard_normal(k)
+        A *= 10.0**log_scale
+        s = np.linalg.svd(A, compute_uv=False)
+        beta = _ratio_lower_bound(A[None])[0]
+        assert beta <= s[-1] / s[0] * (1.0 + 1e-9)
+
+    check()
+
+
+def test_screen_spares_most_svds_on_prop1(monkeypatch):
+    # A_t for m = 3, n = 9 is 8 x 14: the level-8 probe scans C(14, 8) square
+    # subsets, and the screen clears all but a few percent of them
+    seen = []
+    svd = np.linalg.svd
+
+    def counting_svd(a, *args, **kwargs):
+        a = np.asarray(a)
+        seen.append(math.prod(a.shape[:-2]))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    report = verify_prop1(AugmentedSpec(sample_instance(3, 9, seed=0), x_t=0.1, y_t=0.01))
+    assert report.passes
+    assert sum(seen) < 0.2 * math.comb(14, 8)
+
+
+def test_screen_raises_no_warning_on_zero_columns():
+    # a zero column gives det 0; in a single row it also gives F = 0, so beta
+    # is 0/0, which must leave the subset open without a RuntimeWarning
+    row = DenseMatrix(np.array([[0.0, 3.0, 0.0, 1.0]]))
+    wide = DenseMatrix(np.hstack([np.eye(3), np.zeros((3, 1)), np.ones((3, 1))]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert assert_matches_reference(row) == (1, (0,))
+        assert assert_matches_reference(wide) == (1, (3,))
+        assert np.isnan(_ratio_lower_bound(np.zeros((2, 3, 3)))).all()
 
 
 def test_submatrix_positivity_for_positive_nodes():
