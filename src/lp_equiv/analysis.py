@@ -201,13 +201,6 @@ def f_lemma3(p) -> np.ndarray | float:
     return float(out) if np.isscalar(p) or arr.ndim == 0 else out
 
 
-def f_lemma3_log_derivative(p) -> np.ndarray | float:
-    """d/dp log f(p) = -ln(2-p)/p^2 (<= 0 on (0, 1])."""
-    arr = np.asarray(p, dtype=float)
-    out = -np.log(2.0 - arr) / arr**2
-    return float(out) if np.isscalar(p) or arr.ndim == 0 else out
-
-
 def phi_bound(p) -> np.ndarray | float:
     """phi(p) = (1 - p/2)^{1/p - 1/2} on (0, 1]."""
     arr = np.asarray(p, dtype=float)

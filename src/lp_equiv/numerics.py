@@ -76,37 +76,51 @@ def compensated_sum(values) -> float:
     return math.fsum(np.asarray(values, dtype=float).ravel().tolist())
 
 
-def abs_pow(values, p: float) -> np.ndarray:
-    """Elementwise |x|^p via exp(p*log|x|); magnitudes <= POWER_FLOOR count as zero."""
-    if not 0.0 < p <= 1.0:
+def abs_pow(values, p) -> np.ndarray:
+    """Elementwise |x|^p via exp(p*log|x|); magnitudes <= POWER_FLOOR count as zero.
+
+    p is one exponent, giving an array shaped like values, or a 1-D grid of
+    exponents, giving a leading p axis: out[i] is bit-identical to the call
+    at p[i].  The logarithms are taken once for the whole grid.
+    """
+    ps = np.asarray(p, dtype=float)
+    if not all(0.0 < q <= 1.0 for q in ps.ravel().tolist()):
         raise ValueError(f"p must lie in (0, 1], got {p}")
     a = np.abs(np.asarray(values, dtype=float))
-    out = np.zeros_like(a)
+    out = np.zeros(ps.shape + a.shape)
     mask = a > POWER_FLOOR
-    if np.any(mask):
-        out[mask] = np.exp(p * np.log(a[mask]))
+    if mask.any():
+        out[..., mask] = np.exp(np.multiply.outer(ps, np.log(a[mask])))
     return out
 
 
 def _row_fsums(d: np.ndarray):
-    """Exactly-rounded sum over the last axis: a float for 1-D input, one
-    float per row for a 2-D block.  math.fsum is exact, so a row's sum does
-    not depend on the rest of the block or on zero entries padded onto it."""
+    """Exactly-rounded sum over the last axis: a float for 1-D input, else
+    nested lists of floats shaped like the leading axes, from one tolist.
+    math.fsum is exact, so a row's sum does not depend on the rest of the
+    block or on zero entries padded onto it."""
     if d.ndim <= 1:
         return compensated_sum(d)
-    return [math.fsum(row) for row in d.tolist()]
+    rows = d.reshape(math.prod(d.shape[:-1]), d.shape[-1])
+    sums = [math.fsum(row) for row in rows.tolist()]
+    # regroup the flat row sums by the leading axes, innermost first
+    for axis in range(d.ndim - 2, 0, -1):
+        size = d.shape[axis]
+        sums = [sums[i * size : (i + 1) * size] for i in range(math.prod(d.shape[:axis]))]
+    return sums
 
 
-def lp_power_sum(values, p: float):
+def lp_power_sum(values, p):
     """sum_i |x_i|^p with exact accumulation, over the last axis.
 
     A 1-D vector gives a float; a (rows, n) block gives a list of floats, one
-    per row, from a single abs_pow call.
+    per row, from a single abs_pow call.  A 1-D grid of p adds a leading
+    axis: one result per p, each bit-identical to the call at that p.
     """
     return _row_fsums(abs_pow(values, p))
 
 
-def lp_margin(x_star, h, p: float):
+def lp_margin(x_star, h, p):
     """||x* + h||_p^p - ||x*||_p^p, accumulated termwise with exact summation.
 
     Termwise differences keep the near-cancellation on the support of x* from
@@ -114,7 +128,13 @@ def lp_margin(x_star, h, p: float):
     perturbation of shape (n,), giving a float, or a (samples, n) block,
     giving a list with one margin per row; the block makes one abs_pow call
     for x* + h and each row's margin is bit-identical to evaluating it alone.
+    A 1-D grid of p gives one such result per p, each bit-identical to the
+    call at that p, from one abs_pow call on x* + h and one on x*.
     """
     x = np.asarray(x_star, dtype=float)
-    d = abs_pow(x + np.asarray(h, dtype=float), p) - abs_pow(x, p)
+    hv = np.asarray(h, dtype=float)
+    x_pow = abs_pow(x, p)
+    # broadcast |x*|^p over the sample axes between the p axis and the last
+    x_pow = x_pow.reshape(x_pow.shape[:-1] + (1,) * (hv.ndim - 1) + x_pow.shape[-1:])
+    d = abs_pow(x + hv, p) - x_pow
     return _row_fsums(d)

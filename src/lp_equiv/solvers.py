@@ -373,24 +373,37 @@ def _l0_from_basics(basics: tuple[SparseSolution, ...]) -> SparseSolutionSet:
     return SparseSolutionSet(level, tuple(s for s in basics if len(s.support) == level))
 
 
+def _p_list(p) -> list:
+    """The exponents of a 1-D p grid, as given; one exponent as a one-entry list."""
+    return [p] if np.ndim(p) == 0 else list(p)
+
+
 def solve_lp_basic(
     prob: SparseProblem,
-    p: float,
+    p,
     budget: int | None = None,
     basics: tuple[SparseSolution, ...] | None = None,
-) -> LpMinimum:
-    """Global lp minimum over basic solutions (ties within 1e-10 relative)."""
+) -> LpMinimum | list[LpMinimum]:
+    """Global lp minimum over basic solutions (ties within 1e-10 relative).
+
+    p is one exponent, giving one LpMinimum, or a 1-D grid, giving one
+    LpMinimum per p, each bit-identical to the call at that p; the basic
+    solutions are enumerated and padded into one block for the whole grid.
+    """
     if basics is None:
         basics = enumerate_basic_solutions(prob, budget=budget)
+    ps = _p_list(p)
     # zero padding adds exactly 0.0 to each row's exact sum
     padded = np.zeros((len(basics), max(len(s.coefficients) for s in basics)))
     for row, s in zip(padded, basics):
         row[: len(s.coefficients)] = s.coefficients
-    values = lp_power_sum(padded, p)
-    vmin = min(values)
-    tie = vmin + 1e-10 * max(1.0, abs(vmin))
-    winners = tuple(s for s, v in zip(basics, values) if v <= tie)
-    return LpMinimum(p=p, value=vmin, minimizers=winners)
+    out = []
+    for p_i, values in zip(ps, lp_power_sum(padded, ps)):
+        vmin = min(values)
+        tie = vmin + 1e-10 * max(1.0, abs(vmin))
+        winners = tuple(s for s, v in zip(basics, values) if v <= tie)
+        out.append(LpMinimum(p=p_i, value=vmin, minimizers=winners))
+    return out[0] if np.ndim(p) == 0 else out
 
 
 def null_space_basis(A: DenseMatrix) -> np.ndarray:
@@ -437,32 +450,40 @@ def sample_null(
         except (BudgetExceededError, ValueError):
             witness = None
 
-    base: list[tuple[np.ndarray, str]] = []
+    base: list[np.ndarray] = []
+    kinds: list[str] = []
     if witness is not None:
         sub = A.entries[:, list(witness)]
         _, _, vt = np.linalg.svd(sub)
         v = vt[-1]
         h = np.zeros(A.cols)
         h[list(witness)] = v
-        base.append((h / np.linalg.norm(h), "minsupport"))
+        base.append(h / np.linalg.norm(h))
+        kinds.append("minsupport")
+    # signs[rng.integers(0, 2, size)] draws what rng.choice([-1.0, 1.0], size)
+    # draws, from the same stream; sqrt(<h, h>) is the 1-D np.linalg.norm
+    signs = np.array([-1.0, 1.0])
     while len(base) < count:
         if len(base) % 2 == 0:
             g = rng.standard_normal(dim)
             kind = "unit"
         else:
-            g = rng.choice([-1.0, 1.0], size=dim)
+            g = signs[rng.integers(0, 2, size=dim)]
             kind = "signed"
         h = basis @ g
-        norm = float(np.linalg.norm(h))
+        norm = math.sqrt(h.dot(h))
         if norm <= 1e-12:
             continue
-        base.append((h / norm, kind))
+        base.append(h / norm)
+        kinds.append(kind)
 
-    out = []
-    for h, kind in base[:count]:
-        for s in scales:
-            out.append(KernelSample(vector=h * s, kind=kind, scale=float(s)))
-    return out
+    # one (count, scales, n) product; each sample's vector is one of its rows
+    scaled = np.array(base)[:, None, :] * np.asarray(scales, dtype=float)[None, :, None]
+    return [
+        KernelSample(vector=row, kind=kind, scale=float(s))
+        for kind, rows in zip(kinds, scaled)
+        for row, s in zip(rows, scales)
+    ]
 
 
 def support_partition(x_star, h, k: int | None = None) -> SupportPartition:
@@ -489,14 +510,17 @@ def support_partition(x_star, h, k: int | None = None) -> SupportPartition:
 def verify_strict_inequality(
     x_star,
     h_set,
-    p: float,
+    p,
     seed: int | None = None,
     p_star: float | None = None,
-) -> EquivalenceReport:
+) -> EquivalenceReport | list[EquivalenceReport]:
     """Margins ||x*+h||_p^p - ||x*||_p^p over a kernel sample set.
 
     A violation is margin <= 0 (ties count as violations: the claim under
     test is strict).  argmin_match is left unset; the T1 harness fills it.
+    p is one exponent, giving one report, or a 1-D grid, giving one report
+    per p, each bit-identical to the call at that p; the sample block is
+    built once and all margins come from one lp_margin call.
     """
     items = list(h_set)
     if not items:
@@ -504,26 +528,32 @@ def verify_strict_inequality(
     H = np.array(
         [item.vector if isinstance(item, KernelSample) else item for item in items], dtype=float
     )
-    margins = lp_margin(x_star, H, p)
-    violations: list[dict] = []
-    for idx, (item, margin) in enumerate(zip(items, margins)):
-        if margin <= 0.0:
-            entry = {"index": idx, "margin": margin, "p": p}
+    ps = _p_list(p)
+    margins = lp_margin(x_star, H, ps)
+    reports = []
+    for p_i, row, bad in zip(ps, margins, np.asarray(margins).reshape(len(ps), len(items)) <= 0.0):
+        violations: list[dict] = []
+        for idx in np.flatnonzero(bad).tolist():
+            entry = {"index": idx, "margin": row[idx], "p": p_i}
+            item = items[idx]
             if isinstance(item, KernelSample):
                 entry["kind"] = item.kind
                 entry["scale"] = item.scale
                 entry["h"] = [float(v) for v in item.vector]
             violations.append(entry)
-    return EquivalenceReport(
-        p=p,
-        margin_min=min(margins),
-        argmin_match=None,
-        trials=len(items),
-        seed=seed,
-        below_threshold=None if p_star is None else p < p_star,
-        violations=tuple(violations),
-        margins=tuple(margins),
-    )
+        reports.append(
+            EquivalenceReport(
+                p=p_i,
+                margin_min=min(row),
+                argmin_match=None,
+                trials=len(items),
+                seed=seed,
+                below_threshold=None if p_star is None else p_i < p_star,
+                violations=tuple(violations),
+                margins=tuple(row),
+            )
+        )
+    return reports[0] if np.ndim(p) == 0 else reports
 
 
 def plant_sparse_instance(
@@ -573,7 +603,8 @@ def verify_theorem1(
 ) -> Theorem1Report:
     """T1 harness: plant a k-sparse instance (k < spark/2), enumerate its
     basic solutions once (the l0 solutions are the smallest of them), then
-    sweep margins and the basic-solution lp argmin across the p grid.
+    evaluate margins and the basic-solution lp argmin at every grid p, with
+    one call each for the whole grid.
 
     Grid points below p_star are the claim under test; points at or above it
     are recorded without judgement.  Counterexamples carry enough data to
@@ -597,9 +628,9 @@ def verify_theorem1(
 
     reports: list[EquivalenceReport] = []
     counterexamples: list[dict] = []
-    for p in grid:
-        rep = verify_strict_inequality(inst.x_star, samples, p, seed=seed, p_star=summary.p_star)
-        lp_min = solve_lp_basic(inst.problem, p, basics=basics)
+    sweeps = verify_strict_inequality(inst.x_star, samples, grid, seed=seed, p_star=summary.p_star)
+    lp_mins = solve_lp_basic(inst.problem, grid, basics=basics)
+    for p, rep, lp_min in zip(grid, sweeps, lp_mins):
         argmin_supports = {s.support for s in lp_min.minimizers}
         rep = replace(rep, argmin_match=argmin_supports <= l0_supports)
         reports.append(rep)

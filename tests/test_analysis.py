@@ -9,7 +9,6 @@ from lp_equiv.analysis import (
     cross_term_check,
     f_lemma3,
     f_lemma3_grid,
-    f_lemma3_log_derivative,
     lemma2_sequence_check,
     log_c_pq,
     log_p_grid,
@@ -66,14 +65,6 @@ def test_f_lemma3_endpoint_and_floor():
     assert np.all(vals >= SQRT2_OVER_2 - 1e-12)
     # decreasing toward p = 1 (its long tail): compare coarse samples
     assert f_lemma3(1e-4) > f_lemma3(1e-2) > f_lemma3(0.5) > f_lemma3(0.99)
-
-
-def test_f_lemma3_log_derivative_matches_finite_difference():
-    for p in (0.1, 0.3, 0.5, 0.9):
-        eps = 1e-7
-        fd = (math.log(f_lemma3(p + eps)) - math.log(f_lemma3(p - eps))) / (2 * eps)
-        assert f_lemma3_log_derivative(p) == pytest.approx(fd, rel=1e-5)
-        assert f_lemma3_log_derivative(p) < 0.0
 
 
 def test_phi_bound_shape():

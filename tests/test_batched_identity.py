@@ -1,7 +1,8 @@
 """Property checks: block evaluations are bit-identical to one item at a time.
 
-The references below are the per-sample margin and the per-support solve loop
-that the block kernels replaced; every comparison is exact (==).
+The references below are the per-sample margin, the per-p call and the
+per-support solve loop that the block kernels replaced; every comparison is
+exact (==).
 """
 
 import math
@@ -15,7 +16,7 @@ from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
 from lp_equiv.matgen import DenseMatrix  # noqa: E402
-from lp_equiv.numerics import abs_pow, iter_subset_chunks, lp_margin  # noqa: E402
+from lp_equiv.numerics import abs_pow, iter_subset_chunks, lp_margin, lp_power_sum  # noqa: E402
 from lp_equiv.solvers import (  # noqa: E402
     RANK_TOL,
     RESIDUAL_TOL,
@@ -43,6 +44,40 @@ def test_lp_margin_block_equals_per_sample_margins(data):
     p = data.draw(EXPONENTS)
     expected = [math.fsum((abs_pow(x + h, p) - abs_pow(x, p)).tolist()) for h in H]
     assert lp_margin(x, H, p) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_p_grid_equals_per_p_calls(data):
+    n = data.draw(st.integers(1, 8))
+    rows = data.draw(st.integers(1, 6))
+    x = data.draw(hnp.arrays(float, n, elements=ENTRIES))
+    H = data.draw(hnp.arrays(float, (rows, n), elements=ENTRIES))
+    grid = data.draw(st.lists(EXPONENTS, min_size=1, max_size=5))
+    powers = abs_pow(x + H, grid)
+    for i, p in enumerate(grid):
+        assert powers[i].tobytes() == abs_pow(x + H, p).tobytes()
+    assert lp_power_sum(x + H, grid) == [lp_power_sum(x + H, p) for p in grid]
+    assert lp_power_sum(x, grid) == [lp_power_sum(x, p) for p in grid]
+    assert lp_margin(x, H, grid) == [lp_margin(x, H, p) for p in grid]
+    assert lp_margin(x, H[0], grid) == [lp_margin(x, H[0], p) for p in grid]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_lp_margin_invariant_under_zero_padding(data):
+    # zero coordinates in x* and in every h add |0|^p - |0|^p = 0 to an exact sum
+    n = data.draw(st.integers(1, 8))
+    rows = data.draw(st.integers(1, 4))
+    x = data.draw(hnp.arrays(float, n, elements=ENTRIES))
+    H = data.draw(hnp.arrays(float, (rows, n), elements=ENTRIES))
+    at = data.draw(st.lists(st.integers(0, n), min_size=1, max_size=6))
+    x_pad, H_pad = np.insert(x, at, 0.0), np.insert(H, at, 0.0, axis=1)
+    p = data.draw(EXPONENTS)
+    grid = data.draw(st.lists(EXPONENTS, min_size=1, max_size=4))
+    for q in (p, grid):
+        assert lp_margin(x_pad, H_pad, q) == lp_margin(x, H, q)
+        assert lp_margin(x_pad, H_pad[0], q) == lp_margin(x, H[0], q)
 
 
 def _solve_one_support(M, b, support):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from lp_equiv.matgen import build_vandermonde, sample_instance
 from lp_equiv.numerics import (
     BudgetExceededError,
     POWER_FLOOR,
@@ -16,6 +17,7 @@ from lp_equiv.numerics import (
     lp_power_sum,
     subset_budget,
 )
+from lp_equiv.spectral import gram_spectrum
 
 
 def test_derive_seed_is_deterministic_and_name_sensitive():
@@ -90,6 +92,66 @@ def test_block_margins_and_power_sums_are_bit_identical_to_one_row_at_a_time(p):
     assert powers == [math.fsum(abs_pow(row, p).tolist()) for row in x + H]
     # padded zeros add exactly nothing to an exact sum
     assert lp_power_sum(np.pad(x + H, ((0, 0), (0, 3))), p) == powers
+
+
+def reference_abs_pow(x, p):
+    """exp(p * log|x|) one exponent at a time, zero at or below POWER_FLOOR."""
+    a = np.abs(np.asarray(x, dtype=float))
+    out = np.zeros_like(a)
+    mask = a > POWER_FLOOR
+    out[mask] = np.exp(p * np.log(a[mask]))
+    return out
+
+
+def _grid_inputs():
+    A = build_vandermonde(sample_instance(4, 8, seed=1))
+    p_star = gram_spectrum(A).p_star
+    rng = np.random.default_rng(5)
+    x = np.array([0.0, 1.5, -0.7, 1e-301, 0.0, 2.0, -1e-300, 0.0])
+    H = rng.standard_normal((16, x.size)) * rng.choice([1e-3, 1.0, 1e3], size=(16, 1))
+    H[:, 4] = 0.0  # zero in x* and in every h
+    H[1] = 0.0  # zero perturbation
+    H[2] = -x  # cancels x* exactly
+    H[3, 3] = 1e-305  # x* + h stays at or below POWER_FLOOR
+    return x, H, (1e-6, p_star / 8, 1.0)
+
+
+def test_abs_pow_equals_exp_of_p_log_exactly():
+    x, H, grid = _grid_inputs()
+    for p in grid:
+        for values in (x, x + H):
+            assert abs_pow(values, p).tobytes() == reference_abs_pow(values, p).tobytes()
+
+
+@pytest.mark.parametrize("block", [False, True])
+@pytest.mark.parametrize("order", ["sorted", "shuffled"])
+def test_grid_evaluations_equal_per_p_calls(block, order):
+    x, H, grid = _grid_inputs()
+    if order == "shuffled":
+        grid = (grid[2], grid[0], grid[2], grid[1])  # unsorted, with a repeat
+    h = H if block else H[5]
+    y = x + h
+    powers = abs_pow(y, grid)
+    assert powers.shape == (len(grid),) + y.shape
+    for i, p in enumerate(grid):
+        assert powers[i].tobytes() == abs_pow(y, p).tobytes()
+    for g in (grid, list(grid), np.array(grid)):
+        assert lp_power_sum(y, g) == [lp_power_sum(y, p) for p in grid]
+        assert lp_margin(x, h, g) == [lp_margin(x, h, p) for p in grid]
+    margins = lp_margin(x, h, grid)
+    rows = margins if block else [[m] for m in margins]
+    assert all(type(v) is float for row in rows for v in row)
+
+
+def test_empty_and_invalid_grids():
+    x, H, _ = _grid_inputs()
+    assert abs_pow(x, []).shape == (0, x.size)
+    assert lp_power_sum(x + H, []) == []
+    assert lp_margin(x, H, ()) == []
+    assert lp_margin(x, H[:0], [0.5, 1.0]) == [[], []]
+    for bad in ([0.5, 0.0], [1.5], [0.5, -1e-3], [0.5, float("nan")], float("nan")):
+        with pytest.raises(ValueError):
+            abs_pow(x, bad)
 
 
 def test_power_floor_is_subnormal_guard():

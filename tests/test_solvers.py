@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import warnings
@@ -5,13 +6,18 @@ import warnings
 import numpy as np
 import pytest
 
+from lp_equiv import solvers
 from lp_equiv.matgen import MAX_M, DenseMatrix, VandermondeSpec, build_vandermonde, sample_instance
-from lp_equiv.numerics import derive_seed, lp_margin
+from lp_equiv.numerics import abs_pow, derive_seed, lp_margin
 from lp_equiv.solvers import (
+    DEFAULT_SCALES,
     RANK_TOL,
+    EquivalenceReport,
     InfeasibleProblemError,
     KernelSample,
+    LpMinimum,
     SparseProblem,
+    Theorem1Report,
     default_p_grid,
     enumerate_basic_solutions,
     null_space_basis,
@@ -28,6 +34,7 @@ from lp_equiv.solvers import (
     verify_theorem3,
 )
 from lp_equiv.solvers import _l0_from_basics, _solve_supports
+from lp_equiv.spark import compute_spark
 
 
 def worked_problem() -> SparseProblem:
@@ -329,3 +336,232 @@ def test_verify_theorem3_rejects_wide_instance():
     spec = sample_instance(2, 8, seed=42)
     with pytest.raises(ValueError):
         verify_theorem3(spec, np.zeros(8), trials=3, seed=0)
+
+
+# --- p grids and kernel sampling against the loops they replaced -----------
+
+
+def reference_sample_null(A, count, seed, scales=DEFAULT_SCALES, witness=None, budget=None):
+    """The per-direction loop before the block product: rng.choice signs,
+    np.linalg.norm, and one h * s product per sample."""
+    basis = null_space_basis(A)
+    dim = basis.shape[1]
+    rng = np.random.default_rng(seed)
+    if witness is None:
+        try:
+            witness = compute_spark(A, budget=budget).witness
+        except (solvers.BudgetExceededError, ValueError):
+            witness = None
+    base = []
+    if witness is not None:
+        _, _, vt = np.linalg.svd(A.entries[:, list(witness)])
+        h = np.zeros(A.cols)
+        h[list(witness)] = vt[-1]
+        base.append((h / np.linalg.norm(h), "minsupport"))
+    while len(base) < count:
+        if len(base) % 2 == 0:
+            g = rng.standard_normal(dim)
+            kind = "unit"
+        else:
+            g = rng.choice([-1.0, 1.0], size=dim)
+            kind = "signed"
+        h = basis @ g
+        norm = float(np.linalg.norm(h))
+        if norm <= 1e-12:
+            continue
+        base.append((h / norm, kind))
+    return [
+        KernelSample(vector=h * s, kind=kind, scale=float(s)) for h, kind in base[:count] for s in scales
+    ]
+
+
+SAMPLE_SHAPES = [(2, 3), (2, 5), (3, 7), (4, 9), (5, 8), (6, 9)]
+
+
+@pytest.mark.parametrize("m, n", SAMPLE_SHAPES)
+def test_sample_null_equals_per_direction_reference(m, n):
+    A = build_vandermonde(sample_instance(m, n, seed=m * n))
+    for seed, count, scales, budget in itertools.product(
+        (0, 7), (1, 2, 5, 70), (DEFAULT_SCALES, (1.0,), (2.5, 1e-3)), (None, 1)
+    ):
+        # budget=1 makes the spark search fail, so no minsupport witness
+        got = sample_null(A, count=count, seed=seed, scales=scales, budget=budget)
+        want = reference_sample_null(A, count, seed, scales, budget=budget)
+        assert len(got) == len(want) == count * len(scales)
+        assert ("minsupport" in {s.kind for s in got}) == (budget is None)
+        for g, w in zip(got, want):
+            assert (g.kind, g.scale) == (w.kind, w.scale)
+            assert type(g.scale) is float
+            assert g.vector.dtype == w.vector.dtype and g.vector.shape == w.vector.shape
+            assert g.vector.tobytes() == w.vector.tobytes()
+
+
+def test_sample_null_vectors_do_not_share_memory():
+    A = build_vandermonde(sample_instance(3, 7, seed=2))
+    samples = sample_null(A, count=4, seed=1)
+    before = [s.vector.copy() for s in samples]
+    for i in range(len(samples)):
+        samples[i].vector[:] = -1.0
+        for j, s in enumerate(samples):
+            expected = np.full(7, -1.0) if j <= i else before[j]
+            assert np.array_equal(s.vector, expected)
+
+
+def reference_strict_inequality(x_star, items, p, seed=None, p_star=None):
+    """One exponent, one margin and one violation test per sample."""
+    x = np.asarray(x_star, dtype=float)
+    margins, violations = [], []
+    for idx, item in enumerate(items):
+        h = np.asarray(item.vector if isinstance(item, KernelSample) else item, dtype=float)
+        margin = math.fsum((abs_pow(x + h, p) - abs_pow(x, p)).tolist())
+        margins.append(margin)
+        if margin <= 0.0:
+            entry = {"index": idx, "margin": margin, "p": p}
+            if isinstance(item, KernelSample):
+                entry.update(kind=item.kind, scale=item.scale, h=[float(v) for v in item.vector])
+            violations.append(entry)
+    return EquivalenceReport(
+        p=p,
+        margin_min=min(margins),
+        argmin_match=None,
+        trials=len(margins),
+        seed=seed,
+        below_threshold=None if p_star is None else p < p_star,
+        violations=tuple(violations),
+        margins=tuple(margins),
+    )
+
+
+def reference_lp_basic(basics, p):
+    """One exponent, one exact power sum per basic solution."""
+    values = [math.fsum(abs_pow(np.array(s.coefficients), p).tolist()) for s in basics]
+    vmin = min(values)
+    tie = vmin + 1e-10 * max(1.0, abs(vmin))
+    return LpMinimum(p=p, value=vmin, minimizers=tuple(s for s, v in zip(basics, values) if v <= tie))
+
+
+def _violating_samples():
+    x = np.array([1.0, 0.0, -0.5, 0.0])
+    hs = [
+        np.array([0.1, 0.3, -0.2, 0.05]),
+        np.array([-1.0, 0.25, 0.25, 0.0]),  # negative margin at p = 1
+        np.zeros(4),  # a tie, which counts as a violation
+        np.array([-1.0, 0.0, 0.5, 0.0]) * 1e-3,
+        np.array([1e-305, -1e-300, 0.0, 2.0]),
+        np.array([-0.9, 0.2, 0.0, 0.0]),  # violates only once p is large
+    ]
+    return x, hs
+
+
+@pytest.mark.parametrize("wrap", ["arrays", "samples"])
+def test_verify_strict_inequality_grid_equals_per_p_reports(wrap):
+    x, hs = _violating_samples()
+    items = hs if wrap == "arrays" else [KernelSample(h, "unit", 1.0) for h in hs]
+    grid = (1e-6, 0.013, 0.5, 1.0)
+    for p_star in (None, 0.3):
+        reports = verify_strict_inequality(x, items, grid, seed=4, p_star=p_star)
+        per_p = [verify_strict_inequality(x, items, p, seed=4, p_star=p_star) for p in grid]
+        want = [reference_strict_inequality(x, items, p, seed=4, p_star=p_star) for p in grid]
+        assert reports == per_p == want
+        assert [len(r.violations) for r in reports] == [3, 3, 4, 4]
+    assert verify_strict_inequality(x, items, np.array(grid)) == verify_strict_inequality(x, items, list(grid))
+    assert verify_strict_inequality(x, items, ()) == []
+    assert isinstance(verify_strict_inequality(x, items, 0.5), EquivalenceReport)
+
+
+def test_solve_lp_basic_grid_equals_per_p_minima():
+    worked = worked_problem()
+    A = build_vandermonde(sample_instance(3, 8, seed=4))
+    planted = plant_sparse_instance(A, 2, seed=9).problem
+    grid = (1e-6, 0.01, 0.5, 1.0)
+    for prob in (worked, planted):
+        basics = enumerate_basic_solutions(prob)
+        minima = solve_lp_basic(prob, grid, basics=basics)
+        assert minima == [solve_lp_basic(prob, p, basics=basics) for p in grid]
+        assert minima == [reference_lp_basic(basics, p) for p in grid]
+        assert solve_lp_basic(prob, list(grid)) == minima
+    # l1 ties on the worked problem: both supports are reported at p = 1
+    assert [s.support for s in solve_lp_basic(worked, grid)[-1].minimizers] == [(0, 1), (0, 2)]
+    assert solve_lp_basic(worked, []) == []
+
+
+def reference_theorem1(A, k, trials=210, p_grid=None, seed=0, budget=None):
+    """The T1 harness as one strict-inequality sweep and one lp argmin per p."""
+    cert = compute_spark(A, budget=budget)
+    inst = plant_sparse_instance(A, k, derive_seed(seed, "plant"))
+    p_star = solvers.gram_spectrum(A).p_star
+    grid = default_p_grid(p_star) if p_grid is None else tuple(sorted(set(p_grid)))
+    below_empty = not any(p < p_star for p in grid)
+    count = max(1, math.ceil(trials / len(DEFAULT_SCALES)))
+    samples = sample_null(A, count=count, seed=derive_seed(seed, "null"), witness=cert.witness)
+    basics = enumerate_basic_solutions(inst.problem, budget=budget)
+    sol = _l0_from_basics(basics)
+    l0_supports = set(sol.supports)
+    reports, counterexamples = [], []
+    for p in grid:
+        rep = reference_strict_inequality(inst.x_star, samples, p, seed=seed, p_star=p_star)
+        argmin_supports = {s.support for s in reference_lp_basic(basics, p).minimizers}
+        rep = dataclasses.replace(rep, argmin_match=argmin_supports <= l0_supports)
+        reports.append(rep)
+        if rep.below_threshold:
+            counterexamples.extend(rep.violations)
+            if not rep.argmin_match:
+                counterexamples.append(
+                    {
+                        "p": p,
+                        "argmin_supports": sorted(argmin_supports),
+                        "l0_supports": sorted(l0_supports),
+                        "reason": "lp argmin support escaped the l0 solution set",
+                    }
+                )
+    all_hold = not below_empty and all(
+        (not r.below_threshold) or (not r.violations and r.argmin_match) for r in reports
+    )
+    return Theorem1Report(
+        m=A.rows,
+        n=A.cols,
+        k=k,
+        spark=cert.spark,
+        p_star=p_star,
+        level=sol.level,
+        recovered=inst.support in l0_supports,
+        l0_unique=len(sol.solutions) == 1,
+        reports=tuple(reports),
+        counterexamples=tuple(counterexamples),
+        all_hold=all_hold,
+        trials=len(samples),
+        seed=seed,
+        grid_below_threshold_empty=below_empty,
+        x_star=tuple(inst.x_star.tolist()),
+        sample_labels=tuple((s.kind, s.scale) for s in samples),
+    )
+
+
+@pytest.mark.parametrize(
+    "m, n, k, seed, grid",
+    [
+        (2, 7, 1, 21, None),
+        (2, 8, 1, 6, None),
+        (3, 9, 1, 0, None),
+        (4, 7, 2, 3, None),
+        (5, 8, 2, 1, (1e-9, 1e-4, 0.3, 1)),
+        (6, 9, 3, 2, (1e-9, 1e-4, 0.3, 1, 0.3)),
+        (3, 5, 1, 4, ()),
+    ],
+)
+def test_verify_theorem1_equals_per_p_reference(m, n, k, seed, grid):
+    A = build_vandermonde(sample_instance(m, n, seed=seed))
+    rep = verify_theorem1(A, k, trials=30, p_grid=grid, seed=seed)
+    assert rep == reference_theorem1(A, k, trials=30, p_grid=grid, seed=seed)
+
+
+def test_verify_theorem1_counterexamples_equal_per_p_reference(monkeypatch):
+    # a threshold above 1 puts every grid point under test, so the l1 ties and
+    # p = 1 violations of a (2, 8) instance become counterexamples
+    real = solvers.gram_spectrum
+    monkeypatch.setattr(solvers, "gram_spectrum", lambda A: dataclasses.replace(real(A), p_star=2.0))
+    A = build_vandermonde(sample_instance(2, 8, seed=4))
+    rep = verify_theorem1(A, 1, trials=30, seed=4)
+    assert rep == reference_theorem1(A, 1, trials=30, seed=4)
+    kinds = {"reason" in c for c in rep.counterexamples}
+    assert kinds == {True, False}  # argmin escapes and margin violations
