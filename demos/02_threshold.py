@@ -8,22 +8,32 @@ From the Gram spectrum of A -- largest eigenvalue lam_max and smallest
     p*(A) = min(1, 16 lam_min+^2 / ((sqrt(2)+1)^2 (lam_max - lam_min+)^2)),
 
 the exponent below which the l_p sweeps in this package compare margins.
-Two independent routes to the same number are shown: the closed form on
-the Gram spectrum, and solving "coefficient <= 1" for p directly.
+The float64 value is checked against two independent routes: the roots of
+the worked example's characteristic polynomial, and the closed form on
+singular values computed in 50-digit arithmetic (mpmath).
 """
 
 import math
 
-import numpy as np
+import mpmath
 
 from lp_equiv import (
     VandermondeSpec,
     build_vandermonde,
     gram_spectrum,
-    p_star_inequality_solve,
     sample_instance,
     theorem1_coefficient,
 )
+
+
+def p_star_50_digits(A) -> float:
+    """The closed form on the singular values of a full-row-rank A, in 50 digits."""
+    with mpmath.workdps(50):
+        s = sorted(mpmath.svd_r(mpmath.matrix(A.entries.tolist()), compute_uv=False), reverse=True)
+        lmax, lmp = s[0] ** 2, s[-1] ** 2
+        if lmp == lmax:
+            return 1.0
+        return float(min(1, 16 * lmp**2 / ((mpmath.sqrt(2) + 1) ** 2 * (lmax - lmp) ** 2)))
 
 # --- worked example -----------------------------------------------------------
 A = build_vandermonde(VandermondeSpec(2, (1.0, 2.0, 3.0)))
@@ -39,9 +49,9 @@ mu_max, mu_min = (17.0 + disc) / 2.0, (17.0 - disc) / 2.0
 oracle = min(1.0, 16.0 * mu_min**2 / ((math.sqrt(2.0) + 1.0) ** 2 * (mu_max - mu_min) ** 2))
 print(f"  char-poly oracle  = {oracle:.6e}  (rel diff {abs(oracle-summary.p_star)/oracle:.1e})")
 
-# the identity route: solve the coefficient inequality for p
-solved = p_star_inequality_solve(summary.lambda_min_plus, summary.lambda_max)
-print(f"  inequality solve  = {solved:.6e}  (bit-identical: {solved == summary.p_star})\n")
+# the 50-digit route: the same closed form on singular values in mpmath
+exact = p_star_50_digits(A)
+print(f"  50-digit oracle   = {exact:.6e}  (rel diff {abs(exact-summary.p_star)/exact:.1e})\n")
 
 # --- the coefficient curve crosses 1 exactly at p* ----------------------------
 print("coefficient(p) around the threshold:")
@@ -60,4 +70,8 @@ for m, n, seed in [(2, 7, 0), (3, 8, 0), (4, 9, 0), (5, 10, 0)]:
     spec = sample_instance(m, n, seed=seed)
     s = gram_spectrum(build_vandermonde(spec))
     spread = s.lambda_max / s.lambda_min_plus
-    print(f"  m={m} n={n}: lam_max/lam_min+ = {spread:10.2f}   p* = {s.p_star:.4e}")
+    exact = p_star_50_digits(build_vandermonde(spec))
+    print(
+        f"  m={m} n={n}: lam_max/lam_min+ = {spread:10.2f}   p* = {s.p_star:.4e}"
+        f"   (50-digit rel diff {abs(exact - s.p_star) / exact:.1e})"
+    )

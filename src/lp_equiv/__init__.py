@@ -29,7 +29,6 @@ from .analysis import (
     f_lemma3,
     f_lemma3_grid,
     lemma2_sequence_check,
-    p_star_inequality_solve,
     phi_bound,
     phi_bound_grid,
     theorem1_coefficient,
@@ -63,7 +62,6 @@ from .solvers import (
     SparseProblem,
     SparseSolution,
     SparseSolutionSet,
-    SupportPartition,
     Theorem1Report,
     Theorem2Report,
     Theorem3Report,
@@ -75,7 +73,6 @@ from .solvers import (
     sample_null,
     solve_l0,
     solve_lp_basic,
-    support_partition,
     theorem2_sequences,
     verify_strict_inequality,
     verify_theorem1,
@@ -143,7 +140,6 @@ __all__ = [
     "SparseSolutionSet",
     "LpMinimum",
     "KernelSample",
-    "SupportPartition",
     "EquivalenceReport",
     "PlantedInstance",
     "Theorem1Report",
@@ -154,7 +150,6 @@ __all__ = [
     "solve_lp_basic",
     "null_space_basis",
     "sample_null",
-    "support_partition",
     "verify_strict_inequality",
     "plant_sparse_instance",
     "plant_with_level",
@@ -177,7 +172,6 @@ __all__ = [
     "lemma2_sequence_check",
     "cross_term_check",
     "audit_theorem1_chain",
-    "p_star_inequality_solve",
     "theorem1_coefficient",
     # suite
     "RunConfig",

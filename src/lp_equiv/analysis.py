@@ -36,7 +36,7 @@ import numpy as np
 from .matgen import DenseMatrix
 from .numerics import compensated_sum, lp_margin, lp_power_sum
 from .spark import compute_spark
-from .spectral import SQRT2, gram_spectrum, lemma1_constants, p_star_from_extremes
+from .spectral import SQRT2, gram_spectrum, lemma1_constants
 from .solvers import support_partition
 
 
@@ -285,18 +285,6 @@ def lemma2_sequence_check(
         tol=tol,
         passes=worst_rel <= tol,
     )
-
-
-def p_star_inequality_solve(lambda_min_plus: float, lambda_max: float) -> float:
-    """Solve the closing inequality of the T1 chain for p.
-
-    The chain contracts when
-        ((sqrt(2)+1)/2) * ((lmax - lmp)/lmp) * (sqrt(2)/2) * sqrt(p/2) < 1,
-    i.e. p < 16 lmp^2 / ((sqrt(2)+1)^2 (lmax - lmp)^2), clamped to 1.
-    Delegates to the same evaluation path as gram_spectrum so the two agree
-    bit-for-bit on shared inputs.
-    """
-    return p_star_from_extremes(lambda_min_plus, lambda_max)
 
 
 def theorem1_coefficient(p: float, lambda_min_plus: float, lambda_max: float) -> float:

@@ -22,6 +22,7 @@ JSON objects {"matrix": <envelope>, "b": [...]}.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -37,7 +38,6 @@ from .analysis import (
 )
 from .matgen import (
     DEFAULT_ABS_RANGE,
-    DEFAULT_EIG_TOL,
     DEFAULT_SEPARATION,
     DenseMatrix,
     VandermondeSpec,
@@ -82,10 +82,10 @@ def _matrix_from_obj(obj: dict) -> DenseMatrix:
     return build_vandermonde(VandermondeSpec.from_json_dict(obj))
 
 
-def _load_matrix(path: str, tol: float = DEFAULT_EIG_TOL) -> DenseMatrix:
+def _load_matrix(path: str) -> DenseMatrix:
     text = _read_text(path)
     if path.endswith(".csv"):
-        return DenseMatrix.from_csv(text, tol=tol)
+        return DenseMatrix.from_csv(text)
     return _matrix_from_obj(json.loads(text))
 
 
@@ -272,16 +272,7 @@ def _cmd_suite(args) -> int:
         value = getattr(args, name, None)
         if value is not None:
             overrides[name] = value
-    if overrides:
-        config = RunConfig(
-            **{
-                **{f: getattr(config, f) for f in (
-                    "seed", "m", "n", "trials", "p_grid", "t_schedule",
-                    "budget", "tol", "output_dir",
-                )},
-                **overrides,
-            }
-        )
+    config = dataclasses.replace(config, **overrides)
     manifest = run_suite(config)
     for check in manifest.checks:
         marker = "asserted" if check.asserted else "reported"

@@ -28,13 +28,13 @@ import numpy as np
 
 from .numerics import SamplingError
 
-# Relative zero threshold used in rank/eigenvalue decisions downstream.
-DEFAULT_EIG_TOL = 1e-10
-
 # Node sampling defaults: absolute values in [0.5, 2] with pairwise
-# |.|-separation >= 0.05 keep every Gram this artifact touches away from the
-# conditioning cliff (cond(A A^T) stays below 1e10 for m <= 6; measured over
-# 100 seeds during calibration, re-checked in the test suite).
+# |.|-separation >= 0.05 keep node matrices resolvable under the rank policy
+# (numerics.RANK_TOL) up to MAX_M.  Over seeds 0..99 and n = m+1..m+4,
+# sigma_min/sigma_max of A stays above 1e-7 (cond(A A^T) reaches 2.7e11 at
+# m = 6 and 2e13 at m = 8), and Gautschi's floor on sigma_min/sigma_max of
+# every m x m node submatrix stays above 2.5e-11 = 2.5 RANK_TOL (m = 8);
+# tests/test_calibration.py re-checks all of it.
 DEFAULT_ABS_RANGE = (0.5, 2.0)
 DEFAULT_SEPARATION = 0.05
 MAX_M = 8
@@ -126,16 +126,13 @@ class AugmentedSpec:
 
 @dataclass
 class DenseMatrix:
-    """A concrete 2-D array plus the relative zero threshold its ranks use.
+    """A concrete, finite, nonempty 2-D float64 array (an owned copy).
 
-    entries: the matrix itself (owned copy, float64).
-    tol: relative threshold; eigenvalues of the Gram below tol * lambda_max
-         (equivalently singular values below sqrt(tol) * sigma_max) count as
-         zero everywhere downstream.
+    Every rank decision on it follows the one policy of numerics.RANK_TOL;
+    the matrix itself carries no tolerance.
     """
 
     entries: np.ndarray
-    tol: float = DEFAULT_EIG_TOL
 
     def __post_init__(self) -> None:
         arr = np.array(self.entries, dtype=float, copy=True)
@@ -143,10 +140,7 @@ class DenseMatrix:
             raise ValueError(f"entries must be a nonempty 2-D array, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("entries must be finite")
-        if not (0.0 < float(self.tol) < 1.0):
-            raise ValueError(f"tol must lie in (0, 1), got {self.tol}")
         self.entries = arr
-        self.tol = float(self.tol)
 
     @property
     def rows(self) -> int:
@@ -162,7 +156,7 @@ class DenseMatrix:
         return "\n".join(lines) + "\n"
 
     @classmethod
-    def from_csv(cls, text: str, tol: float = DEFAULT_EIG_TOL) -> "DenseMatrix":
+    def from_csv(cls, text: str) -> "DenseMatrix":
         rows = []
         for line in text.strip().splitlines():
             line = line.strip()
@@ -174,23 +168,23 @@ class DenseMatrix:
         widths = {len(r) for r in rows}
         if len(widths) != 1:
             raise ValueError(f"ragged CSV matrix (row widths {sorted(widths)})")
-        return cls(entries=np.asarray(rows, dtype=float), tol=tol)
+        return cls(entries=np.asarray(rows, dtype=float))
 
     def to_json_dict(self) -> dict:
         return {
             "rows": self.rows,
             "cols": self.cols,
             "entries": [float(v) for v in self.entries.ravel()],
-            "tol": self.tol,
         }
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "DenseMatrix":
+        """Inverse of to_json_dict; a "tol" key from older envelopes is ignored."""
         rows, cols = int(d["rows"]), int(d["cols"])
         flat = np.asarray(d["entries"], dtype=float)
         if flat.size != rows * cols:
             raise ValueError(f"envelope claims {rows}x{cols} but carries {flat.size} entries")
-        return cls(entries=flat.reshape(rows, cols), tol=float(d.get("tol", DEFAULT_EIG_TOL)))
+        return cls(entries=flat.reshape(rows, cols))
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict())
@@ -211,13 +205,13 @@ def power_rows(lam, powers) -> np.ndarray:
     return lam[None, :] ** powers[:, None]
 
 
-def build_vandermonde(spec: VandermondeSpec, tol: float = DEFAULT_EIG_TOL) -> DenseMatrix:
+def build_vandermonde(spec: VandermondeSpec) -> DenseMatrix:
     """The m x n matrix with entry (i, j) = lam_j ** i.
 
     Duplicate nodes are allowed here (the result is merely rank deficient);
     operations that need invertible submatrices check distinct_abs themselves.
     """
-    return DenseMatrix(entries=power_rows(spec.lam, np.arange(spec.m)), tol=tol)
+    return DenseMatrix(entries=power_rows(spec.lam, np.arange(spec.m)))
 
 
 def b_vectors(spec: VandermondeSpec) -> np.ndarray:
@@ -234,7 +228,6 @@ def _augmented_with_scales(
     spec: VandermondeSpec,
     scales: np.ndarray,
     order: np.ndarray | None = None,
-    tol: float = DEFAULT_EIG_TOL,
 ) -> DenseMatrix:
     """Assemble the (2m+2) x (n+m+2) augmentation with one scale per B-row.
 
@@ -256,25 +249,25 @@ def _augmented_with_scales(
     out[:m, :n] = power_rows(spec.lam, np.arange(m))
     out[m:, :n] = scales[:, None] * bmat
     out[m:, n:] = np.eye(m + 2)
-    return DenseMatrix(entries=out, tol=tol)
+    return DenseMatrix(entries=out)
 
 
-def build_augmented_t(aug: AugmentedSpec, tol: float = DEFAULT_EIG_TOL) -> DenseMatrix:
+def build_augmented_t(aug: AugmentedSpec) -> DenseMatrix:
     """A_t: power rows 0..m-1, then x_t * lam**m, then y_t * lam**(m+1..2m+1),
     with the identity block on the right of the scaled rows."""
     m = aug.base.m
     scales = np.concatenate([[aug.x_t], np.full(m + 1, aug.y_t)])
-    return _augmented_with_scales(aug.base, scales, tol=tol)
+    return _augmented_with_scales(aug.base, scales)
 
 
-def build_augmented_0(spec: VandermondeSpec, tol: float = DEFAULT_EIG_TOL) -> DenseMatrix:
+def build_augmented_0(spec: VandermondeSpec) -> DenseMatrix:
     """A_0: the x_t, y_t -> 0 limit; block-diagonal (Vandermonde, I_{m+2})."""
     m, n = spec.m, spec.n
     rows, cols = 2 * m + 2, n + m + 2
     out = np.zeros((rows, cols))
     out[:m, :n] = power_rows(spec.lam, np.arange(m))
     out[m:, n:] = np.eye(m + 2)
-    return DenseMatrix(entries=out, tol=tol)
+    return DenseMatrix(entries=out)
 
 
 def _sample_separated_abs(

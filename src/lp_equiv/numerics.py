@@ -1,4 +1,5 @@
-"""Shared numeric primitives: exact summation, tiny-exponent powers, subset budgets."""
+"""Shared numeric primitives: the rank policy, exact summation, tiny-exponent
+powers, subset budgets."""
 
 from __future__ import annotations
 
@@ -14,6 +15,15 @@ import numpy as np
 # exp(p*log|x|) would otherwise manufacture O(1) contributions out of
 # denormal roundoff dust once p is small.
 POWER_FLOOR = 1e-300
+
+# The package's one rank policy: a singular value counts as nonzero when it
+# exceeds RANK_TOL times the largest singular value of the same matrix.  Spark,
+# the support solves, the Gram spectrum and the null space all decide rank
+# through numerical_rank at this tolerance.  Calibration: dependent column
+# subsets land at 0..1e-15 relative; independent square submatrices of
+# sampled node matrices stay above it up to MAX_M (see the sampling defaults
+# in matgen and tests/test_calibration.py).
+RANK_TOL = 1e-11
 
 DEFAULT_SUBSET_BUDGET = 1_000_000
 BUDGET_ENV_VAR = "LP_EQUIV_BUDGET"
@@ -62,6 +72,18 @@ def iter_subset_chunks(n: int, k: int, chunk: int = 4096) -> Iterator[np.ndarray
         flat = itertools.chain.from_iterable(itertools.islice(it, count))
         yield np.fromiter(flat, dtype=np.intp, count=count * k).reshape(count, k)
         remaining -= count
+
+
+def numerical_rank(s, tol_rel: float = RANK_TOL):
+    """Count of singular values above tol_rel * the largest, over the last axis.
+
+    s holds singular values in descending order, as numpy's svd returns
+    them: one matrix's (k,) gives an int, a stacked (..., k) block gives an
+    integer array with one rank per matrix.  A zero matrix has rank 0.
+    """
+    s = np.asarray(s)
+    rank = np.sum(s > tol_rel * s[..., :1], axis=-1)
+    return int(rank) if rank.ndim == 0 else rank
 
 
 def derive_seed(seed: int, name: str) -> int:

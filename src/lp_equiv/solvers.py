@@ -50,15 +50,13 @@ from .numerics import (
     iter_subset_chunks,
     lp_margin,
     lp_power_sum,
+    numerical_rank,
 )
 from .spark import compute_spark
 from .spectral import gram_spectrum
 
-# Support-rank decisions treat singular values below RANK_TOL * sigma_max of
-# the raw, unequilibrated submatrix as zero.  This is not the spark
-# convention (1e-11 relative after row/column equilibration); residuals are
-# accepted relative to ||b||.
-RANK_TOL = 1e-9
+# Support ranks follow the package's one rank policy (numerics.RANK_TOL on
+# the raw submatrix); residuals are accepted relative to ||b||.
 RESIDUAL_TOL = 1e-6
 
 # Coefficients below ZERO_COEFF * max|coeff| mean the support was not minimal:
@@ -279,10 +277,8 @@ def _solve_supports(M: np.ndarray, b: np.ndarray, supports: np.ndarray):
     sqrt(<r, r>) through the same BLAS dot as the 1-D np.linalg.norm (a
     row-wise norm(axis=1) sums in another order).
     """
-    k = supports.shape[1]
     u, s, vt = np.linalg.svd(np.moveaxis(M[:, supports], 1, 0), full_matrices=False)
-    smax = s[:, :1]
-    full = (smax[:, 0] > 0.0) & (np.sum(s > RANK_TOL * smax, axis=1) == k)
+    full = numerical_rank(s) == supports.shape[1]
     u, s, vt = u[full], s[full], vt[full]
     # (count_full, m, k) in the column-major per-matrix layout numpy gives the
     # single-support slice M[:, support], so the residual matmul sums alike
@@ -310,7 +306,7 @@ def _scan_supports(prob: SparseProblem, budget: int | None, caller: str):
     if nb <= POWER_FLOOR:
         yield np.zeros((1, 0), dtype=np.intp), np.zeros((1, 0))
         return
-    r = np.linalg.matrix_rank(M)
+    r = numerical_rank(np.linalg.svd(M, compute_uv=False))
     check_budget(sum(math.comb(n, k) for k in range(1, r + 1)), budget, caller)
     for size in range(1, r + 1):
         supports, coeffs = [], []
@@ -409,14 +405,12 @@ def solve_lp_basic(
 def null_space_basis(A: DenseMatrix) -> np.ndarray:
     """Orthonormal kernel basis as columns, shape (n, n - rank).
 
-    Rank uses the eigenvalue convention of the matrix: singular values below
-    sqrt(tol) * sigma_max are zero.
+    One full SVD gives both the rank, under the package's rank policy
+    (numerics.numerical_rank), and the basis: the right singular vectors
+    past the rank.
     """
-    M = A.entries
-    _, s, vt = np.linalg.svd(M, full_matrices=True)
-    smax = s[0] if s.size else 0.0
-    rank = int(np.sum(s > math.sqrt(A.tol) * smax)) if smax > 0.0 else 0
-    return vt[rank:].T.copy()
+    _, s, vt = np.linalg.svd(A.entries, full_matrices=True)
+    return vt[numerical_rank(s):].T.copy()
 
 
 def sample_null(

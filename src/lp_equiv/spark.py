@@ -18,10 +18,10 @@ result.  Either way the returned witness is the lexicographically smallest
 dependent subset of the critical size, exactly as a plain ascending search
 would return.  Dependent subsets calibrate at 0..1e-15 relative and
 independent ones above 3e-9, so floating-point error would have to be 10^4
-times too large to flip a subset across the 1e-11 tolerance and break the
-monotonicity the probe relies on.  Enumeration is chunked through stacked
-LAPACK SVDs, and the subset budget is charged for the worst case,
-C(n, 1..r+1), whichever path runs.
+times too large to flip a subset across the 1e-11 rank tolerance
+(numerics.RANK_TOL) and break the monotonicity the probe relies on.
+Enumeration is chunked through stacked LAPACK SVDs, and the subset budget
+is charged for the worst case, C(n, 1..r+1), whichever path runs.
 
 Square subsets (k = rows: the level-r probe of every full-row-rank matrix,
 node matrices and each A_t among them) pass a determinant screen before the
@@ -54,19 +54,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matgen import AugmentedSpec, DenseMatrix, VandermondeSpec, build_augmented_t, build_vandermonde
-from .numerics import check_budget, iter_subset_chunks
+from .numerics import RANK_TOL, check_budget, iter_subset_chunks, numerical_rank
 
-# A subset counts as dependent when its smallest singular value falls below
-# tol_rel times its largest, measured after row/column max-abs equilibration
-# (diagonal scaling never changes which subsets are dependent, but it stops
-# mixed row scales -- tiny glue rows against lam^(2m+1) powers -- from faking
-# rank deficiency).  Calibrated on instances with known spark: dependent
-# subsets land at 0..1e-15 relative, the worst independent subset observed
+# A subset counts as dependent when its numerical rank (numerics.RANK_TOL,
+# the package's one rank policy) falls below its size, measured after
+# row/column max-abs equilibration: diagonal scaling never changes which
+# subsets are dependent, but it stops mixed row scales -- tiny glue rows
+# against lam^(2m+1) powers -- from faking rank deficiency.  Only the rank
+# is read, never a singular value itself, so the scaling is free.  Dependent
+# subsets land at 0..1e-15 relative; the worst independent subset observed
 # across the augmented sweeps sits near 3e-9.  Square subsets may skip the
 # SVD through the determinant screen below, which clears a subset only when
-# its provable lower bound on that ratio exceeds SCREEN_FACTOR * tol_rel, so
-# the decision at this tolerance is the SVD's alone.
-DEFAULT_SPARK_TOL = 1e-11
+# its provable lower bound on sigma_min/sigma_max exceeds SCREEN_FACTOR *
+# tol_rel, so the decision at each tolerance is the SVD's alone.
 
 # Margin between the screen's bound and the tolerance, covering the LU
 # determinant's rounding error (see the module docstring).
@@ -150,16 +150,8 @@ def _equilibrated(entries: np.ndarray) -> np.ndarray:
     return scaled / col_scale
 
 
-def matrix_rank(entries: np.ndarray, tol_rel: float = DEFAULT_SPARK_TOL) -> int:
-    """Numerical rank: singular values above tol_rel * sigma_max."""
-    s = np.linalg.svd(entries, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > tol_rel * s[0]))
-
-
 def compute_spark(
-    A: DenseMatrix, tol_rel: float = DEFAULT_SPARK_TOL, budget: int | None = None
+    A: DenseMatrix, tol_rel: float = RANK_TOL, budget: int | None = None
 ) -> SparkCertificate:
     """Smallest dependent column-subset size, with lexicographic-minimum witness.
 
@@ -169,7 +161,7 @@ def compute_spark(
     """
     M = _equilibrated(A.entries)
     m_rows, n = M.shape
-    r = matrix_rank(M, tol_rel)
+    r = numerical_rank(np.linalg.svd(M, compute_uv=False), tol_rel)
     if n <= r:
         raise ValueError(
             f"matrix has full column rank ({r} of {n} columns); spark is undefined here"
@@ -205,8 +197,7 @@ def _first_dependent(M: np.ndarray, k: int, tol_rel: float) -> tuple[int, ...] |
             if not np.any(open_):
                 continue
             subsets, sub = subsets[open_], sub[open_]
-        s = np.linalg.svd(sub, compute_uv=False)
-        dependent = s[:, -1] <= tol_rel * s[:, 0]
+        dependent = numerical_rank(np.linalg.svd(sub, compute_uv=False), tol_rel) < k
         if np.any(dependent):
             idx = int(np.argmax(dependent))  # first hit = lex smallest
             return tuple(int(j) for j in subsets[idx])
@@ -276,7 +267,7 @@ def check_submatrix_invertibility(
 
 
 def verify_prop1(
-    aug: AugmentedSpec, tol_rel: float = DEFAULT_SPARK_TOL, budget: int | None = None
+    aug: AugmentedSpec, tol_rel: float = RANK_TOL, budget: int | None = None
 ) -> Prop1Report:
     """Certify spark(A_t) = 2m+3 for an augmentation with n >= 2m+2 nodes."""
     base = aug.base

@@ -8,10 +8,9 @@ Artifacts (all deterministic for a fixed config; no wall-clock data anywhere):
   counterexamples.json  every recorded violation, with enough data to replay
 
 The phase and margin rows of each k are read from that k's verify_theorem1
-report, so each sparsity level gets one T1 sweep.  RunConfig.tol is the
-eigenvalue tolerance of the base matrix: it reaches its spectrum, p_star and
-kernel samples, but not the T2/T3 harnesses, which build their own matrices
-at DEFAULT_EIG_TOL (one shared rank policy is ROADMAP open item 1).
+report, so each sparsity level gets one T1 sweep.  Every rank decision (spark,
+spectrum, kernel, support solves), here and in the T2/T3 harnesses, follows
+the one policy of numerics.RANK_TOL; no configuration key sets a tolerance.
 
 Checks are split into two tiers.  Asserted checks are machinery the package
 guarantees (instance generation, spark certificates, the scalar/sequence
@@ -40,7 +39,7 @@ from .analysis import (
     lemma2_sequence_check,
     phi_bound_grid,
 )
-from .matgen import DEFAULT_EIG_TOL, build_vandermonde, sample_instance
+from .matgen import build_vandermonde, sample_instance
 from .numerics import BudgetExceededError, SamplingError, derive_seed
 from .solvers import (
     DEFAULT_T_SCHEDULE,
@@ -61,7 +60,6 @@ _CONFIG_FIELD_ORDER = (
     "p_grid",
     "t_schedule",
     "budget",
-    "tol",
     "output_dir",
 )
 
@@ -77,7 +75,6 @@ class RunConfig:
     p_grid: tuple[float, ...] | None = None  # None: derive from the computed threshold
     t_schedule: tuple[float, ...] = DEFAULT_T_SCHEDULE
     budget: int | None = None
-    tol: float = DEFAULT_EIG_TOL
     output_dir: str = "lp_equiv_out"
 
     def __post_init__(self) -> None:
@@ -85,8 +82,6 @@ class RunConfig:
             raise ValueError(f"need 1 <= m < n, got m={self.m}, n={self.n}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if not 0.0 < self.tol < 1.0:
-            raise ValueError(f"tol must lie in (0, 1), got {self.tol}")
         if self.p_grid is not None and any(not 0.0 < p <= 1.0 for p in self.p_grid):
             raise ValueError("p_grid entries must lie in (0, 1]")
         if any(t <= 0.0 for t in self.t_schedule):
@@ -133,8 +128,6 @@ class RunConfig:
 def _parse_config_value(key: str, rendered: str):
     if key in ("seed", "m", "n", "trials", "budget"):
         return int(rendered)
-    if key == "tol":
-        return float(rendered)
     if key == "output_dir":
         return rendered
     if key in ("p_grid", "t_schedule"):
@@ -263,7 +256,7 @@ def run_suite(config: RunConfig) -> RunManifest:
         checks.append(CheckResult("instance", "fail", True, {"reason": str(exc)}))
         return _finalize(config, checks, counterexamples, phase_rows, margin_rows)
 
-    A = build_vandermonde(spec, tol=config.tol)
+    A = build_vandermonde(spec)
 
     # --- spark certificate ---------------------------------------------------
     spark = None

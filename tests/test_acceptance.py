@@ -22,13 +22,13 @@ from lp_equiv.analysis import (
     f_lemma3,
     f_lemma3_grid,
     lemma2_sequence_check,
-    p_star_inequality_solve,
     phi_bound,
     phi_bound_grid,
 )
 from lp_equiv.cli import main as cli_main
 from lp_equiv.matgen import (
     AugmentedSpec,
+    DenseMatrix,
     VandermondeSpec,
     build_vandermonde,
     sample_instance,
@@ -77,16 +77,21 @@ def test_criterion_01_spark_certificates():
 
 
 def test_criterion_02_threshold_identity_and_worked_example():
+    import mpmath
+
+    # identity: gram_spectrum on diag(sqrt(lmax), sqrt(lmp)) against the
+    # closed form evaluated in 50 digits on the spectrum it was built from
     rng = np.random.default_rng(202)
     worst = 0.0
-    for _ in range(1000):
-        lmax = float(rng.uniform(0.1, 100.0))
-        lmp = lmax * float(rng.uniform(1e-6, 1.0))
-        from lp_equiv.matgen import DenseMatrix
-
-        summary = gram_spectrum(DenseMatrix(np.diag([math.sqrt(lmax), math.sqrt(lmp)])))
-        direct = p_star_inequality_solve(summary.lambda_min_plus, summary.lambda_max)
-        worst = max(worst, abs(direct - summary.p_star) / summary.p_star)
+    with mpmath.workdps(50):
+        for _ in range(1000):
+            lmax = float(rng.uniform(0.1, 100.0))
+            lmp = lmax * float(rng.uniform(1e-6, 1.0))
+            summary = gram_spectrum(DenseMatrix(np.diag([math.sqrt(lmax), math.sqrt(lmp)])))
+            lo, hi = mpmath.mpf(lmp), mpmath.mpf(lmax)
+            closed = 16 * lo**2 / ((mpmath.sqrt(2) + 1) ** 2 * (hi - lo) ** 2)
+            exact = float(min(mpmath.mpf(1), closed))
+            worst = max(worst, abs(summary.p_star - exact) / exact)
 
     # frozen oracle: the Gram eigenvalues of [[1,1,1],[1,2,3]] solve
     # mu^2 - 17 mu + 6 = 0, so p* follows from (17 +/- sqrt(265)) / 2
@@ -96,7 +101,7 @@ def test_criterion_02_threshold_identity_and_worked_example():
     got = gram_spectrum(build_vandermonde(VandermondeSpec(2, (1.0, 2.0, 3.0)))).p_star
     rel = abs(got - oracle) / oracle
     ok = worst <= 1e-12 and rel <= 1e-2 and 1.3e-3 < got < 1.4e-3
-    _line(2, "threshold identity across 1000 spectra + worked example", ok,
+    _line(2, "threshold closed form across 1000 spectra (50-digit oracle) + worked example", ok,
           f"worst identity rel {worst:.2e}, example p*={got:.6e} vs oracle rel {rel:.2e}")
     assert worst <= 1e-12
     assert rel <= 1e-2

@@ -12,7 +12,6 @@ from lp_equiv.analysis import (
     lemma2_sequence_check,
     log_c_pq,
     log_p_grid,
-    p_star_inequality_solve,
     phi_bound,
     phi_bound_grid,
     theorem1_coefficient,
@@ -114,14 +113,6 @@ def test_holder_embedding_on_random_vectors():
         lp = float(np.sum(np.abs(v) ** p)) ** (1.0 / p)
         l2 = float(np.linalg.norm(v))
         assert lp <= n ** (1.0 / p - 0.5) * l2 * (1.0 + 1e-12)
-
-
-def test_p_star_inequality_solve_delegates_bit_for_bit():
-    rng = np.random.default_rng(7)
-    for _ in range(50):
-        lmax = float(rng.uniform(0.5, 50.0))
-        lmp = float(rng.uniform(1e-6, 1.0)) * lmax
-        assert p_star_inequality_solve(lmp, lmax) == p_star_from_extremes(lmp, lmax)
 
 
 def test_theorem1_coefficient_value():

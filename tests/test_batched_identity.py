@@ -16,9 +16,15 @@ from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
 from lp_equiv.matgen import DenseMatrix  # noqa: E402
-from lp_equiv.numerics import abs_pow, iter_subset_chunks, lp_margin, lp_power_sum  # noqa: E402
-from lp_equiv.solvers import (  # noqa: E402
+from lp_equiv.numerics import (  # noqa: E402
     RANK_TOL,
+    abs_pow,
+    iter_subset_chunks,
+    lp_margin,
+    lp_power_sum,
+    numerical_rank,
+)
+from lp_equiv.solvers import (  # noqa: E402
     RESIDUAL_TOL,
     ZERO_COEFF,
     SparseProblem,
@@ -95,7 +101,7 @@ def _reference_scan(prob):
     M, b = prob.matrix.entries, prob.b
     nb = float(np.linalg.norm(b))
     by_size, basics = {}, []
-    for size in range(1, np.linalg.matrix_rank(M) + 1):
+    for size in range(1, numerical_rank(np.linalg.svd(M, compute_uv=False)) + 1):
         by_size[size] = []
         for chunk in iter_subset_chunks(M.shape[1], size):
             for row in chunk.tolist():

@@ -99,10 +99,17 @@ def test_matrix_csv_round_trip_is_exact():
 
 def test_matrix_json_round_trip_is_exact():
     rng = np.random.default_rng(4)
-    A = DenseMatrix(rng.standard_normal((2, 7)), tol=1e-9)
+    A = DenseMatrix(rng.standard_normal((2, 7)))
     again = DenseMatrix.from_json(A.to_json())
     assert np.array_equal(A.entries, again.entries)
-    assert again.tol == 1e-9
+    assert set(A.to_json_dict()) == {"rows", "cols", "entries"}
+
+
+def test_legacy_envelope_with_tol_still_loads():
+    # envelopes written before the one rank policy carried a per-matrix "tol"
+    legacy = {"rows": 1, "cols": 2, "entries": [1.0, 2.0], "tol": 1e-10}
+    A = DenseMatrix.from_json_dict(legacy)
+    assert np.array_equal(A.entries, [[1.0, 2.0]])
 
 
 def test_matrix_validation():
@@ -110,8 +117,6 @@ def test_matrix_validation():
         DenseMatrix(np.array([1.0, 2.0]))  # 1-D
     with pytest.raises(ValueError):
         DenseMatrix(np.array([[np.nan]]))
-    with pytest.raises(ValueError):
-        DenseMatrix(np.ones((2, 2)), tol=2.0)
 
 
 def test_spec_json_round_trip():

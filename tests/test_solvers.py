@@ -8,10 +8,9 @@ import pytest
 
 from lp_equiv import solvers
 from lp_equiv.matgen import MAX_M, DenseMatrix, VandermondeSpec, build_vandermonde, sample_instance
-from lp_equiv.numerics import abs_pow, derive_seed, lp_margin
+from lp_equiv.numerics import RANK_TOL, abs_pow, derive_seed, lp_margin
 from lp_equiv.solvers import (
     DEFAULT_SCALES,
-    RANK_TOL,
     EquivalenceReport,
     InfeasibleProblemError,
     KernelSample,

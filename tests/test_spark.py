@@ -15,17 +15,19 @@ from lp_equiv.matgen import (
     build_vandermonde,
     sample_instance,
 )
-from lp_equiv.numerics import BudgetExceededError, iter_subset_chunks
+from lp_equiv.numerics import RANK_TOL, BudgetExceededError, iter_subset_chunks, numerical_rank
 from lp_equiv.spark import (
-    DEFAULT_SPARK_TOL,
     SCREEN_FACTOR,
     _equilibrated,
     _ratio_lower_bound,
     check_submatrix_invertibility,
     compute_spark,
-    matrix_rank,
     verify_prop1,
 )
+
+
+def matrix_rank(M: np.ndarray, tol_rel: float = RANK_TOL) -> int:
+    return numerical_rank(np.linalg.svd(M, compute_uv=False), tol_rel)
 
 
 def brute_spark(entries: np.ndarray, tol: float = 1e-9) -> tuple[int, tuple[int, ...]]:
@@ -42,7 +44,7 @@ def brute_spark(entries: np.ndarray, tol: float = 1e-9) -> tuple[int, tuple[int,
     raise AssertionError("no dependent subset found")
 
 
-def ascending_spark(A: DenseMatrix, tol_rel: float = DEFAULT_SPARK_TOL) -> tuple[int, tuple[int, ...]]:
+def ascending_spark(A: DenseMatrix, tol_rel: float = RANK_TOL) -> tuple[int, tuple[int, ...]]:
     """Reference: the plain ascending search compute_spark must agree with.
 
     Sizes 1..rank+1 in order, subsets lexicographic within a size, the same
@@ -62,7 +64,7 @@ def ascending_spark(A: DenseMatrix, tol_rel: float = DEFAULT_SPARK_TOL) -> tuple
 
 
 def assert_matches_reference(
-    A: DenseMatrix, tol_rel: float = DEFAULT_SPARK_TOL
+    A: DenseMatrix, tol_rel: float = RANK_TOL
 ) -> tuple[int, tuple[int, ...]]:
     cert = compute_spark(A, tol_rel=tol_rel)
     expected = ascending_spark(A, tol_rel)
@@ -210,7 +212,7 @@ def test_spark_matches_ascending_reference_property():
     check()
 
 
-SCREEN_TOLS = (1e-13, DEFAULT_SPARK_TOL, 1e-9, 1e-6, 1e-4, 1e-2)
+SCREEN_TOLS = (1e-13, RANK_TOL, 1e-9, 1e-6, 1e-4, 1e-2)
 
 
 def planted_square_block(rho: float, extra: int = 2, seed: int = 3) -> np.ndarray:

@@ -38,15 +38,16 @@ n = 8
 trials = 4
 t_schedule = 10, 100
 budget = 5000
-tol = 1e-9
 output_dir = somewhere
 """
     cfg = RunConfig.from_text(text)
     assert cfg.seed == 5 and cfg.m == 3 and cfg.n == 8 and cfg.trials == 4
     assert cfg.t_schedule == (10.0, 100.0)
     assert cfg.budget == 5000
-    assert cfg.tol == 1e-9
     assert cfg.output_dir == "somewhere"
+    # no key sets a rank tolerance: the package has one rank policy
+    with pytest.raises(ValueError, match="unknown config key 'tol'"):
+        RunConfig.from_text(text + "tol = 1e-9\n")
 
 
 def test_config_text_rejects_unknown_and_duplicate_keys():
@@ -177,7 +178,7 @@ def test_phase_and_margin_rows_are_the_t1_harness_reports(tmp_path):
     phase = _csv_rows(tmp_path / "t1" / "phase_diagram.csv")
     margins = _csv_rows(tmp_path / "t1" / "margins.csv")
     spec = sample_instance(4, 7, seed=derive_seed(cfg.seed, "instance"))
-    A = build_vandermonde(spec, tol=cfg.tol)
+    A = build_vandermonde(spec)
     assert sorted({int(r["k"]) for r in phase}) == [1, 2]
     for k in (1, 2):
         rep = verify_theorem1(A, k, trials=cfg.trials, seed=derive_seed(cfg.seed, f"thm1-k{k}"))
