@@ -51,16 +51,6 @@ class ScalarCheckReport:
     tol: float
     passes: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "claim": self.claim,
-            "grid_size": self.grid_size,
-            "worst_violation": self.worst_violation,
-            "worst_at": self.worst_at,
-            "tol": self.tol,
-            "passes": self.passes,
-        }
-
 
 @dataclass(frozen=True)
 class SequenceCheckReport:
@@ -71,15 +61,6 @@ class SequenceCheckReport:
     worst_case: dict
     tol: float
     passes: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "worst_relative_violation": self.worst_relative_violation,
-            "worst_case": self.worst_case,
-            "tol": self.tol,
-            "passes": self.passes,
-        }
 
 
 @dataclass(frozen=True)
@@ -96,20 +77,6 @@ class CrossTermReport:
     passes_empirical: bool
     degenerate: bool
     worst_example: dict
-
-    def to_json_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "spark": self.spark,
-            "max_support": self.max_support,
-            "worst_ratio": self.worst_ratio,
-            "paper_bound": self.paper_bound,
-            "empirical_bound": self.empirical_bound,
-            "passes_paper": self.passes_paper,
-            "passes_empirical": self.passes_empirical,
-            "degenerate": self.degenerate,
-            "worst_example": self.worst_example,
-        }
 
 
 @dataclass(frozen=True)
@@ -146,22 +113,6 @@ class ChainAudit:
             if s.name == name:
                 return s
         raise KeyError(name)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "p": self.p,
-            "p_star": self.p_star,
-            "coefficient": self.coefficient,
-            "log10_b_value": self.log10_b_value,
-            "margin": self.margin,
-            "steps": [
-                {"name": s.name, "lhs": s.lhs, "rhs": s.rhs, "ok": s.ok, "asserted": s.asserted}
-                for s in self.steps
-            ],
-            "asserted_ok": self.asserted_ok,
-            "reported_ok": self.reported_ok,
-        }
 
 
 def log_c_pq(k: int, s: int, t: int, p: float, q: float) -> float:

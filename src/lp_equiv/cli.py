@@ -130,88 +130,61 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_spark(args) -> int:
-    cert = compute_spark(_load_matrix(args.matrix), budget=args.budget)
-    _emit(cert.to_json_dict(), args.out)
+    _emit(compute_spark(_load_matrix(args.matrix), budget=args.budget), args.out)
     return 0
 
 
 def _cmd_pstar(args) -> int:
-    summary = gram_spectrum(_load_matrix(args.matrix))
-    _emit(summary.to_json_dict(), args.out)
+    _emit(gram_spectrum(_load_matrix(args.matrix)), args.out)
     return 0
 
 
 def _cmd_restricted_spec(args) -> int:
     rs = restricted_extremes(_load_matrix(args.matrix), args.k, budget=args.budget)
-    _emit(rs.to_json_dict(), args.out)
+    _emit(rs, args.out)
     return 0
 
 
 def _cmd_solve_l0(args) -> int:
-    sol = solve_l0(_load_problem(args.problem), budget=args.budget)
-    _emit(
-        {
-            "level": sol.level,
-            "solutions": [
-                {"support": list(s.support), "coefficients": list(s.coefficients)}
-                for s in sol.solutions
-            ],
-        },
-        args.out,
-    )
+    _emit(solve_l0(_load_problem(args.problem), budget=args.budget), args.out)
     return 0
 
 
 def _cmd_solve_lp(args) -> int:
-    lp = solve_lp_basic(_load_problem(args.problem), args.p, budget=args.budget)
-    _emit(
-        {
-            "p": lp.p,
-            "value": lp.value,
-            "minimizers": [
-                {"support": list(s.support), "coefficients": list(s.coefficients)}
-                for s in lp.minimizers
-            ],
-        },
-        args.out,
-    )
+    _emit(solve_lp_basic(_load_problem(args.problem), args.p, budget=args.budget), args.out)
     return 0
 
 
 def _cmd_audit(args) -> int:
+    if args.lemma in ("bu", "chain") and args.matrix is None:
+        raise SystemExit(f"audit --lemma {args.lemma} needs --matrix")
     if args.lemma == "2":
         report = lemma2_sequence_check(trials=args.trials, seed=args.seed)
-        _emit(report.to_json_dict(), args.out)
-        return 0 if report.passes else 1
-    if args.lemma == "3":
+        ok = report.passes
+    elif args.lemma == "3":
         report = f_lemma3_grid()
-        _emit(report.to_json_dict(), args.out)
-        return 0 if report.passes else 1
-    if args.lemma == "phi":
+        ok = report.passes
+    elif args.lemma == "phi":
         report = phi_bound_grid()
-        _emit(report.to_json_dict(), args.out)
-        return 0 if report.passes else 1
-    if args.lemma == "bu":
-        if args.matrix is None:
-            raise SystemExit("audit --lemma bu needs --matrix")
+        ok = report.passes
+    elif args.lemma == "bu":
         report = cross_term_check(
             _load_matrix(args.matrix), trials=args.trials, seed=args.seed, budget=args.budget
         )
-        _emit(report.to_json_dict(), args.out)
-        return 0  # both constants are reported, neither asserted
-    if args.lemma == "chain":
-        if args.matrix is None:
-            raise SystemExit("audit --lemma chain needs --matrix")
+        ok = True  # both constants are reported, neither asserted
+    elif args.lemma == "chain":
         A = _load_matrix(args.matrix)
         spark = compute_spark(A, budget=args.budget).spark
         k = args.k if args.k is not None else max(1, (spark - 1) // 2)
         planted, _ = plant_with_level(A, k, seed=derive_seed(args.seed, "plant"), budget=args.budget)
         h = sample_null(A, count=1, seed=derive_seed(args.seed, "h"), budget=args.budget)[0].vector
         p = args.p if args.p is not None else gram_spectrum(A).p_star / 2.0
-        audit = audit_theorem1_chain(A, planted.x_star, h, min(p, 1.0))
-        _emit(audit.to_json_dict(), args.out)
-        return 0 if audit.asserted_ok else 1
-    raise AssertionError(f"unhandled lemma {args.lemma}")
+        report = audit_theorem1_chain(A, planted.x_star, h, min(p, 1.0))
+        ok = report.asserted_ok
+    else:
+        raise AssertionError(f"unhandled lemma {args.lemma}")
+    _emit(report, args.out)
+    return 0 if ok else 1
 
 
 def _cmd_verify_thm1(args) -> int:

@@ -21,8 +21,7 @@ seeds handed to numpy's default_rng.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,14 +80,6 @@ class VandermondeSpec:
         """True iff the |lam_j| are pairwise distinct (exact comparison)."""
         a = np.abs(np.asarray(self.lam))
         return len(np.unique(a)) == len(a)
-
-    @property
-    def abs_separation(self) -> float:
-        """Smallest pairwise gap between sorted |lam_j| (0.0 when tied)."""
-        a = np.sort(np.abs(np.asarray(self.lam)))
-        if len(a) < 2:
-            return float("inf")
-        return float(np.min(np.diff(a)))
 
     def require_distinct_abs(self) -> None:
         if not self.distinct_abs:
@@ -185,13 +176,6 @@ class DenseMatrix:
         if flat.size != rows * cols:
             raise ValueError(f"envelope claims {rows}x{cols} but carries {flat.size} entries")
         return cls(entries=flat.reshape(rows, cols))
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "DenseMatrix":
-        return cls.from_json_dict(json.loads(text))
 
 
 def power_rows(lam, powers) -> np.ndarray:

@@ -110,11 +110,6 @@ class SparseSolution:
     support: tuple[int, ...]
     coefficients: tuple[float, ...]
 
-    def dense(self, n: int) -> np.ndarray:
-        x = np.zeros(n)
-        x[list(self.support)] = self.coefficients
-        return x
-
 
 @dataclass(frozen=True)
 class SparseSolutionSet:
@@ -173,18 +168,6 @@ class EquivalenceReport:
     below_threshold: bool | None
     violations: tuple[dict, ...]
     margins: tuple[float, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "margin_min": self.margin_min,
-            "argmin_match": self.argmin_match,
-            "trials": self.trials,
-            "seed": self.seed,
-            "below_threshold": self.below_threshold,
-            "violations": list(self.violations),
-            "margins": list(self.margins),
-        }
 
 
 @dataclass(frozen=True)
@@ -755,6 +738,7 @@ def verify_theorem2(
     samples = sample_null(A, count=count, seed=derive_seed(seed, "thm2-null"), budget=budget)
 
     base_power = lp_power_sum(x, p)
+    t_arr = np.asarray(t_schedule, dtype=float)
     H = np.array([sample.vector for sample in samples])
     margins = lp_margin(x, H, p)
     shifted_powers = lp_power_sum(x + H, p)
@@ -787,12 +771,14 @@ def verify_theorem2(
                 }
             )
         shifted_power = shifted_powers[idx]
+        # hhat_2 .. hhat_{m+2}, one row per t; each row's power sum is
+        # bit-identical to the call on that row alone
+        tails = -(l[order[1:]] / labs[1])[None, :] / t_arr[:, None]
+        tail_powers = lp_power_sum(tails, p)
         steps = []
-        for t in t_schedule:
+        for t, tail, tail_power in zip(t_schedule, tails, tail_powers):
             x_t, y_t = theorem2_sequences(m, float(labs[0]), float(labs[1]), p, t)
-            tail = -(l[order[1:]] / labs[1]) / t  # hhat_2 .. hhat_{m+2}
             head_power = (m + 1) / t**p
-            tail_power = lp_power_sum(tail, p)
             dominance_ok = head_power >= tail_power * (1.0 - 1e-12)
             tail_bound_ok = bool(np.all(np.abs(tail[1:]) <= (1.0 / t) * (1.0 + 1e-12)))
             chain_margin = (shifted_power + tail_power) - (base_power + head_power)

@@ -87,9 +87,6 @@ class SparkCertificate:
     witness: tuple[int, ...]
     tol: float
 
-    def to_json_dict(self) -> dict:
-        return {"spark": self.spark, "witness": list(self.witness), "tol": self.tol}
-
 
 @dataclass(frozen=True)
 class SubmatrixReport:
@@ -103,17 +100,6 @@ class SubmatrixReport:
     det_tol: float
     passes: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "max_size": self.max_size,
-            "checked": self.checked,
-            "min_abs_det": self.min_abs_det,
-            "argmin_rows": list(self.argmin_rows),
-            "argmin_cols": list(self.argmin_cols),
-            "det_tol": self.det_tol,
-            "passes": self.passes,
-        }
-
 
 @dataclass(frozen=True)
 class Prop1Report:
@@ -126,18 +112,6 @@ class Prop1Report:
     expected: int
     certificate: SparkCertificate
     passes: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "n": self.n,
-            "x_t": self.x_t,
-            "y_t": self.y_t,
-            "expected": self.expected,
-            "spark": self.certificate.spark,
-            "witness": list(self.certificate.witness),
-            "passes": self.passes,
-        }
 
 
 def _equilibrated(entries: np.ndarray) -> np.ndarray:

@@ -40,14 +40,6 @@ class SpectralSummary:
     rank: int
     p_star: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "lambda_min_plus": self.lambda_min_plus,
-            "lambda_max": self.lambda_max,
-            "rank": self.rank,
-            "p_star": self.p_star,
-        }
-
 
 @dataclass(frozen=True)
 class RestrictedSpectrum:
@@ -62,15 +54,6 @@ class RestrictedSpectrum:
     max_eig: float
     argmin_support: tuple[int, ...]
     argmax_support: tuple[int, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "min_eig": self.min_eig,
-            "max_eig": self.max_eig,
-            "argmin_support": list(self.argmin_support),
-            "argmax_support": list(self.argmax_support),
-        }
 
 
 @dataclass(frozen=True)
@@ -89,18 +72,6 @@ class Lemma1Report:
     sandwich_holds: bool
     argmin_support: tuple[int, ...]
     argmax_support: tuple[int, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "spark": self.spark,
-            "u_sq": self.u_sq,
-            "w_sq": self.w_sq,
-            "lambda_min_plus": self.lambda_min_plus,
-            "lambda_max": self.lambda_max,
-            "sandwich_holds": self.sandwich_holds,
-            "argmin_support": list(self.argmin_support),
-            "argmax_support": list(self.argmax_support),
-        }
 
 
 def p_star_from_extremes(lambda_min_plus: float, lambda_max: float) -> float:

@@ -154,22 +154,15 @@ class RunManifest:
     asserted_pass: bool
     violation_count: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "version": self.version,
-            "config": self.config,
-            "checks": [
-                {"name": c.name, "status": c.status, "asserted": c.asserted, "detail": c.detail}
-                for c in self.checks
-            ],
-            "asserted_pass": self.asserted_pass,
-            "violation_count": self.violation_count,
-        }
-
 
 def json_safe(obj):
     """Recursively convert numpy scalars/arrays, dataclasses, and containers
-    into plain JSON-encodable values."""
+    into plain JSON-encodable values.
+
+    This is the one JSON encoding of every report: a dataclass becomes the
+    dict of its fields, tuples become lists and non-finite floats become
+    their repr strings.  Only the envelope formats with a from_json_dict
+    inverse (VandermondeSpec, DenseMatrix) define their own to_json_dict."""
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
     if isinstance(obj, float):  # also catches np.float64, a float subclass
@@ -303,19 +296,7 @@ def run_suite(config: RunConfig) -> RunManifest:
 
     # --- spectrum and threshold ----------------------------------------------
     summary = gram_spectrum(A)
-    checks.append(
-        CheckResult(
-            "gram-spectrum",
-            "pass",
-            True,
-            {
-                "lambda_min_plus": summary.lambda_min_plus,
-                "lambda_max": summary.lambda_max,
-                "rank": summary.rank,
-                "p_star": summary.p_star,
-            },
-        )
-    )
+    checks.append(CheckResult("gram-spectrum", "pass", True, json_safe(summary)))
 
     if spark is not None:
         try:
@@ -525,8 +506,6 @@ def _run_deep_regime(
                 "violation_count": len(report.violations),
                 "degenerate": report.degenerate,
             }
-            for v in report.violations:
-                counterexamples.append({"check": name, **json_safe(v)})
         else:
             report = verify_theorem3(
                 spec,
@@ -545,8 +524,8 @@ def _run_deep_regime(
                 "margin_min": report.margin_min,
                 "violation_count": len(report.violations),
             }
-            for v in report.violations:
-                counterexamples.append({"check": name, **json_safe(v)})
+        for v in report.violations:
+            counterexamples.append({"check": name, **json_safe(v)})
         checks.append(CheckResult(name, "reported", False, detail))
     except (BudgetExceededError, SamplingError) as exc:
         checks.append(_check_from_exception(name, False, exc))
@@ -586,6 +565,6 @@ def _finalize(
     )
     _atomic_write_text(
         os.path.join(out, "manifest.json"),
-        json.dumps(json_safe(manifest.to_json_dict()), indent=2, sort_keys=True) + "\n",
+        json.dumps(json_safe(manifest), indent=2, sort_keys=True) + "\n",
     )
     return manifest

@@ -19,6 +19,7 @@ from lp_equiv.analysis import (
 from lp_equiv.matgen import VandermondeSpec, build_vandermonde, sample_instance
 from lp_equiv.solvers import null_space_basis, plant_with_level
 from lp_equiv.spectral import gram_spectrum, p_star_from_extremes
+from lp_equiv.suite import json_safe
 
 SQRT2_OVER_2 = math.sqrt(2.0) / 2.0
 
@@ -187,7 +188,8 @@ def test_chain_audit_json_round_trip_fields():
     h = N @ np.ones(N.shape[1])
     h /= np.linalg.norm(h)
     audit = audit_theorem1_chain(A, inst.x_star, h, 0.3)
-    d = audit.to_json_dict()
+    d = json_safe(audit)
     assert set(d) >= {"k", "p", "p_star", "margin", "steps", "asserted_ok", "reported_ok"}
     assert len(d["steps"]) == len(audit.steps)
+    assert all(set(step) == {"name", "lhs", "rhs", "ok", "asserted"} for step in d["steps"])
     assert audit.step("kernel-identity").ok

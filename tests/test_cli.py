@@ -1,9 +1,25 @@
+import dataclasses
 import json
 
 import pytest
 
 from lp_equiv import __version__
+from lp_equiv.analysis import ChainAudit, CrossTermReport, ScalarCheckReport, SequenceCheckReport
 from lp_equiv.cli import main
+from lp_equiv.solvers import (
+    LpMinimum,
+    SparseSolution,
+    SparseSolutionSet,
+    Theorem2Report,
+    Theorem3Report,
+)
+from lp_equiv.spark import SparkCertificate
+from lp_equiv.spectral import RestrictedSpectrum, SpectralSummary
+
+
+def _fields(cls) -> set[str]:
+    """Every JSON report is its dataclass's fields, no more and no fewer."""
+    return {f.name for f in dataclasses.fields(cls)}
 
 
 def test_version_flag(capsys):
@@ -21,6 +37,7 @@ def test_gen_then_spark_round_trip(tmp_path, capsys):
     assert envelope["matrix"]["rows"] == 2 and envelope["matrix"]["cols"] == 6
     assert main(["spark", "--matrix", str(mat)]) == 0
     out = json.loads(capsys.readouterr().out)
+    assert set(out) == _fields(SparkCertificate)
     assert out["spark"] == 3
     assert len(out["witness"]) == 3
 
@@ -39,6 +56,7 @@ def test_pstar_reports_spectrum(tmp_path, capsys):
     main(["gen", "--m", "2", "--n", "6", "--seed", "3", "--out", str(mat)])
     assert main(["pstar", "--matrix", str(mat)]) == 0
     out = json.loads(capsys.readouterr().out)
+    assert set(out) == _fields(SpectralSummary)
     assert 0.0 < out["p_star"] <= 1.0
     assert out["lambda_max"] >= out["lambda_min_plus"] > 0.0
 
@@ -51,6 +69,9 @@ def test_solve_l0_worked_example(tmp_path, capsys):
     }))
     assert main(["solve-l0", "--problem", str(prob)]) == 0
     out = json.loads(capsys.readouterr().out)
+    assert set(out) == _fields(SparseSolutionSet) == {"level", "solutions"}
+    assert _fields(SparseSolution) == {"support", "coefficients"}
+    assert all(set(s) == _fields(SparseSolution) for s in out["solutions"])
     assert out["level"] == 2
     supports = {tuple(s["support"]) for s in out["solutions"]}
     assert supports == {(0, 1), (0, 2), (1, 2)}
@@ -64,14 +85,30 @@ def test_solve_lp_worked_example(tmp_path, capsys):
     }))
     assert main(["solve-lp", "--problem", str(prob), "--p", "0.5"]) == 0
     out = json.loads(capsys.readouterr().out)
+    assert set(out) == _fields(LpMinimum) == {"p", "value", "minimizers"}
+    assert all(set(s) == _fields(SparseSolution) for s in out["minimizers"])
     assert [tuple(s["support"]) for s in out["minimizers"]] == [(0, 2)]
 
 
 def test_audit_lemma_subcommands(capsys):
-    for lemma in ("2", "3", "phi"):
+    for lemma, report in (("2", SequenceCheckReport), ("3", ScalarCheckReport),
+                          ("phi", ScalarCheckReport)):
         assert main(["audit", "--lemma", lemma, "--trials", "200"]) == 0
         out = json.loads(capsys.readouterr().out)
+        assert set(out) == _fields(report)
         assert out["passes"] is True
+
+
+def test_audit_bu_reports_both_constants(tmp_path, capsys):
+    mat = tmp_path / "A.json"
+    main(["gen", "--m", "2", "--n", "7", "--seed", "0", "--out", str(mat)])
+    assert main(["audit", "--lemma", "bu", "--matrix", str(mat), "--trials", "50"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert set(out) == _fields(CrossTermReport)
+    assert out["trials"] == 50 and out["spark"] == 3 and out["max_support"] == 1
+    assert out["degenerate"] is False and out["worst_ratio"] > 0.0
+    with pytest.raises(SystemExit):
+        main(["audit", "--lemma", "bu"])  # needs --matrix
 
 
 def test_audit_chain_on_generated_matrix(tmp_path, capsys):
@@ -79,6 +116,7 @@ def test_audit_chain_on_generated_matrix(tmp_path, capsys):
     main(["gen", "--m", "2", "--n", "7", "--seed", "0", "--out", str(mat)])
     assert main(["audit", "--lemma", "chain", "--matrix", str(mat), "--k", "1"]) == 0
     out = json.loads(capsys.readouterr().out)
+    assert set(out) == _fields(ChainAudit)
     assert out["asserted_ok"] is True
     assert out["margin"] > 0.0
 
@@ -104,12 +142,14 @@ def test_verify_thm2_and_thm3(tmp_path, capsys):
     spec.write_text(json.dumps({"m": 2, "lambda": [0.6, -0.8, 1.1, -1.3, 1.7, 0.9, -1.9, 0.7]}))
     assert main(["verify-thm2", "--spec", str(spec), "--trials", "6"]) == 0
     out = json.loads(capsys.readouterr().out)
+    assert set(out) == _fields(Theorem2Report)
     assert out["limit_monotone"] is True
 
     narrow = tmp_path / "narrow.json"
     narrow.write_text(json.dumps({"m": 2, "lambda": [0.6, -0.8, 1.1, 1.7, 0.9]}))
     assert main(["verify-thm3", "--spec", str(narrow), "--trials", "6"]) == 0
     out = json.loads(capsys.readouterr().out)
+    assert set(out) == _fields(Theorem3Report)
     assert out["margin_min"] > 0.0
 
 
@@ -136,6 +176,7 @@ def test_restricted_spec_subcommand(tmp_path, capsys):
     main(["gen", "--m", "2", "--n", "6", "--seed", "3", "--out", str(mat)])
     assert main(["restricted-spec", "--matrix", str(mat), "--k", "1"]) == 0
     out = json.loads(capsys.readouterr().out)
+    assert set(out) == _fields(RestrictedSpectrum)
     assert out["min_eig"] > 0.0
     assert out["max_eig"] >= out["min_eig"]
 

@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from lp_equiv.matgen import DenseMatrix, VandermondeSpec, build_vandermonde, sample_instance
+from lp_equiv.matgen import (
+    MAX_M,
+    DenseMatrix,
+    VandermondeSpec,
+    build_vandermonde,
+    sample_instance,
+)
 from lp_equiv.spectral import (
     gram_spectrum,
     lemma1_constants,
@@ -112,3 +118,32 @@ def test_random_instances_have_positive_threshold():
         s = gram_spectrum(build_vandermonde(spec))
         assert 0.0 < s.p_star <= 1.0
         assert s.rank == spec.m
+
+
+def test_restricted_extremes_are_monotone_in_k_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=40, deadline=None)
+    @hypothesis.given(
+        m=st.integers(1, MAX_M),
+        extra=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def check(m, extra, seed):
+        # Cauchy interlacing: every k-subset lies in some (k+1)-subset whose
+        # Gram matrix has it as a principal submatrix, so the minimum over
+        # k+1 columns cannot exceed the minimum over k, nor the maximum fall.
+        # Forming A_S^T A_S and eigvalsh each move an eigenvalue by at most
+        # a small multiple of n eps ||A_S||_2^2 <= n eps lambda_max (Weyl's
+        # bound for a backward-stable eigensolve), so two computed extremes
+        # may cross by twice that; 4 n^2 eps lambda_max covers it with room.
+        A = build_vandermonde(sample_instance(m, m + extra, seed=seed))
+        n = A.cols
+        slack = 4.0 * n * n * np.finfo(float).eps * gram_spectrum(A).lambda_max
+        extremes = [restricted_extremes(A, k) for k in range(1, n + 1)]
+        for small, large in zip(extremes, extremes[1:]):
+            assert large.min_eig <= small.min_eig + slack, (m, n, seed, small.k)
+            assert large.max_eig >= small.max_eig - slack, (m, n, seed, small.k)
+
+    check()
