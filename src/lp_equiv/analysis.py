@@ -21,6 +21,10 @@ facts, each checked here against brute force on random inputs:
       (lmax - lmp)/2 constant and the restricted-spectrum constant
       (w^2 - u^2)/2, asserting neither.
 
+The L2 and BU audits draw their random trials as whole arrays, AUDIT_BLOCK
+trials at a time, and evaluate each block in one pass of numpy operations;
+the block size bounds their working memory whatever the trial count.
+
 audit_theorem1_chain then walks one concrete (A, x*, h, p) through every
 intermediate inequality of the threshold derivation, labelling each step as
 asserted (provable regardless of the contested sandwich) or reported.
@@ -38,6 +42,16 @@ from .numerics import compensated_sum, lp_margin, lp_power_sum
 from .spark import compute_spark
 from .spectral import SQRT2, gram_spectrum, lemma1_constants
 from .solvers import support_partition
+
+# Trials drawn and evaluated per block by the randomized audits (the subset
+# scans' chunk size in numerics.iter_subset_chunks): a block of L2 sequences
+# or BU pairs takes a few hundred kB, whatever the trial count.
+AUDIT_BLOCK = 4096
+
+# The L2 audit draws k from 1..SEQ_K_MAX and t from 1..SEQ_T_MAX, so a
+# sequence has at most SEQ_K_MAX + SEQ_T_MAX entries.
+SEQ_K_MAX = 7
+SEQ_T_MAX = 11
 
 
 @dataclass(frozen=True)
@@ -202,33 +216,82 @@ def phi_bound_grid(count: int = 1000, lo: float = 1e-6, tol: float = 1e-12) -> S
     )
 
 
+def _log_c_pq_block(k, s, t, p, q) -> np.ndarray:
+    """log_c_pq over equal-length vectors of (k, s, t, p, q), one per trial."""
+    r = p / q
+    arm1 = r * np.log(t) - np.log(s)
+    below = r < 1.0
+    rb = np.where(below, r, 0.5)  # r == 1 (q == p) has arm2 = 0, as in log_c_pq
+    arm2 = rb * np.log(rb) + (1.0 - rb) * np.log1p(-rb) + (rb - 1.0) * np.log(k)
+    return np.maximum(arm1, np.where(below, arm2, 0.0)) / p
+
+
+def _draw_sequences(rng: np.random.Generator, first: int, size: int):
+    """Trials first .. first+size-1 of the L2 audit, drawn as arrays.
+
+    Returns the vectors k, s, t, p, q and a (size, SEQ_K_MAX + SEQ_T_MAX)
+    block u whose row i holds trial i's nonincreasing sequence in its first
+    k_i + t_i entries and zeros after them.  Every tenth trial (first trial
+    included) is rounded to one decimal, which forces ties and exact zeros."""
+    k = rng.integers(1, SEQ_K_MAX + 1, size=size)
+    t = rng.integers(1, SEQ_T_MAX + 1, size=size)
+    s = rng.integers(k, k + t + 1)
+    raw = rng.uniform(0.0, 1.0, size=(size, SEQ_K_MAX + SEQ_T_MAX))
+    p = rng.uniform(0.05, 1.0, size=size)
+    q = rng.uniform(p, 3.0)
+    kept = np.arange(raw.shape[1]) < (k + t)[:, None]
+    # ascending sort of -u puts each row's kept entries first, in descending
+    # order of u; the dropped entries (set to 1 > -u) sort last
+    u = np.where(kept, -np.sort(np.where(kept, -raw, 1.0), axis=1), 0.0)
+    tied = (first + np.arange(size)) % 10 == 0
+    u[tied] = np.round(u[tied], 1)
+    return k, s, t, p, q, u
+
+
+def _sequence_violations(k, s, t, p, q, u) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lhs, rhs, relative violation) of the L2 bound, one entry per row of u.
+
+    lhs = (sum_{i=k+1}^{k+t} u_i^q)^{1/q}, rhs = C_{p,q}(k,s,t) (sum_{i<=s} u_i^p)^{1/p}
+    and the violation is (lhs - rhs)/rhs; a zero rhs gives 0 against a zero
+    lhs and inf otherwise."""
+    cols = np.arange(u.shape[1])
+    tail = (cols >= k[:, None]) & (cols < (k + t)[:, None])
+    head = cols < s[:, None]
+    lhs = np.sum(np.where(tail, u ** q[:, None], 0.0), axis=1) ** (1.0 / q)
+    base = np.sum(np.where(head, u ** p[:, None], 0.0), axis=1)
+    rhs = np.exp(_log_c_pq_block(k, s, t, p, q)) * base ** (1.0 / p)
+    rel = np.where(lhs == 0.0, 0.0, np.inf)
+    np.divide(lhs - rhs, rhs, out=rel, where=rhs > 0.0)
+    return lhs, rhs, rel
+
+
+def _first_max(values: np.ndarray) -> int:
+    """Index of the first largest entry; a NaN never wins."""
+    return int(np.argmax(np.where(np.isnan(values), -np.inf, values)))
+
+
 def lemma2_sequence_check(
     trials: int = 1000, seed: int = 0, tol: float = 1e-10
 ) -> SequenceCheckReport:
-    """Random monotone sequences against the L2 bound; ties are forced in a
-    tenth of the trials by quantizing the sequence."""
+    """Random monotone sequences against the L2 bound.
+
+    The trials are drawn and evaluated AUDIT_BLOCK at a time (see
+    _draw_sequences); ties are forced in a tenth of them by quantizing the
+    sequence.  worst_case is the first trial with the largest relative
+    violation, with its sequence u cut to its k + t entries."""
     rng = np.random.default_rng(seed)
     worst_rel = -math.inf
     worst_case: dict = {}
-    for trial in range(trials):
-        k = int(rng.integers(1, 8))
-        t = int(rng.integers(1, 12))
-        s = int(rng.integers(k, k + t + 1))
-        u = np.sort(rng.uniform(0.0, 1.0, size=k + t))[::-1]
-        if trial % 10 == 0:
-            u = np.round(u, 1)  # force ties and exact zeros
-        p = float(rng.uniform(0.05, 1.0))
-        q = float(rng.uniform(p, 3.0))
-        lhs = float(np.sum(u[k : k + t] ** q)) ** (1.0 / q)
-        base = float(np.sum(u[:s] ** p))
-        if base == 0.0:
-            ok_rel = 0.0 if lhs == 0.0 else math.inf
-        else:
-            rhs = c_pq(k, s, t, p, q) * base ** (1.0 / p)
-            ok_rel = (lhs - rhs) / rhs if rhs > 0.0 else (0.0 if lhs == 0.0 else math.inf)
-        if ok_rel > worst_rel:
-            worst_rel = ok_rel
-            worst_case = {"k": k, "s": s, "t": t, "p": p, "q": q, "u": [float(v) for v in u]}
+    for first in range(0, trials, AUDIT_BLOCK):
+        k, s, t, p, q, u = _draw_sequences(rng, first, min(AUDIT_BLOCK, trials - first))
+        _, _, rel = _sequence_violations(k, s, t, p, q, u)
+        i = _first_max(rel)
+        if rel[i] > worst_rel:
+            worst_rel = float(rel[i])
+            worst_case = {
+                "k": int(k[i]), "s": int(s[i]), "t": int(t[i]), "p": float(p[i]),
+                "q": float(q[i]), "u": u[i, : k[i] + t[i]].tolist(),
+            }
     return SequenceCheckReport(
         trials=trials,
         worst_relative_violation=worst_rel,
@@ -244,6 +307,30 @@ def theorem1_coefficient(p: float, lambda_min_plus: float, lambda_max: float) ->
     return (SQRT2 + 1.0) / 2.0 * ratio * (SQRT2 / 2.0) * math.sqrt(p / 2.0)
 
 
+def _draw_pairs(rng: np.random.Generator, n: int, max_support: int, size: int):
+    """One block of BU trials, drawn as arrays.
+
+    Returns boolean (size, n) masks sup1, sup2 and a (size, n) Gaussian block
+    g: trial i draws sizes s1, s2 in 1..max_support and a uniformly random
+    permutation of the n columns (the argsort of uniform draws); the first s1
+    permuted columns form sup1, the next s2 sup2, and x1, x2 take g there."""
+    s1 = rng.integers(1, max_support + 1, size=size)[:, None]
+    s2 = rng.integers(1, max_support + 1, size=size)[:, None]
+    position = np.argsort(np.argsort(rng.uniform(size=(size, n)), axis=1), axis=1)
+    g = rng.standard_normal((size, n))
+    return position < s1, (position >= s1) & (position < s1 + s2), g
+
+
+def _cross_ratios(M: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
+    """|<M x1, M x2>| / (||x1|| ||x2||) for each row pair of x1, x2; a zero
+    row gives -inf, which never counts as a worst case."""
+    inner = np.sum((x1 @ M.T) * (x2 @ M.T), axis=1)
+    denom = np.sqrt(np.sum(x1 * x1, axis=1)) * np.sqrt(np.sum(x2 * x2, axis=1))
+    ratios = np.full(len(inner), -np.inf)
+    np.divide(np.abs(inner), denom, out=ratios, where=denom > 0.0)
+    return ratios
+
+
 def cross_term_check(
     A: DenseMatrix,
     trials: int = 1000,
@@ -252,7 +339,11 @@ def cross_term_check(
     budget: int | None = None,
 ) -> CrossTermReport:
     """Sample disjointly supported sparse pairs and compare |<Ax1, Ax2>| with
-    both candidate constants; neither is asserted."""
+    both candidate constants; neither is asserted.
+
+    The pairs are drawn and evaluated AUDIT_BLOCK at a time (see _draw_pairs).
+    worst_example is the first pair with the largest ratio: its supports in
+    ascending order, the coefficients x1, x2 on them, and the ratio."""
     if spark is None:
         spark = compute_spark(A, budget=budget).spark
     summary = gram_spectrum(A)
@@ -276,28 +367,23 @@ def cross_term_check(
 
     rng = np.random.default_rng(seed)
     M = A.entries
-    n = A.cols
     worst = 0.0
     worst_example: dict = {}
-    for _ in range(trials):
-        s1 = int(rng.integers(1, max_support + 1))
-        s2 = int(rng.integers(1, max_support + 1))
-        idx = rng.choice(n, size=s1 + s2, replace=False)
-        sup1, sup2 = idx[:s1], idx[s1:]
-        x1 = np.zeros(n)
-        x2 = np.zeros(n)
-        x1[sup1] = rng.standard_normal(s1)
-        x2[sup2] = rng.standard_normal(s2)
-        denom = float(np.linalg.norm(x1) * np.linalg.norm(x2))
-        if denom == 0.0:
-            continue
-        ratio = abs(float((M @ x1) @ (M @ x2))) / denom
-        if ratio > worst:
-            worst = ratio
+    for first in range(0, trials, AUDIT_BLOCK):
+        sup1, sup2, g = _draw_pairs(rng, A.cols, max_support, min(AUDIT_BLOCK, trials - first))
+        x1 = np.where(sup1, g, 0.0)
+        x2 = np.where(sup2, g, 0.0)
+        ratios = _cross_ratios(M, x1, x2)
+        i = _first_max(ratios)
+        if ratios[i] > worst:
+            worst = float(ratios[i])
+            support1, support2 = np.flatnonzero(sup1[i]), np.flatnonzero(sup2[i])
             worst_example = {
-                "support1": sorted(int(v) for v in sup1),
-                "support2": sorted(int(v) for v in sup2),
-                "ratio": ratio,
+                "support1": support1.tolist(),
+                "support2": support2.tolist(),
+                "x1": x1[i, support1].tolist(),
+                "x2": x2[i, support2].tolist(),
+                "ratio": worst,
             }
     slack = 1.0 + 1e-9
     return CrossTermReport(

@@ -700,8 +700,9 @@ def verify_theorem2(
       * the claim itself   ||x*||_p^p < ||x*+h||_p^p
 
     |hhat_1|^p = |xcheck_{n+1}|^p = (m+1)/t^p in closed form, so nothing here
-    overflows even when x_t itself does; explicit-matrix residual and
-    p_star(A_t) checks run whenever the scales are representable.  The
+    overflows even when x_t itself does; the explicit-matrix residual is
+    checked whenever the scales are representable, and p_star(A_t) whenever
+    the rank policy also keeps all 2m+2 singular values of A_t.  The
     instance-level limit |p_star(A_t) -> p_star(A_0)| uses x_t = y_t = 1/t.
     """
     spec.require_distinct_abs()
@@ -796,12 +797,25 @@ def verify_theorem2(
                 hhat1 = -x_t * l[order[0]]
                 hhat = np.concatenate([h, [hhat1], tail])
                 resid = float(np.linalg.norm(At_ord.entries @ hhat))
-                p_star_t = gram_spectrum(At_ord).p_star
                 step["explicit_residual"] = resid
-                step["p_star_t"] = p_star_t
-                step["chain_applicable"] = p < p_star_t
+                # A_t has full row rank 2m+2 at any positive scales (distinct
+                # nodes in the power rows, the identity block beside the
+                # scaled ones); a lower policy rank means the scaled rows
+                # pushed its O(1) singular values below RANK_TOL times the
+                # largest, and p_star would describe a truncated matrix
+                spectrum = gram_spectrum(At_ord)
+                if spectrum.rank == 2 * m + 2:
+                    step["p_star_t"] = spectrum.p_star
+                    step["chain_applicable"] = p < spectrum.p_star
+                else:
+                    step["p_star_t_skipped"] = (
+                        f"rank policy kept {spectrum.rank} of the {2 * m + 2} singular"
+                        " values of the explicit matrix"
+                    )
             else:
-                step["explicit_skipped"] = "x_t overflow at this p_check"
+                step["explicit_skipped"] = (
+                    f"row scale above MAX_EXPLICIT_SCALE = {MAX_EXPLICIT_SCALE:g}"
+                )
             steps.append(step)
         records.append(
             {

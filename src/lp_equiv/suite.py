@@ -237,14 +237,8 @@ def run_suite(config: RunConfig) -> RunManifest:
     # --- instance generation -------------------------------------------------
     try:
         spec = sample_instance(m, n, seed=derive_seed(seed, "instance"))
-        checks.append(
-            CheckResult(
-                "instance",
-                "pass",
-                True,
-                {"m": m, "n": n, "lambda": [float(v) for v in spec.lam]},
-            )
-        )
+        lam = [float(v) for v in spec.lam]  # every counterexample's replay data
+        checks.append(CheckResult("instance", "pass", True, {"m": m, "n": n, "lambda": lam}))
     except SamplingError as exc:
         checks.append(CheckResult("instance", "fail", True, {"reason": str(exc)}))
         return _finalize(config, checks, counterexamples, phase_rows, margin_rows)
@@ -288,7 +282,7 @@ def run_suite(config: RunConfig) -> RunManifest:
                     "rows": list(sub.argmin_rows),
                     "cols": list(sub.argmin_cols),
                     "min_abs_det": sub.min_abs_det,
-                    "lambda": [float(v) for v in spec.lam],
+                    "lambda": lam,
                 }
             )
     except BudgetExceededError as exc:
@@ -324,7 +318,7 @@ def run_suite(config: RunConfig) -> RunManifest:
                         "lambda_min_plus": lem1.lambda_min_plus,
                         "lambda_max": lem1.lambda_max,
                         "argmin_support": list(lem1.argmin_support),
-                        "lambda": [float(v) for v in spec.lam],
+                        "lambda": lam,
                     }
                 )
         except BudgetExceededError as exc:
@@ -383,7 +377,7 @@ def run_suite(config: RunConfig) -> RunManifest:
         if not cross.passes_paper and not cross.degenerate:
             counterexamples.append(
                 {"check": "cross-term", **json_safe(cross.worst_example),
-                 "paper_bound": cross.paper_bound}
+                 "paper_bound": cross.paper_bound, "lambda": lam}
             )
     except BudgetExceededError as exc:
         checks.append(_check_from_exception("cross-term", False, exc))
@@ -391,7 +385,6 @@ def run_suite(config: RunConfig) -> RunManifest:
     # --- the T1 harness per k, which also fills the phase and margin rows ------
     if spark is not None:
         k_max = (spark - 1) // 2
-        lam = [float(v) for v in spec.lam]
         for k in range(1, k_max + 1):
             try:
                 report = verify_theorem1(

@@ -3,7 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from lp_equiv import analysis
 from lp_equiv.analysis import (
+    AUDIT_BLOCK,
+    SEQ_K_MAX,
+    SEQ_T_MAX,
     audit_theorem1_chain,
     c_pq,
     cross_term_check,
@@ -93,6 +97,101 @@ def test_lemma2_sequence_check_clean():
     assert rep.worst_relative_violation <= 0.0
 
 
+def scalar_sequence_violation(k, s, t, p, q, u):
+    """(lhs, rhs, relative violation) of one L2 trial, by the per-trial
+    formula the batched audit replaced; u holds the trial's k + t entries."""
+    lhs = float(np.sum(u[k : k + t] ** q)) ** (1.0 / q)
+    base = float(np.sum(u[:s] ** p))
+    rhs = c_pq(k, s, t, p, q) * base ** (1.0 / p) if base > 0.0 else 0.0
+    if rhs > 0.0:
+        return lhs, rhs, (lhs - rhs) / rhs
+    return lhs, rhs, 0.0 if lhs == 0.0 else math.inf
+
+
+def first_strict_max(values):
+    """The loop's reduction: a later value replaces the worst only if it is
+    strictly larger."""
+    best, best_i = -math.inf, None
+    for i, v in enumerate(values):
+        if v > best:
+            best, best_i = v, i
+    return best_i
+
+
+def near_ties(values, i, tol):
+    """Indices whose value is within tol of values[i]: trials the two
+    evaluations may order differently by rounding alone."""
+    return {j for j, v in enumerate(values) if abs(v - values[i]) <= tol}
+
+
+def drawn_sequences(seed, trials):
+    """The L2 audit's trials, drawn block by block as the audit draws them."""
+    rng = np.random.default_rng(seed)
+    return [
+        analysis._draw_sequences(rng, first, min(AUDIT_BLOCK, trials - first))
+        for first in range(0, trials, AUDIT_BLOCK)
+    ]
+
+
+@pytest.mark.parametrize("trials", [1, 37, AUDIT_BLOCK + 5])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_lemma2_blocks_match_the_scalar_formula(seed, trials):
+    lhs_all, rhs_all, rel_all, cases = [], [], [], []
+    for k, s, t, p, q, u in drawn_sequences(seed, trials):
+        lhs, rhs, rel = analysis._sequence_violations(k, s, t, p, q, u)
+        for i in range(len(k)):
+            ki, si, ti, pi, qi = int(k[i]), int(s[i]), int(t[i]), float(p[i]), float(q[i])
+            seq = u[i, : ki + ti]
+            # the draw's contract: sizes in range, nonincreasing entries in
+            # [0, 1] and zeros past k + t, q >= p, every tenth trial quantized
+            assert 1 <= ki <= SEQ_K_MAX and 1 <= ti <= SEQ_T_MAX and ki <= si <= ki + ti
+            assert 0.05 <= pi <= qi <= 3.0
+            assert np.all(np.diff(seq) <= 0.0) and seq.min() >= 0.0 and seq.max() <= 1.0
+            assert not np.any(u[i, ki + ti :])
+            if (len(cases) % 10) == 0:
+                assert np.array_equal(seq, np.round(seq, 1))
+            want = scalar_sequence_violation(ki, si, ti, pi, qi, seq)
+            assert lhs[i] == pytest.approx(want[0], rel=1e-12, abs=0.0)
+            assert rhs[i] == pytest.approx(want[1], rel=1e-12, abs=0.0)
+            # rel = lhs/rhs - 1 inherits the 1e-12 of lhs and rhs scaled by lhs/rhs
+            assert abs(rel[i] - want[2]) <= 1e-12 * max(1.0, lhs[i] / rhs[i])
+            lhs_all.append(lhs[i])
+            rhs_all.append(rhs[i])
+            rel_all.append(want[2])
+            cases.append({"k": ki, "s": si, "t": ti, "p": pi, "q": qi, "u": seq.tolist()})
+    rep = analysis.lemma2_sequence_check(trials=trials, seed=seed)
+    worst = first_strict_max(rel_all)
+    tol = 1e-12 * max(1.0, lhs_all[worst] / rhs_all[worst])
+    assert abs(rep.worst_relative_violation - rel_all[worst]) <= tol
+    # the same worst trial, unless rounding alone separates it from another
+    assert rep.worst_case in [cases[j] for j in near_ties(rel_all, worst, 2 * tol)]
+    assert rep.trials == trials and rep.passes
+
+
+@pytest.mark.parametrize("seed", [0, 3, 11])
+def test_lemma2_worst_case_replays_through_the_scalar_formula(seed):
+    rep = lemma2_sequence_check(trials=500, seed=seed)
+    case = rep.worst_case
+    assert set(case) == {"k", "s", "t", "p", "q", "u"}
+    assert len(case["u"]) == case["k"] + case["t"]
+    lhs, rhs, rel = scalar_sequence_violation(
+        case["k"], case["s"], case["t"], case["p"], case["q"], np.array(case["u"])
+    )
+    assert abs(rel - rep.worst_relative_violation) <= 1e-12 * max(1.0, lhs / rhs)
+
+
+def test_lemma2_audit_catches_a_planted_bound_error(monkeypatch):
+    # C_{p,q} with its outer 1/p dropped: too small wherever the larger arm is
+    # positive, and the all-equal quantized trials make the true bound tight
+    honest = analysis._log_c_pq_block
+    monkeypatch.setattr(
+        analysis, "_log_c_pq_block", lambda k, s, t, p, q: honest(k, s, t, p, q) * p
+    )
+    rep = lemma2_sequence_check(trials=1000, seed=0)
+    assert not rep.passes
+    assert rep.worst_relative_violation > rep.tol
+
+
 def test_lemma2_bound_directly_on_constructed_sequence():
     # decreasing sequence: the q-norm of the t-entry tail past index k is
     # bounded by C_{p,q}(k, s, t) times the p-norm of the first s entries
@@ -136,6 +235,70 @@ def test_cross_term_check_worked_example():
     assert rep.trials == 200
     assert rep.passes_empirical
     assert rep.worst_ratio <= rep.empirical_bound * (1.0 + 1e-9)
+
+
+def scalar_cross_ratio(M, x1, x2):
+    """|<M x1, M x2>| / (||x1|| ||x2||) by the per-trial formula the batched
+    audit replaced."""
+    return abs(float((M @ x1) @ (M @ x2))) / float(np.linalg.norm(x1) * np.linalg.norm(x2))
+
+
+@pytest.mark.parametrize("trials", [1, 37, AUDIT_BLOCK + 5])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_cross_term_blocks_match_the_scalar_formula(seed, trials):
+    A = build_vandermonde(sample_instance(4, 10, seed=seed))
+    M = A.entries
+    rep = cross_term_check(A, trials=trials, seed=seed)
+    rng = np.random.default_rng(seed)
+    ratios, examples = [], []
+    for first in range(0, trials, AUDIT_BLOCK):
+        size = min(AUDIT_BLOCK, trials - first)
+        sup1, sup2, g = analysis._draw_pairs(rng, A.cols, rep.max_support, size)
+        x1, x2 = np.where(sup1, g, 0.0), np.where(sup2, g, 0.0)
+        got = analysis._cross_ratios(M, x1, x2)
+        for i in range(size):
+            # disjoint supports of 1..max_support columns each
+            assert not np.any(sup1[i] & sup2[i])
+            assert 1 <= sup1[i].sum() <= rep.max_support and 1 <= sup2[i].sum() <= rep.max_support
+            want = scalar_cross_ratio(M, x1[i], x2[i])
+            # both sides sum the same products in different orders: each is
+            # off by a few ulps of the products' magnitude, which exceeds
+            # the ratio itself when <M x1, M x2> cancels
+            scale = scalar_cross_ratio(np.abs(M), np.abs(x1[i]), np.abs(x2[i]))
+            assert abs(got[i] - want) <= 1e-12 * scale
+            ratios.append(want)
+            s1, s2 = np.flatnonzero(sup1[i]), np.flatnonzero(sup2[i])
+            examples.append({"support1": s1.tolist(), "support2": s2.tolist(),
+                             "x1": x1[i, s1].tolist(), "x2": x2[i, s2].tolist()})
+    worst = first_strict_max(ratios)
+    assert rep.worst_ratio == pytest.approx(ratios[worst], rel=1e-12, abs=0.0)
+    example = {key: v for key, v in rep.worst_example.items() if key != "ratio"}
+    tied = near_ties(ratios, worst, 2e-12 * ratios[worst])
+    assert example in [examples[j] for j in tied]
+    assert rep.worst_example["ratio"] == rep.worst_ratio
+
+
+def test_cross_term_worst_example_replays():
+    A = build_vandermonde(sample_instance(3, 9, seed=1))
+    rep = cross_term_check(A, trials=300, seed=5)
+    ex = rep.worst_example
+    assert set(ex) == {"support1", "support2", "x1", "x2", "ratio"}
+    x1, x2 = np.zeros(A.cols), np.zeros(A.cols)
+    x1[ex["support1"]], x2[ex["support2"]] = ex["x1"], ex["x2"]
+    assert scalar_cross_ratio(A.entries, x1, x2) == pytest.approx(ex["ratio"], rel=1e-12, abs=0.0)
+
+
+def test_cross_term_audit_catches_a_planted_ratio_error(monkeypatch):
+    # normalizing by ||x1||^2 ||x2||^2 instead of ||x1|| ||x2|| inflates the
+    # ratio of every pair with small coefficients past the exact constant
+    def squared_norms(M, x1, x2):
+        inner = np.sum((x1 @ M.T) * (x2 @ M.T), axis=1)
+        return np.abs(inner) / (np.sum(x1 * x1, axis=1) * np.sum(x2 * x2, axis=1))
+
+    A = build_vandermonde(sample_instance(3, 9, seed=1))
+    assert cross_term_check(A, trials=300, seed=5).passes_empirical
+    monkeypatch.setattr(analysis, "_cross_ratios", squared_norms)
+    assert not cross_term_check(A, trials=300, seed=5).passes_empirical
 
 
 def test_cross_term_check_degenerate_spark_two():

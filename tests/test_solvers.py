@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 
 from lp_equiv import solvers
-from lp_equiv.matgen import MAX_M, DenseMatrix, VandermondeSpec, build_vandermonde, sample_instance
+from lp_equiv.matgen import (
+    MAX_M,
+    DenseMatrix,
+    VandermondeSpec,
+    _augmented_with_scales,
+    build_vandermonde,
+    sample_instance,
+)
 from lp_equiv.numerics import RANK_TOL, abs_pow, derive_seed, lp_margin
 from lp_equiv.solvers import (
     DEFAULT_SCALES,
@@ -34,6 +41,7 @@ from lp_equiv.solvers import (
 )
 from lp_equiv.solvers import _l0_from_basics, _solve_supports
 from lp_equiv.spark import compute_spark
+from lp_equiv.spectral import gram_spectrum
 
 
 def worked_problem() -> SparseProblem:
@@ -564,3 +572,105 @@ def test_verify_theorem1_counterexamples_equal_per_p_reference(monkeypatch):
     assert rep == reference_theorem1(A, 1, trials=30, seed=4)
     kinds = {"reason" in c for c in rep.counterexamples}
     assert kinds == {True, False}  # argmin escapes and margin violations
+
+
+def _explicit_t2_matrices(monkeypatch, m, seed):
+    """verify_theorem2's report on a planted (m, 2m+2) instance at level m,
+    plus every explicit augmentation A_t it ranked (one per kept step)."""
+    built = []
+    assemble = solvers._augmented_with_scales
+
+    def keep(spec, scales, order=None):
+        built.append(assemble(spec, scales, order=order))
+        return built[-1]
+
+    monkeypatch.setattr(solvers, "_augmented_with_scales", keep)
+    spec = sample_instance(m, 2 * m + 2, seed=seed)
+    planted, _ = plant_with_level(build_vandermonde(spec), m, seed=derive_seed(seed, "plant"))
+    rep = verify_theorem2(spec, planted.x_star, trials=6, seed=derive_seed(seed, "t2"))
+    return rep, built
+
+
+def _exact_singular_values(entries, mpmath):
+    return sorted(mpmath.svd_r(mpmath.matrix(entries.tolist()), compute_uv=False), reverse=True)
+
+
+def _exact_p_star(s, mpmath) -> float:
+    lmax, lmp = s[0] ** 2, s[-1] ** 2
+    return float(min(mpmath.mpf(1), 16 * lmp**2 / ((mpmath.sqrt(2) + 1) ** 2 * (lmax - lmp) ** 2)))
+
+
+def _p_star_tolerance(m, cond) -> float:
+    # a backward-stable SVD moves every singular value by at most c eps s_0,
+    # so s_min is off by c eps cond relative; p_star ~ (s_min / s_0)^4 /
+    # (1 - lmp/lmax)^2 carries four times that.  c = 2m+2, the row count,
+    # covers LAPACK's dimension factor (the observed error stays below
+    # 0.5 eps cond over m 1..4)
+    return 4 * (2 * m + 2) * np.finfo(float).eps * cond
+
+
+@pytest.mark.parametrize("m,seed", [(1, 0), (1, 3), (2, 0), (3, 1)])
+def test_explicit_t2_steps_record_p_star_only_at_full_rank(monkeypatch, m, seed):
+    # every explicit augmentation up to MAX_EXPLICIT_SCALE keeps its residual;
+    # p_star_t is recorded exactly when the rank policy keeps all 2m+2
+    # singular values, and then matches a 300-digit SVD (row scales reach
+    # 1e65 at m = 2, so a zero singular value would land near 1e-300 s_0 and
+    # none of these comes near 1e-200 s_0)
+    mpmath = pytest.importorskip("mpmath")
+    rep, built = _explicit_t2_matrices(monkeypatch, m, seed)
+    steps = [step for r in rep.records for step in r.get("steps", ())]
+    explicit = [step for step in steps if "explicit_residual" in step]
+    assert len(explicit) == len(built)
+    cap = f"MAX_EXPLICIT_SCALE = {solvers.MAX_EXPLICIT_SCALE:g}"
+    for step in steps:
+        if "explicit_residual" not in step:
+            assert cap in step["explicit_skipped"]
+    for step, At in zip(explicit, built):
+        assert math.isfinite(step["explicit_residual"])
+        policy_rank = gram_spectrum(At).rank
+        with mpmath.workdps(300):
+            s = _exact_singular_values(At.entries, mpmath)
+            assert s[-1] > mpmath.mpf("1e-200") * s[0]  # full row rank 2m+2
+            if "p_star_t" in step:
+                assert policy_rank == 2 * m + 2
+                cond = float(s[0] / s[-1])
+                assert step["p_star_t"] == pytest.approx(
+                    _exact_p_star(s, mpmath), rel=_p_star_tolerance(m, cond), abs=0.0
+                )
+            else:
+                assert policy_rank < 2 * m + 2
+                assert f"kept {policy_rank} of the {2 * m + 2}" in step["p_star_t_skipped"]
+    # at the half-threshold p_check x_t stays within 1e4 at m = 1, lies near
+    # 1e25..1e65 at m = 2 (residual only) and past 1e600 at m = 3
+    assert len(explicit) == (len(steps) if m <= 2 else 0)
+    assert all(("p_star_t" in step) == (m == 1) for step in explicit)
+
+
+@pytest.mark.parametrize("m", range(1, MAX_M + 1))
+def test_full_policy_rank_gives_the_exact_p_star(m):
+    # why p_star_t is gated on the rank and not on a scale cap: the scale at
+    # which the policy starts to truncate A_t falls with m (on seed 0 about
+    # 3e9 at m = 1, 1e8 at m = 2, 1e7 at m = 3, 3e5 at m = 4, 3e3 at m = 8),
+    # and wherever it keeps all 2m+2 singular values p_star agrees with a
+    # 60-digit SVD
+    mpmath = pytest.importorskip("mpmath")
+    spec = sample_instance(m, 2 * m + 2, seed=0)
+    full, truncated = [], []
+    for k in range(13):
+        scales = np.full(m + 2, 10.0**k)
+        scales[0] *= 3.0
+        At = _augmented_with_scales(spec, scales)
+        summary = gram_spectrum(At)
+        with mpmath.workdps(60):
+            s = _exact_singular_values(At.entries, mpmath)
+            assert s[-1] > mpmath.mpf("1e-45") * s[0]  # full row rank 2m+2
+            if summary.rank == 2 * m + 2:
+                cond = float(s[0] / s[-1])
+                assert summary.p_star == pytest.approx(
+                    _exact_p_star(s, mpmath), rel=_p_star_tolerance(m, cond), abs=0.0
+                )
+                full.append(k)
+            else:
+                truncated.append(k)
+    assert truncated
+    assert not full or max(full) < min(truncated)

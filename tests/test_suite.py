@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from lp_equiv import suite
-from lp_equiv.matgen import build_vandermonde, sample_instance
+from lp_equiv.matgen import VandermondeSpec, build_vandermonde, sample_instance
 from lp_equiv.numerics import derive_seed
 from lp_equiv.solvers import verify_theorem1
 from lp_equiv.suite import (
@@ -216,3 +216,28 @@ def test_t1_counterexamples_carry_replay_data(tmp_path, monkeypatch):
     assert len(t1) == 1
     assert t1[0]["lambda"] == instance.detail["lambda"]
     assert len(t1[0]["x_star"]) == cfg.n and sum(v != 0.0 for v in t1[0]["x_star"]) == 1
+
+
+def test_cross_term_counterexample_replays_from_its_record(tmp_path):
+    # (2, 5) seed 4 samples a pair past the paper's (lmax - lmp)/2 constant
+    cfg = RunConfig(seed=4, m=2, n=5, trials=30, output_dir=str(tmp_path / "bu"))
+    run_suite(cfg)
+    dumped = json.loads((tmp_path / "bu" / "counterexamples.json").read_text())
+    (ce,) = [c for c in dumped if c["check"] == "cross-term"]
+    assert set(ce) == {
+        "check", "support1", "support2", "x1", "x2", "ratio", "paper_bound", "lambda"
+    }
+    M = build_vandermonde(VandermondeSpec(cfg.m, tuple(ce["lambda"]))).entries
+    x1, x2 = np.zeros(cfg.n), np.zeros(cfg.n)
+    x1[ce["support1"]], x2[ce["support2"]] = ce["x1"], ce["x2"]
+    ratio = abs(float((M @ x1) @ (M @ x2))) / float(np.linalg.norm(x1) * np.linalg.norm(x2))
+    # JSON floats round-trip exactly, so only the evaluation order differs
+    # from the audit's: each side's inner product is off by at most
+    # (n + m) ulps of the products' magnitude |M||x1| . |M||x2|, and each norm
+    # by (n + 1) ulps; the record is a large ratio, so that magnitude is
+    # within a small factor of the inner product itself
+    magnitude = float((np.abs(M) @ np.abs(x1)) @ (np.abs(M) @ np.abs(x2)))
+    cond = magnitude / abs(float((M @ x1) @ (M @ x2)))
+    ulps = 2 * ((cfg.n + cfg.m) * cond + 2 * (cfg.n + 1))
+    assert ratio > ce["paper_bound"]
+    assert abs(ratio - ce["ratio"]) <= ulps * np.finfo(float).eps * ratio
