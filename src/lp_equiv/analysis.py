@@ -21,7 +21,7 @@ facts, each checked here against brute force on random inputs:
       (lmax - lmp)/2 constant and the restricted-spectrum constant
       (w^2 - u^2)/2, asserting neither.
 
-The L2 and BU audits draw their random trials as whole arrays, AUDIT_BLOCK
+The L2 and BU audits draw their random trials as whole arrays, numerics.BLOCK
 trials at a time, and evaluate each block in one pass of numpy operations;
 the block size bounds their working memory whatever the trial count.
 
@@ -38,15 +38,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matgen import DenseMatrix
-from .numerics import compensated_sum, lp_margin, lp_power_sum
+from .numerics import BLOCK, compensated_sum, lp_margin, lp_power_sum
 from .spark import compute_spark
 from .spectral import SQRT2, gram_spectrum, lemma1_constants
 from .solvers import support_partition
-
-# Trials drawn and evaluated per block by the randomized audits (the subset
-# scans' chunk size in numerics.iter_subset_chunks): a block of L2 sequences
-# or BU pairs takes a few hundred kB, whatever the trial count.
-AUDIT_BLOCK = 4096
 
 # The L2 audit draws k from 1..SEQ_K_MAX and t from 1..SEQ_T_MAX, so a
 # sequence has at most SEQ_K_MAX + SEQ_T_MAX entries.
@@ -275,15 +270,15 @@ def lemma2_sequence_check(
 ) -> SequenceCheckReport:
     """Random monotone sequences against the L2 bound.
 
-    The trials are drawn and evaluated AUDIT_BLOCK at a time (see
+    The trials are drawn and evaluated BLOCK at a time (see
     _draw_sequences); ties are forced in a tenth of them by quantizing the
     sequence.  worst_case is the first trial with the largest relative
     violation, with its sequence u cut to its k + t entries."""
     rng = np.random.default_rng(seed)
     worst_rel = -math.inf
     worst_case: dict = {}
-    for first in range(0, trials, AUDIT_BLOCK):
-        k, s, t, p, q, u = _draw_sequences(rng, first, min(AUDIT_BLOCK, trials - first))
+    for first in range(0, trials, BLOCK):
+        k, s, t, p, q, u = _draw_sequences(rng, first, min(BLOCK, trials - first))
         _, _, rel = _sequence_violations(k, s, t, p, q, u)
         i = _first_max(rel)
         if rel[i] > worst_rel:
@@ -341,7 +336,7 @@ def cross_term_check(
     """Sample disjointly supported sparse pairs and compare |<Ax1, Ax2>| with
     both candidate constants; neither is asserted.
 
-    The pairs are drawn and evaluated AUDIT_BLOCK at a time (see _draw_pairs).
+    The pairs are drawn and evaluated BLOCK at a time (see _draw_pairs).
     worst_example is the first pair with the largest ratio: its supports in
     ascending order, the coefficients x1, x2 on them, and the ratio."""
     if spark is None:
@@ -369,8 +364,8 @@ def cross_term_check(
     M = A.entries
     worst = 0.0
     worst_example: dict = {}
-    for first in range(0, trials, AUDIT_BLOCK):
-        sup1, sup2, g = _draw_pairs(rng, A.cols, max_support, min(AUDIT_BLOCK, trials - first))
+    for first in range(0, trials, BLOCK):
+        sup1, sup2, g = _draw_pairs(rng, A.cols, max_support, min(BLOCK, trials - first))
         x1 = np.where(sup1, g, 0.0)
         x2 = np.where(sup2, g, 0.0)
         ratios = _cross_ratios(M, x1, x2)

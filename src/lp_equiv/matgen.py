@@ -208,32 +208,32 @@ def b_vectors(spec: VandermondeSpec) -> np.ndarray:
     return power_rows(spec.lam, np.arange(m, 2 * m + 2))
 
 
-def _augmented_with_scales(
-    spec: VandermondeSpec,
-    scales: np.ndarray,
-    order: np.ndarray | None = None,
-) -> DenseMatrix:
-    """Assemble the (2m+2) x (n+m+2) augmentation with one scale per B-row.
+def _augmented_with_scales(spec: VandermondeSpec, scales, orders) -> np.ndarray:
+    """Assemble a (count, 2m+2, n+m+2) block of augmentations, one per row of
+    scales and orders, both (count, m+2).
 
-    order permutes which B-row sits in which scaled slot (the natural order is
-    0..m+1); the identity block is glued row-aligned so each scaled row r
-    carries the identity column for slot r.
+    Matrix c gives B-row orders[c, r] the scale scales[c, r] in scaled slot r
+    (the natural order is 0..m+1); the identity block is glued row-aligned so
+    each scaled row r carries the identity column for slot r.  Each matrix is
+    C-contiguous, laid out as a DenseMatrix's entries.
     """
     m, n = spec.m, spec.n
     rows, cols = 2 * m + 2, n + m + 2
     if rows * cols > _MAX_ENTRIES:
         raise ValueError(f"augmented shape {rows}x{cols} exceeds the entry guard")
     scales = np.asarray(scales, dtype=float)
-    if scales.shape != (m + 2,):
-        raise ValueError(f"need m+2 scales, got shape {scales.shape}")
-    bmat = b_vectors(spec)
-    if order is not None:
-        bmat = bmat[np.asarray(order, dtype=np.intp)]
-    out = np.zeros((rows, cols))
-    out[:m, :n] = power_rows(spec.lam, np.arange(m))
-    out[m:, :n] = scales[:, None] * bmat
-    out[m:, n:] = np.eye(m + 2)
-    return DenseMatrix(entries=out)
+    orders = np.asarray(orders, dtype=np.intp)
+    if scales.ndim != 2 or scales.shape[1] != m + 2 or orders.shape != scales.shape:
+        raise ValueError(
+            f"need (count, m+2) scales and orders, got shapes {scales.shape}, {orders.shape}"
+        )
+    out = np.zeros((len(scales), rows, cols))
+    out[:, :m, :n] = power_rows(spec.lam, np.arange(m))
+    out[:, m:, :n] = scales[:, :, None] * b_vectors(spec)[orders]
+    out[:, m:, n:] = np.eye(m + 2)
+    if not np.all(np.isfinite(out)):
+        raise ValueError("entries must be finite")
+    return out
 
 
 def build_augmented_t(aug: AugmentedSpec) -> DenseMatrix:
@@ -241,7 +241,8 @@ def build_augmented_t(aug: AugmentedSpec) -> DenseMatrix:
     with the identity block on the right of the scaled rows."""
     m = aug.base.m
     scales = np.concatenate([[aug.x_t], np.full(m + 1, aug.y_t)])
-    return _augmented_with_scales(aug.base, scales)
+    block = _augmented_with_scales(aug.base, scales[None], np.arange(m + 2)[None])
+    return DenseMatrix(entries=block[0])
 
 
 def build_augmented_0(spec: VandermondeSpec) -> DenseMatrix:

@@ -25,6 +25,12 @@ POWER_FLOOR = 1e-300
 # in matgen and tests/test_calibration.py).
 RANK_TOL = 1e-11
 
+# The package's one block size: subset scans, randomized audit trials and the
+# explicit T2 augmentations are evaluated at most BLOCK at a time, so their
+# working memory scales with the block and the matrix size, not with the
+# enumeration or trial count.
+BLOCK = 4096
+
 DEFAULT_SUBSET_BUDGET = 1_000_000
 BUDGET_ENV_VAR = "LP_EQUIV_BUDGET"
 
@@ -56,7 +62,7 @@ def check_budget(total: int, budget: int | None, what: str) -> None:
         )
 
 
-def iter_subset_chunks(n: int, k: int, chunk: int = 4096) -> Iterator[np.ndarray]:
+def iter_subset_chunks(n: int, k: int, chunk: int = BLOCK) -> Iterator[np.ndarray]:
     """Yield (count, k) index arrays covering all C(n, k) subsets in lexicographic order.
 
     Chunked so callers can run stacked LAPACK calls without materializing the

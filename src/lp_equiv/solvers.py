@@ -42,6 +42,7 @@ from .matgen import (
     extend_lambda,
 )
 from .numerics import (
+    BLOCK,
     POWER_FLOOR,
     BudgetExceededError,
     SamplingError,
@@ -53,7 +54,7 @@ from .numerics import (
     numerical_rank,
 )
 from .spark import compute_spark
-from .spectral import gram_spectrum
+from .spectral import gram_spectrum, spectrum_from_singular_values
 
 # Support ranks follow the package's one rank policy (numerics.RANK_TOL on
 # the raw submatrix); residuals are accepted relative to ||b||.
@@ -69,6 +70,27 @@ DEFAULT_T_SCHEDULE = (10.0, 100.0, 1000.0, 10000.0)
 # Largest row scale we will materialize in an explicit augmented matrix; the
 # Gram squares it, so keep well inside float64 range.
 MAX_EXPLICIT_SCALE = 1e100
+
+# Bound on a T2 step's explicit_relative_residual ||A_t hhat|| / (s_0 ||hhat||),
+# s_0 = ||A_t||_2, in units of N eps, N = n+m+2.  A correct lift makes A_t hhat
+# vanish in exact arithmetic up to the kernel error of h, and each rounding is
+# bounded relative to s_0 ||hhat|| (u = eps/2, first order):
+#   * the product: |fl(A_t hhat) - A_t hhat| <= N u |A_t| |hhat| entrywise,
+#     and || |A_t| |hhat| || <= ||A_t||_F ||hhat|| <= sqrt(2m+2) s_0 ||hhat||;
+#   * the lift: hhat_{n+r} = -scale_r <B_(r), h> rounds a length-n dot product
+#     and a scaling or two, and A_t stores scale_r * B_(r) rounded, so scaled
+#     row r is off by at most (n+4) u scale_r |B_(r)| |h| <= (n+4) u s_0 ||h||,
+#     at most (n+4) u sqrt(m+2) s_0 ||hhat|| over the m+2 rows;
+#   * the kernel sample: sample_null's h has ||A h|| at the SVD's backward
+#     error, a small multiple of n u ||A|| ||h||, and ||A|| <= s_0.
+# Up to MAX_M the first two terms stay below (sqrt(18) + sqrt(10)) N u <
+# 3.8 N eps, which leaves more than N eps for the third.  The measured ratio
+# stays below 0.1 N eps (m 1..4).  A lift with hhat_1's sign flipped leaves
+# 2 x_t |<B_(1), h>| in row m+1, a ratio of order 1/x_t: far above the bound
+# at m = 1 (x_t up to 1e4), below it at m = 2 (x_t from 1e14 on).
+LIFT_RESIDUAL_FACTOR = 5.0
+
+LN10 = math.log(10.0)
 
 
 class InfeasibleProblemError(ValueError):
@@ -647,8 +669,8 @@ def verify_theorem1(
 
 def theorem2_sequences(
     m: int, l1_abs: float, l2_abs: float, p_check: float, t: float
-) -> tuple[float, float]:
-    """The T2 scale pair at step t:
+) -> tuple[float, float, float]:
+    """The T2 scale pair at step t, and log x_t:
 
         x_t = (m+1)**(1/p_check) / (l1_abs * t),    y_t = 1 / (l2_abs * t).
 
@@ -657,7 +679,7 @@ def theorem2_sequences(
     the construction is degenerate (raise; the harness records such h
     separately).  x_t may overflow to inf for very small p_check -- callers
     needing the explicit matrix must check, the power-domain bookkeeping
-    never does.
+    never does.  log x_t stays finite either way.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
@@ -672,11 +694,72 @@ def theorem2_sequences(
     log_x = math.log(m + 1) / p_check - math.log(l1_abs) - math.log(t)
     x_t = math.exp(log_x) if log_x < 709.0 else math.inf
     y_t = 1.0 / (l2_abs * t)
-    return x_t, y_t
+    return x_t, y_t, log_x
 
 
 def _strictly_decreasing(vals) -> bool:
     return all(a > b for a, b in zip(vals, vals[1:]))
+
+
+def _deep_regime_hypothesis(spec: VandermondeSpec, x_star, wide: bool, budget: int | None):
+    """Check the T2 (wide: n >= 2m+2) or T3 (narrow: m < n < 2m+2) inputs and
+    return (x*, k, A, level); the hypothesis holds when the l0 level is k."""
+    spec.require_distinct_abs()
+    m, n = spec.m, spec.n
+    if wide and n < 2 * m + 2:
+        raise ValueError(f"T2 needs n >= 2m+2 = {2 * m + 2}, got n={n}")
+    if not wide and not m < n < 2 * m + 2:
+        raise ValueError(f"T3 needs m < n < 2m+2, got m={m}, n={n}")
+    x = np.asarray(x_star, dtype=float)
+    if x.shape != (n,):
+        raise ValueError(f"x_star must have shape ({n},)")
+    k = int(np.sum(x != 0.0))
+    if not (m + 1) / 2 <= k <= m:
+        raise ValueError(f"need (m+1)/2 <= ||x*||_0 <= m, got {k}")
+    A = build_vandermonde(spec)
+    level = solve_l0(SparseProblem(matrix=A, b=A.entries @ x), budget=budget).level
+    return x, k, A, level
+
+
+def _explicit_steps(
+    spec: VandermondeSpec, p: float, scales, orders, hhat, steps: list[dict]
+) -> None:
+    """Fill the explicit-matrix keys of a block of T2 steps at p_check = p:
+    one stacked product gives every residual ||A_t hhat|| and one stacked
+    SVD every singular value set.  scales and orders are (count, m+2), hhat is
+    (count, n+m+2), one row per step.
+
+    Each step's numbers are bit-identical to building its A_t alone: the
+    stacked LAPACK and BLAS calls see every matrix in a DenseMatrix's layout,
+    and a norm is sqrt(<r, r>) through the same BLAS dot as the 1-D
+    np.linalg.norm (see _solve_supports).
+    """
+    m, n = spec.m, spec.n
+    mats = _augmented_with_scales(spec, scales, orders)
+    r = np.matmul(mats, hhat[:, :, None])[:, :, 0]
+    resid = np.sqrt(np.matmul(r[:, None, :], r[:, :, None])[:, 0, 0])
+    hnorm = np.sqrt(np.matmul(hhat[:, None, :], hhat[:, :, None])[:, 0, 0])
+    s = np.linalg.svd(mats, compute_uv=False)
+    relative = resid / (s[:, 0] * hnorm)
+    bound = LIFT_RESIDUAL_FACTOR * (n + m + 2) * np.finfo(float).eps
+    ranks = numerical_rank(s).tolist()
+    for step, res, rel, rank, sv in zip(steps, resid.tolist(), relative.tolist(), ranks, s):
+        step["explicit_residual"] = res
+        step["explicit_relative_residual"] = rel
+        step["explicit_residual_ok"] = rel <= bound
+        # A_t has full row rank 2m+2 at any positive scales (distinct nodes in
+        # the power rows, the identity block beside the scaled ones); a lower
+        # policy rank means the scaled rows pushed its O(1) singular values
+        # below RANK_TOL times the largest, and p_star would describe a
+        # truncated matrix
+        if rank == 2 * m + 2:
+            step["p_star_t"] = spectrum_from_singular_values(sv).p_star
+            step["chain_applicable"] = p < step["p_star_t"]
+        else:
+            step["p_star_t_skipped"] = (
+                f"rank policy kept {rank} of the {2 * m + 2} singular"
+                " values of the explicit matrix"
+            )
 
 
 def verify_theorem2(
@@ -690,7 +773,7 @@ def verify_theorem2(
 ) -> Theorem2Report:
     """T2 harness for n >= 2m+2.
 
-    Per kernel vector h and step t it rebuilds the augmentation whose scaled
+    Per kernel vector h and step t it takes the augmentation whose scaled
     rows follow the sorted |l_i| order, forms the lifted kernel vector
     hhat(t) from the identity rows, and checks, in the p-power domain:
 
@@ -700,26 +783,18 @@ def verify_theorem2(
       * the claim itself   ||x*||_p^p < ||x*+h||_p^p
 
     |hhat_1|^p = |xcheck_{n+1}|^p = (m+1)/t^p in closed form, so nothing here
-    overflows even when x_t itself does; the explicit-matrix residual is
-    checked whenever the scales are representable, and p_star(A_t) whenever
-    the rank policy also keeps all 2m+2 singular values of A_t.  The
-    instance-level limit |p_star(A_t) -> p_star(A_0)| uses x_t = y_t = 1/t.
+    overflows even when x_t itself does.  Whenever the scales are
+    representable (up to MAX_EXPLICIT_SCALE) the step is also checked on the
+    explicit matrix A_t: its residual ||A_t hhat||, and that residual relative
+    to ||A_t|| ||hhat|| against the rounding bound LIFT_RESIDUAL_FACTOR;
+    p_star(A_t) is recorded when the rank policy also keeps all 2m+2
+    singular values of A_t.  These explicit steps are collected over all
+    samples and evaluated numerics.BLOCK at a time, each block with one
+    stacked product and one stacked SVD.  The instance-level limit
+    |p_star(A_t) -> p_star(A_0)| uses x_t = y_t = 1/t.
     """
-    spec.require_distinct_abs()
+    x, k, A, level = _deep_regime_hypothesis(spec, x_star, wide=True, budget=budget)
     m, n = spec.m, spec.n
-    if n < 2 * m + 2:
-        raise ValueError(f"T2 needs n >= 2m+2 = {2 * m + 2}, got n={n}")
-    x = np.asarray(x_star, dtype=float)
-    if x.shape != (n,):
-        raise ValueError(f"x_star must have shape ({n},)")
-    k = int(np.sum(x != 0.0))
-    if not (m + 1) / 2 <= k <= m:
-        raise ValueError(f"need (m+1)/2 <= ||x*||_0 <= m, got {k}")
-
-    A = build_vandermonde(spec)
-    prob = SparseProblem(matrix=A, b=A.entries @ x)
-    level = solve_l0(prob, budget=budget).level
-    hypothesis_ok = level == k
 
     A0 = build_augmented_0(spec)
     p_star0 = gram_spectrum(A0).p_star
@@ -734,30 +809,44 @@ def verify_theorem2(
     limit_monotone = _strictly_decreasing(gaps)
     final_gap_ratio = gaps[-1] / p_star0
 
-    B = b_vectors(spec)
     count = max(1, math.ceil(trials / len(DEFAULT_SCALES)))
     samples = sample_null(A, count=count, seed=derive_seed(seed, "thm2-null"), budget=budget)
 
     base_power = lp_power_sum(x, p)
-    t_arr = np.asarray(t_schedule, dtype=float)
     H = np.array([sample.vector for sample in samples])
     margins = lp_margin(x, H, p)
     shifted_powers = lp_power_sum(x + H, p)
+    # l_i = <B_i, h>, each sample through the BLAS gemv of B @ h, sorted by
+    # decreasing |l_i| (ties to the lower i)
+    L = np.matmul(b_vectors(spec), H[:, :, None])[:, :, 0]
+    orders = np.lexsort((np.broadcast_to(np.arange(m + 2), L.shape), -np.abs(L)), axis=-1)
+    L = np.take_along_axis(L, orders, axis=-1)
+    kept = np.abs(L[:, 1]) > POWER_FLOOR
+    # hhat_2 .. hhat_{m+2} as a (kept samples, t, m+1) block, and every row's
+    # power sum from one call, each bit-identical to the call on that row
+    t_arr = np.asarray(t_schedule, dtype=float)
+    tails = -(L[kept, 1:] / np.abs(L[kept, 1:2]))[:, None, :] / t_arr[None, :, None]
+    tail_bounds = np.all(
+        np.abs(tails[:, :, 1:]) <= ((1.0 / t_arr) * (1.0 + 1e-12))[None, :, None], axis=-1
+    )
+    tail_rows = iter(zip(lp_power_sum(tails, p), tail_bounds.tolist()))
+    head_powers = [(m + 1) / t**p for t in t_schedule]
+
     margin_min = math.inf
     violations: list[dict] = []
     records: list[dict] = []
     degenerate = 0
+    # every step of the kept samples, sample-major, and its x_t, y_t
+    flat_steps: list[dict] = []
+    flat_scales: list[float] = []
     for idx, sample in enumerate(samples):
-        h = sample.vector
-        l = B @ h
-        order = np.lexsort((np.arange(m + 2), -np.abs(l)))
-        labs = np.abs(l[order])
-        if labs[1] <= POWER_FLOOR:
+        if not kept[idx]:
             degenerate += 1
             records.append(
                 {"index": idx, "kind": sample.kind, "scale": sample.scale, "degenerate": True}
             )
             continue
+        l1_abs, l2_abs = abs(float(L[idx, 0])), abs(float(L[idx, 1]))
         final_margin = margins[idx]
         margin_min = min(margin_min, final_margin)
         if final_margin <= 0.0:
@@ -768,72 +857,68 @@ def verify_theorem2(
                     "scale": sample.scale,
                     "p": p,
                     "margin": final_margin,
-                    "h": [float(v) for v in h],
+                    "h": [float(v) for v in sample.vector],
                 }
             )
         shifted_power = shifted_powers[idx]
-        # hhat_2 .. hhat_{m+2}, one row per t; each row's power sum is
-        # bit-identical to the call on that row alone
-        tails = -(l[order[1:]] / labs[1])[None, :] / t_arr[:, None]
-        tail_powers = lp_power_sum(tails, p)
         steps = []
-        for t, tail, tail_power in zip(t_schedule, tails, tail_powers):
-            x_t, y_t = theorem2_sequences(m, float(labs[0]), float(labs[1]), p, t)
-            head_power = (m + 1) / t**p
-            dominance_ok = head_power >= tail_power * (1.0 - 1e-12)
-            tail_bound_ok = bool(np.all(np.abs(tail[1:]) <= (1.0 / t) * (1.0 + 1e-12)))
-            chain_margin = (shifted_power + tail_power) - (base_power + head_power)
-            step: dict = {
-                "t": t,
-                "log10_x_t": (math.log10(m + 1) / p - math.log10(labs[0]) - math.log10(t)),
-                "dominance_ok": dominance_ok,
-                "tail_bound_ok": tail_bound_ok,
-                "chain_margin": chain_margin,
-                "lifted_l0": k + 1,
-            }
-            if x_t <= MAX_EXPLICIT_SCALE and y_t <= MAX_EXPLICIT_SCALE:
-                scales = np.concatenate([[x_t], np.full(m + 1, y_t)])
-                At_ord = _augmented_with_scales(spec, scales, order=order)
-                hhat1 = -x_t * l[order[0]]
-                hhat = np.concatenate([h, [hhat1], tail])
-                resid = float(np.linalg.norm(At_ord.entries @ hhat))
-                step["explicit_residual"] = resid
-                # A_t has full row rank 2m+2 at any positive scales (distinct
-                # nodes in the power rows, the identity block beside the
-                # scaled ones); a lower policy rank means the scaled rows
-                # pushed its O(1) singular values below RANK_TOL times the
-                # largest, and p_star would describe a truncated matrix
-                spectrum = gram_spectrum(At_ord)
-                if spectrum.rank == 2 * m + 2:
-                    step["p_star_t"] = spectrum.p_star
-                    step["chain_applicable"] = p < spectrum.p_star
-                else:
-                    step["p_star_t_skipped"] = (
-                        f"rank policy kept {spectrum.rank} of the {2 * m + 2} singular"
-                        " values of the explicit matrix"
-                    )
-            else:
-                step["explicit_skipped"] = (
-                    f"row scale above MAX_EXPLICIT_SCALE = {MAX_EXPLICIT_SCALE:g}"
-                )
-            steps.append(step)
+        sample_tail_powers, sample_tail_bounds = next(tail_rows)
+        for t, head_power, tail_power, tail_bound_ok in zip(
+            t_schedule, head_powers, sample_tail_powers, sample_tail_bounds
+        ):
+            x_t, y_t, log_x = theorem2_sequences(m, l1_abs, l2_abs, p, t)
+            steps.append(
+                {
+                    "t": t,
+                    "log10_x_t": log_x / LN10,
+                    "dominance_ok": head_power >= tail_power * (1.0 - 1e-12),
+                    "tail_bound_ok": tail_bound_ok,
+                    "chain_margin": (shifted_power + tail_power) - (base_power + head_power),
+                    "lifted_l0": k + 1,
+                }
+            )
+            flat_scales += (x_t, y_t)
+        flat_steps += steps
         records.append(
             {
                 "index": idx,
                 "kind": sample.kind,
                 "scale": sample.scale,
-                "l1_abs": float(labs[0]),
-                "l2_abs": float(labs[1]),
+                "l1_abs": l1_abs,
+                "l2_abs": l2_abs,
                 "final_margin": final_margin,
                 "steps": steps,
             }
         )
+
+    xy = np.array(flat_scales).reshape(-1, 2)
+    explicit = np.all(xy <= MAX_EXPLICIT_SCALE, axis=1)
+    for i in np.flatnonzero(~explicit).tolist():
+        flat_steps[i]["explicit_skipped"] = (
+            f"row scale above MAX_EXPLICIT_SCALE = {MAX_EXPLICIT_SCALE:g}"
+        )
+    # the explicit steps, BLOCK at a time: step i is step t_i of kept sample j
+    rows = np.flatnonzero(explicit)
+    kept_idx = np.flatnonzero(kept)
+    for first in range(0, len(rows), BLOCK):
+        block = rows[first : first + BLOCK]
+        j, t_i = np.divmod(block, len(t_schedule))
+        idx = kept_idx[j]
+        x_t = xy[block, 0]
+        scales = np.empty((len(block), m + 2))
+        scales[:, 0] = x_t
+        scales[:, 1:] = xy[block, 1:]
+        # hhat = (h, -x_t l_(1), hhat_2 .. hhat_{m+2})
+        hhat = np.concatenate([H[idx], (-x_t * L[idx, 0])[:, None], tails[j, t_i]], axis=1)
+        steps = [flat_steps[i] for i in block.tolist()]
+        _explicit_steps(spec, p, scales, orders[idx], hhat, steps)
+
     return Theorem2Report(
         m=m,
         n=n,
         k=k,
         level=level,
-        hypothesis_ok=hypothesis_ok,
+        hypothesis_ok=level == k,
         p_star0=p_star0,
         p_check=p,
         limit_gaps=tuple(gaps),
@@ -864,21 +949,8 @@ def verify_theorem3(
     lie in the kernel of A(m,2m+2,lam*), and padded kernel vectors of the
     extended Vandermonde lie in the kernel of its block augmentation A_0.
     """
-    spec.require_distinct_abs()
+    x, k, A, level = _deep_regime_hypothesis(spec, x_star, wide=False, budget=budget)
     m, n = spec.m, spec.n
-    if not m < n < 2 * m + 2:
-        raise ValueError(f"T3 needs m < n < 2m+2, got m={m}, n={n}")
-    x = np.asarray(x_star, dtype=float)
-    if x.shape != (n,):
-        raise ValueError(f"x_star must have shape ({n},)")
-    k = int(np.sum(x != 0.0))
-    if not (m + 1) / 2 <= k <= m:
-        raise ValueError(f"need (m+1)/2 <= ||x*||_0 <= m, got {k}")
-
-    A = build_vandermonde(spec)
-    prob = SparseProblem(matrix=A, b=A.entries @ x)
-    level = solve_l0(prob, budget=budget).level
-    hypothesis_ok = level == k
 
     ext = extend_lambda(spec, derive_seed(seed, "thm3-extend"))
     A_ext = build_vandermonde(ext)
@@ -933,7 +1005,7 @@ def verify_theorem3(
         extended_n=ext.n,
         k=k,
         level=level,
-        hypothesis_ok=hypothesis_ok,
+        hypothesis_ok=level == k,
         p_star0=p_star0,
         p_check=p,
         worst_embed_residual=worst_embed,

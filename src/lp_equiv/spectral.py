@@ -93,14 +93,20 @@ def gram_spectrum(A: DenseMatrix) -> SpectralSummary:
     """Gram extremes from one SVD of A, under the rank policy.
 
     The nonzero Gram eigenvalues are the squares of A's nonzero singular
-    values (numerics.numerical_rank): lambda_max = s_0^2, lambda_min_plus =
-    s_{r-1}^2 and rank = r.  Squaring singular values keeps lambda_min_plus
-    accurate to about eps * cond(A) relative; an eigensolve of A^T A carries
-    an absolute error near eps * lambda_max, a relative error near
-    eps * cond(A)^2 in lambda_min_plus (2e-6 at cond(A) = 1e5, 4e-3 at the
-    4e6 that node matrices reach at m = 8).
+    values (see spectrum_from_singular_values).  Squaring singular values
+    keeps lambda_min_plus accurate to about eps * cond(A) relative; an
+    eigensolve of A^T A carries an absolute error near eps * lambda_max, a
+    relative error near eps * cond(A)^2 in lambda_min_plus (2e-6 at
+    cond(A) = 1e5, 4e-3 at the 4e6 that node matrices reach at m = 8).
     """
-    s = np.linalg.svd(A.entries, compute_uv=False)
+    return spectrum_from_singular_values(np.linalg.svd(A.entries, compute_uv=False))
+
+
+def spectrum_from_singular_values(s) -> SpectralSummary:
+    """The Gram summary of one matrix from its singular values s, descending
+    as numpy's svd returns them (one row of a stacked SVD serves as well):
+    rank = r = numerics.numerical_rank(s), lambda_max = s_0^2 and
+    lambda_min_plus = s_{r-1}^2."""
     rank = numerical_rank(s)
     if rank == 0:
         raise ValueError("all-zero matrix has no nonzero Gram eigenvalue")

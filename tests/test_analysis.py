@@ -5,7 +5,6 @@ import pytest
 
 from lp_equiv import analysis
 from lp_equiv.analysis import (
-    AUDIT_BLOCK,
     SEQ_K_MAX,
     SEQ_T_MAX,
     audit_theorem1_chain,
@@ -21,6 +20,7 @@ from lp_equiv.analysis import (
     theorem1_coefficient,
 )
 from lp_equiv.matgen import VandermondeSpec, build_vandermonde, sample_instance
+from lp_equiv.numerics import BLOCK
 from lp_equiv.solvers import null_space_basis, plant_with_level
 from lp_equiv.spectral import gram_spectrum, p_star_from_extremes
 from lp_equiv.suite import json_safe
@@ -128,12 +128,12 @@ def drawn_sequences(seed, trials):
     """The L2 audit's trials, drawn block by block as the audit draws them."""
     rng = np.random.default_rng(seed)
     return [
-        analysis._draw_sequences(rng, first, min(AUDIT_BLOCK, trials - first))
-        for first in range(0, trials, AUDIT_BLOCK)
+        analysis._draw_sequences(rng, first, min(BLOCK, trials - first))
+        for first in range(0, trials, BLOCK)
     ]
 
 
-@pytest.mark.parametrize("trials", [1, 37, AUDIT_BLOCK + 5])
+@pytest.mark.parametrize("trials", [1, 37, BLOCK + 5])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_lemma2_blocks_match_the_scalar_formula(seed, trials):
     lhs_all, rhs_all, rel_all, cases = [], [], [], []
@@ -243,7 +243,7 @@ def scalar_cross_ratio(M, x1, x2):
     return abs(float((M @ x1) @ (M @ x2))) / float(np.linalg.norm(x1) * np.linalg.norm(x2))
 
 
-@pytest.mark.parametrize("trials", [1, 37, AUDIT_BLOCK + 5])
+@pytest.mark.parametrize("trials", [1, 37, BLOCK + 5])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_cross_term_blocks_match_the_scalar_formula(seed, trials):
     A = build_vandermonde(sample_instance(4, 10, seed=seed))
@@ -251,8 +251,8 @@ def test_cross_term_blocks_match_the_scalar_formula(seed, trials):
     rep = cross_term_check(A, trials=trials, seed=seed)
     rng = np.random.default_rng(seed)
     ratios, examples = [], []
-    for first in range(0, trials, AUDIT_BLOCK):
-        size = min(AUDIT_BLOCK, trials - first)
+    for first in range(0, trials, BLOCK):
+        size = min(BLOCK, trials - first)
         sup1, sup2, g = analysis._draw_pairs(rng, A.cols, rep.max_support, size)
         x1, x2 = np.where(sup1, g, 0.0), np.where(sup2, g, 0.0)
         got = analysis._cross_ratios(M, x1, x2)

@@ -1,8 +1,9 @@
 """Property checks: block evaluations are bit-identical to one item at a time.
 
-The references below are the per-sample margin, the per-p call and the
-per-support solve loop that the block kernels replaced; every comparison is
-exact (==).
+The references below are the per-sample margin, the per-p call, the
+per-support solve loop and the per-step T2 loop that the block kernels
+replaced; every comparison is exact (==), except log10_x_t, which the T2
+harness now derives from log x_t (see test_t2_steps_equal_per_step_loop).
 """
 
 import math
@@ -15,23 +16,41 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
-from lp_equiv.matgen import DenseMatrix  # noqa: E402
+from lp_equiv.matgen import (  # noqa: E402
+    DenseMatrix,
+    b_vectors,
+    build_augmented_0,
+    build_vandermonde,
+    power_rows,
+    sample_instance,
+)
 from lp_equiv.numerics import (  # noqa: E402
+    BLOCK,
+    POWER_FLOOR,
     RANK_TOL,
     abs_pow,
+    derive_seed,
     iter_subset_chunks,
     lp_margin,
     lp_power_sum,
     numerical_rank,
 )
 from lp_equiv.solvers import (  # noqa: E402
+    DEFAULT_SCALES,
+    DEFAULT_T_SCHEDULE,
+    LIFT_RESIDUAL_FACTOR,
+    MAX_EXPLICIT_SCALE,
     RESIDUAL_TOL,
     ZERO_COEFF,
     SparseProblem,
     SparseSolution,
     enumerate_basic_solutions,
+    plant_with_level,
+    sample_null,
     solve_l0,
+    verify_theorem2,
 )
+from lp_equiv.spectral import gram_spectrum  # noqa: E402
 
 ENTRIES = st.one_of(
     st.floats(-1e6, 1e6, allow_nan=False),
@@ -132,3 +151,130 @@ def test_block_support_scans_equal_per_support_loop(data):
     l0 = solve_l0(prob)
     assert (l0.level, l0.solutions) == (level, tuple(by_size[level]))
     assert enumerate_basic_solutions(prob) == basics
+
+
+def _reference_t2_step(spec, p, h, l, order, t, tail, step):
+    """The explicit-matrix keys of one T2 step from its own A_t, one SVD."""
+    m, n = spec.m, spec.n
+    labs = np.abs(l[order])
+    log_x = math.log(m + 1) / p - math.log(labs[0]) - math.log(t)
+    x_t = math.exp(log_x) if log_x < 709.0 else math.inf
+    y_t = 1.0 / (labs[1] * t)
+    if not (x_t <= MAX_EXPLICIT_SCALE and y_t <= MAX_EXPLICIT_SCALE):
+        step["explicit_skipped"] = f"row scale above MAX_EXPLICIT_SCALE = {MAX_EXPLICIT_SCALE:g}"
+        return
+    scales = np.concatenate([[x_t], np.full(m + 1, y_t)])
+    At = np.zeros((2 * m + 2, n + m + 2))
+    At[:m, :n] = power_rows(spec.lam, np.arange(m))
+    At[m:, :n] = scales[:, None] * b_vectors(spec)[order]
+    At[m:, n:] = np.eye(m + 2)
+    hhat = np.concatenate([h, [-x_t * l[order[0]]], tail])
+    resid = float(np.linalg.norm(At @ hhat))
+    rel = resid / float(np.linalg.svd(At, compute_uv=False)[0] * np.linalg.norm(hhat))
+    step["explicit_residual"] = resid
+    step["explicit_relative_residual"] = rel
+    step["explicit_residual_ok"] = rel <= LIFT_RESIDUAL_FACTOR * (n + m + 2) * np.finfo(float).eps
+    spectrum = gram_spectrum(DenseMatrix(At))
+    if spectrum.rank == 2 * m + 2:
+        step["p_star_t"] = spectrum.p_star
+        step["chain_applicable"] = p < spectrum.p_star
+    else:
+        step["p_star_t_skipped"] = (
+            f"rank policy kept {spectrum.rank} of the {2 * m + 2} singular"
+            " values of the explicit matrix"
+        )
+
+
+def _reference_t2_records(spec, x, p, t_schedule, samples):
+    """verify_theorem2's records, one sample and one step at a time, with
+    log10_x_t as the sum of base-10 logarithms."""
+    m = spec.m
+    B = b_vectors(spec)
+    base_power = lp_power_sum(x, p)
+    t_arr = np.asarray(t_schedule, dtype=float)
+    records = []
+    for idx, sample in enumerate(samples):
+        h = sample.vector
+        l = B @ h
+        order = np.lexsort((np.arange(m + 2), -np.abs(l)))
+        labs = np.abs(l[order])
+        if labs[1] <= POWER_FLOOR:
+            records.append(
+                {"index": idx, "kind": sample.kind, "scale": sample.scale, "degenerate": True}
+            )
+            continue
+        shifted_power = lp_power_sum(x + h, p)
+        tails = -(l[order[1:]] / labs[1])[None, :] / t_arr[:, None]
+        steps = []
+        for t, tail, tail_power in zip(t_schedule, tails, lp_power_sum(tails, p)):
+            head_power = (m + 1) / t**p
+            step = {
+                "t": t,
+                "log10_x_t": math.log10(m + 1) / p - math.log10(labs[0]) - math.log10(t),
+                "dominance_ok": head_power >= tail_power * (1.0 - 1e-12),
+                "tail_bound_ok": bool(np.all(np.abs(tail[1:]) <= (1.0 / t) * (1.0 + 1e-12))),
+                "chain_margin": (shifted_power + tail_power) - (base_power + head_power),
+                "lifted_l0": int(np.sum(x != 0.0)) + 1,
+            }
+            _reference_t2_step(spec, p, h, l, order, t, tail, step)
+            steps.append(step)
+        records.append(
+            {
+                "index": idx,
+                "kind": sample.kind,
+                "scale": sample.scale,
+                "l1_abs": float(labs[0]),
+                "l2_abs": float(labs[1]),
+                "final_margin": lp_margin(x, h, p),
+                "steps": steps,
+            }
+        )
+    return records
+
+
+# log10_x_t was log10(m+1)/p - log10|l_(1)| - log10 t and is now log x_t / ln 10:
+# each side rounds three logarithms, a quotient and two differences (the new one
+# also ln 10 and one more quotient), each within half an ulp of the largest of
+# the three terms, so the two differ by a few of its ulps (4 at most measured)
+LOG10_ULPS = 8
+
+
+@pytest.mark.parametrize(
+    "m,n,seed,p_frac,t_schedule,trials",
+    [
+        *[(m, 2 * m + 2 + seed, seed, frac, DEFAULT_T_SCHEDULE, 21)
+          for m in range(1, 5) for seed in (0, 1) for frac in (None, 0.9)],
+        (2, 7, 3, None, (2.0, 30.0, 500.0), 21),
+        (1, 4, 2, None, DEFAULT_T_SCHEDULE, BLOCK // len(DEFAULT_T_SCHEDULE) + 30),
+    ],
+)
+def test_t2_steps_equal_per_step_loop(m, n, seed, p_frac, t_schedule, trials):
+    spec = sample_instance(m, n, seed=seed)
+    planted, _ = plant_with_level(build_vandermonde(spec), m, seed=derive_seed(seed, "plant"))
+    p_star0 = gram_spectrum(build_augmented_0(spec)).p_star
+    p_check = None if p_frac is None else p_frac * p_star0
+    rep = verify_theorem2(
+        spec, planted.x_star, p_check=p_check, t_schedule=t_schedule, trials=trials, seed=seed
+    )
+    count = max(1, math.ceil(trials / len(DEFAULT_SCALES)))
+    samples = sample_null(build_vandermonde(spec), count, seed=derive_seed(seed, "thm2-null"))
+    reference = _reference_t2_records(spec, planted.x_star, rep.p_check, t_schedule, samples)
+
+    def pop_log10(records):
+        return [
+            (step.pop("log10_x_t"), record["l1_abs"], step["t"])
+            for record in records
+            for step in record.get("steps", ())
+        ]
+
+    got = list(rep.records)
+    got_logs, ref_logs = pop_log10(got), pop_log10(reference)
+    assert got == reference
+    for (new, l1_abs, t), (old, _, _) in zip(got_logs, ref_logs, strict=True):
+        largest = max(abs(math.log10(m + 1) / rep.p_check), abs(math.log10(l1_abs)), math.log10(t))
+        assert abs(new - old) <= LOG10_ULPS * np.spacing(largest)
+    explicit = sum("explicit_residual" in s for r in got for s in r.get("steps", ()))
+    if m <= 2:
+        assert explicit > 0
+    if len(samples) * len(t_schedule) > BLOCK:
+        assert explicit > BLOCK

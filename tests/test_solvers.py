@@ -9,9 +9,10 @@ import pytest
 from lp_equiv import solvers
 from lp_equiv.matgen import (
     MAX_M,
+    AugmentedSpec,
     DenseMatrix,
     VandermondeSpec,
-    _augmented_with_scales,
+    build_augmented_t,
     build_vandermonde,
     sample_instance,
 )
@@ -286,15 +287,17 @@ def test_verify_theorem1_rejects_deep_k():
 
 
 def test_theorem2_sequences_worked_example():
-    x_t, y_t = theorem2_sequences(1, 1.0, 1.0, 1.0, 2.0)
+    x_t, y_t, log_x = theorem2_sequences(1, 1.0, 1.0, 1.0, 2.0)
     assert x_t == 1.0
     assert y_t == 0.5
+    assert log_x == 0.0
 
 
 def test_theorem2_sequences_overflow_to_inf():
-    x_t, y_t = theorem2_sequences(3, 1.0, 1.0, 1e-4, 10.0)
+    x_t, y_t, log_x = theorem2_sequences(3, 1.0, 1.0, 1e-4, 10.0)
     assert math.isinf(x_t)  # (m+1)^(1/p) leaves float64 range
     assert y_t == pytest.approx(0.1)
+    assert log_x == pytest.approx(1e4 * math.log(4.0) - math.log(10.0))
 
 
 def test_theorem2_sequences_validation():
@@ -576,13 +579,15 @@ def test_verify_theorem1_counterexamples_equal_per_p_reference(monkeypatch):
 
 def _explicit_t2_matrices(monkeypatch, m, seed):
     """verify_theorem2's report on a planted (m, 2m+2) instance at level m,
-    plus every explicit augmentation A_t it ranked (one per kept step)."""
+    plus every explicit augmentation A_t it ranked (one per kept step), in
+    step order, taken apart from the stacked blocks."""
     built = []
     assemble = solvers._augmented_with_scales
 
-    def keep(spec, scales, order=None):
-        built.append(assemble(spec, scales, order=order))
-        return built[-1]
+    def keep(spec, scales, orders):
+        block = assemble(spec, scales, orders)
+        built.extend(DenseMatrix(entries=entries) for entries in block)
+        return block
 
     monkeypatch.setattr(solvers, "_augmented_with_scales", keep)
     spec = sample_instance(m, 2 * m + 2, seed=seed)
@@ -627,6 +632,7 @@ def test_explicit_t2_steps_record_p_star_only_at_full_rank(monkeypatch, m, seed)
             assert cap in step["explicit_skipped"]
     for step, At in zip(explicit, built):
         assert math.isfinite(step["explicit_residual"])
+        assert step["explicit_residual_ok"]
         policy_rank = gram_spectrum(At).rank
         with mpmath.workdps(300):
             s = _exact_singular_values(At.entries, mpmath)
@@ -646,6 +652,36 @@ def test_explicit_t2_steps_record_p_star_only_at_full_rank(monkeypatch, m, seed)
     assert all(("p_star_t" in step) == (m == 1) for step in explicit)
 
 
+@pytest.mark.parametrize("seed", [0, 3])
+def test_explicit_residual_check_catches_a_flipped_lift(monkeypatch, seed):
+    # a correct lift stays within LIFT_RESIDUAL_FACTOR (n+m+2) eps of
+    # ||A_t|| ||hhat||; flipping hhat_1's sign leaves 2 x_t |<B_(1), h>| in
+    # row m+1, which at m = 1 (x_t up to 1e4) is far above that bound
+    spec = sample_instance(1, 4, seed=seed)
+    planted, _ = plant_with_level(build_vandermonde(spec), 1, seed=derive_seed(seed, "plant"))
+
+    def explicit_steps():
+        rep = verify_theorem2(spec, planted.x_star, trials=6, seed=derive_seed(seed, "t2"))
+        return [s for r in rep.records for s in r.get("steps", ()) if "explicit_residual" in s]
+
+    correct = explicit_steps()
+    bound = solvers.LIFT_RESIDUAL_FACTOR * (spec.n + spec.m + 2) * np.finfo(float).eps
+    assert correct and all(s["explicit_residual_ok"] for s in correct)
+    assert all(s["explicit_relative_residual"] <= bound for s in correct)
+    fill = solvers._explicit_steps
+
+    def flipped_lift(spec, p, scales, orders, hhat, steps):
+        hhat = hhat.copy()
+        hhat[:, spec.n] *= -1.0
+        fill(spec, p, scales, orders, hhat, steps)
+
+    monkeypatch.setattr(solvers, "_explicit_steps", flipped_lift)
+    flipped = explicit_steps()
+    assert len(flipped) == len(correct)
+    assert not any(s["explicit_residual_ok"] for s in flipped)
+    assert all(s["explicit_relative_residual"] > 1e6 * bound for s in flipped)
+
+
 @pytest.mark.parametrize("m", range(1, MAX_M + 1))
 def test_full_policy_rank_gives_the_exact_p_star(m):
     # why p_star_t is gated on the rank and not on a scale cap: the scale at
@@ -657,9 +693,7 @@ def test_full_policy_rank_gives_the_exact_p_star(m):
     spec = sample_instance(m, 2 * m + 2, seed=0)
     full, truncated = [], []
     for k in range(13):
-        scales = np.full(m + 2, 10.0**k)
-        scales[0] *= 3.0
-        At = _augmented_with_scales(spec, scales)
+        At = build_augmented_t(AugmentedSpec(base=spec, x_t=3.0 * 10.0**k, y_t=10.0**k))
         summary = gram_spectrum(At)
         with mpmath.workdps(60):
             s = _exact_singular_values(At.entries, mpmath)
