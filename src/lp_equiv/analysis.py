@@ -40,7 +40,7 @@ import numpy as np
 from .matgen import DenseMatrix
 from .numerics import BLOCK, compensated_sum, lp_margin, lp_power_sum
 from .spark import compute_spark
-from .spectral import SQRT2, gram_spectrum, lemma1_constants
+from .spectral import SQRT2, Lemma1Report, gram_spectrum, lemma1_constants
 from .solvers import support_partition
 
 # The L2 audit draws k from 1..SEQ_K_MAX and t from 1..SEQ_T_MAX, so a
@@ -330,17 +330,18 @@ def cross_term_check(
     A: DenseMatrix,
     trials: int = 1000,
     seed: int = 0,
-    spark: int | None = None,
+    lemma1: Lemma1Report | None = None,
     budget: int | None = None,
 ) -> CrossTermReport:
     """Sample disjointly supported sparse pairs and compare |<Ax1, Ax2>| with
     both candidate constants; neither is asserted.
 
+    lemma1, when given, is A's lemma1_constants report; its spark and its
+    u^2, w^2 are used instead of certifying and scanning A again.
     The pairs are drawn and evaluated BLOCK at a time (see _draw_pairs).
     worst_example is the first pair with the largest ratio: its supports in
     ascending order, the coefficients x1, x2 on them, and the ratio."""
-    if spark is None:
-        spark = compute_spark(A, budget=budget).spark
+    spark = compute_spark(A, budget=budget).spark if lemma1 is None else lemma1.spark
     summary = gram_spectrum(A)
     paper_bound = (summary.lambda_max - summary.lambda_min_plus) / 2.0
     max_support = (spark - 1) // 2
@@ -357,7 +358,8 @@ def cross_term_check(
             degenerate=True,
             worst_example={},
         )
-    lemma1 = lemma1_constants(A, spark=spark, budget=budget)
+    if lemma1 is None:
+        lemma1 = lemma1_constants(A, spark=spark, budget=budget)
     empirical_bound = (lemma1.w_sq - lemma1.u_sq) / 2.0
 
     rng = np.random.default_rng(seed)

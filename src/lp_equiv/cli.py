@@ -46,6 +46,7 @@ from .matgen import (
 )
 from .numerics import BudgetExceededError, SamplingError, derive_seed
 from .solvers import (
+    DEFAULT_T_SCHEDULE,
     SparseProblem,
     plant_with_level,
     sample_null,
@@ -200,36 +201,22 @@ def _cmd_verify_thm1(args) -> int:
     return 0
 
 
-def _cmd_verify_thm2(args) -> int:
+def _cmd_verify_deep(args) -> int:
+    """verify-thm2 and verify-thm3: plant x* at level k (default m) and run
+    the subcommand's harness; only verify-thm2 takes a t schedule."""
     spec = _load_spec(args.spec)
     k = args.k if args.k is not None else spec.m
     A = build_vandermonde(spec)
     planted, _ = plant_with_level(A, k, seed=derive_seed(args.seed, "plant"), budget=args.budget)
-    report = verify_theorem2(
-        spec,
-        planted.x_star,
-        p_check=args.p,
-        t_schedule=args.t_schedule,
-        trials=args.trials,
-        seed=args.seed,
-        budget=args.budget,
-    )
-    _emit(report, args.out)
-    return 0
-
-
-def _cmd_verify_thm3(args) -> int:
-    spec = _load_spec(args.spec)
-    k = args.k if args.k is not None else spec.m
-    A = build_vandermonde(spec)
-    planted, _ = plant_with_level(A, k, seed=derive_seed(args.seed, "plant"), budget=args.budget)
-    report = verify_theorem3(
+    options = {"t_schedule": args.t_schedule} if "t_schedule" in args else {}
+    report = args.harness(
         spec,
         planted.x_star,
         p_check=args.p,
         trials=args.trials,
         seed=args.seed,
         budget=args.budget,
+        **options,
     )
     _emit(report, args.out)
     return 0
@@ -332,10 +319,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True, help="JSON file with {m, lambda}")
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--p", type=float, default=None)
-    p.add_argument("--t-schedule", type=_float_list, default=(10.0, 100.0, 1000.0, 10000.0))
+    p.add_argument("--t-schedule", type=_float_list, default=DEFAULT_T_SCHEDULE)
     p.add_argument("--trials", type=int, default=21)
     _add_common(p)
-    p.set_defaults(func=_cmd_verify_thm2)
+    p.set_defaults(func=_cmd_verify_deep, harness=verify_theorem2)
 
     p = sub.add_parser("verify-thm3", help="node-extension embedding, narrow instances")
     p.add_argument("--spec", required=True, help="JSON file with {m, lambda}")
@@ -343,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float, default=None)
     p.add_argument("--trials", type=int, default=21)
     _add_common(p)
-    p.set_defaults(func=_cmd_verify_thm3)
+    p.set_defaults(func=_cmd_verify_deep, harness=verify_theorem3)
 
     p = sub.add_parser("suite", help="run every check and write artifacts")
     p.add_argument("--config", default=None, help="key = value config file")

@@ -25,10 +25,10 @@ POWER_FLOOR = 1e-300
 # in matgen and tests/test_calibration.py).
 RANK_TOL = 1e-11
 
-# The package's one block size: subset scans, randomized audit trials and the
-# explicit T2 augmentations are evaluated at most BLOCK at a time, so their
-# working memory scales with the block and the matrix size, not with the
-# enumeration or trial count.
+# The package's one block size: subset scans, randomized audit trials, the
+# explicit T2 augmentations and the rows of exact sums are evaluated at most
+# BLOCK at a time, so their working memory scales with the block and the
+# matrix size, not with the enumeration or trial count.
 BLOCK = 4096
 
 DEFAULT_SUBSET_BUDGET = 1_000_000
@@ -124,13 +124,18 @@ def abs_pow(values, p) -> np.ndarray:
 
 def _row_fsums(d: np.ndarray):
     """Exactly-rounded sum over the last axis: a float for 1-D input, else
-    nested lists of floats shaped like the leading axes, from one tolist.
-    math.fsum is exact, so a row's sum does not depend on the rest of the
-    block or on zero entries padded onto it."""
+    nested lists of floats shaped like the leading axes.  The rows go through
+    tolist BLOCK at a time, so the Python floats held at once stay bounded by
+    the block.  math.fsum is exact, so a row's sum does not depend on the rest
+    of the block or on zero entries padded onto it."""
     if d.ndim <= 1:
         return compensated_sum(d)
     rows = d.reshape(math.prod(d.shape[:-1]), d.shape[-1])
-    sums = [math.fsum(row) for row in rows.tolist()]
+    sums = [
+        math.fsum(row)
+        for first in range(0, len(rows), BLOCK)
+        for row in rows[first : first + BLOCK].tolist()
+    ]
     # regroup the flat row sums by the leading axes, innermost first
     for axis in range(d.ndim - 2, 0, -1):
         size = d.shape[axis]

@@ -19,8 +19,11 @@ The claims under test, in this repository's own numbering:
 
 Everything is verified by enumeration and sampling: l0 by exhaustive support
 search, lp by exhaustive basic-solution search, the inequalities by margins
-over sampled kernel vectors.  Harness outcomes are *reports*; the only hard
-assertions are implementation contracts (feasibility, rank logic, budgets).
+over sampled kernel vectors.  All three harnesses evaluate the sampled claim
+||x*||_p^p < ||x*+h||_p^p through one function, verify_strict_inequality,
+and take their margins, margin_min and violation records from its report.
+Harness outcomes are *reports*; the only hard assertions are implementation
+contracts (feasibility, rank logic, budgets).
 """
 
 from __future__ import annotations
@@ -71,23 +74,33 @@ DEFAULT_T_SCHEDULE = (10.0, 100.0, 1000.0, 10000.0)
 # Gram squares it, so keep well inside float64 range.
 MAX_EXPLICIT_SCALE = 1e100
 
-# Bound on a T2 step's explicit_relative_residual ||A_t hhat|| / (s_0 ||hhat||),
-# s_0 = ||A_t||_2, in units of N eps, N = n+m+2.  A correct lift makes A_t hhat
-# vanish in exact arithmetic up to the kernel error of h, and each rounding is
-# bounded relative to s_0 ||hhat|| (u = eps/2, first order):
-#   * the product: |fl(A_t hhat) - A_t hhat| <= N u |A_t| |hhat| entrywise,
-#     and || |A_t| |hhat| || <= ||A_t||_F ||hhat|| <= sqrt(2m+2) s_0 ||hhat||;
-#   * the lift: hhat_{n+r} = -scale_r <B_(r), h> rounds a length-n dot product
-#     and a scaling or two, and A_t stores scale_r * B_(r) rounded, so scaled
-#     row r is off by at most (n+4) u scale_r |B_(r)| |h| <= (n+4) u s_0 ||h||,
-#     at most (n+4) u sqrt(m+2) s_0 ||hhat|| over the m+2 rows;
-#   * the kernel sample: sample_null's h has ||A h|| at the SVD's backward
-#     error, a small multiple of n u ||A|| ||h||, and ||A|| <= s_0.
-# Up to MAX_M the first two terms stay below (sqrt(18) + sqrt(10)) N u <
-# 3.8 N eps, which leaves more than N eps for the third.  The measured ratio
-# stays below 0.1 N eps (m 1..4).  A lift with hhat_1's sign flipped leaves
-# 2 x_t |<B_(1), h>| in row m+1, a ratio of order 1/x_t: far above the bound
-# at m = 1 (x_t up to 1e4), below it at m = 2 (x_t from 1e14 on).
+# Bound on a T2 step's explicit_componentwise_backward_error, the Oettli-Prager
+# ratio max_i |A_t hhat|_i / (|A_t| |hhat|)_i (Numer. Math. 6, 1964; Higham,
+# Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 7), in units of
+# N eps, N = n+m+2.  A correct lift makes A_t hhat vanish in exact arithmetic
+# up to the kernel error of h, and each rounding is bounded row by row against
+# (|A_t| |hhat|)_i (u = eps/2, first order):
+#   * the product: |fl(A_t hhat) - A_t hhat|_i <= N u (|A_t| |hhat|)_i;
+#   * the lift, in scaled row r only: hhat_{n+r} = -scale_r <B_(r), h> rounds
+#     a length-n dot product and up to four scalings, and A_t stores
+#     scale_r * B_(r) rounded, so the row is off by at most
+#     (n+5) u scale_r |B_(r)| |h| <= (n+5) u (|A_t| |hhat|)_{m+r};
+#   * the kernel sample, in power row i < m only: sample_null's h has
+#     ||V h|| <= c u ||V|| ||h|| normwise (V = A(m, n, lam); c covers the SVD's
+#     backward error and the basis product, measured below 5), and
+#     (|V| |h|)_i >= min|lam|^i ||h||_1 >= min|lam|^i ||h||, so the row reads
+#     at most c u ||V|| / min|lam|^i.  With |lam| in DEFAULT_ABS_RANGE that is
+#     c u sqrt(n) at m = 1 and 2 c u sqrt(5n) at m = 2.
+# The first two stay below (2N+3) u < 1.3 N eps, which leaves 3.7 N eps for
+# the third: at m = 1 and 2, the only m whose x_t fits under
+# MAX_EXPLICIT_SCALE at p_check = p_star(A_0)/2, that covers c up to 6.7.  At
+# larger m the row factor ||V|| / min|lam|^i can grow like 4^m, but measured
+# over m 1..8, n = 2m+2 and 2m+4, seeds 0..19, the kernel rows read at most
+# 34 eps (at m = 8, where 3.7 N eps > 100 eps).  Correct lifts read at most
+# 3.6 eps (0.3 N eps) at m = 1 and 2, n 2m+2..2m+5, seeds 0..19, trials 30.
+# A lift with hhat_1's sign flipped leaves 2 x_t |<B_(1), h>| in row m+1
+# against x_t (|B_(1)| |h| + |<B_(1), h>|): a ratio of order one at every x_t
+# (at least 0.032 over the same steps).
 LIFT_RESIDUAL_FACTOR = 5.0
 
 LN10 = math.log(10.0)
@@ -171,10 +184,6 @@ class KernelSample:
     vector: np.ndarray
     kind: str  # "unit" | "signed" | "minsupport"
     scale: float
-
-    @property
-    def label(self) -> str:
-        return f"{self.kind}@{self.scale:g}"
 
 
 @dataclass(frozen=True)
@@ -271,6 +280,19 @@ class Theorem3Report:
     seed: int
 
 
+def _matvecs(M: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Row c is M @ V[c] (or M[c] @ V[c] for a stacked M), each through the
+    BLAS gemv of the single product, so it is bit-identical to it (V @ M.T
+    is one gemm and sums in another order)."""
+    return np.matmul(M, V[:, :, None])[:, :, 0]
+
+
+def _row_norms(r: np.ndarray) -> np.ndarray:
+    """Row c is sqrt(<r[c], r[c]>) through the same BLAS dot as the 1-D
+    np.linalg.norm (a row-wise norm(axis=1) sums in another order)."""
+    return np.sqrt(np.matmul(r[:, None, :], r[:, :, None])[:, 0, 0])
+
+
 def _solve_supports(M: np.ndarray, b: np.ndarray, supports: np.ndarray):
     """Least-squares solves of M[:, S] c = b for a (count, k) block of supports.
 
@@ -278,9 +300,7 @@ def _solve_supports(M: np.ndarray, b: np.ndarray, supports: np.ndarray):
     of full-column-rank supports and, for those rows only, the (count_full, k)
     coefficients and residual norms ||M[:, S] c - b||.  Each row is
     bit-identical to solving its support on its own: the stacked LAPACK and
-    BLAS calls see every matrix in the same layout, and the residual is
-    sqrt(<r, r>) through the same BLAS dot as the 1-D np.linalg.norm (a
-    row-wise norm(axis=1) sums in another order).
+    BLAS calls see every matrix in the same layout (_matvecs, _row_norms).
     """
     u, s, vt = np.linalg.svd(np.moveaxis(M[:, supports], 1, 0), full_matrices=False)
     full = numerical_rank(s) == supports.shape[1]
@@ -289,10 +309,8 @@ def _solve_supports(M: np.ndarray, b: np.ndarray, supports: np.ndarray):
     # single-support slice M[:, support], so the residual matmul sums alike
     subs = np.moveaxis(M[:, supports[full]], 1, 0)
     y = np.matmul(u.transpose(0, 2, 1), b) / s
-    coeff = np.matmul(vt.transpose(0, 2, 1), y[:, :, None])[:, :, 0]
-    r = np.matmul(subs, coeff[:, :, None])[:, :, 0] - b
-    res = np.sqrt(np.matmul(r[:, None, :], r[:, :, None])[:, 0, 0])
-    return full, coeff, res
+    coeff = _matvecs(vt.transpose(0, 2, 1), y)
+    return full, coeff, _row_norms(_matvecs(subs, coeff) - b)
 
 
 def _scan_supports(prob: SparseProblem, budget: int | None, caller: str):
@@ -485,6 +503,19 @@ def sample_null(
     ]
 
 
+def _trial_samples(
+    A: DenseMatrix,
+    trials: int,
+    seed: int,
+    witness: tuple[int, ...] | None = None,
+    budget: int | None = None,
+) -> list[KernelSample]:
+    """A harness's kernel samples: ceil(trials / len(DEFAULT_SCALES)) base
+    directions (at least one), each at every default scale."""
+    count = max(1, math.ceil(trials / len(DEFAULT_SCALES)))
+    return sample_null(A, count=count, seed=seed, witness=witness, budget=budget)
+
+
 def support_partition(x_star, h, k: int | None = None) -> SupportPartition:
     """Partition indices into supp(x*) and k-blocks of its complement ordered
     by decreasing |h| (ties broken toward the lower index)."""
@@ -513,13 +544,16 @@ def verify_strict_inequality(
     seed: int | None = None,
     p_star: float | None = None,
 ) -> EquivalenceReport | list[EquivalenceReport]:
-    """Margins ||x*+h||_p^p - ||x*||_p^p over a kernel sample set.
+    """Margins ||x*+h||_p^p - ||x*||_p^p over a kernel sample set: the one
+    evaluator of the sampled claim, for T1, T2 and T3 alike.
 
     A violation is margin <= 0 (ties count as violations: the claim under
-    test is strict).  argmin_match is left unset; the T1 harness fills it.
-    p is one exponent, giving one report, or a 1-D grid, giving one report
-    per p, each bit-identical to the call at that p; the sample block is
-    built once and all margins come from one lp_margin call.
+    test is strict); its record carries the sample index, p and the margin,
+    and for a KernelSample also its kind, scale and h, enough to replay it.
+    argmin_match is left unset; the T1 harness fills it.  p is one exponent,
+    giving one report, or a 1-D grid, giving one report per p, each
+    bit-identical to the call at that p; the sample block is built once and
+    all margins come from one lp_margin call.
     """
     items = list(h_set)
     if not items:
@@ -533,13 +567,14 @@ def verify_strict_inequality(
     for p_i, row, bad in zip(ps, margins, np.asarray(margins).reshape(len(ps), len(items)) <= 0.0):
         violations: list[dict] = []
         for idx in np.flatnonzero(bad).tolist():
-            entry = {"index": idx, "margin": row[idx], "p": p_i}
             item = items[idx]
             if isinstance(item, KernelSample):
-                entry["kind"] = item.kind
-                entry["scale"] = item.scale
-                entry["h"] = [float(v) for v in item.vector]
-            violations.append(entry)
+                violations.append(
+                    {"index": idx, "kind": item.kind, "scale": item.scale, "p": p_i,
+                     "margin": row[idx], "h": [float(v) for v in item.vector]}
+                )
+            else:
+                violations.append({"index": idx, "p": p_i, "margin": row[idx]})
         reports.append(
             EquivalenceReport(
                 p=p_i,
@@ -617,9 +652,8 @@ def verify_theorem1(
     grid = default_p_grid(summary.p_star) if p_grid is None else tuple(sorted(set(p_grid)))
     below_empty = not any(p < summary.p_star for p in grid)
 
-    count = max(1, math.ceil(trials / len(DEFAULT_SCALES)))
-    samples = sample_null(
-        A, count=count, seed=derive_seed(seed, "null"), witness=cert.witness, budget=budget
+    samples = _trial_samples(
+        A, trials, derive_seed(seed, "null"), witness=cert.witness, budget=budget
     )
     basics = enumerate_basic_solutions(inst.problem, budget=budget)
     sol = _l0_from_basics(basics)
@@ -701,15 +735,25 @@ def _strictly_decreasing(vals) -> bool:
     return all(a > b for a, b in zip(vals, vals[1:]))
 
 
-def _deep_regime_hypothesis(spec: VandermondeSpec, x_star, wide: bool, budget: int | None):
-    """Check the T2 (wide: n >= 2m+2) or T3 (narrow: m < n < 2m+2) inputs and
-    return (x*, k, A, level); the hypothesis holds when the l0 level is k."""
+def _deep_regime_hypothesis(
+    spec: VandermondeSpec,
+    x_star,
+    A0: DenseMatrix,
+    p_check: float | None,
+    trials: int,
+    null_seed: int,
+    budget: int | None,
+):
+    """The preamble T2 and T3 share: check x* and p_check, and draw the
+    kernel samples of A = A(m, n, lam).
+
+    A0 is the block augmentation whose threshold bounds p_check (of lam for
+    T2, of the extended nodes for T3); p_check defaults to p_star(A0) / 2.
+    Returns (x*, k, A, level, p_star(A0), p_check, samples); the hypothesis
+    holds when the l0 level is k.
+    """
     spec.require_distinct_abs()
     m, n = spec.m, spec.n
-    if wide and n < 2 * m + 2:
-        raise ValueError(f"T2 needs n >= 2m+2 = {2 * m + 2}, got n={n}")
-    if not wide and not m < n < 2 * m + 2:
-        raise ValueError(f"T3 needs m < n < 2m+2, got m={m}, n={n}")
     x = np.asarray(x_star, dtype=float)
     if x.shape != (n,):
         raise ValueError(f"x_star must have shape ({n},)")
@@ -718,35 +762,40 @@ def _deep_regime_hypothesis(spec: VandermondeSpec, x_star, wide: bool, budget: i
         raise ValueError(f"need (m+1)/2 <= ||x*||_0 <= m, got {k}")
     A = build_vandermonde(spec)
     level = solve_l0(SparseProblem(matrix=A, b=A.entries @ x), budget=budget).level
-    return x, k, A, level
+    p_star0 = gram_spectrum(A0).p_star
+    p = p_star0 / 2 if p_check is None else float(p_check)
+    if not 0.0 < p < p_star0:
+        raise ValueError(f"p_check must lie in (0, p_star(A_0)) = (0, {p_star0}), got {p}")
+    samples = _trial_samples(A, trials, null_seed, budget=budget)
+    return x, k, A, level, p_star0, p, samples
 
 
 def _explicit_steps(
     spec: VandermondeSpec, p: float, scales, orders, hhat, steps: list[dict]
 ) -> None:
     """Fill the explicit-matrix keys of a block of T2 steps at p_check = p:
-    one stacked product gives every residual ||A_t hhat|| and one stacked
-    SVD every singular value set.  scales and orders are (count, m+2), hhat is
-    (count, n+m+2), one row per step.
+    two stacked products give every residual A_t hhat and its componentwise
+    scale |A_t| |hhat|, and one stacked SVD every singular value set.  scales
+    and orders are (count, m+2), hhat is (count, n+m+2), one row per step.
 
     Each step's numbers are bit-identical to building its A_t alone: the
-    stacked LAPACK and BLAS calls see every matrix in a DenseMatrix's layout,
-    and a norm is sqrt(<r, r>) through the same BLAS dot as the 1-D
-    np.linalg.norm (see _solve_supports).
+    stacked LAPACK and BLAS calls see every matrix in a DenseMatrix's layout
+    (_matvecs, _row_norms).  Every entry of |A_t| |hhat| is positive, since
+    h is nonzero and every node and scale is, so the ratio is finite.
     """
     m, n = spec.m, spec.n
     mats = _augmented_with_scales(spec, scales, orders)
-    r = np.matmul(mats, hhat[:, :, None])[:, :, 0]
-    resid = np.sqrt(np.matmul(r[:, None, :], r[:, :, None])[:, 0, 0])
-    hnorm = np.sqrt(np.matmul(hhat[:, None, :], hhat[:, :, None])[:, 0, 0])
+    r = _matvecs(mats, hhat)
+    resid = _row_norms(r)
     s = np.linalg.svd(mats, compute_uv=False)
-    relative = resid / (s[:, 0] * hnorm)
+    # |A_t| overwrites A_t, which nothing needs past the SVD
+    backward = np.max(np.abs(r) / _matvecs(np.abs(mats, out=mats), np.abs(hhat)), axis=1)
     bound = LIFT_RESIDUAL_FACTOR * (n + m + 2) * np.finfo(float).eps
     ranks = numerical_rank(s).tolist()
-    for step, res, rel, rank, sv in zip(steps, resid.tolist(), relative.tolist(), ranks, s):
+    for step, res, err, rank, sv in zip(steps, resid.tolist(), backward.tolist(), ranks, s):
         step["explicit_residual"] = res
-        step["explicit_relative_residual"] = rel
-        step["explicit_residual_ok"] = rel <= bound
+        step["explicit_componentwise_backward_error"] = err
+        step["explicit_componentwise_backward_error_ok"] = err <= bound
         # A_t has full row rank 2m+2 at any positive scales (distinct nodes in
         # the power rows, the identity block beside the scaled ones); a lower
         # policy rank means the scaled rows pushed its O(1) singular values
@@ -773,34 +822,35 @@ def verify_theorem2(
 ) -> Theorem2Report:
     """T2 harness for n >= 2m+2.
 
-    Per kernel vector h and step t it takes the augmentation whose scaled
-    rows follow the sorted |l_i| order, forms the lifted kernel vector
-    hhat(t) from the identity rows, and checks, in the p-power domain:
+    The claim itself, ||x*||_p^p < ||x*+h||_p^p for every kernel sample h,
+    is checked by verify_strict_inequality.  Per nondegenerate h and step t
+    the harness also takes the augmentation whose scaled rows follow the
+    sorted |l_i| order, forms the lifted kernel vector hhat(t) from the
+    identity rows, and checks, in the p-power domain:
 
       * head dominance     (m+1)/t^p >= sum_{i>=2} |hhat_i|^p
       * tail bound         |hhat_i| <= 1/t for i >= 3
       * the lifted chain   ||xcheck(t)||_p^p < ||xcheck(t)+hhat(t)||_p^p
-      * the claim itself   ||x*||_p^p < ||x*+h||_p^p
 
     |hhat_1|^p = |xcheck_{n+1}|^p = (m+1)/t^p in closed form, so nothing here
     overflows even when x_t itself does.  Whenever the scales are
     representable (up to MAX_EXPLICIT_SCALE) the step is also checked on the
-    explicit matrix A_t: its residual ||A_t hhat||, and that residual relative
-    to ||A_t|| ||hhat|| against the rounding bound LIFT_RESIDUAL_FACTOR;
-    p_star(A_t) is recorded when the rank policy also keeps all 2m+2
-    singular values of A_t.  These explicit steps are collected over all
-    samples and evaluated numerics.BLOCK at a time, each block with one
-    stacked product and one stacked SVD.  The instance-level limit
-    |p_star(A_t) -> p_star(A_0)| uses x_t = y_t = 1/t.
+    explicit matrix A_t: its residual ||A_t hhat||, and the componentwise
+    backward error max_i |A_t hhat|_i / (|A_t| |hhat|)_i against the rounding
+    bound LIFT_RESIDUAL_FACTOR; p_star(A_t) is recorded when the rank policy
+    also keeps all 2m+2 singular values of A_t.  These explicit steps are
+    collected over all samples and evaluated numerics.BLOCK at a time, each
+    block with two stacked products and one stacked SVD.  The instance-level
+    limit |p_star(A_t) -> p_star(A_0)| uses x_t = y_t = 1/t.
     """
-    x, k, A, level = _deep_regime_hypothesis(spec, x_star, wide=True, budget=budget)
     m, n = spec.m, spec.n
-
-    A0 = build_augmented_0(spec)
-    p_star0 = gram_spectrum(A0).p_star
-    p = p_star0 / 2 if p_check is None else float(p_check)
-    if not 0.0 < p < p_star0:
-        raise ValueError(f"p_check must lie in (0, p_star(A_0)) = (0, {p_star0}), got {p}")
+    if n < 2 * m + 2:
+        raise ValueError(f"T2 needs n >= 2m+2 = {2 * m + 2}, got n={n}")
+    x, k, A, level, p_star0, p, samples = _deep_regime_hypothesis(
+        spec, x_star, build_augmented_0(spec), p_check, trials, derive_seed(seed, "thm2-null"),
+        budget,
+    )
+    claim = verify_strict_inequality(x, samples, p)
 
     gaps = []
     for t in t_schedule:
@@ -809,16 +859,11 @@ def verify_theorem2(
     limit_monotone = _strictly_decreasing(gaps)
     final_gap_ratio = gaps[-1] / p_star0
 
-    count = max(1, math.ceil(trials / len(DEFAULT_SCALES)))
-    samples = sample_null(A, count=count, seed=derive_seed(seed, "thm2-null"), budget=budget)
-
     base_power = lp_power_sum(x, p)
     H = np.array([sample.vector for sample in samples])
-    margins = lp_margin(x, H, p)
     shifted_powers = lp_power_sum(x + H, p)
-    # l_i = <B_i, h>, each sample through the BLAS gemv of B @ h, sorted by
-    # decreasing |l_i| (ties to the lower i)
-    L = np.matmul(b_vectors(spec), H[:, :, None])[:, :, 0]
+    # l_i = <B_i, h>, sorted by decreasing |l_i| (ties to the lower i)
+    L = _matvecs(b_vectors(spec), H)
     orders = np.lexsort((np.broadcast_to(np.arange(m + 2), L.shape), -np.abs(L)), axis=-1)
     L = np.take_along_axis(L, orders, axis=-1)
     kept = np.abs(L[:, 1]) > POWER_FLOOR
@@ -832,34 +877,17 @@ def verify_theorem2(
     tail_rows = iter(zip(lp_power_sum(tails, p), tail_bounds.tolist()))
     head_powers = [(m + 1) / t**p for t in t_schedule]
 
-    margin_min = math.inf
-    violations: list[dict] = []
     records: list[dict] = []
-    degenerate = 0
     # every step of the kept samples, sample-major, and its x_t, y_t
     flat_steps: list[dict] = []
     flat_scales: list[float] = []
     for idx, sample in enumerate(samples):
         if not kept[idx]:
-            degenerate += 1
             records.append(
                 {"index": idx, "kind": sample.kind, "scale": sample.scale, "degenerate": True}
             )
             continue
         l1_abs, l2_abs = abs(float(L[idx, 0])), abs(float(L[idx, 1]))
-        final_margin = margins[idx]
-        margin_min = min(margin_min, final_margin)
-        if final_margin <= 0.0:
-            violations.append(
-                {
-                    "index": idx,
-                    "kind": sample.kind,
-                    "scale": sample.scale,
-                    "p": p,
-                    "margin": final_margin,
-                    "h": [float(v) for v in sample.vector],
-                }
-            )
         shifted_power = shifted_powers[idx]
         steps = []
         sample_tail_powers, sample_tail_bounds = next(tail_rows)
@@ -886,12 +914,15 @@ def verify_theorem2(
                 "scale": sample.scale,
                 "l1_abs": l1_abs,
                 "l2_abs": l2_abs,
-                "final_margin": final_margin,
+                "final_margin": claim.margins[idx],
                 "steps": steps,
             }
         )
 
     xy = np.array(flat_scales).reshape(-1, 2)
+    # the per-sample Python lists are spent; at large trials they would
+    # otherwise sit beside the records through every explicit block
+    del tail_rows, flat_scales
     explicit = np.all(xy <= MAX_EXPLICIT_SCALE, axis=1)
     for i in np.flatnonzero(~explicit).tolist():
         flat_steps[i]["explicit_skipped"] = (
@@ -924,9 +955,9 @@ def verify_theorem2(
         limit_gaps=tuple(gaps),
         limit_monotone=limit_monotone,
         final_gap_ratio=final_gap_ratio,
-        margin_min=margin_min,
-        violations=tuple(violations),
-        degenerate=degenerate,
+        margin_min=claim.margin_min,
+        violations=claim.violations,
+        degenerate=int(np.sum(~kept)),
         records=tuple(records),
         trials=len(samples),
         seed=seed,
@@ -942,63 +973,41 @@ def verify_theorem3(
     budget: int | None = None,
 ) -> Theorem3Report:
     """T3 harness for m < n < 2m+2: extend the nodes to 2m+2, embed kernel
-    vectors by zero padding, and check margins below p_star of the extended
-    block augmentation.
+    vectors by zero padding, and check the claim, through
+    verify_strict_inequality, below p_star of the extended block
+    augmentation.
 
-    Embedding facts verified on samples: padded kernel vectors of A(m,n,lam)
-    lie in the kernel of A(m,2m+2,lam*), and padded kernel vectors of the
-    extended Vandermonde lie in the kernel of its block augmentation A_0.
+    Embedding facts verified on samples, each residual from one stacked
+    product: padded kernel vectors of A(m,n,lam) lie in the kernel of
+    A(m,2m+2,lam*) (worst ||A h~|| / ||h~||), and padded kernel vectors of
+    the extended Vandermonde lie in the kernel of its block augmentation A_0
+    (worst ||A_0 g|| over the extended kernel basis).  Zero padding must
+    leave every margin unchanged.
     """
-    x, k, A, level = _deep_regime_hypothesis(spec, x_star, wide=False, budget=budget)
     m, n = spec.m, spec.n
-
+    if not m < n < 2 * m + 2:
+        raise ValueError(f"T3 needs m < n < 2m+2, got m={m}, n={n}")
     ext = extend_lambda(spec, derive_seed(seed, "thm3-extend"))
-    A_ext = build_vandermonde(ext)
     A0_ext = build_augmented_0(ext)
-    p_star0 = gram_spectrum(A0_ext).p_star
-    p = p_star0 / 2 if p_check is None else float(p_check)
-    if not 0.0 < p < p_star0:
-        raise ValueError(f"p_check must lie in (0, p_star(A_0(lam*))) = (0, {p_star0}), got {p}")
-
-    count = max(1, math.ceil(trials / len(DEFAULT_SCALES)))
-    samples = sample_null(A, count=count, seed=derive_seed(seed, "thm3-null"), budget=budget)
+    x, k, A, level, p_star0, p, samples = _deep_regime_hypothesis(
+        spec, x_star, A0_ext, p_check, trials, derive_seed(seed, "thm3-null"), budget
+    )
+    claim = verify_strict_inequality(x, samples, p)
 
     pad_n = ext.n - n
-    H = np.array([sample.vector for sample in samples])
-    H_tilde = np.pad(H, ((0, 0), (0, pad_n)))
-    margins = lp_margin(x, H, p)
+    H_tilde = np.pad(np.array([sample.vector for sample in samples]), ((0, 0), (0, pad_n)))
     # padding with zeros changes neither side of the inequality
     margins_emb = lp_margin(np.pad(x, (0, pad_n)), H_tilde, p)
-    worst_embed = 0.0
-    margin_min = math.inf
-    violations: list[dict] = []
-    for idx, sample in enumerate(samples):
-        h = sample.vector
-        h_tilde = H_tilde[idx]
-        resid = float(np.linalg.norm(A_ext.entries @ h_tilde)) / float(np.linalg.norm(h_tilde))
-        worst_embed = max(worst_embed, resid)
-        margin = margins[idx]
-        if not math.isclose(margin, margins_emb[idx], rel_tol=1e-9, abs_tol=1e-12):
-            raise AssertionError("zero padding changed an lp margin")
-        margin_min = min(margin_min, margin)
-        if margin <= 0.0:
-            violations.append(
-                {
-                    "index": idx,
-                    "kind": sample.kind,
-                    "scale": sample.scale,
-                    "p": p,
-                    "margin": margin,
-                    "h": [float(v) for v in h],
-                }
-            )
+    if not all(
+        math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-12) for a, b in zip(claim.margins, margins_emb)
+    ):
+        raise AssertionError("zero padding changed an lp margin")
+    A_ext = build_vandermonde(ext)
+    embed = _row_norms(_matvecs(A_ext.entries, H_tilde)) / _row_norms(H_tilde)
 
     # N(A(m, 2m+2, lam*)) zero-padded into N(A_0(lam*)): identity rows see zeros.
-    ext_basis = null_space_basis(A_ext)
-    worst_block = 0.0
-    for j in range(ext_basis.shape[1]):
-        g = np.concatenate([ext_basis[:, j], np.zeros(m + 2)])
-        worst_block = max(worst_block, float(np.linalg.norm(A0_ext.entries @ g)))
+    padded_basis = np.pad(null_space_basis(A_ext).T, ((0, 0), (0, m + 2)))
+    block = _row_norms(_matvecs(A0_ext.entries, padded_basis))
     return Theorem3Report(
         m=m,
         n=n,
@@ -1008,10 +1017,10 @@ def verify_theorem3(
         hypothesis_ok=level == k,
         p_star0=p_star0,
         p_check=p,
-        worst_embed_residual=worst_embed,
-        worst_block_residual=worst_block,
-        margin_min=margin_min,
-        violations=tuple(violations),
+        worst_embed_residual=max([0.0, *embed.tolist()]),
+        worst_block_residual=max([0.0, *block.tolist()]),
+        margin_min=claim.margin_min,
+        violations=claim.violations,
         trials=len(samples),
         seed=seed,
     )

@@ -28,6 +28,7 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass, field, fields, is_dataclass
+from functools import partial
 
 import numpy as np
 
@@ -51,18 +52,6 @@ from .solvers import (
 )
 from .spark import check_submatrix_invertibility, compute_spark
 from .spectral import gram_spectrum, lemma1_constants
-
-_CONFIG_FIELD_ORDER = (
-    "seed",
-    "m",
-    "n",
-    "trials",
-    "p_grid",
-    "t_schedule",
-    "budget",
-    "output_dir",
-)
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -91,8 +80,8 @@ class RunConfig:
 
     def to_text(self) -> str:
         lines = ["# run configuration for the lp-equiv suite"]
-        for name in _CONFIG_FIELD_ORDER:
-            value = getattr(self, name)
+        for f in fields(self):
+            name, value = f.name, getattr(self, f.name)
             if value is None:
                 continue
             if isinstance(value, tuple):
@@ -292,6 +281,7 @@ def run_suite(config: RunConfig) -> RunManifest:
     summary = gram_spectrum(A)
     checks.append(CheckResult("gram-spectrum", "pass", True, json_safe(summary)))
 
+    lem1 = None
     if spark is not None:
         try:
             lem1 = lemma1_constants(A, spark=spark, budget=budget)
@@ -357,7 +347,7 @@ def run_suite(config: RunConfig) -> RunManifest:
     try:
         cross = cross_term_check(
             A, trials=max(config.trials * 10, 200), seed=derive_seed(seed, "cross"),
-            spark=spark, budget=budget,
+            lemma1=lem1, budget=budget,
         )
         checks.append(
             CheckResult(
@@ -422,7 +412,8 @@ def run_suite(config: RunConfig) -> RunManifest:
         try:
             planted, _ = plant_with_level(A, k_max, seed=derive_seed(seed, "chain"), budget=budget)
             kernel = sample_null(
-                A, count=1, seed=derive_seed(seed, "chain-h"), budget=budget
+                A, count=1, seed=derive_seed(seed, "chain-h"), witness=cert.witness,
+                budget=budget,
             )
             h = kernel[0].vector
             p_audit = min(summary.p_star / 2.0, 1.0)
@@ -467,7 +458,8 @@ def _run_deep_regime(
 ) -> None:
     """Route the high-sparsity check by column count: wide instances exercise
     the t-indexed augmented family directly, narrow ones go through the
-    node-extension embedding."""
+    node-extension embedding.  Both run the same way; they differ only in
+    the harness, the check name, the seed label and the detail keys."""
     m, n = config.m, config.n
     k = m  # deepest admissible level: (m+1)/2 <= k <= m
     try:
@@ -477,46 +469,24 @@ def _run_deep_regime(
     except (SamplingError, BudgetExceededError) as exc:
         checks.append(_check_from_exception("deep-regime", False, exc))
         return
-    name = "t2-augmented" if n >= 2 * m + 2 else "t3-extension"
+    if n >= 2 * m + 2:
+        harness = partial(verify_theorem2, t_schedule=config.t_schedule)
+        name, label = "t2-augmented", "t2"
+        own_keys = ("limit_monotone", "final_gap_ratio", "degenerate")
+    else:
+        harness, name, label = verify_theorem3, "t3-extension", "t3"
+        own_keys = ("worst_embed_residual", "worst_block_residual")
     try:
-        if n >= 2 * m + 2:
-            report = verify_theorem2(
-                spec,
-                planted.x_star,
-                t_schedule=config.t_schedule,
-                trials=config.trials,
-                seed=derive_seed(config.seed, "t2"),
-                budget=config.budget,
-            )
-            detail = {
-                "k": report.k,
-                "hypothesis_ok": report.hypothesis_ok,
-                "p_star0": report.p_star0,
-                "p_check": report.p_check,
-                "limit_monotone": report.limit_monotone,
-                "final_gap_ratio": report.final_gap_ratio,
-                "margin_min": report.margin_min,
-                "violation_count": len(report.violations),
-                "degenerate": report.degenerate,
-            }
-        else:
-            report = verify_theorem3(
-                spec,
-                planted.x_star,
-                trials=config.trials,
-                seed=derive_seed(config.seed, "t3"),
-                budget=config.budget,
-            )
-            detail = {
-                "k": report.k,
-                "hypothesis_ok": report.hypothesis_ok,
-                "p_star0": report.p_star0,
-                "p_check": report.p_check,
-                "worst_embed_residual": report.worst_embed_residual,
-                "worst_block_residual": report.worst_block_residual,
-                "margin_min": report.margin_min,
-                "violation_count": len(report.violations),
-            }
+        report = harness(
+            spec,
+            planted.x_star,
+            trials=config.trials,
+            seed=derive_seed(config.seed, label),
+            budget=config.budget,
+        )
+        keys = ("k", "hypothesis_ok", "p_star0", "p_check", "margin_min", *own_keys)
+        detail = {key: getattr(report, key) for key in keys}
+        detail["violation_count"] = len(report.violations)
         for v in report.violations:
             counterexamples.append({"check": name, **json_safe(v)})
         checks.append(CheckResult(name, "reported", False, detail))

@@ -1,8 +1,8 @@
 """Property checks: block evaluations are bit-identical to one item at a time.
 
 The references below are the per-sample margin, the per-p call, the
-per-support solve loop and the per-step T2 loop that the block kernels
-replaced; every comparison is exact (==), except log10_x_t, which the T2
+per-support solve loop, the per-step T2 loop and the per-sample T3 residual
+loop that the block kernels replaced; every comparison is exact (==), except log10_x_t, which the T2
 harness now derives from log x_t (see test_t2_steps_equal_per_step_loop).
 """
 
@@ -21,6 +21,7 @@ from lp_equiv.matgen import (  # noqa: E402
     b_vectors,
     build_augmented_0,
     build_vandermonde,
+    extend_lambda,
     power_rows,
     sample_instance,
 )
@@ -45,10 +46,12 @@ from lp_equiv.solvers import (  # noqa: E402
     SparseProblem,
     SparseSolution,
     enumerate_basic_solutions,
+    null_space_basis,
     plant_with_level,
     sample_null,
     solve_l0,
     verify_theorem2,
+    verify_theorem3,
 )
 from lp_equiv.spectral import gram_spectrum  # noqa: E402
 
@@ -169,11 +172,13 @@ def _reference_t2_step(spec, p, h, l, order, t, tail, step):
     At[m:, :n] = scales[:, None] * b_vectors(spec)[order]
     At[m:, n:] = np.eye(m + 2)
     hhat = np.concatenate([h, [-x_t * l[order[0]]], tail])
-    resid = float(np.linalg.norm(At @ hhat))
-    rel = resid / float(np.linalg.svd(At, compute_uv=False)[0] * np.linalg.norm(hhat))
-    step["explicit_residual"] = resid
-    step["explicit_relative_residual"] = rel
-    step["explicit_residual_ok"] = rel <= LIFT_RESIDUAL_FACTOR * (n + m + 2) * np.finfo(float).eps
+    r = At @ hhat
+    err = float(np.max(np.abs(r) / (np.abs(At) @ np.abs(hhat))))
+    step["explicit_residual"] = float(np.linalg.norm(r))
+    step["explicit_componentwise_backward_error"] = err
+    step["explicit_componentwise_backward_error_ok"] = (
+        err <= LIFT_RESIDUAL_FACTOR * (n + m + 2) * np.finfo(float).eps
+    )
     spectrum = gram_spectrum(DenseMatrix(At))
     if spectrum.rank == 2 * m + 2:
         step["p_star_t"] = spectrum.p_star
@@ -278,3 +283,35 @@ def test_t2_steps_equal_per_step_loop(m, n, seed, p_frac, t_schedule, trials):
         assert explicit > 0
     if len(samples) * len(t_schedule) > BLOCK:
         assert explicit > BLOCK
+
+
+def _reference_t3_residuals(spec, seed, trials):
+    """verify_theorem3's worst embedding and block residuals, one padded
+    kernel sample and one extended kernel basis vector at a time."""
+    m, n = spec.m, spec.n
+    ext = extend_lambda(spec, derive_seed(seed, "thm3-extend"))
+    A_ext, A0_ext = build_vandermonde(ext), build_augmented_0(ext)
+    count = max(1, math.ceil(trials / len(DEFAULT_SCALES)))
+    samples = sample_null(build_vandermonde(spec), count, seed=derive_seed(seed, "thm3-null"))
+    worst_embed = 0.0
+    for sample in samples:
+        h_tilde = np.pad(sample.vector, (0, ext.n - n))
+        resid = float(np.linalg.norm(A_ext.entries @ h_tilde)) / float(np.linalg.norm(h_tilde))
+        worst_embed = max(worst_embed, resid)
+    ext_basis = null_space_basis(A_ext)
+    worst_block = 0.0
+    for j in range(ext_basis.shape[1]):
+        g = np.concatenate([ext_basis[:, j], np.zeros(m + 2)])
+        worst_block = max(worst_block, float(np.linalg.norm(A0_ext.entries @ g)))
+    return worst_embed, worst_block
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("m,n", [(2, 4), (2, 5), (3, 5), (3, 6)])
+def test_t3_residuals_equal_per_sample_loop(m, n, seed):
+    spec = sample_instance(m, n, seed=seed)
+    planted, _ = plant_with_level(build_vandermonde(spec), m, seed=derive_seed(seed, "plant"))
+    rep = verify_theorem3(spec, planted.x_star, trials=21, seed=seed)
+    assert (rep.worst_embed_residual, rep.worst_block_residual) == _reference_t3_residuals(
+        spec, seed, 21
+    )

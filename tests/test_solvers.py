@@ -348,6 +348,60 @@ def test_verify_theorem3_rejects_wide_instance():
         verify_theorem3(spec, np.zeros(8), trials=3, seed=0)
 
 
+def _median_shifted(lp_margin_fn):
+    """lp_margin with each row's median subtracted: about half of every
+    sample set then reads margin <= 0, whatever the instance."""
+
+    def shifted(x, h, p):
+        out = lp_margin_fn(x, h, p)
+        rows = out if np.ndim(p) else [out]
+        rows = [[v - sorted(row)[len(row) // 2] for v in row] for row in rows]
+        return rows if np.ndim(p) else rows[0]
+
+    return shifted
+
+
+@pytest.mark.parametrize("shift", [False, True])
+@pytest.mark.parametrize(
+    "harness,m,n,seed,label",
+    [
+        (verify_theorem2, 1, 4, 0, "thm2-null"),
+        (verify_theorem2, 2, 6, 1, "thm2-null"),
+        (verify_theorem2, 3, 9, 2, "thm2-null"),
+        (verify_theorem3, 2, 4, 0, "thm3-null"),
+        (verify_theorem3, 3, 6, 1, "thm3-null"),
+    ],
+)
+def test_deep_regime_claim_equals_verify_strict_inequality(
+    monkeypatch, harness, m, n, seed, label, shift
+):
+    # T2 and T3 take margins, margin_min and violations from the one claim
+    # evaluator; shifting every margin by its set's median makes the
+    # violation records nonempty
+    if shift:
+        monkeypatch.setattr(solvers, "lp_margin", _median_shifted(solvers.lp_margin))
+    calls = []
+    evaluate = solvers.verify_strict_inequality
+
+    def spy(*args, **kwargs):
+        calls.append(evaluate(*args, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr(solvers, "verify_strict_inequality", spy)
+    spec = sample_instance(m, n, seed=seed)
+    A = build_vandermonde(spec)
+    planted, _ = plant_with_level(A, m, seed=derive_seed(seed, "plant"))
+    rep = harness(spec, planted.x_star, trials=9, seed=seed)
+    samples = sample_null(A, 3, seed=derive_seed(seed, label))
+    ref = evaluate(planted.x_star, samples, rep.p_check)
+    assert len(calls) == 1 and calls[0].margins == ref.margins
+    assert rep.margin_min == ref.margin_min
+    assert rep.violations == ref.violations
+    assert bool(ref.violations) == shift
+    if harness is verify_theorem2:
+        assert [r["final_margin"] for r in rep.records] == list(ref.margins)
+
+
 # --- p grids and kernel sampling against the loops they replaced -----------
 
 
@@ -632,7 +686,7 @@ def test_explicit_t2_steps_record_p_star_only_at_full_rank(monkeypatch, m, seed)
             assert cap in step["explicit_skipped"]
     for step, At in zip(explicit, built):
         assert math.isfinite(step["explicit_residual"])
-        assert step["explicit_residual_ok"]
+        assert step["explicit_componentwise_backward_error_ok"]
         policy_rank = gram_spectrum(At).rank
         with mpmath.workdps(300):
             s = _exact_singular_values(At.entries, mpmath)
@@ -652,13 +706,24 @@ def test_explicit_t2_steps_record_p_star_only_at_full_rank(monkeypatch, m, seed)
     assert all(("p_star_t" in step) == (m == 1) for step in explicit)
 
 
-@pytest.mark.parametrize("seed", [0, 3])
-def test_explicit_residual_check_catches_a_flipped_lift(monkeypatch, seed):
+@pytest.mark.parametrize(
+    "m,seed",
+    [
+        pytest.param(1, 0, id="0"),
+        pytest.param(1, 3, id="3"),
+        pytest.param(2, 0, id="m2-0"),
+        pytest.param(2, 3, id="m2-3"),
+    ],
+)
+def test_explicit_residual_check_catches_a_flipped_lift(monkeypatch, m, seed):
     # a correct lift stays within LIFT_RESIDUAL_FACTOR (n+m+2) eps of
-    # ||A_t|| ||hhat||; flipping hhat_1's sign leaves 2 x_t |<B_(1), h>| in
-    # row m+1, which at m = 1 (x_t up to 1e4) is far above that bound
-    spec = sample_instance(1, 4, seed=seed)
-    planted, _ = plant_with_level(build_vandermonde(spec), 1, seed=derive_seed(seed, "plant"))
+    # |A_t| |hhat| in every row; flipping hhat_1's sign leaves
+    # 2 x_t |<B_(1), h>| in row m+1 against x_t (|B_(1)| |h| + |<B_(1), h>|),
+    # a ratio of order one at every x_t: at m = 1 (x_t up to 1e4) and at
+    # m = 2 (x_t from 1e14 on), where a normwise ratio falls below the bound
+    spec = sample_instance(m, 2 * m + 2, seed=seed)
+    planted, _ = plant_with_level(build_vandermonde(spec), m, seed=derive_seed(seed, "plant"))
+    key = "explicit_componentwise_backward_error"
 
     def explicit_steps():
         rep = verify_theorem2(spec, planted.x_star, trials=6, seed=derive_seed(seed, "t2"))
@@ -666,8 +731,8 @@ def test_explicit_residual_check_catches_a_flipped_lift(monkeypatch, seed):
 
     correct = explicit_steps()
     bound = solvers.LIFT_RESIDUAL_FACTOR * (spec.n + spec.m + 2) * np.finfo(float).eps
-    assert correct and all(s["explicit_residual_ok"] for s in correct)
-    assert all(s["explicit_relative_residual"] <= bound for s in correct)
+    assert correct and all(s[key + "_ok"] for s in correct)
+    assert all(s[key] <= bound for s in correct)
     fill = solvers._explicit_steps
 
     def flipped_lift(spec, p, scales, orders, hhat, steps):
@@ -678,8 +743,8 @@ def test_explicit_residual_check_catches_a_flipped_lift(monkeypatch, seed):
     monkeypatch.setattr(solvers, "_explicit_steps", flipped_lift)
     flipped = explicit_steps()
     assert len(flipped) == len(correct)
-    assert not any(s["explicit_residual_ok"] for s in flipped)
-    assert all(s["explicit_relative_residual"] > 1e6 * bound for s in flipped)
+    assert not any(s[key + "_ok"] for s in flipped)
+    assert all(s[key] > 1e6 * bound for s in flipped)
 
 
 @pytest.mark.parametrize("m", range(1, MAX_M + 1))
