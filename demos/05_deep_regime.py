@@ -13,16 +13,18 @@ half the limit threshold p*(A^(0)):
   * narrow instances (m < n < 2m+2) first extend the node set to
     2m+2 nodes, embed x*, and reuse the same machinery.
 
-Both harnesses report every sampled margin; violations would be dumped
+Both harnesses plant their own x* at the level k they are given, as the T1
+harness does, and report every sampled margin; violations would be dumped
 with enough data to replay.
 """
 
 import numpy as np
 
 from lp_equiv import (
+    SparseProblem,
     build_vandermonde,
-    plant_with_level,
     sample_instance,
+    solve_l0,
     verify_theorem2,
     verify_theorem3,
 )
@@ -30,10 +32,10 @@ from lp_equiv import (
 # --- wide regime -----------------------------------------------------------------
 spec = sample_instance(2, 8, seed=42)
 A = build_vandermonde(spec)
-planted, l0 = plant_with_level(A, k=2, seed=11)   # k = m: deep end
-rep = verify_theorem2(spec, planted.x_star, trials=30, seed=3)
+rep = verify_theorem2(spec, 2, trials=30, seed=3)   # plants x* at k = m: deep end
+l0 = solve_l0(SparseProblem(A, A.entries @ np.array(rep.x_star)))
 print(f"wide instance m={spec.m} n={spec.n}, planted k={rep.k}")
-print(f"  x* is a sparsest solution: {rep.hypothesis_ok} "
+print(f"  x* is a sparsest solution: {l0.level == rep.k} "
       f"({len(l0.solutions)} tied sparsest solutions exist)")
 print(f"  p*(A^(0)) = {rep.p_star0:.4e}, checking at p = {rep.p_check:.4e}")
 print(f"  threshold gaps along t: monotone={rep.limit_monotone}, "
@@ -43,10 +45,8 @@ print(f"  violations: {len(rep.violations)}\n")
 
 # --- narrow regime -----------------------------------------------------------------
 spec3 = sample_instance(3, 5, seed=5)
-A3 = build_vandermonde(spec3)
-planted3, _ = plant_with_level(A3, k=3, seed=11)
-rep3 = verify_theorem3(spec3, planted3.x_star, trials=30, seed=3)
-print(f"narrow instance m={spec3.m} n={spec3.n} (< 2m+2), planted k=3")
+rep3 = verify_theorem3(spec3, 3, trials=30, seed=3)
+print(f"narrow instance m={spec3.m} n={spec3.n} (< 2m+2), planted k={rep3.k}")
 print(f"  node set extended to n' = {rep3.extended_n} = 2m+2, originals kept in place")
 print(f"  embed residual {rep3.worst_embed_residual:.2e}, "
       f"block residual {rep3.worst_block_residual:.2e}")

@@ -48,6 +48,13 @@ from .solvers import support_partition
 SEQ_K_MAX = 7
 SEQ_T_MAX = 11
 
+# The scalar grid checks sweep GRID_COUNT log-spaced points on [GRID_LO, 1]
+# and pass within GRID_TOL; the L2 audit passes within SEQ_TOL relative.
+GRID_COUNT = 1000
+GRID_LO = 1e-6
+GRID_TOL = 1e-12
+SEQ_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class ScalarCheckReport:
@@ -175,9 +182,9 @@ def log_p_grid(count: int = 1000, lo: float = 1e-6) -> np.ndarray:
     return np.geomspace(lo, 1.0, count)
 
 
-def f_lemma3_grid(count: int = 1000, lo: float = 1e-6, tol: float = 1e-12) -> ScalarCheckReport:
+def f_lemma3_grid() -> ScalarCheckReport:
     """Grid check of f(p) >= sqrt(2)/2."""
-    grid = log_p_grid(count, lo)
+    grid = log_p_grid(GRID_COUNT, GRID_LO)
     vals = f_lemma3(grid)
     bound = SQRT2 / 2.0
     deficits = bound - vals  # positive = violation
@@ -185,17 +192,17 @@ def f_lemma3_grid(count: int = 1000, lo: float = 1e-6, tol: float = 1e-12) -> Sc
     worst = float(deficits[i])
     return ScalarCheckReport(
         claim="f(p) >= sqrt(2)/2 on (0, 1]",
-        grid_size=count,
+        grid_size=GRID_COUNT,
         worst_violation=worst,
         worst_at=float(grid[i]),
-        tol=tol,
-        passes=worst <= tol,
+        tol=GRID_TOL,
+        passes=worst <= GRID_TOL,
     )
 
 
-def phi_bound_grid(count: int = 1000, lo: float = 1e-6, tol: float = 1e-12) -> ScalarCheckReport:
+def phi_bound_grid() -> ScalarCheckReport:
     """Grid check of phi(p) <= sqrt(2)/2."""
-    grid = log_p_grid(count, lo)
+    grid = log_p_grid(GRID_COUNT, GRID_LO)
     vals = phi_bound(grid)
     bound = SQRT2 / 2.0
     excesses = vals - bound  # positive = violation
@@ -203,11 +210,11 @@ def phi_bound_grid(count: int = 1000, lo: float = 1e-6, tol: float = 1e-12) -> S
     worst = float(excesses[i])
     return ScalarCheckReport(
         claim="phi(p) <= sqrt(2)/2 on (0, 1]",
-        grid_size=count,
+        grid_size=GRID_COUNT,
         worst_violation=worst,
         worst_at=float(grid[i]),
-        tol=tol,
-        passes=worst <= tol,
+        tol=GRID_TOL,
+        passes=worst <= GRID_TOL,
     )
 
 
@@ -265,9 +272,7 @@ def _first_max(values: np.ndarray) -> int:
     return int(np.argmax(np.where(np.isnan(values), -np.inf, values)))
 
 
-def lemma2_sequence_check(
-    trials: int = 1000, seed: int = 0, tol: float = 1e-10
-) -> SequenceCheckReport:
+def lemma2_sequence_check(trials: int = 1000, seed: int = 0) -> SequenceCheckReport:
     """Random monotone sequences against the L2 bound.
 
     The trials are drawn and evaluated BLOCK at a time (see
@@ -291,8 +296,8 @@ def lemma2_sequence_check(
         trials=trials,
         worst_relative_violation=worst_rel,
         worst_case=worst_case,
-        tol=tol,
-        passes=worst_rel <= tol,
+        tol=SEQ_TOL,
+        passes=worst_rel <= SEQ_TOL,
     )
 
 

@@ -175,10 +175,12 @@ def _cmd_audit(args) -> int:
         ok = True  # both constants are reported, neither asserted
     elif args.lemma == "chain":
         A = _load_matrix(args.matrix)
-        spark = compute_spark(A, budget=args.budget).spark
-        k = args.k if args.k is not None else max(1, (spark - 1) // 2)
+        cert = compute_spark(A, budget=args.budget)
+        k = args.k if args.k is not None else max(1, (cert.spark - 1) // 2)
         planted, _ = plant_with_level(A, k, seed=derive_seed(args.seed, "plant"), budget=args.budget)
-        h = sample_null(A, count=1, seed=derive_seed(args.seed, "h"), budget=args.budget)[0].vector
+        h = sample_null(
+            A, count=1, seed=derive_seed(args.seed, "h"), witness=cert.witness, budget=args.budget
+        )[0].vector
         p = args.p if args.p is not None else gram_spectrum(A).p_star / 2.0
         report = audit_theorem1_chain(A, planted.x_star, h, min(p, 1.0))
         ok = report.asserted_ok
@@ -202,16 +204,13 @@ def _cmd_verify_thm1(args) -> int:
 
 
 def _cmd_verify_deep(args) -> int:
-    """verify-thm2 and verify-thm3: plant x* at level k (default m) and run
-    the subcommand's harness; only verify-thm2 takes a t schedule."""
+    """verify-thm2 and verify-thm3: run the subcommand's harness, which plants
+    x* at level k (default m); only verify-thm2 takes a t schedule."""
     spec = _load_spec(args.spec)
-    k = args.k if args.k is not None else spec.m
-    A = build_vandermonde(spec)
-    planted, _ = plant_with_level(A, k, seed=derive_seed(args.seed, "plant"), budget=args.budget)
     options = {"t_schedule": args.t_schedule} if "t_schedule" in args else {}
     report = args.harness(
         spec,
-        planted.x_star,
+        spec.m if args.k is None else args.k,
         p_check=args.p,
         trials=args.trials,
         seed=args.seed,

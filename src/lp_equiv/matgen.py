@@ -38,6 +38,9 @@ DEFAULT_ABS_RANGE = (0.5, 2.0)
 DEFAULT_SEPARATION = 0.05
 MAX_M = 8
 
+# Node sampling gives up after MAX_TRIES draws that miss the separation.
+MAX_TRIES = 5000
+
 # Guard for augmented shapes: total entries beyond this are a sign the caller
 # is about to hand an unenumerable instance to the subset machinery anyway.
 _MAX_ENTRIES = 10_000_000
@@ -261,7 +264,6 @@ def _sample_separated_abs(
     taken_abs: list[float],
     abs_range: tuple[float, float],
     separation: float,
-    max_tries: int,
 ) -> list[float]:
     """Draw `count` absolute values in abs_range, pairwise separated from each
     other and from taken_abs by at least `separation`."""
@@ -272,10 +274,10 @@ def _sample_separated_abs(
     tries = 0
     while len(got) < count:
         tries += 1
-        if tries > max_tries:
+        if tries > MAX_TRIES:
             raise SamplingError(
                 f"could not place {count} nodes with separation {separation} "
-                f"in {abs_range} after {max_tries} draws"
+                f"in {abs_range} after {MAX_TRIES} draws"
             )
         cand = float(rng.uniform(lo, hi))
         if all(abs(cand - a) >= separation for a in taken_abs + got):
@@ -289,33 +291,27 @@ def sample_instance(
     seed: int,
     abs_range: tuple[float, float] = DEFAULT_ABS_RANGE,
     separation: float = DEFAULT_SEPARATION,
-    max_tries: int = 5000,
 ) -> VandermondeSpec:
     """Random instance with |lam_j| in abs_range, pairwise |.|-separation
     >= separation, random signs.  Deterministic per seed."""
     rng = np.random.default_rng(seed)
-    mags = _sample_separated_abs(rng, n, [], abs_range, separation, max_tries)
+    mags = _sample_separated_abs(rng, n, [], abs_range, separation)
     signs = rng.choice([-1.0, 1.0], size=n)
     lam = tuple(s * v for s, v in zip(signs, mags))
     return VandermondeSpec(m=m, lam=lam, seed=seed)
 
 
-def extend_lambda(
-    spec: VandermondeSpec,
-    seed: int,
-    abs_range: tuple[float, float] = DEFAULT_ABS_RANGE,
-    separation: float = DEFAULT_SEPARATION,
-    max_tries: int = 5000,
-) -> VandermondeSpec:
+def extend_lambda(spec: VandermondeSpec, seed: int) -> VandermondeSpec:
     """Extend a node vector with n < 2m+2 to exactly 2m+2 nodes, keeping all
-    absolute values pairwise distinct (new ones also separated from the old)."""
+    absolute values pairwise distinct (new ones drawn as sample_instance's
+    defaults draw them, also separated from the old)."""
     spec.require_distinct_abs()
     target = 2 * spec.m + 2
     if spec.n >= target:
         raise ValueError(f"spec already has n={spec.n} >= 2m+2={target} nodes")
     rng = np.random.default_rng(seed)
     taken = [abs(v) for v in spec.lam]
-    mags = _sample_separated_abs(rng, target - spec.n, taken, abs_range, separation, max_tries)
+    mags = _sample_separated_abs(rng, target - spec.n, taken, DEFAULT_ABS_RANGE, DEFAULT_SEPARATION)
     signs = rng.choice([-1.0, 1.0], size=len(mags))
     lam = tuple(spec.lam) + tuple(s * v for s, v in zip(signs, mags))
     out = VandermondeSpec(m=spec.m, lam=lam, seed=seed)

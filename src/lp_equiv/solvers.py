@@ -105,6 +105,11 @@ LIFT_RESIDUAL_FACTOR = 5.0
 
 LN10 = math.log(10.0)
 
+# Planted coefficients are +-[lo, hi]; plant_with_level draws at most
+# PLANT_RETRIES instances before it gives up on a level.
+PLANT_COEFF_RANGE = (0.5, 2.0)
+PLANT_RETRIES = 20
+
 
 class InfeasibleProblemError(ValueError):
     """b is not in the column span of A at the residual tolerance."""
@@ -240,13 +245,14 @@ class Theorem1Report:
 
 @dataclass(frozen=True)
 class Theorem2Report:
-    """T2 harness outcome: augmentation limit plus per-kernel margin records."""
+    """T2 harness outcome: augmentation limit plus per-kernel margin records.
+
+    x_star is the planted vector, an l0 solution at level k.
+    """
 
     m: int
     n: int
     k: int
-    level: int
-    hypothesis_ok: bool
     p_star0: float
     p_check: float
     limit_gaps: tuple[float, ...]
@@ -258,18 +264,20 @@ class Theorem2Report:
     records: tuple[dict, ...]
     trials: int
     seed: int
+    x_star: tuple[float, ...]
 
 
 @dataclass(frozen=True)
 class Theorem3Report:
-    """T3 harness outcome: node extension, kernel embedding, margins."""
+    """T3 harness outcome: node extension, kernel embedding, margins.
+
+    x_star is the planted vector, an l0 solution at level k.
+    """
 
     m: int
     n: int
     extended_n: int
     k: int
-    level: int
-    hypothesis_ok: bool
     p_star0: float
     p_check: float
     worst_embed_residual: float
@@ -278,6 +286,7 @@ class Theorem3Report:
     violations: tuple[dict, ...]
     trials: int
     seed: int
+    x_star: tuple[float, ...]
 
 
 def _matvecs(M: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -590,16 +599,14 @@ def verify_strict_inequality(
     return reports[0] if np.ndim(p) == 0 else reports
 
 
-def plant_sparse_instance(
-    A: DenseMatrix, k: int, seed: int, coeff_range: tuple[float, float] = (0.5, 2.0)
-) -> PlantedInstance:
-    """b = A x* for a random k-sparse x* with coefficients +-[lo, hi]."""
+def plant_sparse_instance(A: DenseMatrix, k: int, seed: int) -> PlantedInstance:
+    """b = A x* for a random k-sparse x* with coefficients +-PLANT_COEFF_RANGE."""
     n = A.cols
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in [1, {n}], got {k}")
     rng = np.random.default_rng(seed)
     support = np.sort(rng.choice(n, size=k, replace=False))
-    coeff = rng.uniform(*coeff_range, size=k) * rng.choice([-1.0, 1.0], size=k)
+    coeff = rng.uniform(*PLANT_COEFF_RANGE, size=k) * rng.choice([-1.0, 1.0], size=k)
     x = np.zeros(n)
     x[support] = coeff
     prob = SparseProblem(matrix=A, b=A.entries @ x)
@@ -609,16 +616,16 @@ def plant_sparse_instance(
 
 
 def plant_with_level(
-    A: DenseMatrix, k: int, seed: int, retries: int = 20, budget: int | None = None
+    A: DenseMatrix, k: int, seed: int, budget: int | None = None
 ) -> tuple[PlantedInstance, SparseSolutionSet]:
     """Plant until the instance's true l0 level equals k (the planted x* is
     then *an* l0 solution, which is all the T2/T3 hypotheses need)."""
-    for i in range(retries):
+    for i in range(PLANT_RETRIES):
         inst = plant_sparse_instance(A, k, derive_seed(seed, f"plant-{i}"))
         sol = solve_l0(inst.problem, budget=budget)
         if sol.level == k:
             return inst, sol
-    raise SamplingError(f"no planted instance reached l0 level {k} in {retries} tries")
+    raise SamplingError(f"no planted instance reached l0 level {k} in {PLANT_RETRIES} tries")
 
 
 def default_p_grid(p_star: float) -> tuple[float, ...]:
@@ -737,37 +744,35 @@ def _strictly_decreasing(vals) -> bool:
 
 def _deep_regime_hypothesis(
     spec: VandermondeSpec,
-    x_star,
+    k: int,
     A0: DenseMatrix,
     p_check: float | None,
     trials: int,
-    null_seed: int,
+    seed: int,
+    null_label: str,
     budget: int | None,
 ):
-    """The preamble T2 and T3 share: check x* and p_check, and draw the
-    kernel samples of A = A(m, n, lam).
+    """The preamble T2 and T3 share: check k and p_check, plant x* at l0
+    level k, and draw the kernel samples of A = A(m, n, lam).
 
     A0 is the block augmentation whose threshold bounds p_check (of lam for
     T2, of the extended nodes for T3); p_check defaults to p_star(A0) / 2.
-    Returns (x*, k, A, level, p_star(A0), p_check, samples); the hypothesis
-    holds when the l0 level is k.
+    x* comes from plant_with_level at derive_seed(seed, "plant"), whose l0
+    solve certifies the hypothesis (it raises SamplingError when no plant
+    reaches level k).  Returns (x*, p_star(A0), p_check, samples).
     """
     spec.require_distinct_abs()
-    m, n = spec.m, spec.n
-    x = np.asarray(x_star, dtype=float)
-    if x.shape != (n,):
-        raise ValueError(f"x_star must have shape ({n},)")
-    k = int(np.sum(x != 0.0))
+    m = spec.m
     if not (m + 1) / 2 <= k <= m:
-        raise ValueError(f"need (m+1)/2 <= ||x*||_0 <= m, got {k}")
-    A = build_vandermonde(spec)
-    level = solve_l0(SparseProblem(matrix=A, b=A.entries @ x), budget=budget).level
+        raise ValueError(f"need (m+1)/2 <= k <= m = {m}, got k={k}")
     p_star0 = gram_spectrum(A0).p_star
     p = p_star0 / 2 if p_check is None else float(p_check)
     if not 0.0 < p < p_star0:
         raise ValueError(f"p_check must lie in (0, p_star(A_0)) = (0, {p_star0}), got {p}")
-    samples = _trial_samples(A, trials, null_seed, budget=budget)
-    return x, k, A, level, p_star0, p, samples
+    A = build_vandermonde(spec)
+    inst, _ = plant_with_level(A, k, derive_seed(seed, "plant"), budget=budget)
+    samples = _trial_samples(A, trials, derive_seed(seed, null_label), budget=budget)
+    return inst.x_star, p_star0, p, samples
 
 
 def _explicit_steps(
@@ -813,14 +818,15 @@ def _explicit_steps(
 
 def verify_theorem2(
     spec: VandermondeSpec,
-    x_star,
+    k: int,
     p_check: float | None = None,
     t_schedule: tuple[float, ...] = DEFAULT_T_SCHEDULE,
     trials: int = 21,
     seed: int = 0,
     budget: int | None = None,
 ) -> Theorem2Report:
-    """T2 harness for n >= 2m+2.
+    """T2 harness for n >= 2m+2: plant an l0 solution x* at level k,
+    (m+1)/2 <= k <= m, and check it.
 
     The claim itself, ||x*||_p^p < ||x*+h||_p^p for every kernel sample h,
     is checked by verify_strict_inequality.  Per nondegenerate h and step t
@@ -846,9 +852,8 @@ def verify_theorem2(
     m, n = spec.m, spec.n
     if n < 2 * m + 2:
         raise ValueError(f"T2 needs n >= 2m+2 = {2 * m + 2}, got n={n}")
-    x, k, A, level, p_star0, p, samples = _deep_regime_hypothesis(
-        spec, x_star, build_augmented_0(spec), p_check, trials, derive_seed(seed, "thm2-null"),
-        budget,
+    x, p_star0, p, samples = _deep_regime_hypothesis(
+        spec, k, build_augmented_0(spec), p_check, trials, seed, "thm2-null", budget
     )
     claim = verify_strict_inequality(x, samples, p)
 
@@ -948,8 +953,6 @@ def verify_theorem2(
         m=m,
         n=n,
         k=k,
-        level=level,
-        hypothesis_ok=level == k,
         p_star0=p_star0,
         p_check=p,
         limit_gaps=tuple(gaps),
@@ -961,21 +964,22 @@ def verify_theorem2(
         records=tuple(records),
         trials=len(samples),
         seed=seed,
+        x_star=tuple(x.tolist()),
     )
 
 
 def verify_theorem3(
     spec: VandermondeSpec,
-    x_star,
+    k: int,
     p_check: float | None = None,
     trials: int = 21,
     seed: int = 0,
     budget: int | None = None,
 ) -> Theorem3Report:
-    """T3 harness for m < n < 2m+2: extend the nodes to 2m+2, embed kernel
-    vectors by zero padding, and check the claim, through
-    verify_strict_inequality, below p_star of the extended block
-    augmentation.
+    """T3 harness for m < n < 2m+2: plant an l0 solution x* at level k,
+    (m+1)/2 <= k <= m, extend the nodes to 2m+2, embed kernel vectors by
+    zero padding, and check the claim, through verify_strict_inequality,
+    below p_star of the extended block augmentation.
 
     Embedding facts verified on samples, each residual from one stacked
     product: padded kernel vectors of A(m,n,lam) lie in the kernel of
@@ -989,8 +993,8 @@ def verify_theorem3(
         raise ValueError(f"T3 needs m < n < 2m+2, got m={m}, n={n}")
     ext = extend_lambda(spec, derive_seed(seed, "thm3-extend"))
     A0_ext = build_augmented_0(ext)
-    x, k, A, level, p_star0, p, samples = _deep_regime_hypothesis(
-        spec, x_star, A0_ext, p_check, trials, derive_seed(seed, "thm3-null"), budget
+    x, p_star0, p, samples = _deep_regime_hypothesis(
+        spec, k, A0_ext, p_check, trials, seed, "thm3-null", budget
     )
     claim = verify_strict_inequality(x, samples, p)
 
@@ -1013,8 +1017,6 @@ def verify_theorem3(
         n=n,
         extended_n=ext.n,
         k=k,
-        level=level,
-        hypothesis_ok=level == k,
         p_star0=p_star0,
         p_check=p,
         worst_embed_residual=max([0.0, *embed.tolist()]),
@@ -1023,4 +1025,5 @@ def verify_theorem3(
         violations=claim.violations,
         trials=len(samples),
         seed=seed,
+        x_star=tuple(x.tolist()),
     )

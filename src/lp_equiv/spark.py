@@ -72,6 +72,9 @@ from .numerics import RANK_TOL, check_budget, iter_subset_chunks, numerical_rank
 # determinant's rounding error (see the module docstring).
 SCREEN_FACTOR = 1e3
 
+# A square submatrix of a node matrix counts as singular at |det| <= DET_TOL.
+DET_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class SparkCertificate:
@@ -188,12 +191,10 @@ def _ratio_lower_bound(sub: np.ndarray) -> np.ndarray:
 
 
 def check_submatrix_invertibility(
-    spec: VandermondeSpec,
-    max_size: int | None = None,
-    det_tol: float = 1e-12,
-    budget: int | None = None,
+    spec: VandermondeSpec, budget: int | None = None
 ) -> SubmatrixReport:
-    """Scan |det| over every I x J square submatrix up to max_size.
+    """Scan |det| over every I x J square submatrix, of every size up to
+    max_size = min(m, n).
 
     For pairwise distinct positive nodes every square submatrix is invertible
     (total positivity: all dets strictly positive).  Signed nodes admit
@@ -204,10 +205,7 @@ def check_submatrix_invertibility(
     """
     A = build_vandermonde(spec).entries
     m, n = A.shape
-    if max_size is None:
-        max_size = min(m, n)
-    if not 1 <= max_size <= min(m, n):
-        raise ValueError(f"max_size must lie in [1, {min(m, n)}], got {max_size}")
+    max_size = min(m, n)
     total = sum(math.comb(m, s) * math.comb(n, s) for s in range(1, max_size + 1))
     check_budget(total, budget, "check_submatrix_invertibility")
 
@@ -235,8 +233,8 @@ def check_submatrix_invertibility(
         min_abs_det=best,
         argmin_rows=arg_rows,
         argmin_cols=arg_cols,
-        det_tol=det_tol,
-        passes=best > det_tol,
+        det_tol=DET_TOL,
+        passes=best > DET_TOL,
     )
 
 

@@ -448,27 +448,21 @@ def run_suite(config: RunConfig) -> RunManifest:
             checks.append(_check_from_exception("chain-asserted", True, exc))
 
     # --- deep-sparsity regime: augmented family -------------------------------
-    _run_deep_regime(config, spec, A, checks, counterexamples)
+    _run_deep_regime(config, spec, lam, checks, counterexamples)
 
     return _finalize(config, checks, counterexamples, phase_rows, margin_rows)
 
 
 def _run_deep_regime(
-    config: RunConfig, spec, A, checks: list[CheckResult], counterexamples: list[dict]
+    config: RunConfig, spec, lam: list, checks: list[CheckResult], counterexamples: list[dict]
 ) -> None:
     """Route the high-sparsity check by column count: wide instances exercise
     the t-indexed augmented family directly, narrow ones go through the
     node-extension embedding.  Both run the same way; they differ only in
-    the harness, the check name, the seed label and the detail keys."""
+    the harness, the check name, the seed label and the detail keys.  The
+    harness plants its own x*; a plant that misses the level skips the
+    check."""
     m, n = config.m, config.n
-    k = m  # deepest admissible level: (m+1)/2 <= k <= m
-    try:
-        planted, _ = plant_with_level(
-            A, k, seed=derive_seed(config.seed, "deep"), budget=config.budget
-        )
-    except (SamplingError, BudgetExceededError) as exc:
-        checks.append(_check_from_exception("deep-regime", False, exc))
-        return
     if n >= 2 * m + 2:
         harness = partial(verify_theorem2, t_schedule=config.t_schedule)
         name, label = "t2-augmented", "t2"
@@ -477,18 +471,19 @@ def _run_deep_regime(
         harness, name, label = verify_theorem3, "t3-extension", "t3"
         own_keys = ("worst_embed_residual", "worst_block_residual")
     try:
+        # k = m, the deepest admissible level: (m+1)/2 <= k <= m
         report = harness(
-            spec,
-            planted.x_star,
-            trials=config.trials,
-            seed=derive_seed(config.seed, label),
+            spec, m, trials=config.trials, seed=derive_seed(config.seed, label),
             budget=config.budget,
         )
-        keys = ("k", "hypothesis_ok", "p_star0", "p_check", "margin_min", *own_keys)
+        keys = ("k", "p_star0", "p_check", "margin_min", *own_keys)
         detail = {key: getattr(report, key) for key in keys}
         detail["violation_count"] = len(report.violations)
+        x_star = list(report.x_star)
         for v in report.violations:
-            counterexamples.append({"check": name, **json_safe(v)})
+            counterexamples.append(
+                {"check": name, **json_safe(v), "x_star": x_star, "lambda": lam}
+            )
         checks.append(CheckResult(name, "reported", False, detail))
     except (BudgetExceededError, SamplingError) as exc:
         checks.append(_check_from_exception(name, False, exc))

@@ -36,7 +36,9 @@ from lp_equiv.matgen import (
 from lp_equiv.numerics import derive_seed
 from lp_equiv.solvers import (
     RESIDUAL_TOL,
+    SparseProblem,
     plant_with_level,
+    solve_l0,
     verify_theorem1,
     verify_theorem2,
     verify_theorem3,
@@ -109,7 +111,7 @@ def test_criterion_02_threshold_identity_and_worked_example():
 
 
 def test_criterion_03_tail_window_inequality():
-    rep = lemma2_sequence_check(trials=1000, seed=0, tol=1e-10)
+    rep = lemma2_sequence_check(trials=1000, seed=0)
     _line(3, "tail-window norm bound over 1000 monotone sequences", rep.passes,
           f"worst relative violation {rep.worst_relative_violation:.2e} (tol 1e-10)")
     assert rep.trials == 1000
@@ -117,8 +119,8 @@ def test_criterion_03_tail_window_inequality():
 
 
 def test_criterion_04_scalar_bound_curves():
-    rep_f = f_lemma3_grid(count=1000, lo=1e-6, tol=1e-12)
-    rep_phi = phi_bound_grid(count=1000, lo=1e-6, tol=1e-12)
+    rep_f = f_lemma3_grid()
+    rep_phi = phi_bound_grid()
     end_f = abs(float(f_lemma3(1.0)) - SQRT2_OVER_2)
     end_phi = abs(float(phi_bound(1.0)) - SQRT2_OVER_2)
     ok = rep_f.passes and rep_phi.passes and end_f <= 1e-12 and end_phi <= 1e-12
@@ -235,9 +237,7 @@ def test_criterion_08_augmented_threshold_limit():
     ratios = []
     for m, n, seed in itertools.islice(stream, 10):
         spec = sample_instance(m, n, seed=seed)
-        A = build_vandermonde(spec)
-        planted, _ = plant_with_level(A, m, seed=derive_seed(seed, "plant"))
-        rep = verify_theorem2(spec, planted.x_star, trials=6, seed=derive_seed(seed, "t2"))
+        rep = verify_theorem2(spec, m, trials=6, seed=derive_seed(seed, "t2"))
         assert rep.limit_monotone, (m, n, seed)
         ratios.append(rep.final_gap_ratio)
     below = sum(r < 1e-3 for r in ratios)
@@ -263,9 +263,10 @@ def test_criterion_09_deep_regime_margins(tmp_path):
         for m, n, k, seed in itertools.islice(stream, 20):
             spec = sample_instance(m, n, seed=seed)
             A = build_vandermonde(spec)
-            planted, _ = plant_with_level(A, k, seed=derive_seed(seed, "plant"))
-            rep = verify(spec, planted.x_star, trials=30, seed=derive_seed(seed, "deep"))
-            assert rep.hypothesis_ok, (label, m, n, k, seed)
+            rep = verify(spec, k, trials=30, seed=derive_seed(seed, "deep"))
+            # the hypothesis, checked apart from the harness's own plant
+            b = A.entries @ np.array(rep.x_star)
+            assert solve_l0(SparseProblem(A, b)).level == k, (label, m, n, k, seed)
             assert math.isfinite(rep.margin_min)
             violations.extend(
                 {"regime": label, "m": m, "n": n, "k": k, "seed": seed, **v}

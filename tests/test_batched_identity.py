@@ -47,7 +47,6 @@ from lp_equiv.solvers import (  # noqa: E402
     SparseSolution,
     enumerate_basic_solutions,
     null_space_basis,
-    plant_with_level,
     sample_null,
     solve_l0,
     verify_theorem2,
@@ -255,15 +254,12 @@ LOG10_ULPS = 8
 )
 def test_t2_steps_equal_per_step_loop(m, n, seed, p_frac, t_schedule, trials):
     spec = sample_instance(m, n, seed=seed)
-    planted, _ = plant_with_level(build_vandermonde(spec), m, seed=derive_seed(seed, "plant"))
     p_star0 = gram_spectrum(build_augmented_0(spec)).p_star
     p_check = None if p_frac is None else p_frac * p_star0
-    rep = verify_theorem2(
-        spec, planted.x_star, p_check=p_check, t_schedule=t_schedule, trials=trials, seed=seed
-    )
+    rep = verify_theorem2(spec, m, p_check=p_check, t_schedule=t_schedule, trials=trials, seed=seed)
     count = max(1, math.ceil(trials / len(DEFAULT_SCALES)))
     samples = sample_null(build_vandermonde(spec), count, seed=derive_seed(seed, "thm2-null"))
-    reference = _reference_t2_records(spec, planted.x_star, rep.p_check, t_schedule, samples)
+    reference = _reference_t2_records(spec, np.array(rep.x_star), rep.p_check, t_schedule, samples)
 
     def pop_log10(records):
         return [
@@ -310,8 +306,7 @@ def _reference_t3_residuals(spec, seed, trials):
 @pytest.mark.parametrize("m,n", [(2, 4), (2, 5), (3, 5), (3, 6)])
 def test_t3_residuals_equal_per_sample_loop(m, n, seed):
     spec = sample_instance(m, n, seed=seed)
-    planted, _ = plant_with_level(build_vandermonde(spec), m, seed=derive_seed(seed, "plant"))
-    rep = verify_theorem3(spec, planted.x_star, trials=21, seed=seed)
+    rep = verify_theorem3(spec, m, trials=21, seed=seed)
     assert (rep.worst_embed_residual, rep.worst_block_residual) == _reference_t3_residuals(
         spec, seed, 21
     )

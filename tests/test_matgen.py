@@ -137,7 +137,7 @@ def test_sample_instance_is_deterministic_and_separated():
 def test_sample_instance_impossible_separation_raises():
     # 40 magnitudes at separation 0.05 cannot fit inside [0.5, 2.0]
     with pytest.raises(SamplingError):
-        sample_instance(8, 40, seed=0, max_tries=200)
+        sample_instance(8, 40, seed=0)
 
 
 def test_extend_lambda_reaches_wide_regime():

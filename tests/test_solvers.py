@@ -311,10 +311,7 @@ def test_theorem2_sequences_validation():
 
 def test_verify_theorem2_wide_instance():
     spec = sample_instance(2, 8, seed=42)
-    A = build_vandermonde(spec)
-    inst, _ = plant_with_level(A, 2, seed=11)
-    rep = verify_theorem2(spec, inst.x_star, trials=9, seed=3)
-    assert rep.hypothesis_ok
+    rep = verify_theorem2(spec, 2, trials=9, seed=3)
     assert rep.k == 2
     assert rep.limit_monotone
     assert rep.final_gap_ratio < 1e-3
@@ -326,15 +323,13 @@ def test_verify_theorem2_wide_instance():
 def test_verify_theorem2_rejects_narrow_instance():
     spec = sample_instance(2, 4, seed=1)
     with pytest.raises(ValueError):
-        verify_theorem2(spec, np.array([1.0, 0.0, 0.0, 1.0]), trials=3, seed=0)
+        verify_theorem2(spec, 2, trials=3, seed=0)
 
 
 def test_verify_theorem3_narrow_instance():
     spec = sample_instance(3, 5, seed=5)
-    A = build_vandermonde(spec)
-    inst, _ = plant_with_level(A, 3, seed=11)
-    rep = verify_theorem3(spec, inst.x_star, trials=9, seed=3)
-    assert rep.hypothesis_ok
+    rep = verify_theorem3(spec, 3, trials=9, seed=3)
+    assert rep.k == 3
     assert rep.extended_n == 2 * spec.m + 2
     assert rep.worst_embed_residual < 1e-9
     assert rep.worst_block_residual < 1e-9
@@ -345,7 +340,31 @@ def test_verify_theorem3_narrow_instance():
 def test_verify_theorem3_rejects_wide_instance():
     spec = sample_instance(2, 8, seed=42)
     with pytest.raises(ValueError):
-        verify_theorem3(spec, np.zeros(8), trials=3, seed=0)
+        verify_theorem3(spec, 2, trials=3, seed=0)
+
+
+@pytest.mark.parametrize(
+    "harness,m,n", [(verify_theorem2, 2, 6), (verify_theorem2, 3, 9), (verify_theorem3, 3, 6)]
+)
+@pytest.mark.parametrize("seed", [0, 5])
+def test_deep_regime_plants_x_star_from_the_plant_seed(harness, m, n, seed):
+    # the harness's x* is plant_with_level's at derive_seed(seed, "plant"),
+    # the plant whose l0 solve certified the level
+    spec = sample_instance(m, n, seed=seed)
+    for k in range(math.ceil((m + 1) / 2), m + 1):
+        rep = harness(spec, k, trials=3, seed=seed)
+        planted, _ = plant_with_level(build_vandermonde(spec), k, derive_seed(seed, "plant"))
+        assert rep.x_star == tuple(planted.x_star.tolist())
+        assert rep.k == sum(v != 0.0 for v in rep.x_star) == k
+
+
+@pytest.mark.parametrize("harness,m,n", [(verify_theorem2, 3, 8), (verify_theorem3, 3, 6)])
+@pytest.mark.parametrize("k", [0, 1, 4])
+def test_deep_regime_rejects_k_outside_the_deep_range(harness, m, n, k):
+    # (m+1)/2 <= k <= m is 2..3 at m = 3
+    spec = sample_instance(m, n, seed=1)
+    with pytest.raises(ValueError, match="k <= m"):
+        harness(spec, k, trials=3, seed=0)
 
 
 def _median_shifted(lp_margin_fn):
@@ -390,10 +409,9 @@ def test_deep_regime_claim_equals_verify_strict_inequality(
     monkeypatch.setattr(solvers, "verify_strict_inequality", spy)
     spec = sample_instance(m, n, seed=seed)
     A = build_vandermonde(spec)
-    planted, _ = plant_with_level(A, m, seed=derive_seed(seed, "plant"))
-    rep = harness(spec, planted.x_star, trials=9, seed=seed)
+    rep = harness(spec, m, trials=9, seed=seed)
     samples = sample_null(A, 3, seed=derive_seed(seed, label))
-    ref = evaluate(planted.x_star, samples, rep.p_check)
+    ref = evaluate(np.array(rep.x_star), samples, rep.p_check)
     assert len(calls) == 1 and calls[0].margins == ref.margins
     assert rep.margin_min == ref.margin_min
     assert rep.violations == ref.violations
@@ -645,8 +663,7 @@ def _explicit_t2_matrices(monkeypatch, m, seed):
 
     monkeypatch.setattr(solvers, "_augmented_with_scales", keep)
     spec = sample_instance(m, 2 * m + 2, seed=seed)
-    planted, _ = plant_with_level(build_vandermonde(spec), m, seed=derive_seed(seed, "plant"))
-    rep = verify_theorem2(spec, planted.x_star, trials=6, seed=derive_seed(seed, "t2"))
+    rep = verify_theorem2(spec, m, trials=6, seed=derive_seed(seed, "t2"))
     return rep, built
 
 
@@ -722,11 +739,10 @@ def test_explicit_residual_check_catches_a_flipped_lift(monkeypatch, m, seed):
     # a ratio of order one at every x_t: at m = 1 (x_t up to 1e4) and at
     # m = 2 (x_t from 1e14 on), where a normwise ratio falls below the bound
     spec = sample_instance(m, 2 * m + 2, seed=seed)
-    planted, _ = plant_with_level(build_vandermonde(spec), m, seed=derive_seed(seed, "plant"))
     key = "explicit_componentwise_backward_error"
 
     def explicit_steps():
-        rep = verify_theorem2(spec, planted.x_star, trials=6, seed=derive_seed(seed, "t2"))
+        rep = verify_theorem2(spec, m, trials=6, seed=derive_seed(seed, "t2"))
         return [s for r in rep.records for s in r.get("steps", ()) if "explicit_residual" in s]
 
     correct = explicit_steps()

@@ -9,7 +9,7 @@ import pytest
 from lp_equiv import suite
 from lp_equiv.matgen import VandermondeSpec, build_vandermonde, sample_instance
 from lp_equiv.numerics import derive_seed
-from lp_equiv.solvers import verify_theorem1
+from lp_equiv.solvers import plant_with_level, verify_theorem1
 from lp_equiv.suite import (
     CheckResult,
     RunConfig,
@@ -216,6 +216,30 @@ def test_t1_counterexamples_carry_replay_data(tmp_path, monkeypatch):
     assert len(t1) == 1
     assert t1[0]["lambda"] == instance.detail["lambda"]
     assert len(t1[0]["x_star"]) == cfg.n and sum(v != 0.0 for v in t1[0]["x_star"]) == 1
+
+
+@pytest.mark.parametrize(
+    "harness,check,label,n",
+    [("verify_theorem2", "t2-augmented", "t2", 8), ("verify_theorem3", "t3-extension", "t3", 5)],
+)
+def test_deep_regime_counterexamples_carry_replay_data(
+    tmp_path, monkeypatch, harness, check, label, n
+):
+    real = getattr(suite, harness)
+
+    def one_violation(*args, **kwargs):
+        rep = real(*args, **kwargs)
+        return replace(rep, violations=({"p": rep.p_check, "margin": -1.0, "h": [0.0] * rep.n},))
+
+    monkeypatch.setattr(suite, harness, one_violation)
+    cfg = RunConfig(seed=2, m=2, n=n, trials=6, output_dir=str(tmp_path / label))
+    run_suite(cfg)
+    dumped = json.loads((tmp_path / label / "counterexamples.json").read_text())
+    (ce,) = [c for c in dumped if c["check"] == check]
+    # lambda and the harness seed rebuild the instance and its planted x*
+    A = build_vandermonde(VandermondeSpec(cfg.m, tuple(ce["lambda"])))
+    planted, _ = plant_with_level(A, cfg.m, derive_seed(derive_seed(cfg.seed, label), "plant"))
+    assert ce["x_star"] == planted.x_star.tolist()
 
 
 def test_cross_term_counterexample_replays_from_its_record(tmp_path):
