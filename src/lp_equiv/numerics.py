@@ -1,5 +1,11 @@
 """Shared numeric primitives: the rank policy, exact summation, tiny-exponent
-powers, subset budgets."""
+powers, subset budgets.
+
+Exact summation returns math.fsum's result bit for bit.  Row sums of a block
+come from a vectorized TwoSum cascade, accepted for a row only when at most
+one nonzero term is left beside the top or a proven error bound puts the
+candidate strictly nearest the exact sum; every other row, inf, NaN and
+overflow included, goes to math.fsum itself."""
 
 from __future__ import annotations
 
@@ -122,25 +128,91 @@ def abs_pow(values, p) -> np.ndarray:
     return out
 
 
+def _two_sum(a, b):
+    """Knuth's TwoSum, elementwise: s = fl(a + b) and the rounding error
+    a + b - s, which is a float and is computed exactly whenever s is finite
+    (subnormals included)."""
+    s = a + b
+    b_virtual = s - a
+    return s, (a - (s - b_virtual)) + (b - b_virtual)
+
+
+def _cascade_sums(rows: np.ndarray):
+    """Candidate exactly-rounded sums of an (r, n) block, n >= 1, and a mask of
+    the rows whose candidate provably equals math.fsum of the row.
+
+    The block is transposed to (n, r), so that each step below is one numpy
+    call over all r rows on contiguous memory.  Two VecSum passes (a cascade
+    of TwoSum; Ogita, Rump and Oishi, SIAM J. Sci. Comput. 26, 2005) keep the
+    exact row sum S = top + sum(rest), gathering most of it in top.  Then
+    c, e = TwoSum(top, s), with s the float sum of the m = n - 1 rest terms,
+    so S = c + e + (R - s), R the exact sum of the rest.  A row is accepted:
+
+    * when at most one rest term is nonzero: s is that term exactly, and c is
+      one IEEE addition of two floats whose exact sum is S, rounded to
+      nearest-even as fsum rounds;
+    * when |e| + |R - s| < half the smaller float spacing at c: then c is the
+      float strictly nearest S, whatever the rule for ties.  Any summation
+      order gives |R - s| <= g M, with M = sum|rest| and g = (m-1)u/(1-(m-1)u),
+      u = 2**-53 (Higham, Accuracy and Stability of Numerical Algorithms,
+      section 4.2; addition has no underflow error, since sums of floats in
+      the subnormal range are exact).  The float sum M' of the same
+      nonnegative terms has M' >= (1-u)**(m-1) M, and 2n is an integer, so
+      fl(2n M') >= 2n (1-u) M' >= 2**53 g M while m < 2**50.  The test
+      fl(|e| 2**53 + fl(2n M')) < spacing 2**52 compares exactly scaled
+      floats, and rounding is monotone, so it implies the exact inequality
+      |e| + g M < spacing / 2.
+
+    A row whose float sum of |terms| is not below 2**1021, an eighth of the
+    float range (inf and NaN included), is never accepted: math.fsum must
+    decide such rows, and raise on those it raises on.  Below it no step of
+    the cascade or of fsum overflows, since VecSum and fsum's partials keep
+    every intermediate within a factor 1 + O(n u) of the sum of |terms|.
+    fsum returns 0.0 for every zero sum, and c + 0.0 does too.  (A TwoSum
+    error term is never -0.0 and the empty rest sums to 0.0, so c is not
+    -0.0 to begin with; the addition keeps that from resting on the argument.)
+    """
+    t = rows.T.copy()
+    n = len(t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        in_range = np.abs(t).sum(axis=0) < 2.0**1021
+        for _ in range(2):
+            for i in range(1, n):
+                t[i], t[i - 1] = _two_sum(t[i], t[i - 1])
+        rest = t[:-1]
+        c, e = _two_sum(t[-1], rest.sum(axis=0))
+        mass = np.abs(rest).sum(axis=0)
+        # the spacing below |c|: that of the float just under |c|, to which
+        # |c| (1 - 2**-53) rounds; it is the smaller of the two at c
+        spacing = np.spacing(np.abs(c) * (1.0 - 2.0**-53))
+        nearest = np.abs(e) * 2.0**53 + (2 * n) * mass < spacing * 2.0**52
+    single = np.count_nonzero(rest, axis=0) <= 1
+    return c + 0.0, in_range & (single | nearest)
+
+
 def _row_fsums(d: np.ndarray):
-    """Exactly-rounded sum over the last axis: a float for 1-D input, else
-    nested lists of floats shaped like the leading axes.  The rows go through
-    tolist BLOCK at a time, so the Python floats held at once stay bounded by
-    the block.  math.fsum is exact, so a row's sum does not depend on the rest
-    of the block or on zero entries padded onto it."""
+    """math.fsum over the last axis, bit for bit: a float for 1-D input, else
+    nested lists of floats shaped like the leading axes.
+
+    Rows go BLOCK at a time through _cascade_sums, a vectorized TwoSum cascade
+    whose sum is accepted only where it provably equals fsum's: at most one
+    nonzero term left beside the top, or the remaining error bounded below
+    half a float spacing.  Every other row, including each with an inf, a NaN
+    or an overflow, goes to math.fsum itself, which raises as fsum does.  The
+    cascade makes O(n) numpy calls per block, so it pays off across many rows;
+    a single 1-D vector stays with compensated_sum."""
     if d.ndim <= 1:
         return compensated_sum(d)
     rows = d.reshape(math.prod(d.shape[:-1]), d.shape[-1])
-    sums = [
-        math.fsum(row)
-        for first in range(0, len(rows), BLOCK)
-        for row in rows[first : first + BLOCK].tolist()
-    ]
-    # regroup the flat row sums by the leading axes, innermost first
-    for axis in range(d.ndim - 2, 0, -1):
-        size = d.shape[axis]
-        sums = [sums[i * size : (i + 1) * size] for i in range(math.prod(d.shape[:axis]))]
-    return sums
+    sums = np.zeros(len(rows))
+    if rows.shape[1]:
+        for first in range(0, len(rows), BLOCK):
+            block = rows[first : first + BLOCK]
+            c, exact = _cascade_sums(block)
+            for i in np.flatnonzero(~exact).tolist():
+                c[i] = math.fsum(block[i].tolist())
+            sums[first : first + BLOCK] = c
+    return sums.reshape(d.shape[:-1]).tolist()
 
 
 def lp_power_sum(values, p):

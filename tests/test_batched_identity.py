@@ -2,11 +2,13 @@
 
 The references below are the per-sample margin, the per-p call, the
 per-support solve loop, the per-step T2 loop and the per-sample T3 residual
-loop that the block kernels replaced; every comparison is exact (==), except log10_x_t, which the T2
+loop that the block kernels replaced; every comparison is exact (==, or bit
+patterns where a signed zero could hide), except log10_x_t, which the T2
 harness now derives from log x_t (see test_t2_steps_equal_per_step_loop).
 """
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -70,7 +72,10 @@ def test_lp_margin_block_equals_per_sample_margins(data):
     H = data.draw(hnp.arrays(float, (rows, n), elements=ENTRIES))
     p = data.draw(EXPONENTS)
     expected = [math.fsum((abs_pow(x + h, p) - abs_pow(x, p)).tolist()) for h in H]
-    assert lp_margin(x, H, p) == expected
+    # bit patterns, not ==, so that a -0.0 against fsum's 0.0 fails
+    assert [struct.pack("<d", v) for v in lp_margin(x, H, p)] == [
+        struct.pack("<d", v) for v in expected
+    ]
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,11 +1,17 @@
 import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from lp_equiv import numerics
 from lp_equiv.matgen import build_vandermonde, sample_instance
 from lp_equiv.numerics import (
+    BLOCK,
     BudgetExceededError,
     POWER_FLOOR,
     abs_pow,
@@ -68,6 +74,11 @@ def test_lp_margin_exact_zero_for_zero_h():
     assert lp_margin(x, np.zeros(2), 0.3) == 0.0
 
 
+def bits(values):
+    """Bit patterns of a list of floats: unlike ==, tells -0.0 from 0.0."""
+    return [struct.pack("<d", v) for v in values]
+
+
 def _margin_one_row(x, h, p):
     # the per-sample formula the block evaluation replaced
     return math.fsum((abs_pow(x + h, p) - abs_pow(x, p)).tolist())
@@ -84,14 +95,123 @@ def test_block_margins_and_power_sums_are_bit_identical_to_one_row_at_a_time(p):
     H[3, 3] = 1e-305  # x* + h stays at or below POWER_FLOOR
     margins = lp_margin(x, H, p)
     assert isinstance(margins, list) and all(type(v) is float for v in margins)
-    assert margins == [_margin_one_row(x, h, p) for h in H]
-    assert margins == [lp_margin(x, h, p) for h in H]
-    assert margins[1] == 0.0
+    assert bits(margins) == bits([_margin_one_row(x, h, p) for h in H])
+    assert bits(margins) == bits([lp_margin(x, h, p) for h in H])
+    assert bits(margins[1:2]) == bits([0.0])
 
     powers = lp_power_sum(x + H, p)
-    assert powers == [math.fsum(abs_pow(row, p).tolist()) for row in x + H]
+    assert bits(powers) == bits([math.fsum(abs_pow(row, p).tolist()) for row in x + H])
     # padded zeros add exactly nothing to an exact sum
-    assert lp_power_sum(np.pad(x + H, ((0, 0), (0, 3))), p) == powers
+    assert bits(lp_power_sum(np.pad(x + H, ((0, 0), (0, 3))), p)) == bits(powers)
+
+
+# Terms chosen to stress an exactly rounded sum: halfway ties against 1.0,
+# signed zeros, subnormals, the extremes of the float range and magnitudes
+# from 1e-20 to 1e20.  Infinities and NaNs have their own fixed cases.
+SUM_TERMS = st.one_of(
+    st.sampled_from(
+        [0.0, -0.0, 1.0, -1.0, 2.0**-53, -(2.0**-53), 2.0**-106, 3 * 2.0**-53, 5e-324, -5e-324]
+    ),
+    st.floats(-1e-300, 1e-300, allow_subnormal=True),
+    st.floats(1e-20, 1e20) | st.floats(-1e20, -1e-20),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+def _assert_fsum_rows(d):
+    """_row_fsums(d) equals math.fsum of every row, bit for bit."""
+    got = np.asarray(numerics._row_fsums(d), dtype=float).ravel().tolist()
+    rows = d.reshape(math.prod(d.shape[:-1]), d.shape[-1])
+    assert bits(got) == bits([math.fsum(row) for row in rows.tolist()])
+
+
+def _summable(rows):
+    """The rows of rows whose fsum is finite: fsum raises on the others."""
+    keep = []
+    for row in rows:
+        try:
+            math.fsum(row)
+        except OverflowError:
+            continue
+        keep.append(row)
+    return keep
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_row_sums_are_bit_identical_to_fsum(data):
+    n = data.draw(st.integers(0, 12))
+    rows = data.draw(st.lists(st.lists(SUM_TERMS, min_size=n, max_size=n), min_size=1, max_size=8))
+    # rows whose second half negates the first, so that they cancel to exactly zero
+    halves = [row[: n // 2] for row in rows[:2]]
+    rows += [half + [-v for v in reversed(half)] + [-0.0] * (n % 2) for half in halves]
+    rows = _summable(rows)
+    d = np.array(rows, dtype=float).reshape(len(rows), n)
+    _assert_fsum_rows(d)
+    _assert_fsum_rows(d.reshape(1, len(rows), n))
+
+
+@settings(max_examples=50, deadline=None)
+@given(row=hnp.arrays(float, st.integers(1, 6), elements=SUM_TERMS))
+def test_row_sums_across_a_block_boundary(row):
+    # BLOCK + 1 rows: the drawn row ends the first block and starts the second
+    d = np.tile(np.array([[1.0, 2.0**-53, -0.0, 1e20, -1e20, 5e-324]])[:, : row.size], (BLOCK + 1, 1))
+    d[BLOCK - 1] = d[BLOCK] = row
+    if _summable([row.tolist()]):
+        _assert_fsum_rows(d)
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        [],
+        [-0.0],
+        [-0.0, -0.0],
+        [0.0, -0.0],
+        [1.0, 2.0**-53],  # halfway: ties to even, down to 1.0
+        [1.0 + 2.0**-52, 2.0**-53],  # halfway: ties to even, up
+        [5e-324, -5e-324],
+        [2.0**-1073, 5e-324, -(2.0**-1074)],
+        [1e20, 1.0, -1e20, -1.0],
+    ],
+)
+def test_row_sums_fixed_edge_cases(row):
+    _assert_fsum_rows(np.array([row, row[::-1]], dtype=float).reshape(2, len(row)))
+
+
+def test_bound_test_decides_the_rows_it_accepts():
+    # 1 + 2**-53 + 2**-106 lies just above a tie: after the cascade, two rest
+    # terms are nonzero and the candidate c = 1.0 is off by one spacing, so the
+    # row must go to fsum; accepting every candidate would return 1.0
+    d = np.array([[1.0, 2.0**-53, 2.0**-106], [1.0, 2.0**-53, 0.0]])
+    candidates, exact = numerics._cascade_sums(d)
+    assert exact.tolist() == [False, True]
+    assert candidates[0] == 1.0 != math.fsum(d[0].tolist()) == 1.0 + 2.0**-52
+    _assert_fsum_rows(d)
+
+
+@pytest.mark.parametrize(
+    "row, error",
+    [
+        ([math.inf, -math.inf], ValueError),
+        ([1.0, math.inf, 2.0, -math.inf], ValueError),
+        ([1e308, 1e308], OverflowError),
+        ([1e308, 1e308, -1e308, 1e308], OverflowError),
+        # fsum raises on an intermediate overflow even where the sum is finite
+        ([1e308, 1e308, -1e308, -1e308, 1.0], OverflowError),
+    ],
+)
+def test_row_sums_raise_as_fsum_raises(row, error):
+    with pytest.raises(error):
+        math.fsum(row)
+    with pytest.raises(error):
+        numerics._row_fsums(np.array([[1.0] * len(row), row]))
+
+
+def test_row_sums_keep_fsum_infinities_and_nans():
+    d = np.array([[math.inf, 1.0], [-math.inf, -math.inf], [math.nan, 1.0], [math.inf, math.nan]])
+    got = numerics._row_fsums(d)
+    assert got[:2] == [math.inf, -math.inf] and all(map(math.isnan, got[2:]))
 
 
 def reference_abs_pow(x, p):
