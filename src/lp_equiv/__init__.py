@@ -56,7 +56,7 @@ from .numerics import (
 from .solvers import (
     EquivalenceReport,
     InfeasibleProblemError,
-    KernelSample,
+    KernelSamples,
     LpMinimum,
     PlantedInstance,
     SparseProblem,
@@ -139,7 +139,7 @@ __all__ = [
     "SparseSolution",
     "SparseSolutionSet",
     "LpMinimum",
-    "KernelSample",
+    "KernelSamples",
     "EquivalenceReport",
     "PlantedInstance",
     "Theorem1Report",

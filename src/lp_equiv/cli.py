@@ -180,7 +180,7 @@ def _cmd_audit(args) -> int:
         planted, _ = plant_with_level(A, k, seed=derive_seed(args.seed, "plant"), budget=args.budget)
         h = sample_null(
             A, count=1, seed=derive_seed(args.seed, "h"), witness=cert.witness, budget=args.budget
-        )[0].vector
+        ).vectors[0]
         p = args.p if args.p is not None else gram_spectrum(A).p_star / 2.0
         report = audit_theorem1_chain(A, planted.x_star, h, min(p, 1.0))
         ok = report.asserted_ok

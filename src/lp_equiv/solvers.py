@@ -19,9 +19,10 @@ The claims under test, in this repository's own numbering:
 
 Everything is verified by enumeration and sampling: l0 by exhaustive support
 search, lp by exhaustive basic-solution search, the inequalities by margins
-over sampled kernel vectors.  All three harnesses evaluate the sampled claim
-||x*||_p^p < ||x*+h||_p^p through one function, verify_strict_inequality,
-and take their margins, margin_min and violation records from its report.
+over sampled kernel vectors, one KernelSamples block from sample_null on.
+All three harnesses evaluate the sampled claim ||x*||_p^p < ||x*+h||_p^p
+through one function, verify_strict_inequality, and take their margins,
+margin_min and violation records from its report.
 Harness outcomes are *reports*; the only hard assertions are implementation
 contracts (feasibility, rank logic, budgets).
 """
@@ -183,12 +184,13 @@ class SupportPartition:
 
 
 @dataclass(frozen=True)
-class KernelSample:
-    """One sampled kernel vector with its provenance class."""
+class KernelSamples:
+    """Sampled kernel vectors as one block: row i has kind kinds[i] and
+    length scales[i], each base direction at every DEFAULT_SCALES entry."""
 
-    vector: np.ndarray
-    kind: str  # "unit" | "signed" | "minsupport"
-    scale: float
+    vectors: np.ndarray  # (count * len(DEFAULT_SCALES), n) float64
+    kinds: tuple[str, ...]  # "unit" | "signed" | "minsupport"
+    scales: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -449,12 +451,11 @@ def sample_null(
     A: DenseMatrix,
     count: int,
     seed: int,
-    scales: tuple[float, ...] = DEFAULT_SCALES,
     witness: tuple[int, ...] | None = None,
     budget: int | None = None,
-) -> list[KernelSample]:
+) -> KernelSamples:
     """Deterministic mixture of kernel vectors, `count` base directions each
-    emitted at every scale.
+    emitted at every DEFAULT_SCALES entry.
 
     Kinds: "unit" (random unit directions in the kernel), "signed"
     (+-1 combinations of the basis), and one "minsupport" vector supported on
@@ -479,11 +480,9 @@ def sample_null(
     base: list[np.ndarray] = []
     kinds: list[str] = []
     if witness is not None:
-        sub = A.entries[:, list(witness)]
-        _, _, vt = np.linalg.svd(sub)
-        v = vt[-1]
+        _, _, vt = np.linalg.svd(A.entries[:, list(witness)])
         h = np.zeros(A.cols)
-        h[list(witness)] = v
+        h[list(witness)] = vt[-1]
         base.append(h / np.linalg.norm(h))
         kinds.append("minsupport")
     # signs[rng.integers(0, 2, size)] draws what rng.choice([-1.0, 1.0], size)
@@ -503,13 +502,13 @@ def sample_null(
         base.append(h / norm)
         kinds.append(kind)
 
-    # one (count, scales, n) product; each sample's vector is one of its rows
-    scaled = np.array(base)[:, None, :] * np.asarray(scales, dtype=float)[None, :, None]
-    return [
-        KernelSample(vector=row, kind=kind, scale=float(s))
-        for kind, rows in zip(kinds, scaled)
-        for row, s in zip(rows, scales)
-    ]
+    # one (count, scales, n) product, whose rows are the samples in order
+    scaled = np.array(base)[:, None, :] * np.asarray(DEFAULT_SCALES)[None, :, None]
+    return KernelSamples(
+        vectors=scaled.reshape(-1, A.cols),
+        kinds=tuple(kind for kind in kinds for _ in DEFAULT_SCALES),
+        scales=DEFAULT_SCALES * count,
+    )
 
 
 def _trial_samples(
@@ -518,7 +517,7 @@ def _trial_samples(
     seed: int,
     witness: tuple[int, ...] | None = None,
     budget: int | None = None,
-) -> list[KernelSample]:
+) -> KernelSamples:
     """A harness's kernel samples: ceil(trials / len(DEFAULT_SCALES)) base
     directions (at least one), each at every default scale."""
     count = max(1, math.ceil(trials / len(DEFAULT_SCALES)))
@@ -548,51 +547,42 @@ def support_partition(x_star, h, k: int | None = None) -> SupportPartition:
 
 def verify_strict_inequality(
     x_star,
-    h_set,
+    samples: KernelSamples,
     p,
     seed: int | None = None,
     p_star: float | None = None,
 ) -> EquivalenceReport | list[EquivalenceReport]:
-    """Margins ||x*+h||_p^p - ||x*||_p^p over a kernel sample set: the one
+    """Margins ||x*+h||_p^p - ||x*||_p^p over a kernel sample block: the one
     evaluator of the sampled claim, for T1, T2 and T3 alike.
 
     A violation is margin <= 0 (ties count as violations: the claim under
-    test is strict); its record carries the sample index, p and the margin,
-    and for a KernelSample also its kind, scale and h, enough to replay it.
-    argmin_match is left unset; the T1 harness fills it.  p is one exponent,
-    giving one report, or a 1-D grid, giving one report per p, each
-    bit-identical to the call at that p; the sample block is built once and
-    all margins come from one lp_margin call.
+    test is strict); its record carries the sample's row index, kind and
+    scale, p, the margin and h, enough to replay it.  argmin_match is left
+    unset; the T1 harness fills it.  p is one exponent, giving one report,
+    or a 1-D grid, giving one report per p, each bit-identical to the call at
+    that p; all margins come from one lp_margin call on the block.
     """
-    items = list(h_set)
-    if not items:
+    H = samples.vectors
+    if not len(H):
         raise ValueError("empty kernel sample set")
-    H = np.array(
-        [item.vector if isinstance(item, KernelSample) else item for item in items], dtype=float
-    )
     ps = _p_list(p)
     margins = lp_margin(x_star, H, ps)
     reports = []
-    for p_i, row, bad in zip(ps, margins, np.asarray(margins).reshape(len(ps), len(items)) <= 0.0):
-        violations: list[dict] = []
-        for idx in np.flatnonzero(bad).tolist():
-            item = items[idx]
-            if isinstance(item, KernelSample):
-                violations.append(
-                    {"index": idx, "kind": item.kind, "scale": item.scale, "p": p_i,
-                     "margin": row[idx], "h": [float(v) for v in item.vector]}
-                )
-            else:
-                violations.append({"index": idx, "p": p_i, "margin": row[idx]})
+    for p_i, row, bad in zip(ps, margins, np.asarray(margins).reshape(len(ps), len(H)) <= 0.0):
+        violations = tuple(
+            {"index": idx, "kind": samples.kinds[idx], "scale": samples.scales[idx], "p": p_i,
+             "margin": row[idx], "h": H[idx].tolist()}
+            for idx in np.flatnonzero(bad).tolist()
+        )
         reports.append(
             EquivalenceReport(
                 p=p_i,
                 margin_min=min(row),
                 argmin_match=None,
-                trials=len(items),
+                trials=len(H),
                 seed=seed,
                 below_threshold=None if p_star is None else p_i < p_star,
-                violations=tuple(violations),
+                violations=violations,
                 margins=tuple(row),
             )
         )
@@ -700,11 +690,11 @@ def verify_theorem1(
         reports=tuple(reports),
         counterexamples=tuple(counterexamples),
         all_hold=all_hold,
-        trials=len(samples),
+        trials=len(samples.vectors),
         seed=seed,
         grid_below_threshold_empty=below_empty,
         x_star=tuple(inst.x_star.tolist()),
-        sample_labels=tuple((s.kind, s.scale) for s in samples),
+        sample_labels=tuple(zip(samples.kinds, samples.scales)),
     )
 
 
@@ -865,7 +855,7 @@ def verify_theorem2(
     final_gap_ratio = gaps[-1] / p_star0
 
     base_power = lp_power_sum(x, p)
-    H = np.array([sample.vector for sample in samples])
+    H = samples.vectors
     shifted_powers = lp_power_sum(x + H, p)
     # l_i = <B_i, h>, sorted by decreasing |l_i| (ties to the lower i)
     L = _matvecs(b_vectors(spec), H)
@@ -886,11 +876,9 @@ def verify_theorem2(
     # every step of the kept samples, sample-major, and its x_t, y_t
     flat_steps: list[dict] = []
     flat_scales: list[float] = []
-    for idx, sample in enumerate(samples):
+    for idx, (kind, scale) in enumerate(zip(samples.kinds, samples.scales)):
         if not kept[idx]:
-            records.append(
-                {"index": idx, "kind": sample.kind, "scale": sample.scale, "degenerate": True}
-            )
+            records.append({"index": idx, "kind": kind, "scale": scale, "degenerate": True})
             continue
         l1_abs, l2_abs = abs(float(L[idx, 0])), abs(float(L[idx, 1]))
         shifted_power = shifted_powers[idx]
@@ -915,8 +903,8 @@ def verify_theorem2(
         records.append(
             {
                 "index": idx,
-                "kind": sample.kind,
-                "scale": sample.scale,
+                "kind": kind,
+                "scale": scale,
                 "l1_abs": l1_abs,
                 "l2_abs": l2_abs,
                 "final_margin": claim.margins[idx],
@@ -962,7 +950,7 @@ def verify_theorem2(
         violations=claim.violations,
         degenerate=int(np.sum(~kept)),
         records=tuple(records),
-        trials=len(samples),
+        trials=len(H),
         seed=seed,
         x_star=tuple(x.tolist()),
     )
@@ -999,7 +987,7 @@ def verify_theorem3(
     claim = verify_strict_inequality(x, samples, p)
 
     pad_n = ext.n - n
-    H_tilde = np.pad(np.array([sample.vector for sample in samples]), ((0, 0), (0, pad_n)))
+    H_tilde = np.pad(samples.vectors, ((0, 0), (0, pad_n)))
     # padding with zeros changes neither side of the inequality
     margins_emb = lp_margin(np.pad(x, (0, pad_n)), H_tilde, p)
     if not all(
@@ -1023,7 +1011,7 @@ def verify_theorem3(
         worst_block_residual=max([0.0, *block.tolist()]),
         margin_min=claim.margin_min,
         violations=claim.violations,
-        trials=len(samples),
+        trials=len(samples.vectors),
         seed=seed,
         x_star=tuple(x.tolist()),
     )

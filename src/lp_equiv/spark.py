@@ -238,15 +238,13 @@ def check_submatrix_invertibility(
     )
 
 
-def verify_prop1(
-    aug: AugmentedSpec, tol_rel: float = RANK_TOL, budget: int | None = None
-) -> Prop1Report:
+def verify_prop1(aug: AugmentedSpec, budget: int | None = None) -> Prop1Report:
     """Certify spark(A_t) = 2m+3 for an augmentation with n >= 2m+2 nodes."""
     base = aug.base
     base.require_distinct_abs()
     if base.n < 2 * base.m + 2:
         raise ValueError(f"need n >= 2m+2 (= {2 * base.m + 2}), got n={base.n}")
-    cert = compute_spark(build_augmented_t(aug), tol_rel=tol_rel, budget=budget)
+    cert = compute_spark(build_augmented_t(aug), budget=budget)
     expected = 2 * base.m + 3
     return Prop1Report(
         m=base.m,

@@ -208,9 +208,8 @@ def _csv_text(header: tuple[str, ...], rows: list[tuple]) -> str:
 
 
 def _check_from_exception(name: str, asserted: bool, exc: Exception) -> CheckResult:
-    if isinstance(exc, (BudgetExceededError, SamplingError)):
-        return CheckResult(name, "skipped", asserted, {"reason": str(exc)})
-    raise exc
+    """A check skipped by a budget or sampling failure, with its reason."""
+    return CheckResult(name, "skipped", asserted, {"reason": str(exc)})
 
 
 def run_suite(config: RunConfig) -> RunManifest:
@@ -415,7 +414,7 @@ def run_suite(config: RunConfig) -> RunManifest:
                 A, count=1, seed=derive_seed(seed, "chain-h"), witness=cert.witness,
                 budget=budget,
             )
-            h = kernel[0].vector
+            h = kernel.vectors[0]
             p_audit = min(summary.p_star / 2.0, 1.0)
             audit = audit_theorem1_chain(A, planted.x_star, h, p_audit)
             checks.append(
@@ -443,7 +442,8 @@ def run_suite(config: RunConfig) -> RunManifest:
                 )
             )
             if not audit.asserted_ok or not audit.reported_ok:
-                counterexamples.append({"check": "chain", **json_safe(audit)})
+                replay = {"x_star": planted.x_star.tolist(), "h": h.tolist(), "lambda": lam}
+                counterexamples.append({"check": "chain", **json_safe(audit), **replay})
         except (BudgetExceededError, SamplingError) as exc:
             checks.append(_check_from_exception("chain-asserted", True, exc))
 

@@ -202,15 +202,13 @@ def _reference_t2_records(spec, x, p, t_schedule, samples):
     base_power = lp_power_sum(x, p)
     t_arr = np.asarray(t_schedule, dtype=float)
     records = []
-    for idx, sample in enumerate(samples):
-        h = sample.vector
+    for idx in range(len(samples.vectors)):
+        h, kind, scale = samples.vectors[idx], samples.kinds[idx], samples.scales[idx]
         l = B @ h
         order = np.lexsort((np.arange(m + 2), -np.abs(l)))
         labs = np.abs(l[order])
         if labs[1] <= POWER_FLOOR:
-            records.append(
-                {"index": idx, "kind": sample.kind, "scale": sample.scale, "degenerate": True}
-            )
+            records.append({"index": idx, "kind": kind, "scale": scale, "degenerate": True})
             continue
         shifted_power = lp_power_sum(x + h, p)
         tails = -(l[order[1:]] / labs[1])[None, :] / t_arr[:, None]
@@ -230,8 +228,8 @@ def _reference_t2_records(spec, x, p, t_schedule, samples):
         records.append(
             {
                 "index": idx,
-                "kind": sample.kind,
-                "scale": sample.scale,
+                "kind": kind,
+                "scale": scale,
                 "l1_abs": float(labs[0]),
                 "l2_abs": float(labs[1]),
                 "final_margin": lp_margin(x, h, p),
@@ -282,7 +280,7 @@ def test_t2_steps_equal_per_step_loop(m, n, seed, p_frac, t_schedule, trials):
     explicit = sum("explicit_residual" in s for r in got for s in r.get("steps", ()))
     if m <= 2:
         assert explicit > 0
-    if len(samples) * len(t_schedule) > BLOCK:
+    if len(samples.vectors) * len(t_schedule) > BLOCK:
         assert explicit > BLOCK
 
 
@@ -295,8 +293,8 @@ def _reference_t3_residuals(spec, seed, trials):
     count = max(1, math.ceil(trials / len(DEFAULT_SCALES)))
     samples = sample_null(build_vandermonde(spec), count, seed=derive_seed(seed, "thm3-null"))
     worst_embed = 0.0
-    for sample in samples:
-        h_tilde = np.pad(sample.vector, (0, ext.n - n))
+    for i in range(len(samples.vectors)):
+        h_tilde = np.pad(samples.vectors[i], (0, ext.n - n))
         resid = float(np.linalg.norm(A_ext.entries @ h_tilde)) / float(np.linalg.norm(h_tilde))
         worst_embed = max(worst_embed, resid)
     ext_basis = null_space_basis(A_ext)

@@ -42,7 +42,7 @@ def test_rank_kernel_and_conditioning_are_calibrated(m):
         assert gram_spectrum(A).rank == m, (m, n, seed)
         basis = null_space_basis(A)
         assert basis.shape == (n, n - m), (m, n, seed)
-        vectors = list(basis.T) + [k.vector for k in sample_null(A, count=3, seed=seed)]
+        vectors = [*basis.T, *sample_null(A, count=3, seed=seed).vectors]
         for h in vectors:
             residual = np.linalg.norm(A.entries @ h) / (s[0] * np.linalg.norm(h))
             assert residual <= 1e-13, (m, n, seed, residual)

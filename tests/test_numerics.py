@@ -12,6 +12,7 @@ from lp_equiv import numerics
 from lp_equiv.matgen import build_vandermonde, sample_instance
 from lp_equiv.numerics import (
     BLOCK,
+    CASCADE_MIN_ROWS,
     BudgetExceededError,
     POWER_FLOOR,
     abs_pow,
@@ -118,11 +119,22 @@ SUM_TERMS = st.one_of(
 )
 
 
+def _cascade_block(rows):
+    """The rows repeated into one block of at least CASCADE_MIN_ROWS rows, so
+    that _row_fsums sends it through the cascade, and the repeat count."""
+    reps = -(-CASCADE_MIN_ROWS // max(1, len(rows)))
+    return np.tile(rows, (reps, 1)), reps
+
+
 def _assert_fsum_rows(d):
-    """_row_fsums(d) equals math.fsum of every row, bit for bit."""
+    """_row_fsums(d) equals math.fsum of every row, bit for bit, on d itself
+    and on its rows repeated into a block that takes the cascade."""
     got = np.asarray(numerics._row_fsums(d), dtype=float).ravel().tolist()
     rows = d.reshape(math.prod(d.shape[:-1]), d.shape[-1])
-    assert bits(got) == bits([math.fsum(row) for row in rows.tolist()])
+    want = bits([math.fsum(row) for row in rows.tolist()])
+    assert bits(got) == want
+    block, reps = _cascade_block(rows)
+    assert bits(numerics._row_fsums(block)) == want * reps
 
 
 def _summable(rows):
@@ -204,14 +216,46 @@ def test_bound_test_decides_the_rows_it_accepts():
 def test_row_sums_raise_as_fsum_raises(row, error):
     with pytest.raises(error):
         math.fsum(row)
-    with pytest.raises(error):
-        numerics._row_fsums(np.array([[1.0] * len(row), row]))
+    d = np.array([[1.0] * len(row), row])
+    for block in (d, _cascade_block(d)[0]):
+        with pytest.raises(error):
+            numerics._row_fsums(block)
 
 
 def test_row_sums_keep_fsum_infinities_and_nans():
     d = np.array([[math.inf, 1.0], [-math.inf, -math.inf], [math.nan, 1.0], [math.inf, math.nan]])
+    for block in (d, _cascade_block(d)[0]):
+        got = numerics._row_fsums(block)
+        assert got[:2] == [math.inf, -math.inf] and all(map(math.isnan, got[2:4]))
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [CASCADE_MIN_ROWS - 1, CASCADE_MIN_ROWS, CASCADE_MIN_ROWS + 1, BLOCK + CASCADE_MIN_ROWS - 1],
+)
+def test_row_sums_straddling_the_cascade_cut_off(monkeypatch, rows):
+    # blocks below CASCADE_MIN_ROWS rows, the trailing one of a BLOCK-split
+    # array included, skip the cascade; every row equals fsum's bit pattern
+    # on either path, with halfway ties, signed zeros and exact cancellation
+    seen = []
+    cascade = numerics._cascade_sums
+
+    def spy(block):
+        seen.append(len(block))
+        return cascade(block)
+
+    monkeypatch.setattr(numerics, "_cascade_sums", spy)
+    rng = np.random.default_rng(rows)
+    d = rng.choice([-1.0, 1.0], (rows, 7)) * 10.0 ** rng.uniform(-20, 20, (rows, 7))
+    d[::3, 1] = np.spacing(d[::3, 0]) / 2
+    d[::3, 2:] = 0.0
+    d[1::5] = -0.0
+    d[2::7, 4:] = -d[2::7, :3][:, ::-1]
+    d[2::7, 3] = 0.0
     got = numerics._row_fsums(d)
-    assert got[:2] == [math.inf, -math.inf] and all(map(math.isnan, got[2:]))
+    assert bits(got) == bits([math.fsum(row) for row in d.tolist()])
+    sizes = [min(BLOCK, rows - first) for first in range(0, rows, BLOCK)]
+    assert seen == [size for size in sizes if size >= CASCADE_MIN_ROWS]
 
 
 def reference_abs_pow(x, p):

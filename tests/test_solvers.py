@@ -21,7 +21,7 @@ from lp_equiv.solvers import (
     DEFAULT_SCALES,
     EquivalenceReport,
     InfeasibleProblemError,
-    KernelSample,
+    KernelSamples,
     LpMinimum,
     SparseProblem,
     Theorem1Report,
@@ -142,16 +142,17 @@ def test_sample_null_kinds_scales_and_membership():
     spec = sample_instance(2, 8, seed=4)
     A = build_vandermonde(spec)
     samples = sample_null(A, count=4, seed=9)
-    assert len(samples) == 12  # count * len(scales)
-    assert {s.scale for s in samples} == {1e-3, 1.0, 1e3}
-    kinds = {s.kind for s in samples}
-    assert kinds == {"unit", "signed", "minsupport"}
-    for s in samples:
-        assert np.linalg.norm(A.entries @ s.vector) < 1e-6 * max(1.0, s.scale)
-        assert np.linalg.norm(s.vector) == pytest.approx(s.scale, rel=1e-9)
+    assert samples.vectors.shape == (12, 8)  # count * len(DEFAULT_SCALES) rows
+    assert samples.vectors.dtype == np.float64
+    assert samples.scales == DEFAULT_SCALES * 4
+    assert len(samples.kinds) == 12
+    assert set(samples.kinds) == {"unit", "signed", "minsupport"}
+    for h, scale in zip(samples.vectors, samples.scales):
+        assert np.linalg.norm(A.entries @ h) < 1e-6 * max(1.0, scale)
+        assert np.linalg.norm(h) == pytest.approx(scale, rel=1e-9)
     again = sample_null(A, count=4, seed=9)
-    for a, b in zip(samples, again):
-        assert np.array_equal(a.vector, b.vector)
+    assert np.array_equal(samples.vectors, again.vectors)
+    assert (samples.kinds, samples.scales) == (again.kinds, again.scales)
 
 
 def test_support_partition_blocks_and_ties():
@@ -185,40 +186,54 @@ def test_margins_match_extended_precision_oracle():
         assert abs(ours - float(exact)) <= 1e-12 * scale
 
 
+def sample_block(hs, kinds=None, scales=None) -> KernelSamples:
+    """A KernelSamples block of the given rows, of kind "unit" at scale 1
+    unless kinds and scales are given."""
+    return KernelSamples(
+        vectors=np.array(hs, dtype=float).reshape(len(hs), -1),
+        kinds=tuple(kinds or ("unit",) * len(hs)),
+        scales=tuple(scales or (1.0,) * len(hs)),
+    )
+
+
 def test_verify_strict_inequality_flags_planted_violation():
     x = np.array([1.0, 0.0, 0.0])
     # h = -2 x on the support makes ||x+h||_p < ||x||_p for p = 1
     h_bad = np.array([-1.0, 0.25, 0.25])
-    rep = verify_strict_inequality(x, [h_bad], 1.0)
+    rep = verify_strict_inequality(x, sample_block([h_bad]), 1.0)
     assert rep.margin_min < 0.0
     assert len(rep.violations) == 1
     h_good = np.array([0.1, 0.3, -0.2])
-    rep2 = verify_strict_inequality(x, [h_good], 0.5)
+    rep2 = verify_strict_inequality(x, sample_block([h_good]), 0.5)
     assert rep2.margin_min > 0.0
     assert not rep2.violations
 
 
-def test_verify_strict_inequality_accepts_generators_arrays_and_samples():
+def test_verify_strict_inequality_violations_replay_their_block_rows():
+    # every violation record names its row of the block and carries that
+    # row's kind, scale and h, from which the margin is recomputed exactly
     x = np.array([1.0, 0.0, 0.0])
     hs = [np.array([0.1, 0.3, -0.2]), np.array([-1.0, 0.25, 0.25]), np.zeros(3)]
-    samples = [KernelSample(vector=h, kind="unit", scale=1.0) for h in hs]
-    from_list = verify_strict_inequality(x, hs, 1.0)
-    from_gen = verify_strict_inequality(x, (h.tolist() for h in hs), 1.0)
-    from_samples = verify_strict_inequality(x, iter(samples), 1.0)
-    for rep in (from_list, from_gen, from_samples):
-        assert rep.trials == 3
-        assert rep.margin_min == lp_margin(x, hs[1], 1.0)
-        assert [v["index"] for v in rep.violations] == [1, 2]
-    assert from_gen == from_list
-    assert "kind" not in from_list.violations[0]
-    assert from_samples.violations[0]["kind"] == "unit"
-    assert from_samples.violations[1]["h"] == [0.0, 0.0, 0.0]
+    samples = sample_block(hs, kinds=("unit", "signed", "minsupport"), scales=(1.0, 1e3, 1e-3))
+    rep = verify_strict_inequality(x, samples, 1.0)
+    assert rep.trials == 3
+    assert rep.margin_min == lp_margin(x, hs[1], 1.0)
+    assert [v["index"] for v in rep.violations] == [1, 2]
+    for v in rep.violations:
+        i = v["index"]
+        assert set(v) == {"index", "kind", "scale", "p", "margin", "h"}
+        assert (v["kind"], v["scale"], v["p"]) == (samples.kinds[i], samples.scales[i], 1.0)
+        assert v["h"] == samples.vectors[i].tolist()
+        assert all(type(value) is float for value in v["h"])
+        assert v["margin"] == lp_margin(x, np.array(v["h"]), v["p"])
 
 
-@pytest.mark.parametrize("empty", [[], iter(()), np.empty((0, 3))])
+@pytest.mark.parametrize(
+    "empty", [KernelSamples(vectors=np.empty((0, n)), kinds=(), scales=()) for n in (3, 1, 0)]
+)
 def test_verify_strict_inequality_rejects_empty_sample_set(empty):
     with pytest.raises(ValueError, match="empty kernel sample set"):
-        verify_strict_inequality(np.ones(3), empty, 0.5)
+        verify_strict_inequality(np.ones(empty.vectors.shape[1]), empty, 0.5)
 
 
 def test_default_p_grid_contents():
@@ -423,9 +438,10 @@ def test_deep_regime_claim_equals_verify_strict_inequality(
 # --- p grids and kernel sampling against the loops they replaced -----------
 
 
-def reference_sample_null(A, count, seed, scales=DEFAULT_SCALES, witness=None, budget=None):
+def reference_sample_null(A, count, seed, witness=None, budget=None):
     """The per-direction loop before the block product: rng.choice signs,
-    np.linalg.norm, and one h * s product per sample."""
+    np.linalg.norm, and one h * s product per sample, as (vector, kind,
+    scale) rows."""
     basis = null_space_basis(A)
     dim = basis.shape[1]
     rng = np.random.default_rng(seed)
@@ -452,9 +468,7 @@ def reference_sample_null(A, count, seed, scales=DEFAULT_SCALES, witness=None, b
         if norm <= 1e-12:
             continue
         base.append((h / norm, kind))
-    return [
-        KernelSample(vector=h * s, kind=kind, scale=float(s)) for h, kind in base[:count] for s in scales
-    ]
+    return [(h * s, kind, float(s)) for h, kind in base[:count] for s in DEFAULT_SCALES]
 
 
 SAMPLE_SHAPES = [(2, 3), (2, 5), (3, 7), (4, 9), (5, 8), (6, 9)]
@@ -463,45 +477,45 @@ SAMPLE_SHAPES = [(2, 3), (2, 5), (3, 7), (4, 9), (5, 8), (6, 9)]
 @pytest.mark.parametrize("m, n", SAMPLE_SHAPES)
 def test_sample_null_equals_per_direction_reference(m, n):
     A = build_vandermonde(sample_instance(m, n, seed=m * n))
-    for seed, count, scales, budget in itertools.product(
-        (0, 7), (1, 2, 5, 70), (DEFAULT_SCALES, (1.0,), (2.5, 1e-3)), (None, 1)
-    ):
+    for seed, count, budget in itertools.product((0, 7), (1, 2, 5, 70), (None, 1)):
         # budget=1 makes the spark search fail, so no minsupport witness
-        got = sample_null(A, count=count, seed=seed, scales=scales, budget=budget)
-        want = reference_sample_null(A, count, seed, scales, budget=budget)
-        assert len(got) == len(want) == count * len(scales)
-        assert ("minsupport" in {s.kind for s in got}) == (budget is None)
-        for g, w in zip(got, want):
-            assert (g.kind, g.scale) == (w.kind, w.scale)
-            assert type(g.scale) is float
-            assert g.vector.dtype == w.vector.dtype and g.vector.shape == w.vector.shape
-            assert g.vector.tobytes() == w.vector.tobytes()
+        got = sample_null(A, count=count, seed=seed, budget=budget)
+        want = reference_sample_null(A, count, seed, budget=budget)
+        assert got.vectors.shape == (len(want), n) and len(want) == count * len(DEFAULT_SCALES)
+        assert len(got.kinds) == len(got.scales) == len(want)
+        assert ("minsupport" in got.kinds) == (budget is None)
+        for i, (vector, kind, scale) in enumerate(want):
+            assert (got.kinds[i], got.scales[i]) == (kind, scale)
+            assert type(got.scales[i]) is float
+            assert got.vectors[i].dtype == vector.dtype
+            assert got.vectors[i].tobytes() == vector.tobytes()
 
 
-def test_sample_null_vectors_do_not_share_memory():
+def test_sample_null_blocks_do_not_share_memory():
+    # each call returns its own block: overwriting one leaves a fresh
+    # call's block as drawn
     A = build_vandermonde(sample_instance(3, 7, seed=2))
     samples = sample_null(A, count=4, seed=1)
-    before = [s.vector.copy() for s in samples]
-    for i in range(len(samples)):
-        samples[i].vector[:] = -1.0
-        for j, s in enumerate(samples):
-            expected = np.full(7, -1.0) if j <= i else before[j]
-            assert np.array_equal(s.vector, expected)
+    before = samples.vectors.copy()
+    samples.vectors[:] = -1.0
+    again = sample_null(A, count=4, seed=1)
+    assert again.vectors.tobytes() == before.tobytes()
+    assert not np.shares_memory(samples.vectors, again.vectors)
 
 
-def reference_strict_inequality(x_star, items, p, seed=None, p_star=None):
-    """One exponent, one margin and one violation test per sample."""
+def reference_strict_inequality(x_star, samples, p, seed=None, p_star=None):
+    """One exponent, one margin and one violation test per row of the block."""
     x = np.asarray(x_star, dtype=float)
     margins, violations = [], []
-    for idx, item in enumerate(items):
-        h = np.asarray(item.vector if isinstance(item, KernelSample) else item, dtype=float)
+    for idx in range(len(samples.vectors)):
+        h = samples.vectors[idx]
         margin = math.fsum((abs_pow(x + h, p) - abs_pow(x, p)).tolist())
         margins.append(margin)
         if margin <= 0.0:
-            entry = {"index": idx, "margin": margin, "p": p}
-            if isinstance(item, KernelSample):
-                entry.update(kind=item.kind, scale=item.scale, h=[float(v) for v in item.vector])
-            violations.append(entry)
+            violations.append(
+                {"index": idx, "margin": margin, "p": p, "kind": samples.kinds[idx],
+                 "scale": samples.scales[idx], "h": [float(v) for v in h]}
+            )
     return EquivalenceReport(
         p=p,
         margin_min=min(margins),
@@ -535,10 +549,9 @@ def _violating_samples():
     return x, hs
 
 
-@pytest.mark.parametrize("wrap", ["arrays", "samples"])
-def test_verify_strict_inequality_grid_equals_per_p_reports(wrap):
+def test_verify_strict_inequality_grid_equals_per_p_reports():
     x, hs = _violating_samples()
-    items = hs if wrap == "arrays" else [KernelSample(h, "unit", 1.0) for h in hs]
+    items = sample_block(hs)
     grid = (1e-6, 0.013, 0.5, 1.0)
     for p_star in (None, 0.3):
         reports = verify_strict_inequality(x, items, grid, seed=4, p_star=p_star)
@@ -611,11 +624,11 @@ def reference_theorem1(A, k, trials=210, p_grid=None, seed=0, budget=None):
         reports=tuple(reports),
         counterexamples=tuple(counterexamples),
         all_hold=all_hold,
-        trials=len(samples),
+        trials=len(samples.vectors),
         seed=seed,
         grid_below_threshold_empty=below_empty,
         x_star=tuple(inst.x_star.tolist()),
-        sample_labels=tuple((s.kind, s.scale) for s in samples),
+        sample_labels=tuple((samples.kinds[i], samples.scales[i]) for i in range(len(samples.vectors))),
     )
 
 

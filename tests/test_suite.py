@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from lp_equiv import suite
+from lp_equiv.analysis import audit_theorem1_chain
 from lp_equiv.matgen import VandermondeSpec, build_vandermonde, sample_instance
 from lp_equiv.numerics import derive_seed
 from lp_equiv.solvers import plant_with_level, verify_theorem1
@@ -265,3 +266,18 @@ def test_cross_term_counterexample_replays_from_its_record(tmp_path):
     ulps = 2 * ((cfg.n + cfg.m) * cond + 2 * (cfg.n + 1))
     assert ratio > ce["paper_bound"]
     assert abs(ratio - ce["ratio"]) <= ulps * np.finfo(float).eps * ratio
+
+
+def test_chain_counterexample_replays_from_its_record(tmp_path):
+    # (3, 9) seed 7 fails a reported step of the chain audit
+    cfg = RunConfig(seed=7, m=3, n=9, trials=30, output_dir=str(tmp_path / "chain"))
+    run_suite(cfg)
+    dumped = json.loads((tmp_path / "chain" / "counterexamples.json").read_text())
+    (ce,) = [c for c in dumped if c["check"] == "chain"]
+    assert {"lambda", "x_star", "h", "p"} <= set(ce)
+    A = build_vandermonde(VandermondeSpec(cfg.m, tuple(ce["lambda"])))
+    audit = audit_theorem1_chain(A, np.array(ce["x_star"]), np.array(ce["h"]), ce["p"])
+    # JSON floats round-trip exactly, so the replay is the same computation
+    replay = {key: ce[key] for key in ce if key not in ("check", "lambda", "x_star", "h")}
+    assert json_safe(audit) == replay
+    assert not (audit.asserted_ok and audit.reported_ok)
