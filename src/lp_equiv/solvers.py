@@ -20,6 +20,9 @@ The claims under test, in this repository's own numbering:
 Everything is verified by enumeration and sampling: l0 by exhaustive support
 search, lp by exhaustive basic-solution search, the inequalities by margins
 over sampled kernel vectors, one KernelSamples block from sample_null on.
+sample_null draws each kind of direction as one array: one standard normal
+block for the "unit" rows and one sign block for the "signed" rows, kinds
+alternating by row parity, then redraws any near-zero row with its kind.
 All three harnesses evaluate the sampled claim ||x*||_p^p < ||x*+h||_p^p
 through one function, verify_strict_inequality, and take their margins,
 margin_min and violation records from its report.
@@ -447,6 +450,21 @@ def null_space_basis(A: DenseMatrix) -> np.ndarray:
     return vt[numerical_rank(s):].T.copy()
 
 
+_SIGNS = np.array([-1.0, 1.0])
+
+
+def _draw_coefficients(rng: np.random.Generator, unit: np.ndarray, dim: int) -> np.ndarray:
+    """Kernel-basis coefficients, one row per entry of the bool mask unit:
+    standard normal rows where it is set, +-1 rows elsewhere.  Two draws
+    whatever the row count: one normal block, then one sign block
+    (_SIGNS[rng.integers(0, 2, size)] draws what rng.choice([-1.0, 1.0],
+    size) draws, from the same stream)."""
+    g = np.empty((len(unit), dim))
+    g[unit] = rng.standard_normal((int(unit.sum()), dim))
+    g[~unit] = _SIGNS[rng.integers(0, 2, size=(len(unit) - int(unit.sum()), dim))]
+    return g
+
+
 def sample_null(
     A: DenseMatrix,
     count: int,
@@ -462,6 +480,13 @@ def sample_null(
     a spark witness set (||h||_0 = spark(A)) when a witness is available --
     the adversarial end of the kernel: smallest support, largest chance of
     touching few coordinates.
+
+    Base row i, counting the minsupport row, is "unit" when i is even and
+    "signed" when i is odd.  The generator draws one standard normal block
+    for all unit rows, then one sign block for all signed rows; each row's
+    vector is basis @ g, normalized by its 1-D norm, bit for bit.  A row
+    whose norm is at most 1e-12 is redrawn with the same kind after the two
+    blocks, until none is left.
     """
     basis = null_space_basis(A)
     dim = basis.shape[1]
@@ -477,33 +502,29 @@ def sample_null(
         except (BudgetExceededError, ValueError):
             witness = None
 
-    base: list[np.ndarray] = []
+    head: list[np.ndarray] = []
     kinds: list[str] = []
     if witness is not None:
         _, _, vt = np.linalg.svd(A.entries[:, list(witness)])
         h = np.zeros(A.cols)
         h[list(witness)] = vt[-1]
-        base.append(h / np.linalg.norm(h))
+        head.append(h / np.linalg.norm(h))
         kinds.append("minsupport")
-    # signs[rng.integers(0, 2, size)] draws what rng.choice([-1.0, 1.0], size)
-    # draws, from the same stream; sqrt(<h, h>) is the 1-D np.linalg.norm
-    signs = np.array([-1.0, 1.0])
-    while len(base) < count:
-        if len(base) % 2 == 0:
-            g = rng.standard_normal(dim)
-            kind = "unit"
-        else:
-            g = signs[rng.integers(0, 2, size=dim)]
-            kind = "signed"
-        h = basis @ g
-        norm = math.sqrt(h.dot(h))
-        if norm <= 1e-12:
-            continue
-        base.append(h / norm)
-        kinds.append(kind)
+    # row i, counting the minsupport row, is "unit" when i is even
+    unit = np.arange(len(head), count) % 2 == 0
+    kinds += ["unit" if u else "signed" for u in unit.tolist()]
+    H = _matvecs(basis, _draw_coefficients(rng, unit, dim))
+    norms = _row_norms(H)
+    # a near-zero draw cannot be normalized: redraw those rows, same kind
+    bad = np.flatnonzero(norms <= 1e-12)
+    while bad.size:
+        H[bad] = _matvecs(basis, _draw_coefficients(rng, unit[bad], dim))
+        norms[bad] = _row_norms(H[bad])
+        bad = bad[norms[bad] <= 1e-12]
+    base = np.vstack([*head, H / norms[:, None]])
 
     # one (count, scales, n) product, whose rows are the samples in order
-    scaled = np.array(base)[:, None, :] * np.asarray(DEFAULT_SCALES)[None, :, None]
+    scaled = base[:, None, :] * np.asarray(DEFAULT_SCALES)[None, :, None]
     return KernelSamples(
         vectors=scaled.reshape(-1, A.cols),
         kinds=tuple(kind for kind in kinds for _ in DEFAULT_SCALES),

@@ -44,6 +44,7 @@ from .matgen import build_vandermonde, sample_instance
 from .numerics import BudgetExceededError, SamplingError, derive_seed
 from .solvers import (
     DEFAULT_T_SCHEDULE,
+    Theorem1Report,
     plant_with_level,
     sample_null,
     verify_theorem1,
@@ -207,6 +208,27 @@ def _csv_text(header: tuple[str, ...], rows: list[tuple]) -> str:
     return "\n".join(lines) + "\n"
 
 
+MARGIN_HEADER = ("m", "n", "k", "p", "h_kind", "h_scale", "margin")
+
+
+def _margin_lines(report: Theorem1Report) -> list[str]:
+    """margins.csv lines of one T1 report, as _csv_text renders its rows
+    sorted by (k, p, h_kind, h_scale).  The report's p grid is sorted and
+    unique, so its blocks already come in p order; within each block the
+    samples go in the stable (kind, scale) order, the same for every p.  The
+    m,n,k,p prefix is rendered once per block and each kind,scale pair once
+    per report, so only the margin goes through repr per line."""
+    labels = report.sample_labels
+    order = sorted(range(len(labels)), key=labels.__getitem__)
+    label_cells = [f"{labels[i][0]},{labels[i][1]!r}," for i in order]
+    lines = []
+    for rep in report.reports:
+        prefix = f"{report.m},{report.n},{report.k},{float(rep.p)!r},"
+        margins = rep.margins
+        lines += [prefix + cell + repr(margins[i]) for i, cell in zip(order, label_cells)]
+    return lines
+
+
 def _check_from_exception(name: str, asserted: bool, exc: Exception) -> CheckResult:
     """A check skipped by a budget or sampling failure, with its reason."""
     return CheckResult(name, "skipped", asserted, {"reason": str(exc)})
@@ -218,7 +240,7 @@ def run_suite(config: RunConfig) -> RunManifest:
     checks: list[CheckResult] = []
     counterexamples: list[dict] = []
     phase_rows: list[tuple] = []
-    margin_rows: list[tuple] = []
+    margin_lines: list[str] = []  # rendered per T1 report, in k order
 
     m, n, seed, budget = config.m, config.n, config.seed, config.budget
 
@@ -229,7 +251,7 @@ def run_suite(config: RunConfig) -> RunManifest:
         checks.append(CheckResult("instance", "pass", True, {"m": m, "n": n, "lambda": lam}))
     except SamplingError as exc:
         checks.append(CheckResult("instance", "fail", True, {"reason": str(exc)}))
-        return _finalize(config, checks, counterexamples, phase_rows, margin_rows)
+        return _finalize(config, checks, counterexamples, phase_rows, margin_lines)
 
     A = build_vandermonde(spec)
 
@@ -402,8 +424,7 @@ def run_suite(config: RunConfig) -> RunManifest:
                 for rep in report.reports:
                     p = float(rep.p)
                     phase_rows.append((m, n, k, p, report.p_star, rep.margin_min, rep.argmin_match))
-                    for (kind, scale), margin in zip(report.sample_labels, rep.margins):
-                        margin_rows.append((m, n, k, p, kind, scale, margin))
+                margin_lines += _margin_lines(report)
             except (BudgetExceededError, SamplingError) as exc:
                 checks.append(_check_from_exception(f"t1-margins-k{k}", False, exc))
 
@@ -450,7 +471,7 @@ def run_suite(config: RunConfig) -> RunManifest:
     # --- deep-sparsity regime: augmented family -------------------------------
     _run_deep_regime(config, spec, lam, checks, counterexamples)
 
-    return _finalize(config, checks, counterexamples, phase_rows, margin_rows)
+    return _finalize(config, checks, counterexamples, phase_rows, margin_lines)
 
 
 def _run_deep_regime(
@@ -494,7 +515,7 @@ def _finalize(
     checks: list[CheckResult],
     counterexamples: list[dict],
     phase_rows: list[tuple],
-    margin_rows: list[tuple],
+    margin_lines: list[str],
 ) -> RunManifest:
     asserted_pass = all(c.status != "fail" for c in checks if c.asserted)
     manifest = RunManifest(
@@ -512,10 +533,9 @@ def _finalize(
         os.path.join(out, "phase_diagram.csv"),
         _csv_text(("m", "n", "k", "p", "p_star", "margin_min", "argmin_match"), phase_rows),
     )
-    margin_rows.sort(key=lambda r: (r[2], r[3], r[4], r[5]))
     _atomic_write_text(
         os.path.join(out, "margins.csv"),
-        _csv_text(("m", "n", "k", "p", "h_kind", "h_scale", "margin"), margin_rows),
+        "\n".join([",".join(MARGIN_HEADER), *margin_lines]) + "\n",
     )
     _atomic_write_text(
         os.path.join(out, "counterexamples.json"),

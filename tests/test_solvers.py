@@ -439,9 +439,11 @@ def test_deep_regime_claim_equals_verify_strict_inequality(
 
 
 def reference_sample_null(A, count, seed, witness=None, budget=None):
-    """The per-direction loop before the block product: rng.choice signs,
-    np.linalg.norm, and one h * s product per sample, as (vector, kind,
-    scale) rows."""
+    """Per-direction loop over the two documented blocks: base row i,
+    counting the minsupport row, takes the next row of the normal block when
+    i is even ("unit") and of the rng.choice sign block when i is odd
+    ("signed"); each vector is basis @ g over its 1-D np.linalg.norm, and one
+    h * s product per sample, as (vector, kind, scale) rows."""
     basis = null_space_basis(A)
     dim = basis.shape[1]
     rng = np.random.default_rng(seed)
@@ -456,19 +458,16 @@ def reference_sample_null(A, count, seed, witness=None, budget=None):
         h = np.zeros(A.cols)
         h[list(witness)] = vt[-1]
         base.append((h / np.linalg.norm(h), "minsupport"))
-    while len(base) < count:
-        if len(base) % 2 == 0:
-            g = rng.standard_normal(dim)
-            kind = "unit"
-        else:
-            g = rng.choice([-1.0, 1.0], size=dim)
-            kind = "signed"
+    rows = range(len(base), count)
+    normal = iter(rng.standard_normal((sum(i % 2 == 0 for i in rows), dim)))
+    signs = iter(rng.choice([-1.0, 1.0], size=(sum(i % 2 == 1 for i in rows), dim)))
+    for i in rows:
+        g, kind = (next(normal), "unit") if i % 2 == 0 else (next(signs), "signed")
         h = basis @ g
         norm = float(np.linalg.norm(h))
-        if norm <= 1e-12:
-            continue
+        assert norm > 1e-12  # the redraw of near-zero rows has its own test
         base.append((h / norm, kind))
-    return [(h * s, kind, float(s)) for h, kind in base[:count] for s in DEFAULT_SCALES]
+    return [(h * s, kind, float(s)) for h, kind in base for s in DEFAULT_SCALES]
 
 
 SAMPLE_SHAPES = [(2, 3), (2, 5), (3, 7), (4, 9), (5, 8), (6, 9)]
@@ -501,6 +500,89 @@ def test_sample_null_blocks_do_not_share_memory():
     again = sample_null(A, count=4, seed=1)
     assert again.vectors.tobytes() == before.tobytes()
     assert not np.shares_memory(samples.vectors, again.vectors)
+
+
+REAL_DEFAULT_RNG = np.random.default_rng
+
+
+class CountingGenerator:
+    """A numpy Generator that logs each draw call as (method, shape) and can
+    rewrite what a draw returns: edit(method, call_number, out) -> out."""
+
+    def __init__(self, seed, log, edit=None):
+        self._rng = REAL_DEFAULT_RNG(seed)
+        self._log = log
+        self._edit = edit
+
+    def __getattr__(self, name):
+        attr = getattr(self._rng, name)
+        if not callable(attr):
+            return attr
+
+        def draw(*args, **kwargs):
+            out = attr(*args, **kwargs)
+            self._log.append((name, np.shape(out)))
+            return out if self._edit is None else self._edit(name, len(self._log), out)
+
+        return draw
+
+
+def counted_sample_null(monkeypatch, A, count, seed, edit=None, **kwargs):
+    """sample_null under a CountingGenerator; returns (samples, draw log)."""
+    log = []
+    with monkeypatch.context() as patch:
+        patch.setattr(np.random, "default_rng", lambda s: CountingGenerator(s, log, edit))
+        return sample_null(A, count=count, seed=seed, **kwargs), log
+
+
+def test_sample_null_draw_calls_do_not_grow_with_count(monkeypatch):
+    # one normal block and one sign block per call, whatever the count
+    A = build_vandermonde(sample_instance(4, 9, seed=36))
+    dim = A.cols - A.rows
+    for budget in (None, 1):
+        logs = {}
+        for count in (2, 70):
+            samples, logs[count] = counted_sample_null(monkeypatch, A, count, 5, budget=budget)
+            assert samples.vectors.shape == (3 * count, A.cols)
+        assert [name for name, _ in logs[2]] == ["standard_normal", "integers"]
+        # 70 rows without a witness: 35 unit, 35 signed; with one: 34 and 35
+        assert logs[70] == [("standard_normal", (35 - (budget is None), dim)), ("integers", (35, dim))]
+
+
+def test_sample_null_redraws_a_near_zero_row_with_its_kind(monkeypatch):
+    # the first unit row (base row 2, after minsupport and one signed row)
+    # draws all zeros; it is redrawn from the generator's next normal draw,
+    # keeps kind "unit" and ends at unit norm, and no other row moves
+    A = build_vandermonde(sample_instance(3, 8, seed=24))
+    basis = null_space_basis(A)
+    dim = basis.shape[1]
+
+    def zero_first_normal_row(name, call, out):
+        if name == "standard_normal" and call == 1:
+            out = out.copy()
+            out[0] = 0.0
+        return out
+
+    plain = sample_null(A, count=5, seed=3)
+    got, log = counted_sample_null(monkeypatch, A, 5, 3, edit=zero_first_normal_row)
+    assert log == [
+        ("standard_normal", (2, dim)), ("integers", (2, dim)),
+        ("standard_normal", (1, dim)), ("integers", (0, dim)),
+    ]
+    assert got.kinds == plain.kinds
+    assert got.kinds[6:9] == ("unit",) * 3
+    assert got.scales == plain.scales
+    rng = np.random.default_rng(3)
+    rng.standard_normal((2, dim))
+    rng.integers(0, 2, size=(2, dim))
+    h = basis @ rng.standard_normal((1, dim))[0]
+    redrawn = h / math.sqrt(h.dot(h))
+    assert abs(np.linalg.norm(got.vectors[7]) - 1.0) <= 1e-12
+    for j, scale in enumerate(DEFAULT_SCALES):
+        assert got.vectors[6 + j].tobytes() == (redrawn * scale).tobytes()
+    assert np.linalg.norm(A.entries @ got.vectors[7]) < 1e-10
+    moved = [i for i in range(len(got.vectors)) if got.vectors[i].tobytes() != plain.vectors[i].tobytes()]
+    assert moved == [6, 7, 8]
 
 
 def reference_strict_inequality(x_star, samples, p, seed=None, p_star=None):

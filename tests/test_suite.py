@@ -11,6 +11,7 @@ from lp_equiv.analysis import audit_theorem1_chain
 from lp_equiv.matgen import VandermondeSpec, build_vandermonde, sample_instance
 from lp_equiv.numerics import derive_seed
 from lp_equiv.solvers import plant_with_level, verify_theorem1
+from lp_equiv.spark import compute_spark
 from lp_equiv.suite import (
     CheckResult,
     RunConfig,
@@ -111,6 +112,27 @@ def test_csv_text_layout_and_float_repr():
     assert lines[2] == "0.001,3,false"
     with pytest.raises(ValueError):
         _csv_text(["a"], [[1, 2]])
+
+
+@pytest.mark.parametrize(
+    "m, n, seed, p_grid", [(2, 8, 0, None), (3, 9, 7, None), (4, 10, 1, (1.0, 0.3, 0.05, 0.3))]
+)
+def test_margin_lines_equal_sorted_csv_rows(m, n, seed, p_grid):
+    # the per-report renderer writes the bytes of the rows -> sort ->
+    # _csv_text path it replaced, for every k of one suite-sized instance
+    A = build_vandermonde(sample_instance(m, n, seed=seed))
+    spark = compute_spark(A).spark
+    rows, lines = [], []
+    for k in range(1, (spark - 1) // 2 + 1):
+        report = verify_theorem1(A, k, trials=30, p_grid=p_grid, seed=seed + k)
+        for rep in report.reports:
+            for (kind, scale), margin in zip(report.sample_labels, rep.margins):
+                rows.append((m, n, k, float(rep.p), kind, scale, margin))
+        lines += suite._margin_lines(report)
+    assert len(rows) == len(lines) > 0
+    rows.sort(key=lambda r: (r[2], r[3], r[4], r[5]))
+    old = _csv_text(suite.MARGIN_HEADER, rows)
+    assert "\n".join([",".join(suite.MARGIN_HEADER), *lines]) + "\n" == old
 
 
 def run_small(tmp_path, name="run1", seed=0):
