@@ -336,7 +336,6 @@ def cross_term_check(
     trials: int = 1000,
     seed: int = 0,
     lemma1: Lemma1Report | None = None,
-    budget: int | None = None,
 ) -> CrossTermReport:
     """Sample disjointly supported sparse pairs and compare |<Ax1, Ax2>| with
     both candidate constants; neither is asserted.
@@ -346,7 +345,7 @@ def cross_term_check(
     The pairs are drawn and evaluated BLOCK at a time (see _draw_pairs).
     worst_example is the first pair with the largest ratio: its supports in
     ascending order, the coefficients x1, x2 on them, and the ratio."""
-    spark = compute_spark(A, budget=budget).spark if lemma1 is None else lemma1.spark
+    spark = compute_spark(A).spark if lemma1 is None else lemma1.spark
     summary = gram_spectrum(A)
     paper_bound = (summary.lambda_max - summary.lambda_min_plus) / 2.0
     max_support = (spark - 1) // 2
@@ -364,7 +363,7 @@ def cross_term_check(
             worst_example={},
         )
     if lemma1 is None:
-        lemma1 = lemma1_constants(A, spark=spark, budget=budget)
+        lemma1 = lemma1_constants(A, spark=spark)
     empirical_bound = (lemma1.w_sq - lemma1.u_sq) / 2.0
 
     rng = np.random.default_rng(seed)

@@ -17,6 +17,12 @@ Subcommands mirror the library surface one-to-one:
 JSON goes to stdout unless --out is given.  Matrix files may be headerless
 CSV (.csv) or the JSON envelope produced by --format json.  Problem files are
 JSON objects {"matrix": <envelope>, "b": [...]}.
+
+No flag sets the subset cap: the LP_EQUIV_BUDGET environment variable is its
+one setting (default 1,000,000 subsets).  A scan over the cap ends a command
+with a one-line error and exit 2; `suite` marks that check skipped instead.
+A value that is not an integer >= 1 ends every command that enumerates,
+`suite` included, with exit 2.
 """
 
 from __future__ import annotations
@@ -131,7 +137,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_spark(args) -> int:
-    _emit(compute_spark(_load_matrix(args.matrix), budget=args.budget), args.out)
+    _emit(compute_spark(_load_matrix(args.matrix)), args.out)
     return 0
 
 
@@ -141,18 +147,18 @@ def _cmd_pstar(args) -> int:
 
 
 def _cmd_restricted_spec(args) -> int:
-    rs = restricted_extremes(_load_matrix(args.matrix), args.k, budget=args.budget)
+    rs = restricted_extremes(_load_matrix(args.matrix), args.k)
     _emit(rs, args.out)
     return 0
 
 
 def _cmd_solve_l0(args) -> int:
-    _emit(solve_l0(_load_problem(args.problem), budget=args.budget), args.out)
+    _emit(solve_l0(_load_problem(args.problem)), args.out)
     return 0
 
 
 def _cmd_solve_lp(args) -> int:
-    _emit(solve_lp_basic(_load_problem(args.problem), args.p, budget=args.budget), args.out)
+    _emit(solve_lp_basic(_load_problem(args.problem), args.p), args.out)
     return 0
 
 
@@ -169,18 +175,14 @@ def _cmd_audit(args) -> int:
         report = phi_bound_grid()
         ok = report.passes
     elif args.lemma == "bu":
-        report = cross_term_check(
-            _load_matrix(args.matrix), trials=args.trials, seed=args.seed, budget=args.budget
-        )
+        report = cross_term_check(_load_matrix(args.matrix), trials=args.trials, seed=args.seed)
         ok = True  # both constants are reported, neither asserted
     elif args.lemma == "chain":
         A = _load_matrix(args.matrix)
-        cert = compute_spark(A, budget=args.budget)
+        cert = compute_spark(A)
         k = args.k if args.k is not None else max(1, (cert.spark - 1) // 2)
-        planted, _ = plant_with_level(A, k, seed=derive_seed(args.seed, "plant"), budget=args.budget)
-        h = sample_null(
-            A, count=1, seed=derive_seed(args.seed, "h"), witness=cert.witness, budget=args.budget
-        ).vectors[0]
+        planted, _ = plant_with_level(A, k, seed=derive_seed(args.seed, "plant"))
+        h = sample_null(A, count=1, seed=derive_seed(args.seed, "h"), witness=cert.witness).vectors[0]
         p = args.p if args.p is not None else gram_spectrum(A).p_star / 2.0
         report = audit_theorem1_chain(A, planted.x_star, h, min(p, 1.0))
         ok = report.asserted_ok
@@ -197,7 +199,6 @@ def _cmd_verify_thm1(args) -> int:
         trials=args.trials,
         p_grid=args.p_grid,
         seed=args.seed,
-        budget=args.budget,
     )
     _emit(report, args.out)
     return 0
@@ -214,7 +215,6 @@ def _cmd_verify_deep(args) -> int:
         p_check=args.p,
         trials=args.trials,
         seed=args.seed,
-        budget=args.budget,
         **options,
     )
     _emit(report, args.out)
@@ -227,7 +227,7 @@ def _cmd_suite(args) -> int:
     else:
         config = RunConfig()
     overrides = {}
-    for name in ("seed", "m", "n", "trials", "budget", "output_dir"):
+    for name in ("seed", "m", "n", "trials", "output_dir"):
         value = getattr(args, name, None)
         if value is not None:
             overrides[name] = value
@@ -244,12 +244,9 @@ def _cmd_suite(args) -> int:
     return 0 if manifest.asserted_pass else 1
 
 
-def _add_common(parser: argparse.ArgumentParser, budget: bool = True) -> None:
+def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default=None, help="write JSON here instead of stdout")
     parser.add_argument("--seed", type=int, default=0)
-    if budget:
-        parser.add_argument("--budget", type=int, default=None,
-                            help="cap on enumerated subsets (default 1e6, env LP_EQUIV_BUDGET)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -267,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--separation", type=float, default=DEFAULT_SEPARATION)
     p.add_argument("--positive", action="store_true", help="fold all nodes positive")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    _add_common(p, budget=False)
+    _add_common(p)
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("spark", help="smallest dependent column-subset size")
@@ -277,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pstar", help="Gram spectrum summary and threshold exponent")
     p.add_argument("--matrix", required=True)
-    _add_common(p, budget=False)
+    _add_common(p)
     p.set_defaults(func=_cmd_pstar)
 
     p = sub.add_parser("restricted-spec", help="extreme Gram eigenvalues over k-supports")
@@ -337,7 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--budget", type=int, default=None)
     p.add_argument("--output-dir", dest="output_dir", default=None)
     p.set_defaults(func=_cmd_suite)
 
@@ -350,8 +346,8 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (OSError, ValueError, KeyError, BudgetExceededError, SamplingError) as exc:
         # Predictable user-facing failures (missing files, malformed inputs,
-        # infeasible problems, exhausted budgets) get a one-line message;
-        # anything else is a bug and should crash loudly.
+        # infeasible problems, an exceeded or malformed subset cap) get a
+        # one-line message; anything else is a bug and should crash loudly.
         print(f"lp-equiv: error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,5 +1,10 @@
 """Shared numeric primitives: the rank policy, exact summation, tiny-exponent
-powers, subset budgets.
+powers, the subset cap.
+
+Every exhaustive subset scan charges its worst-case subset count to one cap
+before it starts (check_budget).  The cap is read from the LP_EQUIV_BUDGET
+environment variable on each charge, DEFAULT_SUBSET_BUDGET when unset; no
+function argument, config key or command-line flag sets it.
 
 Exact summation returns math.fsum's result bit for bit.  Row sums of a block
 come from a vectorized TwoSum cascade, accepted for a row only when at most
@@ -55,22 +60,28 @@ class SamplingError(RuntimeError):
     """Rejection sampling could not satisfy a separation constraint."""
 
 
-def subset_budget(override: int | None = None) -> int:
-    """Active enumeration cap: explicit override, else LP_EQUIV_BUDGET, else default."""
-    if override is not None:
-        return int(override)
+def subset_budget() -> int:
+    """The enumeration cap: LP_EQUIV_BUDGET when set and nonempty, else
+    DEFAULT_SUBSET_BUDGET.  The variable is the cap's only setting; a value
+    that is not an integer >= 1 raises ValueError naming it."""
     env = os.environ.get(BUDGET_ENV_VAR)
-    if env:
-        return int(env)
-    return DEFAULT_SUBSET_BUDGET
+    if not env:
+        return DEFAULT_SUBSET_BUDGET
+    try:
+        cap = int(env)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"{BUDGET_ENV_VAR} must be an integer >= 1, got {env!r}")
+    return cap
 
 
-def check_budget(total: int, budget: int | None, what: str) -> None:
-    cap = subset_budget(budget)
+def check_budget(total: int, what: str) -> None:
+    cap = subset_budget()
     if total > cap:
         raise BudgetExceededError(
             f"{what} would enumerate {total} column subsets but the cap is {cap}; "
-            f"shrink the instance or raise the budget ({BUDGET_ENV_VAR} or budget=)."
+            f"shrink the instance or raise {BUDGET_ENV_VAR}."
         )
 
 

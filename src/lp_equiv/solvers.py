@@ -59,6 +59,7 @@ from .numerics import (
     lp_margin,
     lp_power_sum,
     numerical_rank,
+    subset_budget,
 )
 from .spark import compute_spark
 from .spectral import gram_spectrum, spectrum_from_singular_values
@@ -327,7 +328,7 @@ def _solve_supports(M: np.ndarray, b: np.ndarray, supports: np.ndarray):
     return full, coeff, _row_norms(_matvecs(subs, coeff) - b)
 
 
-def _scan_supports(prob: SparseProblem, budget: int | None, caller: str):
+def _scan_supports(prob: SparseProblem, caller: str):
     """Ascending support sizes, scanned lazily: for each size, the
     full-column-rank supports whose least-squares solution reproduces b.
 
@@ -344,7 +345,7 @@ def _scan_supports(prob: SparseProblem, budget: int | None, caller: str):
         yield np.zeros((1, 0), dtype=np.intp), np.zeros((1, 0))
         return
     r = numerical_rank(np.linalg.svd(M, compute_uv=False))
-    check_budget(sum(math.comb(n, k) for k in range(1, r + 1)), budget, caller)
+    check_budget(sum(math.comb(n, k) for k in range(1, r + 1)), caller)
     for size in range(1, r + 1):
         supports, coeffs = [], []
         for subsets in iter_subset_chunks(n, size):
@@ -362,7 +363,7 @@ def _solutions(supports: np.ndarray, coeff: np.ndarray) -> tuple[SparseSolution,
     )
 
 
-def solve_l0(prob: SparseProblem, budget: int | None = None) -> SparseSolutionSet:
+def solve_l0(prob: SparseProblem) -> SparseSolutionSet:
     """Exact l0 minimization by ascending exhaustive support search.
 
     Enumerates supports of size 0, 1, ... (lexicographic within a size) and
@@ -371,13 +372,13 @@ def solve_l0(prob: SparseProblem, budget: int | None = None) -> SparseSolutionSe
     fact: a minimal-support solution's columns are independent, so skipping
     rank-deficient supports cannot miss the minimum.
     """
-    for supports, coeff in _scan_supports(prob, budget, "solve_l0"):
+    for supports, coeff in _scan_supports(prob, "solve_l0"):
         if len(supports):
             return SparseSolutionSet(level=supports.shape[1], solutions=_solutions(supports, coeff))
     raise InfeasibleProblemError("no support of size <= rank(A) reproduces b")
 
 
-def enumerate_basic_solutions(prob: SparseProblem, budget: int | None = None) -> tuple[SparseSolution, ...]:
+def enumerate_basic_solutions(prob: SparseProblem) -> tuple[SparseSolution, ...]:
     """Every basic solution, each reported once on its minimal support.
 
     A basic solution is the unique representation of b on a full-column-rank
@@ -387,7 +388,7 @@ def enumerate_basic_solutions(prob: SparseProblem, budget: int | None = None) ->
     would otherwise each contribute nearly 1.
     """
     out: list[SparseSolution] = []
-    for supports, coeff in _scan_supports(prob, budget, "enumerate_basic_solutions"):
+    for supports, coeff in _scan_supports(prob, "enumerate_basic_solutions"):
         # a numerically zero coefficient (all of them, when the max is 0)
         # means the support is not minimal; the solution is counted at a
         # smaller size.  The empty support passes: its min is +inf.
@@ -414,7 +415,6 @@ def _p_list(p) -> list:
 def solve_lp_basic(
     prob: SparseProblem,
     p,
-    budget: int | None = None,
     basics: tuple[SparseSolution, ...] | None = None,
 ) -> LpMinimum | list[LpMinimum]:
     """Global lp minimum over basic solutions (ties within 1e-10 relative).
@@ -424,7 +424,7 @@ def solve_lp_basic(
     solutions are enumerated and padded into one block for the whole grid.
     """
     if basics is None:
-        basics = enumerate_basic_solutions(prob, budget=budget)
+        basics = enumerate_basic_solutions(prob)
     ps = _p_list(p)
     # zero padding adds exactly 0.0 to each row's exact sum
     padded = np.zeros((len(basics), max(len(s.coefficients) for s in basics)))
@@ -470,7 +470,6 @@ def sample_null(
     count: int,
     seed: int,
     witness: tuple[int, ...] | None = None,
-    budget: int | None = None,
 ) -> KernelSamples:
     """Deterministic mixture of kernel vectors, `count` base directions each
     emitted at every DEFAULT_SCALES entry.
@@ -497,8 +496,11 @@ def sample_null(
     rng = np.random.default_rng(seed)
 
     if witness is None:
+        # a malformed cap raises here; a cap too small for the spark search
+        # only drops the minsupport direction
+        subset_budget()
         try:
-            witness = compute_spark(A, budget=budget).witness
+            witness = compute_spark(A).witness
         except (BudgetExceededError, ValueError):
             witness = None
 
@@ -537,12 +539,11 @@ def _trial_samples(
     trials: int,
     seed: int,
     witness: tuple[int, ...] | None = None,
-    budget: int | None = None,
 ) -> KernelSamples:
     """A harness's kernel samples: ceil(trials / len(DEFAULT_SCALES)) base
     directions (at least one), each at every default scale."""
     count = max(1, math.ceil(trials / len(DEFAULT_SCALES)))
-    return sample_null(A, count=count, seed=seed, witness=witness, budget=budget)
+    return sample_null(A, count=count, seed=seed, witness=witness)
 
 
 def support_partition(x_star, h, k: int | None = None) -> SupportPartition:
@@ -627,13 +628,13 @@ def plant_sparse_instance(A: DenseMatrix, k: int, seed: int) -> PlantedInstance:
 
 
 def plant_with_level(
-    A: DenseMatrix, k: int, seed: int, budget: int | None = None
+    A: DenseMatrix, k: int, seed: int
 ) -> tuple[PlantedInstance, SparseSolutionSet]:
     """Plant until the instance's true l0 level equals k (the planted x* is
     then *an* l0 solution, which is all the T2/T3 hypotheses need)."""
     for i in range(PLANT_RETRIES):
         inst = plant_sparse_instance(A, k, derive_seed(seed, f"plant-{i}"))
-        sol = solve_l0(inst.problem, budget=budget)
+        sol = solve_l0(inst.problem)
         if sol.level == k:
             return inst, sol
     raise SamplingError(f"no planted instance reached l0 level {k} in {PLANT_RETRIES} tries")
@@ -651,7 +652,6 @@ def verify_theorem1(
     trials: int = 210,
     p_grid: tuple[float, ...] | None = None,
     seed: int = 0,
-    budget: int | None = None,
 ) -> Theorem1Report:
     """T1 harness: plant a k-sparse instance (k < spark/2), enumerate its
     basic solutions once (the l0 solutions are the smallest of them), then
@@ -662,7 +662,7 @@ def verify_theorem1(
     are recorded without judgement.  Counterexamples carry enough data to
     replay: the violating h, p, and margin.
     """
-    cert = compute_spark(A, budget=budget)
+    cert = compute_spark(A)
     if not 1 <= k or 2 * k >= cert.spark:
         raise ValueError(f"need 1 <= k < spark/2 = {cert.spark / 2}, got k={k}")
     inst = plant_sparse_instance(A, k, derive_seed(seed, "plant"))
@@ -670,10 +670,8 @@ def verify_theorem1(
     grid = default_p_grid(summary.p_star) if p_grid is None else tuple(sorted(set(p_grid)))
     below_empty = not any(p < summary.p_star for p in grid)
 
-    samples = _trial_samples(
-        A, trials, derive_seed(seed, "null"), witness=cert.witness, budget=budget
-    )
-    basics = enumerate_basic_solutions(inst.problem, budget=budget)
+    samples = _trial_samples(A, trials, derive_seed(seed, "null"), witness=cert.witness)
+    basics = enumerate_basic_solutions(inst.problem)
     sol = _l0_from_basics(basics)
     l0_supports = set(sol.supports)
 
@@ -761,7 +759,6 @@ def _deep_regime_hypothesis(
     trials: int,
     seed: int,
     null_label: str,
-    budget: int | None,
 ):
     """The preamble T2 and T3 share: check k and p_check, plant x* at l0
     level k, and draw the kernel samples of A = A(m, n, lam).
@@ -781,8 +778,8 @@ def _deep_regime_hypothesis(
     if not 0.0 < p < p_star0:
         raise ValueError(f"p_check must lie in (0, p_star(A_0)) = (0, {p_star0}), got {p}")
     A = build_vandermonde(spec)
-    inst, _ = plant_with_level(A, k, derive_seed(seed, "plant"), budget=budget)
-    samples = _trial_samples(A, trials, derive_seed(seed, null_label), budget=budget)
+    inst, _ = plant_with_level(A, k, derive_seed(seed, "plant"))
+    samples = _trial_samples(A, trials, derive_seed(seed, null_label))
     return inst.x_star, p_star0, p, samples
 
 
@@ -834,7 +831,6 @@ def verify_theorem2(
     t_schedule: tuple[float, ...] = DEFAULT_T_SCHEDULE,
     trials: int = 21,
     seed: int = 0,
-    budget: int | None = None,
 ) -> Theorem2Report:
     """T2 harness for n >= 2m+2: plant an l0 solution x* at level k,
     (m+1)/2 <= k <= m, and check it.
@@ -864,7 +860,7 @@ def verify_theorem2(
     if n < 2 * m + 2:
         raise ValueError(f"T2 needs n >= 2m+2 = {2 * m + 2}, got n={n}")
     x, p_star0, p, samples = _deep_regime_hypothesis(
-        spec, k, build_augmented_0(spec), p_check, trials, seed, "thm2-null", budget
+        spec, k, build_augmented_0(spec), p_check, trials, seed, "thm2-null"
     )
     claim = verify_strict_inequality(x, samples, p)
 
@@ -983,7 +979,6 @@ def verify_theorem3(
     p_check: float | None = None,
     trials: int = 21,
     seed: int = 0,
-    budget: int | None = None,
 ) -> Theorem3Report:
     """T3 harness for m < n < 2m+2: plant an l0 solution x* at level k,
     (m+1)/2 <= k <= m, extend the nodes to 2m+2, embed kernel vectors by
@@ -1003,7 +998,7 @@ def verify_theorem3(
     ext = extend_lambda(spec, derive_seed(seed, "thm3-extend"))
     A0_ext = build_augmented_0(ext)
     x, p_star0, p, samples = _deep_regime_hypothesis(
-        spec, k, A0_ext, p_check, trials, seed, "thm3-null", budget
+        spec, k, A0_ext, p_check, trials, seed, "thm3-null"
     )
     claim = verify_strict_inequality(x, samples, p)
 

@@ -127,9 +127,7 @@ def _equilibrated(entries: np.ndarray) -> np.ndarray:
     return scaled / col_scale
 
 
-def compute_spark(
-    A: DenseMatrix, tol_rel: float = RANK_TOL, budget: int | None = None
-) -> SparkCertificate:
+def compute_spark(A: DenseMatrix, tol_rel: float = RANK_TOL) -> SparkCertificate:
     """Smallest dependent column-subset size, with lexicographic-minimum witness.
 
     Raises ValueError for full-column-rank inputs (no dependent subset exists;
@@ -144,7 +142,7 @@ def compute_spark(
             f"matrix has full column rank ({r} of {n} columns); spark is undefined here"
         )
     total = sum(math.comb(n, k) for k in range(1, r + 2))
-    check_budget(total, budget, "compute_spark")
+    check_budget(total, "compute_spark")
 
     # Level r decides: all independent there means spark r+1 (monotonicity).
     at_rank = _first_dependent(M, r, tol_rel) if r > 0 else None
@@ -190,9 +188,7 @@ def _ratio_lower_bound(sub: np.ndarray) -> np.ndarray:
         return det * (k - 1) ** ((k - 1) / 2) / fro**k
 
 
-def check_submatrix_invertibility(
-    spec: VandermondeSpec, budget: int | None = None
-) -> SubmatrixReport:
+def check_submatrix_invertibility(spec: VandermondeSpec) -> SubmatrixReport:
     """Scan |det| over every I x J square submatrix, of every size up to
     max_size = min(m, n).
 
@@ -207,7 +203,7 @@ def check_submatrix_invertibility(
     m, n = A.shape
     max_size = min(m, n)
     total = sum(math.comb(m, s) * math.comb(n, s) for s in range(1, max_size + 1))
-    check_budget(total, budget, "check_submatrix_invertibility")
+    check_budget(total, "check_submatrix_invertibility")
 
     best = math.inf
     arg_rows: tuple[int, ...] = ()
@@ -238,13 +234,13 @@ def check_submatrix_invertibility(
     )
 
 
-def verify_prop1(aug: AugmentedSpec, budget: int | None = None) -> Prop1Report:
+def verify_prop1(aug: AugmentedSpec) -> Prop1Report:
     """Certify spark(A_t) = 2m+3 for an augmentation with n >= 2m+2 nodes."""
     base = aug.base
     base.require_distinct_abs()
     if base.n < 2 * base.m + 2:
         raise ValueError(f"need n >= 2m+2 (= {2 * base.m + 2}), got n={base.n}")
-    cert = compute_spark(build_augmented_t(aug), budget=budget)
+    cert = compute_spark(build_augmented_t(aug))
     expected = 2 * base.m + 3
     return Prop1Report(
         m=base.m,

@@ -12,9 +12,14 @@ Also computed here: restricted eigenvalue extremes over all k-column subsets
 (the operational version of the two-sided norm sandwich on sparse vectors).
 
 Caution on the sandwich: the claim lmp <= u^2, with u^2 the restricted
-minimum at subset size spark-1, is FALSE in general (clustered-node instances
-break it routinely).  lemma1_constants therefore reports sandwich_holds as
-data and never asserts it.
+minimum at subset size spark-1, is FALSE in general.  Where spark = rank + 1,
+as on every node matrix (spark m+1, rank m), the reverse always holds:
+u^2 = sigma_r(A_S)^2 for some r-column submatrix A_S, r = rank(A), and
+deleting columns cannot raise the r-th singular value (interlacing; Horn and
+Johnson, Topics in Matrix Analysis, Cor. 3.1.3), so u^2 <= sigma_r(A)^2 = lmp
+and the sandwich fails there by theorem unless the two are equal.
+lemma1_constants therefore reports sandwich_holds as data and never asserts
+it.
 """
 
 from __future__ import annotations
@@ -62,6 +67,9 @@ class Lemma1Report:
 
     u_sq <= w_sq always; w_sq <= lambda_max always (Cauchy interlacing);
     lambda_min_plus <= u_sq is the contested part, reported as sandwich_holds.
+    When spark = rank + 1, as on every node matrix, u_sq <= lambda_min_plus
+    always holds (interlacing; see the module docstring), so sandwich_holds
+    is False there unless the two are equal.
     """
 
     spark: int
@@ -119,7 +127,7 @@ def spectrum_from_singular_values(s) -> SpectralSummary:
     )
 
 
-def restricted_extremes(A: DenseMatrix, k: int, budget: int | None = None) -> RestrictedSpectrum:
+def restricted_extremes(A: DenseMatrix, k: int) -> RestrictedSpectrum:
     """Extreme eigenvalues of A_S^T A_S over every |S| = k, by exhaustion.
 
     Monotone in k (min nonincreasing, max nondecreasing) by eigenvalue
@@ -131,7 +139,7 @@ def restricted_extremes(A: DenseMatrix, k: int, budget: int | None = None) -> Re
     n = M.shape[1]
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in [1, {n}], got {k}")
-    check_budget(math.comb(n, k), budget, "restricted_extremes")
+    check_budget(math.comb(n, k), "restricted_extremes")
 
     best_min, best_max = math.inf, -math.inf
     arg_min: tuple[int, ...] = ()
@@ -154,9 +162,7 @@ def restricted_extremes(A: DenseMatrix, k: int, budget: int | None = None) -> Re
     )
 
 
-def lemma1_constants(
-    A: DenseMatrix, spark: int | None = None, budget: int | None = None
-) -> Lemma1Report:
+def lemma1_constants(A: DenseMatrix, spark: int | None = None) -> Lemma1Report:
     """u^2, w^2 at subset size spark-1, with the contested sandwich as data.
 
     u^2 ||x||^2 <= ||A x||^2 <= w^2 ||x||^2 holds for every x with
@@ -164,10 +170,10 @@ def lemma1_constants(
     interlacing); whether lambda_min_plus <= u^2 is recorded, not assumed.
     """
     if spark is None:
-        spark = compute_spark(A, budget=budget).spark
+        spark = compute_spark(A).spark
     if spark < 2:
         raise ValueError(f"spark must be >= 2 for a nonempty restricted spectrum, got {spark}")
-    rs = restricted_extremes(A, spark - 1, budget=budget)
+    rs = restricted_extremes(A, spark - 1)
     summary = gram_spectrum(A)
     return Lemma1Report(
         spark=spark,

@@ -64,7 +64,6 @@ class RunConfig:
     trials: int = 30
     p_grid: tuple[float, ...] | None = None  # None: derive from the computed threshold
     t_schedule: tuple[float, ...] = DEFAULT_T_SCHEDULE
-    budget: int | None = None
     output_dir: str = "lp_equiv_out"
 
     def __post_init__(self) -> None:
@@ -76,8 +75,6 @@ class RunConfig:
             raise ValueError("p_grid entries must lie in (0, 1]")
         if any(t <= 0.0 for t in self.t_schedule):
             raise ValueError("t_schedule entries must be positive")
-        if self.budget is not None and self.budget < 1:
-            raise ValueError("budget must be >= 1 when given")
 
     def to_text(self) -> str:
         lines = ["# run configuration for the lp-equiv suite"]
@@ -116,7 +113,7 @@ class RunConfig:
 
 
 def _parse_config_value(key: str, rendered: str):
-    if key in ("seed", "m", "n", "trials", "budget"):
+    if key in ("seed", "m", "n", "trials"):
         return int(rendered)
     if key == "output_dir":
         return rendered
@@ -242,7 +239,7 @@ def run_suite(config: RunConfig) -> RunManifest:
     phase_rows: list[tuple] = []
     margin_lines: list[str] = []  # rendered per T1 report, in k order
 
-    m, n, seed, budget = config.m, config.n, config.seed, config.budget
+    m, n, seed = config.m, config.n, config.seed
 
     # --- instance generation -------------------------------------------------
     try:
@@ -258,7 +255,7 @@ def run_suite(config: RunConfig) -> RunManifest:
     # --- spark certificate ---------------------------------------------------
     spark = None
     try:
-        cert = compute_spark(A, budget=budget)
+        cert = compute_spark(A)
         spark = cert.spark
         expected = m + 1
         status = "pass" if cert.spark == expected else "fail"
@@ -276,7 +273,7 @@ def run_suite(config: RunConfig) -> RunManifest:
     # --- square-submatrix scan (informational: signed nodes may admit
     #     singular row/column selections without affecting the spark) --------
     try:
-        sub = check_submatrix_invertibility(spec, budget=budget)
+        sub = check_submatrix_invertibility(spec)
         checks.append(
             CheckResult(
                 "submatrix-invertibility",
@@ -305,7 +302,7 @@ def run_suite(config: RunConfig) -> RunManifest:
     lem1 = None
     if spark is not None:
         try:
-            lem1 = lemma1_constants(A, spark=spark, budget=budget)
+            lem1 = lemma1_constants(A, spark=spark)
             checks.append(
                 CheckResult(
                     "spectral-sandwich",
@@ -367,8 +364,7 @@ def run_suite(config: RunConfig) -> RunManifest:
     # --- cross-term constants (reported) --------------------------------------
     try:
         cross = cross_term_check(
-            A, trials=max(config.trials * 10, 200), seed=derive_seed(seed, "cross"),
-            lemma1=lem1, budget=budget,
+            A, trials=max(config.trials * 10, 200), seed=derive_seed(seed, "cross"), lemma1=lem1
         )
         checks.append(
             CheckResult(
@@ -404,7 +400,6 @@ def run_suite(config: RunConfig) -> RunManifest:
                     trials=config.trials,
                     p_grid=config.p_grid,
                     seed=derive_seed(seed, f"thm1-k{k}"),
-                    budget=budget,
                 )
                 status = "reported"
                 detail = {
@@ -430,10 +425,9 @@ def run_suite(config: RunConfig) -> RunManifest:
 
         # --- chain audit on one concrete witness ------------------------------
         try:
-            planted, _ = plant_with_level(A, k_max, seed=derive_seed(seed, "chain"), budget=budget)
+            planted, _ = plant_with_level(A, k_max, seed=derive_seed(seed, "chain"))
             kernel = sample_null(
-                A, count=1, seed=derive_seed(seed, "chain-h"), witness=cert.witness,
-                budget=budget,
+                A, count=1, seed=derive_seed(seed, "chain-h"), witness=cert.witness
             )
             h = kernel.vectors[0]
             p_audit = min(summary.p_star / 2.0, 1.0)
@@ -493,10 +487,7 @@ def _run_deep_regime(
         own_keys = ("worst_embed_residual", "worst_block_residual")
     try:
         # k = m, the deepest admissible level: (m+1)/2 <= k <= m
-        report = harness(
-            spec, m, trials=config.trials, seed=derive_seed(config.seed, label),
-            budget=config.budget,
-        )
+        report = harness(spec, m, trials=config.trials, seed=derive_seed(config.seed, label))
         keys = ("k", "p_star0", "p_check", "margin_min", *own_keys)
         detail = {key: getattr(report, key) for key in keys}
         detail["violation_count"] = len(report.violations)

@@ -187,3 +187,26 @@ def test_out_file_redirects_json(tmp_path):
     dest = tmp_path / "spark.json"
     assert main(["spark", "--matrix", str(mat), "--out", str(dest)]) == 0
     assert json.loads(dest.read_text())["spark"] == 3
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "1e6", "abc"])
+def test_malformed_cap_exits_2(tmp_path, capsys, monkeypatch, value):
+    mat = tmp_path / "A.json"
+    main(["gen", "--m", "2", "--n", "6", "--seed", "3", "--out", str(mat)])
+    monkeypatch.setenv("LP_EQUIV_BUDGET", value)
+    assert main(["spark", "--matrix", str(mat)]) == 2
+    # the suite fails too, rather than skip every enumerating check
+    out_dir = str(tmp_path / "suite")
+    assert main(["suite", "--m", "2", "--n", "5", "--trials", "6", "--output-dir", out_dir]) == 2
+    err = capsys.readouterr().err
+    assert err.count(f"LP_EQUIV_BUDGET must be an integer >= 1, got {value!r}") == 2
+
+
+def test_no_subcommand_takes_a_cap_flag(tmp_path):
+    # LP_EQUIV_BUDGET is the one way to set the subset cap
+    mat = tmp_path / "A.json"
+    main(["gen", "--m", "2", "--n", "6", "--seed", "3", "--out", str(mat)])
+    for argv in (["spark", "--matrix", str(mat)], ["suite", "--m", "2", "--n", "5"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--budget", "5"])
+        assert exc.value.code == 2

@@ -359,15 +359,28 @@ def test_iter_subset_chunks_equal_reference_chunking(n, k, chunk):
         assert np.array_equal(g, w)
 
 
-def test_check_budget_raises_past_cap():
-    check_budget(10, 10, "ok at the cap")
+def test_check_budget_raises_past_cap(monkeypatch):
+    monkeypatch.setenv("LP_EQUIV_BUDGET", "10")
+    check_budget(10, "ok at the cap")
     with pytest.raises(BudgetExceededError):
-        check_budget(11, 10, "one past the cap")
+        check_budget(11, "one past the cap")
 
 
 def test_subset_budget_env_override(monkeypatch):
     monkeypatch.setenv("LP_EQUIV_BUDGET", "123")
-    assert subset_budget(None) == 123
-    assert subset_budget(77) == 77
+    assert subset_budget() == 123
+    # the environment variable is the cap's one setting: no call overrides it
+    with pytest.raises(TypeError):
+        subset_budget(77)
+    monkeypatch.setenv("LP_EQUIV_BUDGET", "")
+    assert subset_budget() == 1_000_000
     monkeypatch.delenv("LP_EQUIV_BUDGET")
-    assert subset_budget(None) == 1_000_000
+    assert subset_budget() == 1_000_000
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "1e6", "abc"])
+def test_malformed_cap_raises_naming_the_variable_and_value(value, monkeypatch):
+    monkeypatch.setenv("LP_EQUIV_BUDGET", value)
+    for read in (subset_budget, lambda: check_budget(1, "a one-subset scan")):
+        with pytest.raises(ValueError, match=f"LP_EQUIV_BUDGET .*{value!r}"):
+            read()

@@ -438,7 +438,7 @@ def test_deep_regime_claim_equals_verify_strict_inequality(
 # --- p grids and kernel sampling against the loops they replaced -----------
 
 
-def reference_sample_null(A, count, seed, witness=None, budget=None):
+def reference_sample_null(A, count, seed, witness=None):
     """Per-direction loop over the two documented blocks: base row i,
     counting the minsupport row, takes the next row of the normal block when
     i is even ("unit") and of the rng.choice sign block when i is odd
@@ -449,7 +449,7 @@ def reference_sample_null(A, count, seed, witness=None, budget=None):
     rng = np.random.default_rng(seed)
     if witness is None:
         try:
-            witness = compute_spark(A, budget=budget).witness
+            witness = compute_spark(A).witness
         except (solvers.BudgetExceededError, ValueError):
             witness = None
     base = []
@@ -473,21 +473,40 @@ def reference_sample_null(A, count, seed, witness=None, budget=None):
 SAMPLE_SHAPES = [(2, 3), (2, 5), (3, 7), (4, 9), (5, 8), (6, 9)]
 
 
+def set_cap(monkeypatch, cap):
+    """Set LP_EQUIV_BUDGET to cap, or unset it when cap is None."""
+    if cap is None:
+        monkeypatch.delenv("LP_EQUIV_BUDGET", raising=False)
+    else:
+        monkeypatch.setenv("LP_EQUIV_BUDGET", str(cap))
+
+
 @pytest.mark.parametrize("m, n", SAMPLE_SHAPES)
-def test_sample_null_equals_per_direction_reference(m, n):
+def test_sample_null_equals_per_direction_reference(m, n, monkeypatch):
     A = build_vandermonde(sample_instance(m, n, seed=m * n))
-    for seed, count, budget in itertools.product((0, 7), (1, 2, 5, 70), (None, 1)):
-        # budget=1 makes the spark search fail, so no minsupport witness
-        got = sample_null(A, count=count, seed=seed, budget=budget)
-        want = reference_sample_null(A, count, seed, budget=budget)
+    for seed, count, cap in itertools.product((0, 7), (1, 2, 5, 70), (None, 1)):
+        # a cap of 1 makes the spark search fail, so no minsupport witness
+        set_cap(monkeypatch, cap)
+        got = sample_null(A, count=count, seed=seed)
+        want = reference_sample_null(A, count, seed)
         assert got.vectors.shape == (len(want), n) and len(want) == count * len(DEFAULT_SCALES)
         assert len(got.kinds) == len(got.scales) == len(want)
-        assert ("minsupport" in got.kinds) == (budget is None)
+        assert ("minsupport" in got.kinds) == (cap is None)
         for i, (vector, kind, scale) in enumerate(want):
             assert (got.kinds[i], got.scales[i]) == (kind, scale)
             assert type(got.scales[i]) is float
             assert got.vectors[i].dtype == vector.dtype
             assert got.vectors[i].tobytes() == vector.tobytes()
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "1e6", "abc"])
+def test_sample_null_raises_on_a_malformed_cap(value, monkeypatch):
+    # a valid cap too small for the spark search drops the minsupport row
+    # (above); a malformed one is an error, never a silently lost direction
+    A = build_vandermonde(sample_instance(3, 7, seed=0))
+    monkeypatch.setenv("LP_EQUIV_BUDGET", value)
+    with pytest.raises(ValueError, match=f"LP_EQUIV_BUDGET .*{value!r}"):
+        sample_null(A, count=3, seed=0)
 
 
 def test_sample_null_blocks_do_not_share_memory():
@@ -539,14 +558,15 @@ def test_sample_null_draw_calls_do_not_grow_with_count(monkeypatch):
     # one normal block and one sign block per call, whatever the count
     A = build_vandermonde(sample_instance(4, 9, seed=36))
     dim = A.cols - A.rows
-    for budget in (None, 1):
+    for cap in (None, 1):
+        set_cap(monkeypatch, cap)
         logs = {}
         for count in (2, 70):
-            samples, logs[count] = counted_sample_null(monkeypatch, A, count, 5, budget=budget)
+            samples, logs[count] = counted_sample_null(monkeypatch, A, count, 5)
             assert samples.vectors.shape == (3 * count, A.cols)
         assert [name for name, _ in logs[2]] == ["standard_normal", "integers"]
         # 70 rows without a witness: 35 unit, 35 signed; with one: 34 and 35
-        assert logs[70] == [("standard_normal", (35 - (budget is None), dim)), ("integers", (35, dim))]
+        assert logs[70] == [("standard_normal", (35 - (cap is None), dim)), ("integers", (35, dim))]
 
 
 def test_sample_null_redraws_a_near_zero_row_with_its_kind(monkeypatch):
@@ -662,16 +682,16 @@ def test_solve_lp_basic_grid_equals_per_p_minima():
     assert solve_lp_basic(worked, []) == []
 
 
-def reference_theorem1(A, k, trials=210, p_grid=None, seed=0, budget=None):
+def reference_theorem1(A, k, trials=210, p_grid=None, seed=0):
     """The T1 harness as one strict-inequality sweep and one lp argmin per p."""
-    cert = compute_spark(A, budget=budget)
+    cert = compute_spark(A)
     inst = plant_sparse_instance(A, k, derive_seed(seed, "plant"))
     p_star = solvers.gram_spectrum(A).p_star
     grid = default_p_grid(p_star) if p_grid is None else tuple(sorted(set(p_grid)))
     below_empty = not any(p < p_star for p in grid)
     count = max(1, math.ceil(trials / len(DEFAULT_SCALES)))
     samples = sample_null(A, count=count, seed=derive_seed(seed, "null"), witness=cert.witness)
-    basics = enumerate_basic_solutions(inst.problem, budget=budget)
+    basics = enumerate_basic_solutions(inst.problem)
     sol = _l0_from_basics(basics)
     l0_supports = set(sol.supports)
     reports, counterexamples = [], []

@@ -24,6 +24,8 @@ from lp_equiv.spark import (
     compute_spark,
     verify_prop1,
 )
+from lp_equiv.solvers import enumerate_basic_solutions, plant_sparse_instance, solve_l0
+from lp_equiv.spectral import restricted_extremes
 
 
 def matrix_rank(M: np.ndarray, tol_rel: float = RANK_TOL) -> int:
@@ -105,11 +107,12 @@ def test_spark_rejects_full_column_rank():
         compute_spark(tall)
 
 
-def test_spark_budget():
+def test_spark_budget(monkeypatch):
     spec = sample_instance(4, 9, seed=0)
     A = build_vandermonde(spec)
+    monkeypatch.setenv("LP_EQUIV_BUDGET", "10")
     with pytest.raises(BudgetExceededError):
-        compute_spark(A, budget=10)
+        compute_spark(A)
 
 
 @pytest.mark.parametrize(
@@ -120,15 +123,49 @@ def test_spark_budget():
     ],
     ids=["node", "augmented-0"],
 )
-def test_spark_budget_charges_worst_case_on_every_path(A):
+def test_spark_budget_charges_worst_case_on_every_path(A, monkeypatch):
     # the cap covers sizes 1..rank+1 whichever path runs, so it fires at the
     # same budget as the plain ascending search
     n = A.entries.shape[1]
     r = matrix_rank(_equilibrated(A.entries))
     worst = sum(math.comb(n, k) for k in range(1, r + 2))
-    compute_spark(A, budget=worst)
+    monkeypatch.setenv("LP_EQUIV_BUDGET", str(worst))
+    compute_spark(A)
+    monkeypatch.setenv("LP_EQUIV_BUDGET", str(worst - 1))
     with pytest.raises(BudgetExceededError):
-        compute_spark(A, budget=worst - 1)
+        compute_spark(A)
+
+
+def _worst_case_scans():
+    """(name, call, worst-case subset total) for every enumerating entry point,
+    at (3,7) seed 0: rank 3, so spark scans sizes 1..4 and support scans 1..3."""
+    spec = sample_instance(3, 7, seed=0)
+    A = build_vandermonde(spec)
+    prob = plant_sparse_instance(A, 2, seed=1).problem
+    supports = sum(math.comb(7, k) for k in range(1, 4))
+    scans = [
+        ("compute_spark", lambda: compute_spark(A), supports + math.comb(7, 4)),
+        (
+            "check_submatrix_invertibility",
+            lambda: check_submatrix_invertibility(spec),
+            sum(math.comb(3, s) * math.comb(7, s) for s in range(1, 4)),
+        ),
+        ("restricted_extremes", lambda: restricted_extremes(A, 3), math.comb(7, 3)),
+        ("solve_l0", lambda: solve_l0(prob), supports),
+        ("enumerate_basic_solutions", lambda: enumerate_basic_solutions(prob), supports),
+    ]
+    return [pytest.param(name, call, worst, id=name) for name, call, worst in scans]
+
+
+@pytest.mark.parametrize("name, call, worst", _worst_case_scans())
+def test_every_scan_runs_at_its_worst_case_cap_and_not_below(name, call, worst, monkeypatch):
+    # LP_EQUIV_BUDGET is the one cap; each scan charges its worst case up front
+    monkeypatch.setenv("LP_EQUIV_BUDGET", str(worst))
+    call()
+    monkeypatch.setenv("LP_EQUIV_BUDGET", str(worst - 1))
+    message = f"{name} would enumerate {worst} column subsets but the cap is {worst - 1}"
+    with pytest.raises(BudgetExceededError, match=message):
+        call()
 
 
 SCALES = (1.0, 0.1, 0.01)

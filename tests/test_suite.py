@@ -39,14 +39,15 @@ n = 8
 
 trials = 4
 t_schedule = 10, 100
-budget = 5000
 output_dir = somewhere
 """
     cfg = RunConfig.from_text(text)
     assert cfg.seed == 5 and cfg.m == 3 and cfg.n == 8 and cfg.trials == 4
     assert cfg.t_schedule == (10.0, 100.0)
-    assert cfg.budget == 5000
     assert cfg.output_dir == "somewhere"
+    # no key sets the subset cap: LP_EQUIV_BUDGET is its one setting
+    with pytest.raises(ValueError, match="unknown config key 'budget'"):
+        RunConfig.from_text(text + "budget = 5000\n")
     # no key sets a rank tolerance: the package has one rank policy
     with pytest.raises(ValueError, match="unknown config key 'tol'"):
         RunConfig.from_text(text + "tol = 1e-9\n")
@@ -175,12 +176,29 @@ def test_run_suite_byte_identical_rerun(tmp_path):
 
 
 def test_run_suite_narrow_regime_uses_extension(tmp_path):
-    cfg = RunConfig(seed=2, m=2, n=5, trials=6, output_dir=str(tmp_path / "narrow"))
+    for m, n, seed, trials in [(2, 5, 2, 6), (3, 6, 1, 10)]:
+        out = str(tmp_path / f"narrow-{m}-{n}")
+        manifest = run_suite(RunConfig(seed=seed, m=m, n=n, trials=trials, output_dir=out))
+        names = {c.name for c in manifest.checks}
+        assert "t3-extension" in names
+        assert "t2-augmented" not in names
+        # the node extension ran rather than being skipped: verify_theorem3 was reached
+        assert [c.status for c in manifest.checks if c.name == "t3-extension"] == ["reported"]
+        assert manifest.asserted_pass
+
+
+def test_run_suite_skips_enumerating_checks_under_a_small_cap(tmp_path, monkeypatch):
+    # at (2,8) a cap of 5 is below every scan: spark (92 subsets), the
+    # submatrix scan (44), the cross-term spark and the deep-regime plant
+    monkeypatch.setenv("LP_EQUIV_BUDGET", "5")
+    cfg = RunConfig(seed=0, m=2, n=8, trials=6, output_dir=str(tmp_path / "capped"))
     manifest = run_suite(cfg)
+    skipped = {c.name: c.detail["reason"] for c in manifest.checks if c.status == "skipped"}
+    assert set(skipped) == {"spark", "submatrix-invertibility", "cross-term", "t2-augmented"}
+    assert all("but the cap is 5" in reason for reason in skipped.values())
+    # without a spark certificate no check that needs one runs
     names = {c.name for c in manifest.checks}
-    assert "t3-extension" in names
-    assert "t2-augmented" not in names
-    assert manifest.asserted_pass
+    assert not names & {"spectral-sandwich", "t1-margins-k1", "chain-asserted"}
 
 
 def test_manifest_violation_count_matches_dump(tmp_path):
@@ -295,6 +313,8 @@ def test_chain_counterexample_replays_from_its_record(tmp_path):
     cfg = RunConfig(seed=7, m=3, n=9, trials=30, output_dir=str(tmp_path / "chain"))
     run_suite(cfg)
     dumped = json.loads((tmp_path / "chain" / "counterexamples.json").read_text())
+    # every counterexample names its instance by lambda
+    assert dumped and all("lambda" in c for c in dumped)
     (ce,) = [c for c in dumped if c["check"] == "chain"]
     assert {"lambda", "x_star", "h", "p"} <= set(ce)
     A = build_vandermonde(VandermondeSpec(cfg.m, tuple(ce["lambda"])))
