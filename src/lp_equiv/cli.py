@@ -20,7 +20,8 @@ JSON objects {"matrix": <envelope>, "b": [...]}.
 
 No flag sets the subset cap: the LP_EQUIV_BUDGET environment variable is its
 one setting (default 1,000,000 subsets).  A scan over the cap ends a command
-with a one-line error and exit 2; `suite` marks that check skipped instead.
+with a one-line error and exit 2; `suite` marks that check skipped instead,
+and exits 1 when the check it skipped is asserted.
 A value that is not an integer >= 1 ends every command that enumerates,
 `suite` included, with exit 2.
 """

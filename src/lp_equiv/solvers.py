@@ -859,6 +859,8 @@ def verify_theorem2(
     m, n = spec.m, spec.n
     if n < 2 * m + 2:
         raise ValueError(f"T2 needs n >= 2m+2 = {2 * m + 2}, got n={n}")
+    if not t_schedule:
+        raise ValueError("t_schedule needs at least one step")
     x, p_star0, p, samples = _deep_regime_hypothesis(
         spec, k, build_augmented_0(spec), p_check, trials, seed, "thm2-null"
     )

@@ -19,6 +19,14 @@ suite reports overall failure.  Reported checks are the empirical claims whose
 proofs lean on the contested spectral sandwich (margin positivity, argmin
 agreement, the sandwich itself, cross-term constants); their violations are
 dumped to counterexamples.json but do not flip the exit status.
+
+Every check is recorded by one policy.  A budget or sampling failure
+(BudgetExceededError, SamplingError) lists the check as skipped, with the
+error as its reason; a check that needs a skipped result (the spark
+certificate) is listed as skipped too, with a reason naming it.  Each
+counterexample carries its check's name and the instance's lambda.  The run
+passes only when every asserted check has status "pass": a skipped asserted
+check fails it.
 """
 
 from __future__ import annotations
@@ -71,8 +79,12 @@ class RunConfig:
             raise ValueError(f"need 1 <= m < n, got m={self.m}, n={self.n}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.p_grid is not None and not self.p_grid:
+            raise ValueError("p_grid needs at least one entry")
         if self.p_grid is not None and any(not 0.0 < p <= 1.0 for p in self.p_grid):
             raise ValueError("p_grid entries must lie in (0, 1]")
+        if not self.t_schedule:
+            raise ValueError("t_schedule needs at least one entry")
         if any(t <= 0.0 for t in self.t_schedule):
             raise ValueError("t_schedule entries must be positive")
 
@@ -118,10 +130,7 @@ def _parse_config_value(key: str, rendered: str):
     if key == "output_dir":
         return rendered
     if key in ("p_grid", "t_schedule"):
-        parts = [part.strip() for part in rendered.split(",") if part.strip()]
-        if not parts:
-            raise ValueError(f"config key {key!r} needs at least one number")
-        return tuple(float(part) for part in parts)
+        return tuple(float(part) for part in rendered.split(",") if part.strip())
     raise AssertionError(f"unhandled config key {key}")
 
 
@@ -226,251 +235,175 @@ def _margin_lines(report: Theorem1Report) -> list[str]:
     return lines
 
 
-def _check_from_exception(name: str, asserted: bool, exc: Exception) -> CheckResult:
-    """A check skipped by a budget or sampling failure, with its reason."""
-    return CheckResult(name, "skipped", asserted, {"reason": str(exc)})
+# The asserted tier; every other check is reported.
+_ASSERTED = frozenset({
+    "instance", "spark", "gram-spectrum", "sequence-comparison", "f-lower-bound",
+    "phi-upper-bound", "chain-asserted",
+})
+
+
+class _Recorder:
+    """Every check, counterexample and artifact row of one suite run, kept
+    by the recording policy of the module docstring."""
+
+    def __init__(self) -> None:
+        self.lam: list[float] | None = None  # the instance's nodes: every replay's data
+        self.checks: list[CheckResult] = []
+        self.counterexamples: list[dict] = []
+        self.phase_rows: list[tuple] = []
+        self.margin_lines: list[str] = []  # rendered per T1 report, in k order
+
+    def record(self, name: str, status: str, detail: dict, violations=()) -> None:
+        self.checks.append(CheckResult(name, status, name in _ASSERTED, detail))
+        for violation in violations:
+            self.counterexample(name, violation)
+
+    def counterexample(self, check: str, violation: dict) -> None:
+        self.counterexamples.append({"check": check, **violation, "lambda": self.lam})
+
+    def run(self, names: tuple[str, ...], compute, *args, missing: str | None = None):
+        """Return compute(self, *args), which records the checks in names
+        after its last call that can fail.  When a budget or sampling
+        failure ends compute, or missing gives the reason a prerequisite is
+        absent, list each of names as skipped with that reason instead and
+        return None."""
+        if missing is None:
+            try:
+                return compute(self, *args)
+            except (BudgetExceededError, SamplingError) as exc:
+                missing = str(exc)
+        for name in names:
+            self.record(name, "skipped", {"reason": missing})
+        return None
+
+    @property
+    def asserted_pass(self) -> bool:
+        """A skipped asserted check is not a pass."""
+        return all(c.status == "pass" for c in self.checks if c.asserted)
 
 
 def run_suite(config: RunConfig) -> RunManifest:
     """Run every check for one sampled instance family and write the artifact
     files into config.output_dir.  Returns the manifest (also written)."""
-    checks: list[CheckResult] = []
-    counterexamples: list[dict] = []
-    phase_rows: list[tuple] = []
-    margin_lines: list[str] = []  # rendered per T1 report, in k order
-
     m, n, seed = config.m, config.n, config.seed
-
-    # --- instance generation -------------------------------------------------
+    rec = _Recorder()
     try:
         spec = sample_instance(m, n, seed=derive_seed(seed, "instance"))
-        lam = [float(v) for v in spec.lam]  # every counterexample's replay data
-        checks.append(CheckResult("instance", "pass", True, {"m": m, "n": n, "lambda": lam}))
     except SamplingError as exc:
-        checks.append(CheckResult("instance", "fail", True, {"reason": str(exc)}))
-        return _finalize(config, checks, counterexamples, phase_rows, margin_lines)
-
+        rec.record("instance", "fail", {"reason": str(exc)})
+        return _finalize(config, rec)
+    rec.lam = [float(v) for v in spec.lam]
+    rec.record("instance", "pass", {"m": m, "n": n, "lambda": rec.lam})
     A = build_vandermonde(spec)
 
-    # --- spark certificate ---------------------------------------------------
-    spark = None
-    try:
-        cert = compute_spark(A)
-        spark = cert.spark
-        expected = m + 1
-        status = "pass" if cert.spark == expected else "fail"
-        checks.append(
-            CheckResult(
-                "spark",
-                status,
-                True,
-                {"spark": cert.spark, "expected": expected, "witness": list(cert.witness)},
-            )
-        )
-    except BudgetExceededError as exc:
-        checks.append(_check_from_exception("spark", True, exc))
-
-    # --- square-submatrix scan (informational: signed nodes may admit
-    #     singular row/column selections without affecting the spark) --------
-    try:
-        sub = check_submatrix_invertibility(spec)
-        checks.append(
-            CheckResult(
-                "submatrix-invertibility",
-                "reported",
-                False,
-                {"passes": sub.passes, "min_abs_det": sub.min_abs_det, "checked": sub.checked},
-            )
-        )
-        if not sub.passes:
-            counterexamples.append(
-                {
-                    "check": "submatrix-invertibility",
-                    "rows": list(sub.argmin_rows),
-                    "cols": list(sub.argmin_cols),
-                    "min_abs_det": sub.min_abs_det,
-                    "lambda": lam,
-                }
-            )
-    except BudgetExceededError as exc:
-        checks.append(_check_from_exception("submatrix-invertibility", False, exc))
-
-    # --- spectrum and threshold ----------------------------------------------
+    cert = rec.run(("spark",), _spark_check, A, m)
+    no_spark = None if cert is not None else "needs the spark certificate, which was skipped"
+    rec.run(("submatrix-invertibility",), _submatrix_check, spec)
     summary = gram_spectrum(A)
-    checks.append(CheckResult("gram-spectrum", "pass", True, json_safe(summary)))
-
-    lem1 = None
-    if spark is not None:
-        try:
-            lem1 = lemma1_constants(A, spark=spark)
-            checks.append(
-                CheckResult(
-                    "spectral-sandwich",
-                    "reported",
-                    False,
-                    {
-                        "holds": lem1.sandwich_holds,
-                        "u_sq": lem1.u_sq,
-                        "w_sq": lem1.w_sq,
-                        "lambda_min_plus": lem1.lambda_min_plus,
-                        "lambda_max": lem1.lambda_max,
-                    },
-                )
-            )
-            if not lem1.sandwich_holds:
-                counterexamples.append(
-                    {
-                        "check": "spectral-sandwich",
-                        "u_sq": lem1.u_sq,
-                        "w_sq": lem1.w_sq,
-                        "lambda_min_plus": lem1.lambda_min_plus,
-                        "lambda_max": lem1.lambda_max,
-                        "argmin_support": list(lem1.argmin_support),
-                        "lambda": lam,
-                    }
-                )
-        except BudgetExceededError as exc:
-            checks.append(_check_from_exception("spectral-sandwich", False, exc))
+    rec.record("gram-spectrum", "pass", json_safe(summary))
+    lem1 = rec.run(("spectral-sandwich",), _sandwich_check, A, cert, missing=no_spark)
 
     # --- scalar and sequence bounds -------------------------------------------
     seq = lemma2_sequence_check(trials=max(config.trials * 10, 200), seed=derive_seed(seed, "seq"))
-    checks.append(
-        CheckResult(
-            "sequence-comparison",
-            "pass" if seq.passes else "fail",
-            True,
-            {"trials": seq.trials, "worst_relative_violation": seq.worst_relative_violation},
-        )
+    rec.record(
+        "sequence-comparison",
+        "pass" if seq.passes else "fail",
+        {"trials": seq.trials, "worst_relative_violation": seq.worst_relative_violation},
     )
-    fgrid = f_lemma3_grid()
-    checks.append(
-        CheckResult(
-            "f-lower-bound",
-            "pass" if fgrid.passes else "fail",
-            True,
-            {"worst_violation": fgrid.worst_violation, "worst_at": fgrid.worst_at},
-        )
+    for name, grid in (("f-lower-bound", f_lemma3_grid()), ("phi-upper-bound", phi_bound_grid())):
+        detail = {"worst_violation": grid.worst_violation, "worst_at": grid.worst_at}
+        rec.record(name, "pass" if grid.passes else "fail", detail)
+
+    rec.run(("cross-term",), _cross_term_check, A, config, lem1)
+
+    # --- T1 per level 1 <= k < spark/2 (those of the expected spark m + 1
+    #     without a certificate), then the chain audit at the deepest ----------
+    k_max = (m if cert is None else cert.spark - 1) // 2
+    for k in range(1, k_max + 1):
+        rec.run((f"t1-margins-k{k}",), _t1_check, A, k, config, missing=no_spark)
+    if k_max >= 1:
+        names = ("chain-asserted", "chain-reported")
+        rec.run(names, _chain_check, A, cert, k_max, summary, seed, missing=no_spark)
+
+    _run_deep_regime(rec, config, spec)
+    return _finalize(config, rec)
+
+
+def _spark_check(rec: _Recorder, A, m: int):
+    cert = compute_spark(A)
+    detail = {"spark": cert.spark, "expected": m + 1, "witness": list(cert.witness)}
+    rec.record("spark", "pass" if cert.spark == m + 1 else "fail", detail)
+    return cert
+
+
+def _submatrix_check(rec: _Recorder, spec) -> None:
+    """Informational: signed nodes may admit singular row/column selections
+    without affecting the spark."""
+    sub = check_submatrix_invertibility(spec)
+    detail = {"passes": sub.passes, "min_abs_det": sub.min_abs_det, "checked": sub.checked}
+    worst = {"rows": list(sub.argmin_rows), "cols": list(sub.argmin_cols),
+             "min_abs_det": sub.min_abs_det}
+    rec.record("submatrix-invertibility", "reported", detail, () if sub.passes else (worst,))
+
+
+def _sandwich_check(rec: _Recorder, A, cert):
+    lem1 = lemma1_constants(A, spark=cert.spark)
+    keys = ("u_sq", "w_sq", "lambda_min_plus", "lambda_max")
+    constants = {key: getattr(lem1, key) for key in keys}
+    worst = {**constants, "argmin_support": list(lem1.argmin_support)}
+    detail = {"holds": lem1.sandwich_holds, **constants}
+    rec.record("spectral-sandwich", "reported", detail, () if lem1.sandwich_holds else (worst,))
+    return lem1
+
+
+def _cross_term_check(rec: _Recorder, A, config: RunConfig, lem1) -> None:
+    cross = cross_term_check(
+        A, trials=max(config.trials * 10, 200), seed=derive_seed(config.seed, "cross"), lemma1=lem1
     )
-    pgrid_check = phi_bound_grid()
-    checks.append(
-        CheckResult(
-            "phi-upper-bound",
-            "pass" if pgrid_check.passes else "fail",
-            True,
-            {"worst_violation": pgrid_check.worst_violation, "worst_at": pgrid_check.worst_at},
-        )
-    )
-
-    # --- cross-term constants (reported) --------------------------------------
-    try:
-        cross = cross_term_check(
-            A, trials=max(config.trials * 10, 200), seed=derive_seed(seed, "cross"), lemma1=lem1
-        )
-        checks.append(
-            CheckResult(
-                "cross-term",
-                "reported",
-                False,
-                {
-                    "worst_ratio": cross.worst_ratio,
-                    "paper_bound": cross.paper_bound,
-                    "empirical_bound": cross.empirical_bound,
-                    "passes_paper": cross.passes_paper,
-                    "passes_empirical": cross.passes_empirical,
-                    "degenerate": cross.degenerate,
-                },
-            )
-        )
-        if not cross.passes_paper and not cross.degenerate:
-            counterexamples.append(
-                {"check": "cross-term", **json_safe(cross.worst_example),
-                 "paper_bound": cross.paper_bound, "lambda": lam}
-            )
-    except BudgetExceededError as exc:
-        checks.append(_check_from_exception("cross-term", False, exc))
-
-    # --- the T1 harness per k, which also fills the phase and margin rows ------
-    if spark is not None:
-        k_max = (spark - 1) // 2
-        for k in range(1, k_max + 1):
-            try:
-                report = verify_theorem1(
-                    A,
-                    k,
-                    trials=config.trials,
-                    p_grid=config.p_grid,
-                    seed=derive_seed(seed, f"thm1-k{k}"),
-                )
-                status = "reported"
-                detail = {
-                    "k": k,
-                    "p_star": report.p_star,
-                    "all_hold": report.all_hold,
-                    "l0_unique": report.l0_unique,
-                    "counterexample_count": len(report.counterexamples),
-                }
-                checks.append(CheckResult(f"t1-margins-k{k}", status, False, detail))
-                x_star = list(report.x_star)
-                for ce in report.counterexamples:
-                    counterexamples.append(
-                        {"check": f"t1-margins-k{k}", **json_safe(ce),
-                         "x_star": x_star, "lambda": lam}
-                    )
-                for rep in report.reports:
-                    p = float(rep.p)
-                    phase_rows.append((m, n, k, p, report.p_star, rep.margin_min, rep.argmin_match))
-                margin_lines += _margin_lines(report)
-            except (BudgetExceededError, SamplingError) as exc:
-                checks.append(_check_from_exception(f"t1-margins-k{k}", False, exc))
-
-        # --- chain audit on one concrete witness ------------------------------
-        try:
-            planted, _ = plant_with_level(A, k_max, seed=derive_seed(seed, "chain"))
-            kernel = sample_null(
-                A, count=1, seed=derive_seed(seed, "chain-h"), witness=cert.witness
-            )
-            h = kernel.vectors[0]
-            p_audit = min(summary.p_star / 2.0, 1.0)
-            audit = audit_theorem1_chain(A, planted.x_star, h, p_audit)
-            checks.append(
-                CheckResult(
-                    "chain-asserted",
-                    "pass" if audit.asserted_ok else "fail",
-                    True,
-                    {"p": p_audit, "k": audit.k},
-                )
-            )
-            checks.append(
-                CheckResult(
-                    "chain-reported",
-                    "reported",
-                    False,
-                    {
-                        "p": p_audit,
-                        "coefficient": audit.coefficient,
-                        "reported_ok": audit.reported_ok,
-                        "steps": [
-                            {"name": s.name, "ok": s.ok, "asserted": s.asserted}
-                            for s in audit.steps
-                        ],
-                    },
-                )
-            )
-            if not audit.asserted_ok or not audit.reported_ok:
-                replay = {"x_star": planted.x_star.tolist(), "h": h.tolist(), "lambda": lam}
-                counterexamples.append({"check": "chain", **json_safe(audit), **replay})
-        except (BudgetExceededError, SamplingError) as exc:
-            checks.append(_check_from_exception("chain-asserted", True, exc))
-
-    # --- deep-sparsity regime: augmented family -------------------------------
-    _run_deep_regime(config, spec, lam, checks, counterexamples)
-
-    return _finalize(config, checks, counterexamples, phase_rows, margin_lines)
+    keys = ("worst_ratio", "paper_bound", "empirical_bound", "passes_paper", "passes_empirical",
+            "degenerate")
+    detail = {key: getattr(cross, key) for key in keys}
+    worst = {**cross.worst_example, "paper_bound": cross.paper_bound}
+    violated = not cross.passes_paper and not cross.degenerate
+    rec.record("cross-term", "reported", detail, (worst,) if violated else ())
 
 
-def _run_deep_regime(
-    config: RunConfig, spec, lam: list, checks: list[CheckResult], counterexamples: list[dict]
-) -> None:
+def _t1_check(rec: _Recorder, A, k: int, config: RunConfig) -> None:
+    """The T1 harness at level k, which also fills that level's phase and
+    margin rows."""
+    seed = derive_seed(config.seed, f"thm1-k{k}")
+    report = verify_theorem1(A, k, trials=config.trials, p_grid=config.p_grid, seed=seed)
+    detail = {key: getattr(report, key) for key in ("k", "p_star", "all_hold", "l0_unique")}
+    detail["counterexample_count"] = len(report.counterexamples)
+    x_star = list(report.x_star)
+    violations = [{**ce, "x_star": x_star} for ce in report.counterexamples]
+    rec.record(f"t1-margins-k{k}", "reported", detail, violations)
+    for rep in report.reports:
+        row = (config.m, config.n, k, float(rep.p), report.p_star, rep.margin_min, rep.argmin_match)
+        rec.phase_rows.append(row)
+    rec.margin_lines += _margin_lines(report)
+
+
+def _chain_check(rec: _Recorder, A, cert, k: int, summary, seed: int) -> None:
+    """The chain audit on one concrete witness at level k; a failed step of
+    either tier leaves one record that replays the audit."""
+    planted, _ = plant_with_level(A, k, seed=derive_seed(seed, "chain"))
+    kernel = sample_null(A, count=1, seed=derive_seed(seed, "chain-h"), witness=cert.witness)
+    h = kernel.vectors[0]
+    p_audit = min(summary.p_star / 2.0, 1.0)
+    audit = audit_theorem1_chain(A, planted.x_star, h, p_audit)
+    status = "pass" if audit.asserted_ok else "fail"
+    rec.record("chain-asserted", status, {"p": p_audit, "k": audit.k})
+    steps = [{"name": s.name, "ok": s.ok, "asserted": s.asserted} for s in audit.steps]
+    detail = {"p": p_audit, "coefficient": audit.coefficient, "reported_ok": audit.reported_ok,
+              "steps": steps}
+    rec.record("chain-reported", "reported", detail)
+    if not audit.asserted_ok or not audit.reported_ok:
+        replay = {"x_star": planted.x_star.tolist(), "h": h.tolist()}
+        rec.counterexample("chain", {**json_safe(audit), **replay})
+
+
+def _run_deep_regime(rec: _Recorder, config: RunConfig, spec) -> None:
     """Route the high-sparsity check by column count: wide instances exercise
     the t-indexed augmented family directly, narrow ones go through the
     node-extension embedding.  Both run the same way; they differ only in
@@ -485,55 +418,39 @@ def _run_deep_regime(
     else:
         harness, name, label = verify_theorem3, "t3-extension", "t3"
         own_keys = ("worst_embed_residual", "worst_block_residual")
-    try:
+
+    def check(rec: _Recorder) -> None:
         # k = m, the deepest admissible level: (m+1)/2 <= k <= m
         report = harness(spec, m, trials=config.trials, seed=derive_seed(config.seed, label))
         keys = ("k", "p_star0", "p_check", "margin_min", *own_keys)
         detail = {key: getattr(report, key) for key in keys}
         detail["violation_count"] = len(report.violations)
         x_star = list(report.x_star)
-        for v in report.violations:
-            counterexamples.append(
-                {"check": name, **json_safe(v), "x_star": x_star, "lambda": lam}
-            )
-        checks.append(CheckResult(name, "reported", False, detail))
-    except (BudgetExceededError, SamplingError) as exc:
-        checks.append(_check_from_exception(name, False, exc))
+        rec.record(name, "reported", detail, [{**v, "x_star": x_star} for v in report.violations])
+
+    rec.run((name,), check)
 
 
-def _finalize(
-    config: RunConfig,
-    checks: list[CheckResult],
-    counterexamples: list[dict],
-    phase_rows: list[tuple],
-    margin_lines: list[str],
-) -> RunManifest:
-    asserted_pass = all(c.status != "fail" for c in checks if c.asserted)
+def _finalize(config: RunConfig, rec: _Recorder) -> RunManifest:
     manifest = RunManifest(
         version=__version__,
-        config=json_safe(
-            {f.name: getattr(config, f.name) for f in fields(config)}
-        ),
-        checks=tuple(checks),
-        asserted_pass=asserted_pass,
-        violation_count=len(counterexamples),
+        config=json_safe({f.name: getattr(config, f.name) for f in fields(config)}),
+        checks=tuple(rec.checks),
+        asserted_pass=rec.asserted_pass,
+        violation_count=len(rec.counterexamples),
     )
-    out = config.output_dir
-    phase_rows.sort(key=lambda r: (r[2], r[3]))
-    _atomic_write_text(
-        os.path.join(out, "phase_diagram.csv"),
-        _csv_text(("m", "n", "k", "p", "p_star", "margin_min", "argmin_match"), phase_rows),
-    )
-    _atomic_write_text(
-        os.path.join(out, "margins.csv"),
-        "\n".join([",".join(MARGIN_HEADER), *margin_lines]) + "\n",
-    )
-    _atomic_write_text(
-        os.path.join(out, "counterexamples.json"),
-        json.dumps(json_safe(counterexamples), indent=2, sort_keys=True) + "\n",
-    )
-    _atomic_write_text(
-        os.path.join(out, "manifest.json"),
-        json.dumps(json_safe(manifest), indent=2, sort_keys=True) + "\n",
-    )
+    rec.phase_rows.sort(key=lambda r: (r[2], r[3]))
+    phase_header = ("m", "n", "k", "p", "p_star", "margin_min", "argmin_match")
+    texts = {
+        "phase_diagram.csv": _csv_text(phase_header, rec.phase_rows),
+        "margins.csv": "\n".join([",".join(MARGIN_HEADER), *rec.margin_lines]) + "\n",
+        "counterexamples.json": _json_text(rec.counterexamples),
+        "manifest.json": _json_text(manifest),
+    }
+    for name, text in texts.items():
+        _atomic_write_text(os.path.join(config.output_dir, name), text)
     return manifest
+
+
+def _json_text(obj) -> str:
+    return json.dumps(json_safe(obj), indent=2, sort_keys=True) + "\n"

@@ -202,6 +202,15 @@ def test_malformed_cap_exits_2(tmp_path, capsys, monkeypatch, value):
     assert err.count(f"LP_EQUIV_BUDGET must be an integer >= 1, got {value!r}") == 2
 
 
+def test_suite_exits_1_when_the_cap_skips_an_asserted_check(tmp_path, capsys, monkeypatch):
+    # a cap of 5 skips the asserted spark check, which is not a pass
+    monkeypatch.setenv("LP_EQUIV_BUDGET", "5")
+    out_dir = str(tmp_path / "capped")
+    assert main(["suite", "--m", "2", "--n", "8", "--trials", "6", "--output-dir", out_dir]) == 1
+    out = capsys.readouterr().out
+    assert "skipped  [asserted]  spark" in out and "asserted_pass: False" in out
+
+
 def test_no_subcommand_takes_a_cap_flag(tmp_path):
     # LP_EQUIV_BUDGET is the one way to set the subset cap
     mat = tmp_path / "A.json"

@@ -341,6 +341,12 @@ def test_verify_theorem2_rejects_narrow_instance():
         verify_theorem2(spec, 2, trials=3, seed=0)
 
 
+def test_verify_theorem2_rejects_an_empty_schedule():
+    spec = sample_instance(2, 8, seed=42)
+    with pytest.raises(ValueError, match="t_schedule needs at least one step"):
+        verify_theorem2(spec, 2, t_schedule=(), trials=3, seed=0)
+
+
 def test_verify_theorem3_narrow_instance():
     spec = sample_instance(3, 5, seed=5)
     rep = verify_theorem3(spec, 3, trials=9, seed=3)

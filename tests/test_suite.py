@@ -71,6 +71,13 @@ def test_config_validation():
         RunConfig(trials=0)
     with pytest.raises(ValueError):
         RunConfig(p_grid=(0.5, 1.5))
+    # an empty schedule or grid is rejected here, not by an IndexError mid-run
+    with pytest.raises(ValueError, match="t_schedule needs at least one entry"):
+        RunConfig(t_schedule=())
+    with pytest.raises(ValueError, match="p_grid needs at least one entry"):
+        RunConfig(p_grid=())
+    with pytest.raises(ValueError, match="t_schedule needs at least one entry"):
+        RunConfig.from_text("t_schedule = ,\n")
 
 
 def test_json_safe_handles_numpy_and_dataclasses():
@@ -194,11 +201,30 @@ def test_run_suite_skips_enumerating_checks_under_a_small_cap(tmp_path, monkeypa
     cfg = RunConfig(seed=0, m=2, n=8, trials=6, output_dir=str(tmp_path / "capped"))
     manifest = run_suite(cfg)
     skipped = {c.name: c.detail["reason"] for c in manifest.checks if c.status == "skipped"}
-    assert set(skipped) == {"spark", "submatrix-invertibility", "cross-term", "t2-augmented"}
-    assert all("but the cap is 5" in reason for reason in skipped.values())
-    # without a spark certificate no check that needs one runs
-    names = {c.name for c in manifest.checks}
-    assert not names & {"spectral-sandwich", "t1-margins-k1", "chain-asserted"}
+    capped = {"spark", "submatrix-invertibility", "cross-term", "t2-augmented"}
+    assert all("but the cap is 5" in skipped[name] for name in capped)
+    # every check that needs the spark certificate is listed as skipped, at
+    # the levels the expected spark m + 1 = 3 admits
+    dependent = {"spectral-sandwich", "t1-margins-k1", "chain-asserted", "chain-reported"}
+    assert set(skipped) == capped | dependent
+    assert all(skipped[name] == "needs the spark certificate, which was skipped"
+               for name in dependent)
+    # a skipped asserted check is not a pass
+    assert not manifest.asserted_pass
+
+
+@pytest.mark.parametrize("n, deep", [(3, "t3-extension"), (4, "t2-augmented")])
+def test_run_suite_at_m1_runs_no_t1_level_and_no_chain(tmp_path, n, deep):
+    # spark 2 admits no level 1 <= k < spark/2, so neither T1 nor the chain
+    # audit runs; the deep regime still plants at k = m = 1
+    out = tmp_path / f"m1-{n}"
+    manifest = run_suite(RunConfig(seed=0, m=1, n=n, trials=6, output_dir=str(out)))
+    for fname in ("manifest.json", "phase_diagram.csv", "margins.csv", "counterexamples.json"):
+        assert (out / fname).exists(), fname
+    statuses = {c.name: c.status for c in manifest.checks}
+    assert statuses["spark"] == "pass" and statuses[deep] == "reported"
+    assert not any(name.startswith(("t1-", "chain-")) for name in statuses)
+    assert manifest.asserted_pass
 
 
 def test_manifest_violation_count_matches_dump(tmp_path):
