@@ -279,6 +279,8 @@ def lemma2_sequence_check(trials: int = 1000, seed: int = 0) -> SequenceCheckRep
     _draw_sequences); ties are forced in a tenth of them by quantizing the
     sequence.  worst_case is the first trial with the largest relative
     violation, with its sequence u cut to its k + t entries."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
     worst_rel = -math.inf
     worst_case: dict = {}
@@ -345,6 +347,8 @@ def cross_term_check(
     The pairs are drawn and evaluated BLOCK at a time (see _draw_pairs).
     worst_example is the first pair with the largest ratio: its supports in
     ascending order, the coefficients x1, x2 on them, and the ratio."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     spark = compute_spark(A).spark if lemma1 is None else lemma1.spark
     summary = gram_spectrum(A)
     paper_bound = (summary.lambda_max - summary.lambda_min_plus) / 2.0

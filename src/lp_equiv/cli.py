@@ -55,7 +55,8 @@ from .numerics import BudgetExceededError, SamplingError, derive_seed
 from .solvers import (
     DEFAULT_T_SCHEDULE,
     SparseProblem,
-    plant_with_level,
+    _plant_attempt,
+    _require_t1_level,
     sample_null,
     solve_l0,
     solve_lp_basic,
@@ -65,11 +66,11 @@ from .solvers import (
 )
 from .spark import compute_spark
 from .spectral import gram_spectrum, restricted_extremes
-from .suite import RunConfig, _atomic_write_text, json_safe, run_suite
+from .suite import RunConfig, _atomic_write_text, _json_text, run_suite
 
 
 def _emit(obj, out: str | None) -> None:
-    text = json.dumps(json_safe(obj), indent=2, sort_keys=True) + "\n"
+    text = _json_text(obj)
     if out is None:
         sys.stdout.write(text)
     else:
@@ -181,8 +182,9 @@ def _cmd_audit(args) -> int:
     elif args.lemma == "chain":
         A = _load_matrix(args.matrix)
         cert = compute_spark(A)
-        k = args.k if args.k is not None else max(1, (cert.spark - 1) // 2)
-        planted, _ = plant_with_level(A, k, seed=derive_seed(args.seed, "plant"))
+        k = args.k if args.k is not None else (cert.spark - 1) // 2
+        _require_t1_level(k, cert.spark)
+        planted = _plant_attempt(A, k, derive_seed(args.seed, "plant"), 0)
         h = sample_null(A, count=1, seed=derive_seed(args.seed, "h"), witness=cert.witness).vectors[0]
         p = args.p if args.p is not None else gram_spectrum(A).p_star / 2.0
         report = audit_theorem1_chain(A, planted.x_star, h, min(p, 1.0))

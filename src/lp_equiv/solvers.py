@@ -17,9 +17,9 @@ The claims under test, in this repository's own numbering:
   T3  The n < 2m+2 case, reduced to T2 by extending the node vector to
       2m+2 entries with fresh pairwise-distinct absolute values.
 
-Everything is verified by enumeration and sampling: l0 by exhaustive support
-search, lp by exhaustive basic-solution search, the inequalities by margins
-over sampled kernel vectors, one KernelSamples block from sample_null on.
+Everything is verified by enumeration and sampling: l0 and lp both read off
+one exhaustive basic-solution search, the inequalities by margins over
+sampled kernel vectors, one KernelSamples block from sample_null on.
 sample_null draws each kind of direction as one array: one standard normal
 block for the "unit" rows and one sign block for the "signed" rows, kinds
 alternating by row parity, then redraws any near-zero row with its kind.
@@ -51,7 +51,6 @@ from .matgen import (
 from .numerics import (
     BLOCK,
     POWER_FLOOR,
-    BudgetExceededError,
     SamplingError,
     check_budget,
     derive_seed,
@@ -59,7 +58,6 @@ from .numerics import (
     lp_margin,
     lp_power_sum,
     numerical_rank,
-    subset_budget,
 )
 from .spark import compute_spark
 from .spectral import gram_spectrum, spectrum_from_singular_values
@@ -328,73 +326,37 @@ def _solve_supports(M: np.ndarray, b: np.ndarray, supports: np.ndarray):
     return full, coeff, _row_norms(_matvecs(subs, coeff) - b)
 
 
-def _scan_supports(prob: SparseProblem, caller: str):
-    """Ascending support sizes, scanned lazily: for each size, the
-    full-column-rank supports whose least-squares solution reproduces b.
-
-    Yields one (supports, coeff) pair per size: a (count, size) block of
-    supports in lexicographic order and their coefficients.  A numerically
-    zero b yields only the empty support.  The budget is charged for every
-    size up to rank(A) before the first one is scanned.
-    """
-    M = prob.matrix.entries
-    n = M.shape[1]
-    b = prob.b
-    nb = float(np.linalg.norm(b))
-    if nb <= POWER_FLOOR:
-        yield np.zeros((1, 0), dtype=np.intp), np.zeros((1, 0))
-        return
-    r = numerical_rank(np.linalg.svd(M, compute_uv=False))
-    check_budget(sum(math.comb(n, k) for k in range(1, r + 1)), caller)
-    for size in range(1, r + 1):
-        supports, coeffs = [], []
-        for subsets in iter_subset_chunks(n, size):
-            full, coeff, res = _solve_supports(M, b, subsets)
-            ok = res <= RESIDUAL_TOL * nb
-            supports.append(subsets[full][ok])
-            coeffs.append(coeff[ok])
-        yield np.concatenate(supports), np.concatenate(coeffs)
-
-
-def _solutions(supports: np.ndarray, coeff: np.ndarray) -> tuple[SparseSolution, ...]:
-    return tuple(
-        SparseSolution(support=tuple(s), coefficients=tuple(c))
-        for s, c in zip(supports.tolist(), coeff.tolist())
-    )
-
-
-def solve_l0(prob: SparseProblem) -> SparseSolutionSet:
-    """Exact l0 minimization by ascending exhaustive support search.
-
-    Enumerates supports of size 0, 1, ... (lexicographic within a size) and
-    stops at the first size admitting a consistent full-rank representation;
-    every solution at that size is returned.  Exactness rests on a standard
-    fact: a minimal-support solution's columns are independent, so skipping
-    rank-deficient supports cannot miss the minimum.
-    """
-    for supports, coeff in _scan_supports(prob, "solve_l0"):
-        if len(supports):
-            return SparseSolutionSet(level=supports.shape[1], solutions=_solutions(supports, coeff))
-    raise InfeasibleProblemError("no support of size <= rank(A) reproduces b")
-
-
 def enumerate_basic_solutions(prob: SparseProblem) -> tuple[SparseSolution, ...]:
-    """Every basic solution, each reported once on its minimal support.
+    """Every basic solution, each reported once on its minimal support, in
+    ascending support size (lexicographic within a size) up to rank(A); the
+    budget is charged for every size before the first.
 
     A basic solution is the unique representation of b on a full-column-rank
     support.  Supports whose solution carries a numerically zero coefficient
     duplicate a smaller support's solution and are dropped; this keeps
     ||x||_p^p honest for very small p, where roundoff-sized coefficients
-    would otherwise each contribute nearly 1.
+    would otherwise each contribute nearly 1.  A numerically zero b has one,
+    on the empty support.
     """
+    M, b = prob.matrix.entries, prob.b
+    n = M.shape[1]
+    nb = float(np.linalg.norm(b))
+    if nb <= POWER_FLOOR:
+        return (SparseSolution(support=(), coefficients=()),)
+    r = numerical_rank(np.linalg.svd(M, compute_uv=False))
+    check_budget(sum(math.comb(n, k) for k in range(1, r + 1)), "enumerate_basic_solutions")
     out: list[SparseSolution] = []
-    for supports, coeff in _scan_supports(prob, "enumerate_basic_solutions"):
-        # a numerically zero coefficient (all of them, when the max is 0)
-        # means the support is not minimal; the solution is counted at a
-        # smaller size.  The empty support passes: its min is +inf.
-        mag = np.abs(coeff)
-        keep = np.min(mag, axis=1, initial=np.inf) > ZERO_COEFF * np.max(mag, axis=1, initial=0.0)
-        out.extend(_solutions(supports[keep], coeff[keep]))
+    for size in range(1, r + 1):
+        for subsets in iter_subset_chunks(n, size):
+            full, coeff, res = _solve_supports(M, b, subsets)
+            ok = res <= RESIDUAL_TOL * nb
+            supports, coeff = subsets[full][ok], coeff[ok]
+            # a numerically zero coefficient (all of them, when the max is 0)
+            # means a smaller support has the same solution
+            mag = np.abs(coeff)
+            keep = np.min(mag, axis=1) > ZERO_COEFF * np.max(mag, axis=1)
+            for s, c in zip(supports[keep].tolist(), coeff[keep].tolist()):
+                out.append(SparseSolution(support=tuple(s), coefficients=tuple(c)))
     if not out:
         raise InfeasibleProblemError("no basic solution found")
     return tuple(out)
@@ -405,6 +367,14 @@ def _l0_from_basics(basics: tuple[SparseSolution, ...]) -> SparseSolutionSet:
     size among them and every basic solution of that size."""
     level = min(len(s.support) for s in basics)
     return SparseSolutionSet(level, tuple(s for s in basics if len(s.support) == level))
+
+
+def solve_l0(prob: SparseProblem) -> SparseSolutionSet:
+    """Exact l0 minimization, read off enumerate_basic_solutions as T1 reads
+    it.  Exactness rests on a standard fact: a minimal-support solution's
+    columns are independent, so it is a basic solution.  Every size up to
+    rank(A) is scanned, so a small level costs as much as a large one."""
+    return _l0_from_basics(enumerate_basic_solutions(prob))
 
 
 def _p_list(p) -> list:
@@ -476,9 +446,10 @@ def sample_null(
 
     Kinds: "unit" (random unit directions in the kernel), "signed"
     (+-1 combinations of the basis), and one "minsupport" vector supported on
-    a spark witness set (||h||_0 = spark(A)) when a witness is available --
-    the adversarial end of the kernel: smallest support, largest chance of
-    touching few coordinates.
+    the given spark witness set (||h||_0 = spark(A)) -- the adversarial end
+    of the kernel: smallest support, largest chance of touching few
+    coordinates.  The witness comes from the caller's own spark certificate
+    (compute_spark(A).witness); None means no minsupport row.
 
     Base row i, counting the minsupport row, is "unit" when i is even and
     "signed" when i is odd.  The generator draws one standard normal block
@@ -494,15 +465,6 @@ def sample_null(
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     rng = np.random.default_rng(seed)
-
-    if witness is None:
-        # a malformed cap raises here; a cap too small for the spark search
-        # only drops the minsupport direction
-        subset_budget()
-        try:
-            witness = compute_spark(A).witness
-        except (BudgetExceededError, ValueError):
-            witness = None
 
     head: list[np.ndarray] = []
     kinds: list[str] = []
@@ -534,12 +496,7 @@ def sample_null(
     )
 
 
-def _trial_samples(
-    A: DenseMatrix,
-    trials: int,
-    seed: int,
-    witness: tuple[int, ...] | None = None,
-) -> KernelSamples:
+def _trial_samples(A: DenseMatrix, trials: int, seed: int, witness: tuple[int, ...]) -> KernelSamples:
     """A harness's kernel samples: ceil(trials / len(DEFAULT_SCALES)) base
     directions (at least one), each at every default scale."""
     count = max(1, math.ceil(trials / len(DEFAULT_SCALES)))
@@ -627,13 +584,19 @@ def plant_sparse_instance(A: DenseMatrix, k: int, seed: int) -> PlantedInstance:
     )
 
 
+def _plant_attempt(A: DenseMatrix, k: int, seed: int, attempt: int) -> PlantedInstance:
+    """plant_with_level's plant number attempt.  Below spark/2, attempt 0 needs
+    no l0 solve: x* is the unique sparsest solution (Donoho and Elad, 2003)."""
+    return plant_sparse_instance(A, k, derive_seed(seed, f"plant-{attempt}"))
+
+
 def plant_with_level(
     A: DenseMatrix, k: int, seed: int
 ) -> tuple[PlantedInstance, SparseSolutionSet]:
     """Plant until the instance's true l0 level equals k (the planted x* is
     then *an* l0 solution, which is all the T2/T3 hypotheses need)."""
     for i in range(PLANT_RETRIES):
-        inst = plant_sparse_instance(A, k, derive_seed(seed, f"plant-{i}"))
+        inst = _plant_attempt(A, k, seed, i)
         sol = solve_l0(inst.problem)
         if sol.level == k:
             return inst, sol
@@ -644,6 +607,12 @@ def default_p_grid(p_star: float) -> tuple[float, ...]:
     """{p*/8, p*/4, p*/2, 0.9 p*, p*, 1.1 p*, 0.5, 1} clamped to (0, 1]."""
     raw = [p_star / 8, p_star / 4, p_star / 2, 0.9 * p_star, p_star, 1.1 * p_star, 0.5, 1.0]
     return tuple(sorted({p for p in raw if 0.0 < p <= 1.0}))
+
+
+def _require_t1_level(k: int, spark: int) -> None:
+    """T1's hypothesis on the level, 1 <= k < spark/2; ValueError otherwise."""
+    if not 1 <= k or 2 * k >= spark:
+        raise ValueError(f"need 1 <= k < spark/2 = {spark / 2}, got k={k}")
 
 
 def verify_theorem1(
@@ -663,14 +632,13 @@ def verify_theorem1(
     replay: the violating h, p, and margin.
     """
     cert = compute_spark(A)
-    if not 1 <= k or 2 * k >= cert.spark:
-        raise ValueError(f"need 1 <= k < spark/2 = {cert.spark / 2}, got k={k}")
+    _require_t1_level(k, cert.spark)
     inst = plant_sparse_instance(A, k, derive_seed(seed, "plant"))
     summary = gram_spectrum(A)
     grid = default_p_grid(summary.p_star) if p_grid is None else tuple(sorted(set(p_grid)))
     below_empty = not any(p < summary.p_star for p in grid)
 
-    samples = _trial_samples(A, trials, derive_seed(seed, "null"), witness=cert.witness)
+    samples = _trial_samples(A, trials, derive_seed(seed, "null"), cert.witness)
     basics = enumerate_basic_solutions(inst.problem)
     sol = _l0_from_basics(basics)
     l0_supports = set(sol.supports)
@@ -767,7 +735,8 @@ def _deep_regime_hypothesis(
     T2, of the extended nodes for T3); p_check defaults to p_star(A0) / 2.
     x* comes from plant_with_level at derive_seed(seed, "plant"), whose l0
     solve certifies the hypothesis (it raises SamplingError when no plant
-    reaches level k).  Returns (x*, p_star(A0), p_check, samples).
+    reaches level k).  The samples' minsupport row lies on the witness of
+    compute_spark(A), as in T1.  Returns (x*, p_star(A0), p_check, samples).
     """
     spec.require_distinct_abs()
     m = spec.m
@@ -779,7 +748,7 @@ def _deep_regime_hypothesis(
         raise ValueError(f"p_check must lie in (0, p_star(A_0)) = (0, {p_star0}), got {p}")
     A = build_vandermonde(spec)
     inst, _ = plant_with_level(A, k, derive_seed(seed, "plant"))
-    samples = _trial_samples(A, trials, derive_seed(seed, null_label))
+    samples = _trial_samples(A, trials, derive_seed(seed, null_label), compute_spark(A).witness)
     return inst.x_star, p_star0, p, samples
 
 

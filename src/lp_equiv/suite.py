@@ -53,7 +53,7 @@ from .numerics import BudgetExceededError, SamplingError, derive_seed
 from .solvers import (
     DEFAULT_T_SCHEDULE,
     Theorem1Report,
-    plant_with_level,
+    _plant_attempt,
     sample_null,
     verify_theorem1,
     verify_theorem2,
@@ -385,9 +385,9 @@ def _t1_check(rec: _Recorder, A, k: int, config: RunConfig) -> None:
 
 
 def _chain_check(rec: _Recorder, A, cert, k: int, summary, seed: int) -> None:
-    """The chain audit on one concrete witness at level k; a failed step of
-    either tier leaves one record that replays the audit."""
-    planted, _ = plant_with_level(A, k, seed=derive_seed(seed, "chain"))
+    """The chain audit on one concrete witness at level k < spark/2, planted
+    with no l0 solve; a failed step of either tier leaves one replay record."""
+    planted = _plant_attempt(A, k, derive_seed(seed, "chain"), 0)
     kernel = sample_null(A, count=1, seed=derive_seed(seed, "chain-h"), witness=cert.witness)
     h = kernel.vectors[0]
     p_audit = min(summary.p_star / 2.0, 1.0)

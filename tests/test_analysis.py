@@ -237,6 +237,16 @@ def test_cross_term_check_worked_example():
     assert rep.worst_ratio <= rep.empirical_bound * (1.0 + 1e-9)
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_audits_reject_fewer_than_one_trial(trials):
+    # no trial cannot pass: a worst case of -inf over nothing is no evidence
+    A = build_vandermonde(VandermondeSpec(2, (1.0, 2.0, 3.0)))
+    with pytest.raises(ValueError, match=f"trials must be >= 1, got {trials}"):
+        lemma2_sequence_check(trials=trials, seed=0)
+    with pytest.raises(ValueError, match=f"trials must be >= 1, got {trials}"):
+        cross_term_check(A, trials=trials, seed=0)
+
+
 def scalar_cross_ratio(M, x1, x2):
     """|<M x1, M x2>| / (||x1|| ||x2||) by the per-trial formula the batched
     audit replaced."""

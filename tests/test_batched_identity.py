@@ -1,8 +1,9 @@
 """Property checks: block evaluations are bit-identical to one item at a time.
 
 The references below are the per-sample margin, the per-p call, the
-per-support solve loop, the per-step T2 loop and the per-sample T3 residual
-loop that the block kernels replaced; every comparison is exact (==, or bit
+per-support solve loop (test_solvers._reference_scan, which the l0 tests there
+share), the per-step T2 loop and the per-sample T3 residual loop that the
+block kernels replaced; every comparison is exact (==, or bit
 patterns where a signed zero could hide), except log10_x_t, which the T2
 harness now derives from log x_t (see test_t2_steps_equal_per_step_loop).
 """
@@ -30,23 +31,17 @@ from lp_equiv.matgen import (  # noqa: E402
 from lp_equiv.numerics import (  # noqa: E402
     BLOCK,
     POWER_FLOOR,
-    RANK_TOL,
     abs_pow,
     derive_seed,
-    iter_subset_chunks,
     lp_margin,
     lp_power_sum,
-    numerical_rank,
 )
 from lp_equiv.solvers import (  # noqa: E402
     DEFAULT_SCALES,
     DEFAULT_T_SCHEDULE,
     LIFT_RESIDUAL_FACTOR,
     MAX_EXPLICIT_SCALE,
-    RESIDUAL_TOL,
-    ZERO_COEFF,
     SparseProblem,
-    SparseSolution,
     enumerate_basic_solutions,
     null_space_basis,
     sample_null,
@@ -54,7 +49,9 @@ from lp_equiv.solvers import (  # noqa: E402
     verify_theorem2,
     verify_theorem3,
 )
+from lp_equiv.spark import compute_spark  # noqa: E402
 from lp_equiv.spectral import gram_spectrum  # noqa: E402
+from test_solvers import _reference_scan  # noqa: E402
 
 ENTRIES = st.one_of(
     st.floats(-1e6, 1e6, allow_nan=False),
@@ -110,36 +107,6 @@ def test_lp_margin_invariant_under_zero_padding(data):
     for q in (p, grid):
         assert lp_margin(x_pad, H_pad, q) == lp_margin(x, H, q)
         assert lp_margin(x_pad, H_pad[0], q) == lp_margin(x, H[0], q)
-
-
-def _solve_one_support(M, b, support):
-    sub = M[:, list(support)]
-    u, s, vt = np.linalg.svd(sub, full_matrices=False)
-    if not (s[0] > 0.0 and int(np.sum(s > RANK_TOL * s[0])) == len(support)):
-        return None
-    coeff = vt.T @ ((u.T @ b) / s)
-    return coeff, float(np.linalg.norm(sub @ coeff - b))
-
-
-def _reference_scan(prob):
-    """(supports solving b at each size, minimal-support basic solutions),
-    one support at a time."""
-    M, b = prob.matrix.entries, prob.b
-    nb = float(np.linalg.norm(b))
-    by_size, basics = {}, []
-    for size in range(1, numerical_rank(np.linalg.svd(M, compute_uv=False)) + 1):
-        by_size[size] = []
-        for chunk in iter_subset_chunks(M.shape[1], size):
-            for row in chunk.tolist():
-                solved = _solve_one_support(M, b, row)
-                if solved is None or solved[1] > RESIDUAL_TOL * nb:
-                    continue
-                sol = SparseSolution(tuple(row), tuple(solved[0].tolist()))
-                by_size[size].append(sol)
-                mag = np.abs(solved[0])
-                if mag.max() > 0.0 and mag.min() > ZERO_COEFF * mag.max():
-                    basics.append(sol)
-    return by_size, tuple(basics)
 
 
 @settings(max_examples=60, deadline=None)
@@ -261,7 +228,10 @@ def test_t2_steps_equal_per_step_loop(m, n, seed, p_frac, t_schedule, trials):
     p_check = None if p_frac is None else p_frac * p_star0
     rep = verify_theorem2(spec, m, p_check=p_check, t_schedule=t_schedule, trials=trials, seed=seed)
     count = max(1, math.ceil(trials / len(DEFAULT_SCALES)))
-    samples = sample_null(build_vandermonde(spec), count, seed=derive_seed(seed, "thm2-null"))
+    A = build_vandermonde(spec)
+    samples = sample_null(
+        A, count, seed=derive_seed(seed, "thm2-null"), witness=compute_spark(A).witness
+    )
     reference = _reference_t2_records(spec, np.array(rep.x_star), rep.p_check, t_schedule, samples)
 
     def pop_log10(records):
@@ -291,7 +261,10 @@ def _reference_t3_residuals(spec, seed, trials):
     ext = extend_lambda(spec, derive_seed(seed, "thm3-extend"))
     A_ext, A0_ext = build_vandermonde(ext), build_augmented_0(ext)
     count = max(1, math.ceil(trials / len(DEFAULT_SCALES)))
-    samples = sample_null(build_vandermonde(spec), count, seed=derive_seed(seed, "thm3-null"))
+    A = build_vandermonde(spec)
+    samples = sample_null(
+        A, count, seed=derive_seed(seed, "thm3-null"), witness=compute_spark(A).witness
+    )
     worst_embed = 0.0
     for i in range(len(samples.vectors)):
         h_tilde = np.pad(samples.vectors[i], (0, ext.n - n))

@@ -4,17 +4,27 @@ import json
 import pytest
 
 from lp_equiv import __version__
-from lp_equiv.analysis import ChainAudit, CrossTermReport, ScalarCheckReport, SequenceCheckReport
-from lp_equiv.cli import main
+from lp_equiv.analysis import (
+    ChainAudit,
+    CrossTermReport,
+    ScalarCheckReport,
+    SequenceCheckReport,
+    audit_theorem1_chain,
+)
+from lp_equiv.cli import _load_matrix, main
+from lp_equiv.numerics import derive_seed
 from lp_equiv.solvers import (
     LpMinimum,
     SparseSolution,
     SparseSolutionSet,
     Theorem2Report,
     Theorem3Report,
+    plant_with_level,
+    sample_null,
 )
-from lp_equiv.spark import SparkCertificate
-from lp_equiv.spectral import RestrictedSpectrum, SpectralSummary
+from lp_equiv.spark import SparkCertificate, compute_spark
+from lp_equiv.spectral import RestrictedSpectrum, SpectralSummary, gram_spectrum
+from lp_equiv.suite import _json_text
 
 
 def _fields(cls) -> set[str]:
@@ -119,6 +129,51 @@ def test_audit_chain_on_generated_matrix(tmp_path, capsys):
     assert set(out) == _fields(ChainAudit)
     assert out["asserted_ok"] is True
     assert out["margin"] > 0.0
+
+
+@pytest.mark.parametrize("k", [None, 1, 2])
+def test_audit_chain_report_is_the_level_certified_plants(tmp_path, capsys, k):
+    # at (4, 9), spark 5, the default k is 2; below spark/2 the chain's plant
+    # is plant_with_level's first, so the report is the one an l0-certified
+    # plant gives
+    mat = tmp_path / "A.json"
+    main(["gen", "--m", "4", "--n", "9", "--seed", "2", "--out", str(mat)])
+    flags = [] if k is None else ["--k", str(k)]
+    assert main(["audit", "--lemma", "chain", "--matrix", str(mat), "--seed", "5", *flags]) == 0
+    A = _load_matrix(str(mat))
+    cert = compute_spark(A)
+    planted, sol = plant_with_level(A, 2 if k is None else k, derive_seed(5, "plant"))
+    h = sample_null(A, count=1, seed=derive_seed(5, "h"), witness=cert.witness).vectors[0]
+    p = min(gram_spectrum(A).p_star / 2.0, 1.0)
+    expected = audit_theorem1_chain(A, planted.x_star, h, p)
+    assert sol.supports == (planted.support,)
+    assert capsys.readouterr().out == _json_text(expected)
+
+
+@pytest.mark.parametrize("m, n, flags, spark", [(1, 4, [], 2), (3, 7, ["--k", "3"], 4)])
+def test_audit_chain_rejects_a_level_outside_its_hypothesis(tmp_path, capsys, m, n, flags, spark):
+    # the chain audits T1, whose hypothesis is 1 <= k < spark/2; at m = 1
+    # (spark 2) no k is admissible, so the default k = (spark-1)//2 = 0 fails
+    mat = tmp_path / "A.json"
+    main(["gen", "--m", str(m), "--n", str(n), "--seed", "0", "--out", str(mat)])
+    capsys.readouterr()
+    assert main(["audit", "--lemma", "chain", "--matrix", str(mat), *flags]) == 2
+    captured = capsys.readouterr()
+    k = int(flags[1]) if flags else 0
+    assert captured.out == ""
+    assert f"need 1 <= k < spark/2 = {spark / 2}, got k={k}" in captured.err
+
+
+@pytest.mark.parametrize("argv", [["--lemma", "2", "--trials", "0"],
+                                  ["--lemma", "bu", "--trials", "-3"]])
+def test_audits_on_fewer_than_one_trial_exit_2(tmp_path, capsys, argv):
+    # no trial cannot pass: a worst case of "-inf" over nothing is no evidence
+    mat = tmp_path / "A.json"
+    main(["gen", "--m", "2", "--n", "6", "--seed", "3", "--out", str(mat)])
+    capsys.readouterr()
+    assert main(["audit", *argv, "--matrix", str(mat)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "trials must be >= 1" in captured.err
 
 
 def test_verify_thm1_exit_code(tmp_path, capsys):

@@ -16,14 +16,25 @@ from lp_equiv.matgen import (
     build_vandermonde,
     sample_instance,
 )
-from lp_equiv.numerics import RANK_TOL, abs_pow, derive_seed, lp_margin
+from lp_equiv.numerics import (
+    RANK_TOL,
+    abs_pow,
+    derive_seed,
+    iter_subset_chunks,
+    lp_margin,
+    numerical_rank,
+)
 from lp_equiv.solvers import (
     DEFAULT_SCALES,
+    RESIDUAL_TOL,
+    ZERO_COEFF,
     EquivalenceReport,
     InfeasibleProblemError,
     KernelSamples,
     LpMinimum,
     SparseProblem,
+    SparseSolution,
+    SparseSolutionSet,
     Theorem1Report,
     default_p_grid,
     enumerate_basic_solutions,
@@ -111,6 +122,27 @@ def _solve_one_support(M, b, support):
     return coeff, float(np.linalg.norm(sub @ coeff - b))
 
 
+def _reference_scan(prob):
+    """(supports solving b at each size, minimal-support basic solutions),
+    one support at a time."""
+    M, b = prob.matrix.entries, prob.b
+    nb = float(np.linalg.norm(b))
+    by_size, basics = {}, []
+    for size in range(1, numerical_rank(np.linalg.svd(M, compute_uv=False)) + 1):
+        by_size[size] = []
+        for chunk in iter_subset_chunks(M.shape[1], size):
+            for row in chunk.tolist():
+                solved = _solve_one_support(M, b, row)
+                if solved is None or solved[1] > RESIDUAL_TOL * nb:
+                    continue
+                sol = SparseSolution(tuple(row), tuple(solved[0].tolist()))
+                by_size[size].append(sol)
+                mag = np.abs(solved[0])
+                if mag.max() > 0.0 and mag.min() > ZERO_COEFF * mag.max():
+                    basics.append(sol)
+    return by_size, tuple(basics)
+
+
 def test_stacked_support_solve_is_bit_identical_to_one_support_at_a_time():
     A = build_vandermonde(sample_instance(3, 8, seed=5)).entries
     # column 8 is parallel to column 0 and column 9 is zero: rank-deficient supports
@@ -141,7 +173,8 @@ def test_null_space_basis_annihilates():
 def test_sample_null_kinds_scales_and_membership():
     spec = sample_instance(2, 8, seed=4)
     A = build_vandermonde(spec)
-    samples = sample_null(A, count=4, seed=9)
+    witness = compute_spark(A).witness
+    samples = sample_null(A, count=4, seed=9, witness=witness)
     assert samples.vectors.shape == (12, 8)  # count * len(DEFAULT_SCALES) rows
     assert samples.vectors.dtype == np.float64
     assert samples.scales == DEFAULT_SCALES * 4
@@ -150,7 +183,7 @@ def test_sample_null_kinds_scales_and_membership():
     for h, scale in zip(samples.vectors, samples.scales):
         assert np.linalg.norm(A.entries @ h) < 1e-6 * max(1.0, scale)
         assert np.linalg.norm(h) == pytest.approx(scale, rel=1e-9)
-    again = sample_null(A, count=4, seed=9)
+    again = sample_null(A, count=4, seed=9, witness=witness)
     assert np.array_equal(samples.vectors, again.vectors)
     assert (samples.kinds, samples.scales) == (again.kinds, again.scales)
 
@@ -269,29 +302,46 @@ def test_verify_theorem1_clean_run():
     assert all(r.argmin_match for r in below)
 
 
-@pytest.mark.parametrize("m", range(2, MAX_M + 1))
+def _reference_l0(prob) -> SparseSolutionSet:
+    """The l0 solution set of the per-support scan: every solution at the
+    first size where some full-rank support reproduces b."""
+    by_size, _ = _reference_scan(prob)
+    level = min(size for size, sols in by_size.items() if sols)
+    return SparseSolutionSet(level, tuple(by_size[level]))
+
+
+# the per-support reference loop is affordable up to m = 5 (2.4 s at m = 8)
+@pytest.mark.parametrize("m", range(2, 6))
 def test_l0_set_read_off_basic_solutions_equals_solve_l0(m):
-    # k runs up to m, past spark/2, where the l0 solution may not be unique
-    # and may sit below the planted k
+    # solve_l0 reads the l0 set off enumerate_basic_solutions; the reference
+    # loop solves one support at a time and gives both sides of that read-off
+    # on its own: the l0 set of its first nonempty size, and the one read
+    # off its basic solutions.  k runs up to m, past spark/2, where the l0
+    # solution may not be unique and may sit below the planted k
     for n, seed in itertools.product((m + 1, m + 4), (0, 1)):
         A = build_vandermonde(sample_instance(m, n, seed=derive_seed(seed, f"l0-{m}-{n}")))
         for k in range(1, m + 1):
             prob = plant_sparse_instance(A, k, derive_seed(seed, f"l0-plant-{k}")).problem
-            assert _l0_from_basics(enumerate_basic_solutions(prob)) == solve_l0(prob)
+            _, basics = _reference_scan(prob)
+            assert _l0_from_basics(basics) == solve_l0(prob) == _reference_l0(prob)
 
 
 @pytest.mark.parametrize("m", range(2, MAX_M + 1))
 def test_verify_theorem1_l0_fields_match_solve_l0(m):
+    # the l0 solve is the per-support reference loop up to m = 5; past it
+    # the level is checked against the planted k alone
     for n, seed in itertools.product((m + 1, m + 4), (0, 1)):
         A = build_vandermonde(sample_instance(m, n, seed=derive_seed(seed, f"t1-{m}-{n}")))
         for k in range(1, m // 2 + 1):  # k < spark/2 = (m+1)/2
             rep = verify_theorem1(A, k, trials=3, seed=seed)
             inst = plant_sparse_instance(A, k, derive_seed(seed, "plant"))
-            sol = solve_l0(inst.problem)
             assert rep.x_star == tuple(inst.x_star)
-            assert rep.level == sol.level == k
-            assert rep.l0_unique == (len(sol.solutions) == 1)
-            assert rep.recovered == (inst.support in sol.supports)
+            assert rep.level == k
+            if m <= 5:
+                sol = _reference_l0(inst.problem)
+                assert rep.level == sol.level
+                assert rep.l0_unique == (len(sol.solutions) == 1)
+                assert rep.recovered == (inst.support in sol.supports)
 
 
 def test_verify_theorem1_rejects_deep_k():
@@ -431,7 +481,7 @@ def test_deep_regime_claim_equals_verify_strict_inequality(
     spec = sample_instance(m, n, seed=seed)
     A = build_vandermonde(spec)
     rep = harness(spec, m, trials=9, seed=seed)
-    samples = sample_null(A, 3, seed=derive_seed(seed, label))
+    samples = sample_null(A, 3, seed=derive_seed(seed, label), witness=compute_spark(A).witness)
     ref = evaluate(np.array(rep.x_star), samples, rep.p_check)
     assert len(calls) == 1 and calls[0].margins == ref.margins
     assert rep.margin_min == ref.margin_min
@@ -453,11 +503,6 @@ def reference_sample_null(A, count, seed, witness=None):
     basis = null_space_basis(A)
     dim = basis.shape[1]
     rng = np.random.default_rng(seed)
-    if witness is None:
-        try:
-            witness = compute_spark(A).witness
-        except (solvers.BudgetExceededError, ValueError):
-            witness = None
     base = []
     if witness is not None:
         _, _, vt = np.linalg.svd(A.entries[:, list(witness)])
@@ -479,25 +524,18 @@ def reference_sample_null(A, count, seed, witness=None):
 SAMPLE_SHAPES = [(2, 3), (2, 5), (3, 7), (4, 9), (5, 8), (6, 9)]
 
 
-def set_cap(monkeypatch, cap):
-    """Set LP_EQUIV_BUDGET to cap, or unset it when cap is None."""
-    if cap is None:
-        monkeypatch.delenv("LP_EQUIV_BUDGET", raising=False)
-    else:
-        monkeypatch.setenv("LP_EQUIV_BUDGET", str(cap))
-
-
 @pytest.mark.parametrize("m, n", SAMPLE_SHAPES)
-def test_sample_null_equals_per_direction_reference(m, n, monkeypatch):
+def test_sample_null_equals_per_direction_reference(m, n):
     A = build_vandermonde(sample_instance(m, n, seed=m * n))
-    for seed, count, cap in itertools.product((0, 7), (1, 2, 5, 70), (None, 1)):
-        # a cap of 1 makes the spark search fail, so no minsupport witness
-        set_cap(monkeypatch, cap)
-        got = sample_null(A, count=count, seed=seed)
-        want = reference_sample_null(A, count, seed)
+    for seed, count, witness in itertools.product(
+        (0, 7), (1, 2, 5, 70), (compute_spark(A).witness, None)
+    ):
+        # no witness, no minsupport row
+        got = sample_null(A, count=count, seed=seed, witness=witness)
+        want = reference_sample_null(A, count, seed, witness)
         assert got.vectors.shape == (len(want), n) and len(want) == count * len(DEFAULT_SCALES)
         assert len(got.kinds) == len(got.scales) == len(want)
-        assert ("minsupport" in got.kinds) == (cap is None)
+        assert ("minsupport" in got.kinds) == (witness is not None)
         for i, (vector, kind, scale) in enumerate(want):
             assert (got.kinds[i], got.scales[i]) == (kind, scale)
             assert type(got.scales[i]) is float
@@ -506,13 +544,14 @@ def test_sample_null_equals_per_direction_reference(m, n, monkeypatch):
 
 
 @pytest.mark.parametrize("value", ["0", "-1", "1e6", "abc"])
-def test_sample_null_raises_on_a_malformed_cap(value, monkeypatch):
-    # a valid cap too small for the spark search drops the minsupport row
-    # (above); a malformed one is an error, never a silently lost direction
-    A = build_vandermonde(sample_instance(3, 7, seed=0))
+def test_deep_regime_raises_on_a_malformed_cap(value, monkeypatch):
+    # sample_null reads no cap; the T2 and T3 harnesses' own scans (the
+    # plant's l0 solve, the spark search behind the minsupport row) do, and a
+    # malformed one is an error, never a silently lost direction
     monkeypatch.setenv("LP_EQUIV_BUDGET", value)
-    with pytest.raises(ValueError, match=f"LP_EQUIV_BUDGET .*{value!r}"):
-        sample_null(A, count=3, seed=0)
+    for harness, n in ((verify_theorem2, 8), (verify_theorem3, 6)):
+        with pytest.raises(ValueError, match=f"LP_EQUIV_BUDGET .*{value!r}"):
+            harness(sample_instance(3, n, seed=0), 3, trials=3, seed=0)
 
 
 def test_sample_null_blocks_do_not_share_memory():
@@ -564,15 +603,17 @@ def test_sample_null_draw_calls_do_not_grow_with_count(monkeypatch):
     # one normal block and one sign block per call, whatever the count
     A = build_vandermonde(sample_instance(4, 9, seed=36))
     dim = A.cols - A.rows
-    for cap in (None, 1):
-        set_cap(monkeypatch, cap)
+    for witness in (compute_spark(A).witness, None):
         logs = {}
         for count in (2, 70):
-            samples, logs[count] = counted_sample_null(monkeypatch, A, count, 5)
+            samples, logs[count] = counted_sample_null(
+                monkeypatch, A, count, 5, witness=witness
+            )
             assert samples.vectors.shape == (3 * count, A.cols)
         assert [name for name, _ in logs[2]] == ["standard_normal", "integers"]
         # 70 rows without a witness: 35 unit, 35 signed; with one: 34 and 35
-        assert logs[70] == [("standard_normal", (35 - (cap is None), dim)), ("integers", (35, dim))]
+        with_witness = witness is not None
+        assert logs[70] == [("standard_normal", (35 - with_witness, dim)), ("integers", (35, dim))]
 
 
 def test_sample_null_redraws_a_near_zero_row_with_its_kind(monkeypatch):
@@ -589,8 +630,11 @@ def test_sample_null_redraws_a_near_zero_row_with_its_kind(monkeypatch):
             out[0] = 0.0
         return out
 
-    plain = sample_null(A, count=5, seed=3)
-    got, log = counted_sample_null(monkeypatch, A, 5, 3, edit=zero_first_normal_row)
+    witness = compute_spark(A).witness
+    plain = sample_null(A, count=5, seed=3, witness=witness)
+    got, log = counted_sample_null(
+        monkeypatch, A, 5, 3, edit=zero_first_normal_row, witness=witness
+    )
     assert log == [
         ("standard_normal", (2, dim)), ("integers", (2, dim)),
         ("standard_normal", (1, dim)), ("integers", (0, dim)),

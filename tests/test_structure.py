@@ -1,8 +1,9 @@
-"""Call-count invariants of the suite, traced over the benchmark's workload.
+"""Call-count invariants, traced over the benchmark's workloads.
 
-Each test runs one pass of the suite-artifacts workload's seed-1 units
-(``perfbench/workloads.py``) under ``perfbench/tracer.py``'s ``Tracer`` and
-checks an equality between call counts that a structural regression breaks.
+Most tests run one pass of a workload's seed-1 units (suite-artifacts or
+t1-sweep, ``perfbench/workloads.py``) under ``perfbench/tracer.py``'s
+``Tracer`` and check an equality between call counts that a structural
+regression breaks; the T2 test traces two direct harness calls.
 """
 
 import importlib
@@ -16,16 +17,25 @@ from tracer import Tracer  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 
+def _traced_pass(name: str, units: int, workdir: str) -> dict:
+    """The traced metrics of one pass over a workload's seed-1 units."""
+    lp = importlib.import_module("lp_equiv")  # the package the tracer patches
+    workload = WORKLOADS[name]
+    inputs = workload.make_inputs(lp, 1)
+    with Tracer() as tracer:
+        outcomes = [workload.run_unit(lp, unit, workdir) for unit in inputs]
+    assert len(inputs) == units and all(o.ok for o in outcomes)
+    return tracer.summary()
+
+
 @pytest.fixture(scope="module")
 def suite_metrics(tmp_path_factory):
-    lp = importlib.import_module("lp_equiv")  # the package the tracer patches
-    workload = WORKLOADS["suite-artifacts"]
-    units = workload.make_inputs(lp, 1)
-    workdir = str(tmp_path_factory.mktemp("suite-artifacts"))
-    with Tracer() as tracer:
-        outcomes = [workload.run_unit(lp, unit, workdir) for unit in units]
-    assert len(units) == 12 and all(o.ok for o in outcomes)
-    return tracer.summary()
+    return _traced_pass("suite-artifacts", 12, str(tmp_path_factory.mktemp("suite-artifacts")))
+
+
+@pytest.fixture(scope="module")
+def t1_metrics(tmp_path_factory):
+    return _traced_pass("t1-sweep", 100, str(tmp_path_factory.mktemp("t1-sweep")))
 
 
 def test_one_claim_evaluator_for_t1_t2_and_t3(suite_metrics):
@@ -45,3 +55,52 @@ def test_one_l0_solve_per_planted_instance(suite_metrics):
     plants = suite_metrics["solvers.plant_with_level.calls"]
     per_plant = suite_metrics["solvers.l0_solves_per_plant"]
     assert plants > 0 and solves == round(plants * per_plant)
+
+
+def test_one_plant_per_deep_regime_harness(suite_metrics):
+    # only T2 and T3 certify a plant's level; T1 and the chain audit plant
+    # below spark/2, where x* is the unique l0 solution without an l0 solve
+    plants = suite_metrics["solvers.plant_with_level.calls"]
+    harnesses = sum(suite_metrics[f"solvers.verify_theorem{i}.calls"] for i in (2, 3))
+    assert harnesses > 0 and plants == harnesses
+
+
+def test_one_enumeration_per_t1_harness_and_l0_solve(suite_metrics):
+    # solve_l0 reads the l0 set off one enumeration, as T1 does; a second
+    # scan in either, or a scan of its own in solve_l0, breaks the equality
+    enumerations = suite_metrics["solvers.enumerate_basic_solutions.calls"]
+    readers = suite_metrics["solvers.verify_theorem1.calls"] + suite_metrics["solvers.solve_l0.calls"]
+    assert readers > 0 and enumerations == readers
+
+
+def test_one_margin_sweep_and_one_lp_argmin_call_per_t1_harness(t1_metrics):
+    # verify_theorem1 hands its whole p grid to verify_strict_inequality and
+    # solve_lp_basic at once; per-p calls would multiply their counts by the
+    # grid size
+    harness = t1_metrics["solvers.verify_theorem1.calls"]
+    assert harness > 0
+    assert t1_metrics["solvers.verify_strict_inequality.calls"] == harness
+    assert t1_metrics["solvers.solve_lp_basic.calls"] == harness
+
+
+def test_no_eigensolve_on_the_t1_path(t1_metrics):
+    # rank, lambda_max and lambda_min_plus come from one SVD under the rank
+    # policy (numerics.RANK_TOL); an eigensolve of A^T A loses
+    # lambda_min_plus once cond(A) passes about 1e5
+    assert t1_metrics["lapack.eigvalsh.calls"] == 0
+
+
+def test_t2_svd_count_does_not_grow_with_trials():
+    # verify_theorem2 evaluates the explicit augmentations A_t of all its
+    # samples in one stacked SVD per numerics.BLOCK steps; one SVD per
+    # (sample, t) step would make the count grow with the trials
+    lp = importlib.import_module("lp_equiv")
+    spec = lp.sample_instance(2, 6, seed=0)
+    counts = {}
+    for trials in (6, 60):
+        with Tracer() as tracer:
+            report = lp.verify_theorem2(spec, 2, trials=trials, seed=1)
+        explicit = sum("explicit_residual" in s for r in report.records for s in r.get("steps", ()))
+        counts[trials] = (tracer.lapack_calls["svd"], tracer.lapack_matrices["svd"], explicit)
+    (calls6, mats6, _), (calls60, mats60, explicit60) = counts[6], counts[60]
+    assert calls6 == calls60 and mats60 > mats6 and explicit60 > 0
