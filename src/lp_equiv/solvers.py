@@ -67,7 +67,7 @@ from .spectral import gram_spectrum, spectrum_from_singular_values
 RESIDUAL_TOL = 1e-6
 
 # Coefficients below ZERO_COEFF * max|coeff| mean the support was not minimal:
-# the same solution already appeared on a smaller support and is skipped.
+# the support of the other coefficients is read off and solved on its own.
 ZERO_COEFF = 1e-11
 
 DEFAULT_SCALES = (1e-3, 1.0, 1e3)
@@ -328,15 +328,22 @@ def _solve_supports(M: np.ndarray, b: np.ndarray, supports: np.ndarray):
 
 def enumerate_basic_solutions(prob: SparseProblem) -> tuple[SparseSolution, ...]:
     """Every basic solution, each reported once on its minimal support, in
-    ascending support size (lexicographic within a size) up to rank(A); the
-    budget is charged for every size before the first.
+    ascending support size (lexicographic within a size).
 
     A basic solution is the unique representation of b on a full-column-rank
-    support.  Supports whose solution carries a numerically zero coefficient
-    duplicate a smaller support's solution and are dropped; this keeps
-    ||x||_p^p honest for very small p, where roundoff-sized coefficients
-    would otherwise each contribute nearly 1.  A numerically zero b has one,
-    on the empty support.
+    support.  Each one's support extends to a basis of r = rank(A) columns
+    with the same solution (the LP vertex argument), so only the C(n, r)
+    bases are scanned.  A basis solution with a numerically zero coefficient
+    is not minimal: the support of the others is read off and solved on its
+    own under the same tests, size by size downwards.  Dropping those
+    coefficients keeps ||x||_p^p honest for very small p, where each would
+    otherwise contribute nearly 1.  A support that solves b only to within
+    RESIDUAL_TOL, not to roundoff, is read off no basis and not reported.
+    A numerically zero b has one basic solution, on the empty support.
+
+    The budget is charged for every size 1..r, still the worst case: the
+    C(n, r) bases, plus at most sum C(n, 1..r-1) re-solves, since each is a
+    distinct proper subset of a basis.
     """
     M, b = prob.matrix.entries, prob.b
     n = M.shape[1]
@@ -346,20 +353,33 @@ def enumerate_basic_solutions(prob: SparseProblem) -> tuple[SparseSolution, ...]
     r = numerical_rank(np.linalg.svd(M, compute_uv=False))
     check_budget(sum(math.comb(n, k) for k in range(1, r + 1)), "enumerate_basic_solutions")
     out: list[SparseSolution] = []
-    for size in range(1, r + 1):
-        for subsets in iter_subset_chunks(n, size):
-            full, coeff, res = _solve_supports(M, b, subsets)
-            ok = res <= RESIDUAL_TOL * nb
-            supports, coeff = subsets[full][ok], coeff[ok]
-            # a numerically zero coefficient (all of them, when the max is 0)
-            # means a smaller support has the same solution
-            mag = np.abs(coeff)
-            keep = np.min(mag, axis=1) > ZERO_COEFF * np.max(mag, axis=1)
-            for s, c in zip(supports[keep].tolist(), coeff[keep].tolist()):
-                out.append(SparseSolution(support=tuple(s), coefficients=tuple(c)))
+    read: dict[int, set[tuple[int, ...]]] = {}  # size -> supports read off, not yet solved
+
+    def solve(supports: np.ndarray) -> None:
+        full, coeff, res = _solve_supports(M, b, supports)
+        ok = res <= RESIDUAL_TOL * nb
+        supports, coeff = supports[full][ok], coeff[ok]
+        mag = np.abs(coeff)
+        nonzero = mag > ZERO_COEFF * np.max(mag, axis=1, keepdims=True)
+        keep = nonzero.all(axis=1)
+        for s, c in zip(supports[keep].tolist(), coeff[keep].tolist()):
+            out.append(SparseSolution(support=tuple(s), coefficients=tuple(c)))
+        # a numerically zero coefficient: read off the support of the others
+        for s, nz in zip(supports[~keep].tolist(), nonzero[~keep].tolist()):
+            smaller = tuple(i for i, z in zip(s, nz) if z)
+            if smaller:
+                read.setdefault(len(smaller), set()).add(smaller)
+
+    for subsets in iter_subset_chunks(n, r):
+        solve(subsets)
+    for size in range(r - 1, 0, -1):
+        # a read-off support is a proper subset, so it only adds smaller sizes
+        pending = np.array(sorted(read.pop(size, ())), dtype=np.intp).reshape(-1, size)
+        for start in range(0, len(pending), BLOCK):
+            solve(pending[start : start + BLOCK])
     if not out:
         raise InfeasibleProblemError("no basic solution found")
-    return tuple(out)
+    return tuple(sorted(out, key=lambda s: (len(s.support), s.support)))
 
 
 def _l0_from_basics(basics: tuple[SparseSolution, ...]) -> SparseSolutionSet:
@@ -372,8 +392,8 @@ def _l0_from_basics(basics: tuple[SparseSolution, ...]) -> SparseSolutionSet:
 def solve_l0(prob: SparseProblem) -> SparseSolutionSet:
     """Exact l0 minimization, read off enumerate_basic_solutions as T1 reads
     it.  Exactness rests on a standard fact: a minimal-support solution's
-    columns are independent, so it is a basic solution.  Every size up to
-    rank(A) is scanned, so a small level costs as much as a large one."""
+    columns are independent, so it is a basic solution.  The scan is the
+    same at every level: the bases of A, then the supports read off them."""
     return _l0_from_basics(enumerate_basic_solutions(prob))
 
 

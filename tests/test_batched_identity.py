@@ -1,11 +1,12 @@
 """Property checks: block evaluations are bit-identical to one item at a time.
 
 The references below are the per-sample margin, the per-p call, the
-per-support solve loop (test_solvers._reference_scan, which the l0 tests there
-share), the per-step T2 loop and the per-sample T3 residual loop that the
-block kernels replaced; every comparison is exact (==, or bit
-patterns where a signed zero could hide), except log10_x_t, which the T2
-harness now derives from log x_t (see test_t2_steps_equal_per_step_loop).
+per-support solve loop over every size (test_solvers._reference_scan, which
+the l0 tests there share), the per-step T2 loop and the per-sample T3
+residual loop that the block kernels and the basis scan replaced; every
+comparison is exact (==, or bit patterns where a signed zero could hide),
+except log10_x_t, which the T2 harness now derives from log x_t (see
+test_t2_steps_equal_per_step_loop).
 """
 
 import math
@@ -41,9 +42,11 @@ from lp_equiv.solvers import (  # noqa: E402
     DEFAULT_T_SCHEDULE,
     LIFT_RESIDUAL_FACTOR,
     MAX_EXPLICIT_SCALE,
+    ZERO_COEFF,
     SparseProblem,
     enumerate_basic_solutions,
     null_space_basis,
+    plant_sparse_instance,
     sample_null,
     solve_l0,
     verify_theorem2,
@@ -124,6 +127,42 @@ def test_block_support_scans_equal_per_support_loop(data):
     level = min(size for size, sols in by_size.items() if sols)
     l0 = solve_l0(prob)
     assert (l0.level, l0.solutions) == (level, tuple(by_size[level]))
+    assert enumerate_basic_solutions(prob) == basics
+
+
+def _planted_problem(m, n, k, seed):
+    """A planted problem on the node matrix of sample_instance(m, n, seed)."""
+    return plant_sparse_instance(build_vandermonde(sample_instance(m, n, seed=seed)), k, seed + 100)
+
+
+# enumerate_basic_solutions scans only the bases and re-solves the supports
+# read off them; the reference solves every support of every size
+@pytest.mark.parametrize("m", range(2, 6))
+def test_basis_scan_equals_every_size_loop_on_the_node_grid(m):
+    for n in range(m + 1, 11):
+        for k in range(1, m + 1):
+            for seed in (0, 1):
+                prob = _planted_problem(m, n, k, seed).problem
+                assert enumerate_basic_solutions(prob) == _reference_scan(prob)[1], (n, k, seed)
+
+
+def _read_off(sol):
+    """The support of a solution's coefficients above the ZERO_COEFF cut."""
+    mag = np.abs(sol.coefficients)
+    return tuple(i for i, v in zip(sol.support, mag) if v > ZERO_COEFF * mag.max())
+
+
+# a basis reads down to a support that is not minimal: (3, 4, 7) on the
+# first, (1, 7, 8) and (1, 7, 8, 9) on the second, whose own solves read
+# down again (2 and 3 sizes of re-solves)
+@pytest.mark.parametrize(
+    "m, n, k, seed", [(5, 8, 2, 6), (5, 10, 1, 4)], ids=["5x8-k2-seed6", "5x10-k1-seed4"]
+)
+def test_basis_scan_re_solves_a_non_minimal_read_off(m, n, k, seed):
+    prob = _planted_problem(m, n, k, seed).problem
+    by_size, basics = _reference_scan(prob)
+    minimal = {s.support for s in basics}
+    assert any(_read_off(s) not in minimal for s in by_size[max(by_size)])
     assert enumerate_basic_solutions(prob) == basics
 
 

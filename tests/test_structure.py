@@ -3,10 +3,11 @@
 Most tests run one pass of a workload's seed-1 units (suite-artifacts or
 t1-sweep, ``perfbench/workloads.py``) under ``perfbench/tracer.py``'s
 ``Tracer`` and check an equality between call counts that a structural
-regression breaks; the T2 test traces two direct harness calls.
+regression breaks; the T2 test and the basis-scan test trace direct calls.
 """
 
 import importlib
+import math
 import sys
 from pathlib import Path
 
@@ -50,7 +51,9 @@ def test_one_claim_evaluator_for_t1_t2_and_t3(suite_metrics):
 def test_one_l0_solve_per_planted_instance(suite_metrics):
     # every solve_l0 call is a plant_with_level certificate; the T2 and T3
     # harnesses plant their own x*, so a second l0 solve of a planted
-    # instance would leave solve_l0 above the plants' own solves
+    # instance would leave solve_l0 above the plants' own solves.  A second
+    # solve inside the plant grows both sides; test_solvers'
+    # test_plant_with_level_solves_l0_once_per_attempt counts that one
     solves = suite_metrics["solvers.solve_l0.calls"]
     plants = suite_metrics["solvers.plant_with_level.calls"]
     per_plant = suite_metrics["solvers.l0_solves_per_plant"]
@@ -104,3 +107,18 @@ def test_t2_svd_count_does_not_grow_with_trials():
         counts[trials] = (tracer.lapack_calls["svd"], tracer.lapack_matrices["svd"], explicit)
     (calls6, mats6, _), (calls60, mats60, explicit60) = counts[6], counts[60]
     assert calls6 == calls60 and mats60 > mats6 and explicit60 > 0
+
+
+def test_only_the_bases_go_through_the_subset_scan():
+    # enumerate_basic_solutions scans the C(n, rank) bases and solves the
+    # supports read off them directly; a scan of the sizes 1..rank-1 would
+    # push their subsets through iter_subset_chunks too
+    lp = importlib.import_module("lp_equiv")
+    A = lp.build_vandermonde(lp.sample_instance(4, 10, seed=0))
+    prob = lp.plant_sparse_instance(A, 2, seed=1).problem
+    with Tracer() as tracer:
+        basics = lp.enumerate_basic_solutions(prob)
+    metrics = tracer.summary()
+    assert metrics["solvers.enumerate_basic_solutions.calls"] == 1
+    assert metrics["numerics.iter_subset_chunks.subsets"] == math.comb(10, 4)
+    assert min(len(s.support) for s in basics) == 2
