@@ -1,5 +1,5 @@
-"""Shared numeric primitives: the rank policy, exact summation, tiny-exponent
-powers, the subset cap.
+"""Shared numeric primitives: the rank policy and its determinant screen,
+exact summation, tiny-exponent powers, the subset cap.
 
 Every exhaustive subset scan charges its worst-case subset count to one cap
 before it starts (check_budget).  The cap is read from the LP_EQUIV_BUDGET
@@ -35,6 +35,13 @@ POWER_FLOOR = 1e-300
 # sampled node matrices stay above it up to MAX_M (see the sampling defaults
 # in matgen and tests/test_calibration.py).
 RANK_TOL = 1e-11
+
+# Margin between the determinant screen's bound and the rank tolerance: a
+# square block whose _ratio_lower_bound exceeds SCREEN_FACTOR * tol_rel is
+# full rank at tol_rel without an SVD.  The argument, rounding included, is in
+# the spark module docstring; compute_spark and enumerate_basic_solutions both
+# screen through it.
+SCREEN_FACTOR = 1e3
 
 # The package's one block size: subset scans, randomized audit trials, the
 # explicit T2 augmentations and the rows of exact sums are evaluated at most
@@ -113,6 +120,19 @@ def numerical_rank(s, tol_rel: float = RANK_TOL):
     s = np.asarray(s)
     rank = np.sum(s > tol_rel * s[..., :1], axis=-1)
     return int(rank) if rank.ndim == 0 else rank
+
+
+def _ratio_lower_bound(sub: np.ndarray) -> np.ndarray:
+    """beta = |det| (k-1)^((k-1)/2) / F^k <= sigma_min/sigma_max per square block.
+
+    sub is a (count, k, k) stack.  NaN (a zero block, determinant underflow)
+    compares False against any threshold, so such a block is never cleared.
+    """
+    k = sub.shape[-1]
+    with np.errstate(all="ignore"):
+        det = np.abs(np.linalg.det(sub))
+        fro = np.sqrt(np.einsum("cij,cij->c", sub, sub))
+        return det * (k - 1) ** ((k - 1) / 2) / fro**k
 
 
 def derive_seed(seed: int, name: str) -> int:

@@ -51,7 +51,10 @@ from .matgen import (
 from .numerics import (
     BLOCK,
     POWER_FLOOR,
+    RANK_TOL,
+    SCREEN_FACTOR,
     SamplingError,
+    _ratio_lower_bound,
     check_budget,
     derive_seed,
     iter_subset_chunks,
@@ -326,6 +329,21 @@ def _solve_supports(M: np.ndarray, b: np.ndarray, supports: np.ndarray):
     return full, coeff, _row_norms(_matvecs(subs, coeff) - b)
 
 
+def _solve_bases(M: np.ndarray, b: np.ndarray, bases: np.ndarray):
+    """_solve_supports for a (count, rows) block of square bases, by one
+    stacked LU solve, on the bases the determinant screen clears: beta >
+    SCREEN_FACTOR * RANK_TOL proves the SVD rank test would keep them (spark
+    module docstring).  Returns (cleared, coeff, res) for the cleared rows.
+    LU and SVD solves are backward stable, so their rows differ by at most
+    c r eps / beta >= c r eps cond(M[:, S]) relative (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., Thm 9.4 and section 7.1)."""
+    sub = np.moveaxis(M[:, bases], 1, 0)  # (count, rows, rows)
+    cleared = _ratio_lower_bound(sub) > SCREEN_FACTOR * RANK_TOL
+    sub = sub[cleared]
+    coeff = np.linalg.solve(sub, b)
+    return cleared, coeff, _row_norms(_matvecs(sub, coeff) - b)
+
+
 def enumerate_basic_solutions(prob: SparseProblem) -> tuple[SparseSolution, ...]:
     """Every basic solution, each reported once on its minimal support, in
     ascending support size (lexicographic within a size).
@@ -341,6 +359,11 @@ def enumerate_basic_solutions(prob: SparseProblem) -> tuple[SparseSolution, ...]
     RESIDUAL_TOL, not to roundoff, is read off no basis and not reported.
     A numerically zero b has one basic solution, on the empty support.
 
+    When r is the row count, the bases the determinant screen clears are
+    solved by LU (_solve_bases), the rest and every read-off support by SVD
+    (_solve_supports): the supports are the SVD's, and a cleared basis's
+    coefficients may differ from the SVD's in their last bits.
+
     The budget is charged for every size 1..r, still the worst case: the
     C(n, r) bases, plus at most sum C(n, 1..r-1) re-solves, since each is a
     distinct proper subset of a basis.
@@ -355,10 +378,9 @@ def enumerate_basic_solutions(prob: SparseProblem) -> tuple[SparseSolution, ...]
     out: list[SparseSolution] = []
     read: dict[int, set[tuple[int, ...]]] = {}  # size -> supports read off, not yet solved
 
-    def solve(supports: np.ndarray) -> None:
-        full, coeff, res = _solve_supports(M, b, supports)
+    def take(supports: np.ndarray, coeff: np.ndarray, res: np.ndarray) -> None:
         ok = res <= RESIDUAL_TOL * nb
-        supports, coeff = supports[full][ok], coeff[ok]
+        supports, coeff = supports[ok], coeff[ok]
         mag = np.abs(coeff)
         nonzero = mag > ZERO_COEFF * np.max(mag, axis=1, keepdims=True)
         keep = nonzero.all(axis=1)
@@ -370,8 +392,18 @@ def enumerate_basic_solutions(prob: SparseProblem) -> tuple[SparseSolution, ...]
             if smaller:
                 read.setdefault(len(smaller), set()).add(smaller)
 
+    def solve(supports: np.ndarray) -> None:
+        full, coeff, res = _solve_supports(M, b, supports)
+        take(supports[full], coeff, res)
+
+    square = r == M.shape[0]
     for subsets in iter_subset_chunks(n, r):
-        solve(subsets)
+        if square:
+            cleared, coeff, res = _solve_bases(M, b, subsets)
+            take(subsets[cleared], coeff, res)
+            subsets = subsets[~cleared]
+        if len(subsets):
+            solve(subsets)
     for size in range(r - 1, 0, -1):
         # a read-off support is a proper subset, so it only adds smaller sizes
         pending = np.array(sorted(read.pop(size, ())), dtype=np.intp).reshape(-1, size)
@@ -487,16 +519,13 @@ def sample_null(
     rng = np.random.default_rng(seed)
 
     head: list[np.ndarray] = []
-    kinds: list[str] = []
     if witness is not None:
         _, _, vt = np.linalg.svd(A.entries[:, list(witness)])
         h = np.zeros(A.cols)
         h[list(witness)] = vt[-1]
         head.append(h / np.linalg.norm(h))
-        kinds.append("minsupport")
     # row i, counting the minsupport row, is "unit" when i is even
     unit = np.arange(len(head), count) % 2 == 0
-    kinds += ["unit" if u else "signed" for u in unit.tolist()]
     H = _matvecs(basis, _draw_coefficients(rng, unit, dim))
     norms = _row_norms(H)
     # a near-zero draw cannot be normalized: redraw those rows, same kind
@@ -509,9 +538,14 @@ def sample_null(
 
     # one (count, scales, n) product, whose rows are the samples in order
     scaled = base[:, None, :] * np.asarray(DEFAULT_SCALES)[None, :, None]
+    # the same alternation, each row's kind repeated once per scale
+    per_row = len(DEFAULT_SCALES)
+    pair = ("unit",) * per_row + ("signed",) * per_row
+    head_rows = len(head) * per_row
     return KernelSamples(
         vectors=scaled.reshape(-1, A.cols),
-        kinds=tuple(kind for kind in kinds for _ in DEFAULT_SCALES),
+        kinds=("minsupport",) * head_rows
+        + (pair * ((count + 1) // 2))[head_rows : count * per_row],
         scales=DEFAULT_SCALES * count,
     )
 

@@ -44,6 +44,13 @@ every cleared subset would also pass the SVD test.  A NaN or zero beta (a
 zero column, F = 0, determinant underflow) leaves the subset to the SVD.
 Tall levels (k < rows: the ascending fallback and rank-deficient inputs)
 keep the plain SVD.
+
+The screen (numerics._ratio_lower_bound and numerics.SCREEN_FACTOR) has a
+second caller, and this argument is the one for both: the basis scan of
+solvers.enumerate_basic_solutions clears the square bases of a full-row-rank
+matrix at tol_rel = RANK_TOL, on the raw submatrices.  Nothing above depends
+on the scaling or on tol_rel, so every basis it clears would also pass the
+SVD rank test of solvers._solve_supports, and only the rest go to that SVD.
 """
 
 from __future__ import annotations
@@ -54,7 +61,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matgen import AugmentedSpec, DenseMatrix, VandermondeSpec, build_augmented_t, build_vandermonde
-from .numerics import RANK_TOL, check_budget, iter_subset_chunks, numerical_rank
+from .numerics import (
+    RANK_TOL,
+    SCREEN_FACTOR,
+    _ratio_lower_bound,
+    check_budget,
+    iter_subset_chunks,
+    numerical_rank,
+)
 
 # A subset counts as dependent when its numerical rank (numerics.RANK_TOL,
 # the package's one rank policy) falls below its size, measured after
@@ -67,10 +81,6 @@ from .numerics import RANK_TOL, check_budget, iter_subset_chunks, numerical_rank
 # SVD through the determinant screen below, which clears a subset only when
 # its provable lower bound on sigma_min/sigma_max exceeds SCREEN_FACTOR *
 # tol_rel, so the decision at each tolerance is the SVD's alone.
-
-# Margin between the screen's bound and the tolerance, covering the LU
-# determinant's rounding error (see the module docstring).
-SCREEN_FACTOR = 1e3
 
 # A square submatrix of a node matrix counts as singular at |det| <= DET_TOL.
 DET_TOL = 1e-12
@@ -177,15 +187,6 @@ def _first_dependent(M: np.ndarray, k: int, tol_rel: float) -> tuple[int, ...] |
             idx = int(np.argmax(dependent))  # first hit = lex smallest
             return tuple(int(j) for j in subsets[idx])
     return None
-
-
-def _ratio_lower_bound(sub: np.ndarray) -> np.ndarray:
-    """beta = |det| (k-1)^((k-1)/2) / F^k <= sigma_min/sigma_max per square block."""
-    k = sub.shape[-1]
-    with np.errstate(all="ignore"):
-        det = np.abs(np.linalg.det(sub))
-        fro = np.sqrt(np.einsum("cij,cij->c", sub, sub))
-        return det * (k - 1) ** ((k - 1) / 2) / fro**k
 
 
 def check_submatrix_invertibility(spec: VandermondeSpec) -> SubmatrixReport:

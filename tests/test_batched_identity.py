@@ -5,8 +5,11 @@ per-support solve loop over every size (test_solvers._reference_scan, which
 the l0 tests there share), the per-step T2 loop and the per-sample T3
 residual loop that the block kernels and the basis scan replaced; every
 comparison is exact (==, or bit patterns where a signed zero could hide),
-except log10_x_t, which the T2 harness now derives from log x_t (see
-test_t2_steps_equal_per_step_loop).
+except two.  log10_x_t, which the T2 harness now derives from log x_t (see
+test_t2_steps_equal_per_step_loop).  And the coefficients of the bases the
+determinant screen clears, which the basis scan solves by LU and the
+reference by SVD: their supports, order and l0 level are compared with ==,
+the coefficients within a forward-error bound (test_solvers.COEFF_FACTOR).
 """
 
 import math
@@ -54,7 +57,7 @@ from lp_equiv.solvers import (  # noqa: E402
 )
 from lp_equiv.spark import compute_spark  # noqa: E402
 from lp_equiv.spectral import gram_spectrum  # noqa: E402
-from test_solvers import _reference_scan  # noqa: E402
+from test_solvers import _assert_same_basics, _recorded_svd_solves, _reference_scan  # noqa: E402
 
 ENTRIES = st.one_of(
     st.floats(-1e6, 1e6, allow_nan=False),
@@ -126,8 +129,9 @@ def test_block_support_scans_equal_per_support_loop(data):
     by_size, basics = _reference_scan(prob)
     level = min(size for size, sols in by_size.items() if sols)
     l0 = solve_l0(prob)
-    assert (l0.level, l0.solutions) == (level, tuple(by_size[level]))
-    assert enumerate_basic_solutions(prob) == basics
+    assert l0.level == level
+    _assert_same_basics(M, l0.solutions, tuple(by_size[level]))
+    _assert_same_basics(M, enumerate_basic_solutions(prob), basics)
 
 
 def _planted_problem(m, n, k, seed):
@@ -143,7 +147,8 @@ def test_basis_scan_equals_every_size_loop_on_the_node_grid(m):
         for k in range(1, m + 1):
             for seed in (0, 1):
                 prob = _planted_problem(m, n, k, seed).problem
-                assert enumerate_basic_solutions(prob) == _reference_scan(prob)[1], (n, k, seed)
+                got, expected = enumerate_basic_solutions(prob), _reference_scan(prob)[1]
+                _assert_same_basics(prob.matrix.entries, got, expected)
 
 
 def _read_off(sol):
@@ -154,16 +159,21 @@ def _read_off(sol):
 
 # a basis reads down to a support that is not minimal: (3, 4, 7) on the
 # first, (1, 7, 8) and (1, 7, 8, 9) on the second, whose own solves read
-# down again (2 and 3 sizes of re-solves)
+# down again (2 and 3 sizes of re-solves); the bases they come from are
+# ones the determinant screen leaves to the SVD
 @pytest.mark.parametrize(
-    "m, n, k, seed", [(5, 8, 2, 6), (5, 10, 1, 4)], ids=["5x8-k2-seed6", "5x10-k1-seed4"]
+    "m, n, k, seed, read_off",
+    [(5, 8, 2, 6, {(3, 4, 7)}), (5, 10, 1, 4, {(1, 7, 8), (1, 7, 8, 9)})],
+    ids=["5x8-k2-seed6", "5x10-k1-seed4"],
 )
-def test_basis_scan_re_solves_a_non_minimal_read_off(m, n, k, seed):
+def test_basis_scan_re_solves_a_non_minimal_read_off(m, n, k, seed, read_off, monkeypatch):
     prob = _planted_problem(m, n, k, seed).problem
     by_size, basics = _reference_scan(prob)
     minimal = {s.support for s in basics}
-    assert any(_read_off(s) not in minimal for s in by_size[max(by_size)])
-    assert enumerate_basic_solutions(prob) == basics
+    assert {_read_off(s) for s in by_size[max(by_size)]} - minimal == read_off
+    solved = _recorded_svd_solves(monkeypatch)
+    _assert_same_basics(prob.matrix.entries, enumerate_basic_solutions(prob), basics)
+    assert read_off <= set(solved)
 
 
 def _reference_t2_step(spec, p, h, l, order, t, tail, step):

@@ -18,6 +18,8 @@ from lp_equiv.matgen import (
 )
 from lp_equiv.numerics import (
     RANK_TOL,
+    SCREEN_FACTOR,
+    _ratio_lower_bound,
     abs_pow,
     derive_seed,
     iter_subset_chunks,
@@ -146,6 +148,62 @@ def _solve_one_support(M, b, support):
         return None
     coeff = vt.T @ ((u.T @ b) / s)
     return coeff, float(np.linalg.norm(sub @ coeff - b))
+
+
+# A basis the determinant screen clears (beta > SCREEN_FACTOR * RANK_TOL) is
+# solved by LU in enumerate_basic_solutions (solvers._solve_bases) and by the
+# SVD in the reference.  Each solve is backward stable: its row solves a
+# problem within c r u ||A_S|| of its own, u = eps/2 (LU with partial pivoting:
+# c about 3 times the growth factor, Higham, Accuracy and Stability of
+# Numerical Algorithms, 2nd ed., Thm 9.4; the SVD solve: a small multiple,
+# ch. 20), so it is within c r u cond(A_S) ||c|| of the exact row, and
+# cond(A_S) <= 1/beta (the screen's bound, spark module docstring).  Two such
+# rows differ by at most (c_LU + c_SVD) r u / beta ||c||.  COEFF_FACTOR allows
+# c_LU + c_SVD up to 32 in units of u; the 3,818 basic-solution sets of the
+# node grid (m 2..8) and of 2,878 small-integer matrices read at most 4.8
+# (r eps / beta units) in the 2-norm.  Every other row -- an open basis, a
+# tall basis, a read-off support -- comes from the same SVD as the
+# reference's and stays bit-identical.
+COEFF_FACTOR = 16
+
+
+def _coeff_bound(M, support, coeff) -> float:
+    """COEFF_FACTOR r eps / beta ||coeff|| for a square support the screen
+    clears, else 0.0 (the row must then be bit-identical)."""
+    sub = M[:, list(support)]
+    if sub.shape[0] != sub.shape[1]:
+        return 0.0
+    beta = float(_ratio_lower_bound(sub[None])[0])
+    if not beta > SCREEN_FACTOR * RANK_TOL:
+        return 0.0
+    return COEFF_FACTOR * len(support) * np.finfo(float).eps / beta * float(np.linalg.norm(coeff))
+
+
+def _assert_same_basics(M, got, expected):
+    """got and expected list the same supports in the same order, and each
+    coefficient row is bit-identical or, where LU solved it, within the
+    forward-error bound above (COEFF_FACTOR)."""
+    assert [s.support for s in got] == [s.support for s in expected]
+    square = numerical_rank(np.linalg.svd(M, compute_uv=False)) == M.shape[0]
+    for g, e in zip(got, expected):
+        bound = _coeff_bound(M, e.support, e.coefficients) if square else 0.0
+        if bound:
+            gap = float(np.linalg.norm(np.subtract(g.coefficients, e.coefficients)))
+            assert gap <= bound, (e.support, gap, bound)
+        else:
+            assert g.coefficients == e.coefficients, e.support
+
+
+def _recorded_svd_solves(monkeypatch) -> list:
+    """Patch solvers._solve_supports to record every support it is given."""
+    solved, real = [], solvers._solve_supports
+
+    def recorded(M, b, supports):
+        solved.extend(map(tuple, supports.tolist()))
+        return real(M, b, supports)
+
+    monkeypatch.setattr(solvers, "_solve_supports", recorded)
+    return solved
 
 
 def _reference_scan(prob):
@@ -368,7 +426,10 @@ def test_l0_set_read_off_basic_solutions_equals_solve_l0(m):
         for k in range(1, m + 1):
             prob = plant_sparse_instance(A, k, derive_seed(seed, f"l0-plant-{k}")).problem
             _, basics = _reference_scan(prob)
-            assert _l0_from_basics(basics) == solve_l0(prob) == _reference_l0(prob)
+            expected, l0 = _reference_l0(prob), solve_l0(prob)
+            assert _l0_from_basics(basics) == expected
+            assert l0.level == expected.level
+            _assert_same_basics(A.entries, l0.solutions, expected.solutions)
 
 
 @pytest.mark.parametrize("m", range(2, MAX_M + 1))

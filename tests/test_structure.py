@@ -3,17 +3,22 @@
 Most tests run one pass of a workload's seed-1 units (suite-artifacts or
 t1-sweep, ``perfbench/workloads.py``) under ``perfbench/tracer.py``'s
 ``Tracer`` and check an equality between call counts that a structural
-regression breaks; the T2 test and the basis-scan test trace direct calls.
+regression breaks; the T2 test and the two basis-scan tests trace direct calls.
 """
 
 import importlib
+import itertools
 import math
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from lp_equiv.numerics import RANK_TOL, SCREEN_FACTOR, _ratio_lower_bound
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from test_solvers import _recorded_svd_solves  # noqa: E402
 from tracer import Tracer  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
@@ -122,3 +127,21 @@ def test_only_the_bases_go_through_the_subset_scan():
     assert metrics["solvers.enumerate_basic_solutions.calls"] == 1
     assert metrics["numerics.iter_subset_chunks.subsets"] == math.comb(10, 4)
     assert min(len(s.support) for s in basics) == 2
+
+
+def test_cleared_bases_skip_the_svd(monkeypatch):
+    # the determinant screen clears all 210 bases of this node matrix, so the
+    # only SVDs are rank(A)'s and those of the supports read off the bases;
+    # a basis sent to the stacked SVD would show in lapack.svd.matrices
+    lp = importlib.import_module("lp_equiv")
+    A = lp.build_vandermonde(lp.sample_instance(4, 10, seed=0))
+    prob = lp.plant_sparse_instance(A, 2, seed=1).problem
+    bases = np.array(list(itertools.combinations(range(10), 4)))
+    beta = _ratio_lower_bound(np.moveaxis(A.entries[:, bases], 1, 0))
+    assert np.all(beta > SCREEN_FACTOR * RANK_TOL)
+    solved = _recorded_svd_solves(monkeypatch)
+    with Tracer() as tracer:
+        basics = lp.enumerate_basic_solutions(prob)
+    assert min(len(s.support) for s in basics) == 2
+    assert solved and max(map(len, solved)) < 4
+    assert tracer.lapack_matrices["svd"] == 1 + len(solved)
