@@ -1,4 +1,4 @@
-"""Shared numeric primitives: the rank policy and its determinant screen,
+"""Shared numeric primitives: the rank policy and its two square screens,
 exact summation, tiny-exponent powers, the subset cap.
 
 Every exhaustive subset scan charges its worst-case subset count to one cap
@@ -14,6 +14,7 @@ overflow included, and every block below CASCADE_MIN_ROWS rows go to fsum."""
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import math
@@ -36,11 +37,13 @@ POWER_FLOOR = 1e-300
 # in matgen and tests/test_calibration.py).
 RANK_TOL = 1e-11
 
-# Margin between the determinant screen's bound and the rank tolerance: a
-# square block whose _ratio_lower_bound exceeds SCREEN_FACTOR * tol_rel is
-# full rank at tol_rel without an SVD.  The argument, rounding included, is in
-# the spark module docstring; compute_spark and enumerate_basic_solutions both
-# screen through it.
+# Margin between a screen's bound and the rank tolerance: a square block whose
+# _ratio_lower_bound (the determinant screen) or _inverse_ratio_lower_bound
+# (the inverse-norm screen) exceeds SCREEN_FACTOR * tol_rel is full rank at
+# tol_rel without an SVD.  The arguments, rounding included, are in the spark
+# module docstring.  compute_spark runs both screens, the second only on what
+# the first leaves open; enumerate_basic_solutions runs the determinant
+# screen alone.
 SCREEN_FACTOR = 1e3
 
 # The package's one block size: subset scans, randomized audit trials, the
@@ -92,21 +95,51 @@ def check_budget(total: int, what: str) -> None:
         )
 
 
+# An enumeration that fits in one chunk is served from a read-only table
+# cached by (n, k): every certificate of a campaign asks for the same few
+# tables.  Only tables of at most SUBSET_TABLE_CELLS entries are cached, and
+# at most SUBSET_TABLE_CACHE of them, so the cache holds at most
+# 32 * 2**15 * 8 bytes = 8 MiB of 64-bit indices.  In practice it holds far
+# less: criterion 07's level-8 probe of a 14-column A_t reads the largest
+# table, C(14, 8) x 8 = 24,024 entries (188 KiB), and a pass over each
+# benchmark workload asks for 6 to 26 distinct tables, 14 to 310 KB in all.
+SUBSET_TABLE_CELLS = 2**15
+SUBSET_TABLE_CACHE = 32
+
+
+def _combinations_table(it, count: int, k: int) -> np.ndarray:
+    flat = itertools.chain.from_iterable(itertools.islice(it, count))
+    return np.fromiter(flat, dtype=np.intp, count=count * k).reshape(count, k)
+
+
+@functools.lru_cache(maxsize=SUBSET_TABLE_CACHE)
+def _subset_table(n: int, k: int) -> np.ndarray:
+    """All C(n, k) k-subsets of range(n), lexicographic, as a read-only array."""
+    table = _combinations_table(itertools.combinations(range(n), k), math.comb(n, k), k)
+    table.flags.writeable = False
+    return table
+
+
 def iter_subset_chunks(n: int, k: int, chunk: int = BLOCK) -> Iterator[np.ndarray]:
     """Yield (count, k) index arrays covering all C(n, k) subsets in lexicographic order.
 
     Chunked so callers can run stacked LAPACK calls without materializing the
-    whole enumeration.  Deterministic: itertools.combinations order.
+    whole enumeration.  Deterministic: itertools.combinations order.  A
+    nonempty enumeration that fits in one chunk, and in SUBSET_TABLE_CELLS
+    entries, is one cached read-only table (_subset_table); larger ones are
+    built chunk by chunk, so memory stays bounded by the chunk.
     """
     if k == 0:
         yield np.empty((1, 0), dtype=np.intp)
         return
-    it = itertools.combinations(range(n), k)
     remaining = math.comb(n, k)
+    if 0 < remaining <= chunk and remaining * k <= SUBSET_TABLE_CELLS:
+        yield _subset_table(n, k)
+        return
+    it = itertools.combinations(range(n), k)
     while remaining:
         count = min(chunk, remaining)
-        flat = itertools.chain.from_iterable(itertools.islice(it, count))
-        yield np.fromiter(flat, dtype=np.intp, count=count * k).reshape(count, k)
+        yield _combinations_table(it, count, k)
         remaining -= count
 
 
@@ -122,17 +155,40 @@ def numerical_rank(s, tol_rel: float = RANK_TOL):
     return int(rank) if rank.ndim == 0 else rank
 
 
-def _ratio_lower_bound(sub: np.ndarray) -> np.ndarray:
+def _ratio_lower_bound(sub: np.ndarray, det: np.ndarray | None = None) -> np.ndarray:
     """beta = |det| (k-1)^((k-1)/2) / F^k <= sigma_min/sigma_max per square block.
 
-    sub is a (count, k, k) stack.  NaN (a zero block, determinant underflow)
-    compares False against any threshold, so such a block is never cleared.
+    sub is a (count, k, k) stack; det, when given, is np.linalg.det(sub).
+    NaN (a zero block, determinant underflow) compares False against any
+    threshold, so such a block is never cleared.
     """
     k = sub.shape[-1]
     with np.errstate(all="ignore"):
-        det = np.abs(np.linalg.det(sub))
+        det = np.abs(np.linalg.det(sub) if det is None else det)
         fro = np.sqrt(np.einsum("cij,cij->c", sub, sub))
         return det * (k - 1) ** ((k - 1) / 2) / fro**k
+
+
+def _inverse_ratio_lower_bound(sub: np.ndarray) -> np.ndarray:
+    """beta' = (1 - (1+2u) ||R||_F) / (||S||_F ||X||_F) - gamma_k <=
+    sigma_min/sigma_max per square block S, with X = fl(S^-1) the computed
+    inverse, R = fl(S X - I) its computed residual, u = 2^-53 and
+    gamma_k = k u / (1 - k u).  The proof, valid for any computed X, is in the
+    spark module docstring.
+
+    sub is a (count, k, k) stack with nonzero finite determinants, since
+    np.linalg.inv raises on an exactly singular member.  An overflowed
+    inverse gives a NaN or nonpositive bound, which never clears a block.
+    """
+    k = sub.shape[-1]
+    u = 2.0**-53
+    with np.errstate(all="ignore"):
+        inv = np.linalg.inv(sub)
+        res = np.matmul(sub, inv)
+        diag = np.arange(k)
+        res[:, diag, diag] -= 1.0
+        fro_s, fro_inv, fro_res = (np.sqrt(np.einsum("cij,cij->c", a, a)) for a in (sub, inv, res))
+        return (1.0 - (1.0 + 2.0 * u) * fro_res) / (fro_s * fro_inv) - k * u / (1.0 - k * u)
 
 
 def derive_seed(seed: int, name: str) -> int:

@@ -24,33 +24,68 @@ Enumeration is chunked through stacked LAPACK SVDs, and the subset budget
 is charged for the worst case, C(n, 1..r+1), whichever path runs.
 
 Square subsets (k = rows: the level-r probe of every full-row-rank matrix,
-node matrices and each A_t among them) pass a determinant screen before the
-SVD.  For a k x k block with Frobenius norm F, AM-GM on the k-1 largest
-singular values gives prod_{i<k} sigma_i <= (F^2/(k-1))^((k-1)/2), so
+node matrices and each A_t among them) pass two screens before the SVD, each
+a provable lower bound on sigma_min/sigma_max.  A subset whose bound exceeds
+SCREEN_FACTOR * tol_rel is independent and skips the SVD; only the rest go
+through the one sigma_min/sigma_max test, in lexicographic order, so
+certificates and witnesses are the SVD test's alone.
+
+Stage 1, the determinant screen.  For a k x k block with Frobenius norm F,
+AM-GM on the k-1 largest singular values gives
+prod_{i<k} sigma_i <= (F^2/(k-1))^((k-1)/2), so
 sigma_min = |det| / prod_{i<k} sigma_i >= |det| ((k-1)/F^2)^((k-1)/2)
 (Hong and Pan, 1992); with sigma_max <= F,
 
     beta = |det| (k-1)^((k-1)/2) / F^k <= sigma_min / sigma_max.
 
-A subset with beta > SCREEN_FACTOR * tol_rel is independent and skips the
-SVD; only the rest go through the one sigma_min/sigma_max test, in
-lexicographic order, so the witness is unchanged.  The screen is one-sided
-and its margin covers floating point: a cleared block has condition number
-below 1/beta, so the LU determinant's relative error is at most about
+Its margin covers floating point: a cleared block has condition number below
+1/beta, so the LU determinant's relative error is at most about
 k^2 eps / beta, under 1e-3 even at beta = 1e-10 (tol_rel = 1e-13), and the
 SVD's own ratio is off by about k eps absolute; both sit far inside the
 factor SCREEN_FACTOR = 10^3 between a cleared subset and the tolerance, so
 every cleared subset would also pass the SVD test.  A NaN or zero beta (a
-zero column, F = 0, determinant underflow) leaves the subset to the SVD.
-Tall levels (k < rows: the ascending fallback and rank-deficient inputs)
-keep the plain SVD.
+zero column, F = 0, determinant underflow) leaves the subset open.
 
-The screen (numerics._ratio_lower_bound and numerics.SCREEN_FACTOR) has a
-second caller, and this argument is the one for both: the basis scan of
-solvers.enumerate_basic_solutions clears the square bases of a full-row-rank
-matrix at tol_rel = RANK_TOL, on the raw submatrices.  Nothing above depends
-on the scaling or on tol_rel, so every basis it clears would also pass the
-SVD rank test of solvers._solve_supports, and only the rest go to that SVD.
+Stage 2, the inverse-norm screen, runs only on what stage 1 leaves open, and
+only where stage 1's determinant is nonzero and finite, so that no exactly
+singular block reaches the inverse (np.linalg.inv raises on one).  Let X be
+the computed inverse of a block S, R = fl(fl(S X) - I) its computed residual
+and E = S X - I the exact one.  Each entry of fl(S X) is a k-term dot
+product, so |fl(S X) - S X| <= gamma_k |S| |X| entrywise in any summation
+order, with gamma_k = k u / (1 - k u) and u = 2^-53, and subtracting I
+rounds once more (Higham, Accuracy and Stability of Numerical Algorithms,
+2nd ed., section 3.1); hence ||E||_F <= (1 + 2u) ||R||_F +
+gamma_k ||S||_F ||X||_F.  When ||E||_2 < 1, S X = I + E is invertible, so S
+is, and S^-1 = X (I + E)^-1 gives ||S^-1||_2 <= ||X||_2 / (1 - ||E||_2)
+(the residual bound for a computed inverse, ibid. chapter 14), so
+sigma_min >= (1 - ||E||_F) / ||X||_F; with sigma_max <= ||S||_F,
+
+    beta' = (1 - (1 + 2u) ||R||_F) / (||S||_F ||X||_F) - gamma_k
+          <= sigma_min / sigma_max.
+
+The bound is a posteriori: it holds for whatever X the LU returns, with no
+growth factor, so for every k (2 MAX_M + 2 = 18 included) and every
+tolerance; a poor X only makes beta' small, negative or NaN (an overflowed
+inverse), which leaves the subset open.  Evaluating beta' in floating point
+adds a relative error of order k^2 u from the three norms, and underflow in
+fl(S X) at most k 2^-1074 per entry; like the SVD's own error, both sit far
+inside SCREEN_FACTOR.  Stage 2 reuses stage 1's determinants, and it is not
+run on the subsets stage 1 already clears: a batched inverse of C(14, 8)
+8 x 8 blocks takes 4.7 ms against 1.7 ms for their determinants (one x86-64
+core, OpenBLAS).  Tall levels (k < rows: the ascending fallback and
+rank-deficient inputs) keep the plain SVD.
+
+Stage 1 (numerics._ratio_lower_bound, SCREEN_FACTOR) has a second caller:
+the basis scan of solvers.enumerate_basic_solutions clears the square bases
+of a full-row-rank matrix at tol_rel = RANK_TOL, on the raw submatrices, and
+solves the cleared ones by LU.  Nothing above depends on the scaling or on
+tol_rel, so every basis it clears would also pass the SVD rank test of
+solvers._solve_supports, and only the rest go to that SVD.  The scan does
+not run stage 2: a basis moved from the SVD to LU gets coefficients that
+differ in their last bits, and its fixed read-off tolerances (ZERO_COEFF,
+RESIDUAL_TOL) turn such differences into different supports.  Routing the
+bases stage 2 clears to LU changed the basic set (not the l0 level) on 10 of
+360 planted node inputs at m = 6..8.
 """
 
 from __future__ import annotations
@@ -64,6 +99,7 @@ from .matgen import AugmentedSpec, DenseMatrix, VandermondeSpec, build_augmented
 from .numerics import (
     RANK_TOL,
     SCREEN_FACTOR,
+    _inverse_ratio_lower_bound,
     _ratio_lower_bound,
     check_budget,
     iter_subset_chunks,
@@ -78,8 +114,8 @@ from .numerics import (
 # is read, never a singular value itself, so the scaling is free.  Dependent
 # subsets land at 0..1e-15 relative; the worst independent subset observed
 # across the augmented sweeps sits near 3e-9.  Square subsets may skip the
-# SVD through the determinant screen below, which clears a subset only when
-# its provable lower bound on sigma_min/sigma_max exceeds SCREEN_FACTOR *
+# SVD through the two screens below, which clear a subset only when a
+# provable lower bound on its sigma_min/sigma_max exceeds SCREEN_FACTOR *
 # tol_rel, so the decision at each tolerance is the SVD's alone.
 
 # A square submatrix of a node matrix counts as singular at |det| <= DET_TOL.
@@ -177,8 +213,7 @@ def _first_dependent(M: np.ndarray, k: int, tol_rel: float) -> tuple[int, ...] |
     for subsets in iter_subset_chunks(n, k):
         sub = M[:, subsets].transpose(1, 0, 2)  # (chunk, m_rows, k)
         if k == m_rows:
-            # NaN compares False, so an undecidable bound leaves the subset open
-            open_ = ~(_ratio_lower_bound(sub) > SCREEN_FACTOR * tol_rel)
+            open_ = _open_after_screens(sub, SCREEN_FACTOR * tol_rel)
             if not np.any(open_):
                 continue
             subsets, sub = subsets[open_], sub[open_]
@@ -187,6 +222,22 @@ def _first_dependent(M: np.ndarray, k: int, tol_rel: float) -> tuple[int, ...] |
             idx = int(np.argmax(dependent))  # first hit = lex smallest
             return tuple(int(j) for j in subsets[idx])
     return None
+
+
+def _open_after_screens(sub: np.ndarray, threshold: float) -> np.ndarray:
+    """Mask of the square blocks that neither screen clears above threshold.
+
+    The inverse-norm screen runs only on what the determinant screen leaves
+    open, and only where that LU met no zero pivot (det nonzero and finite),
+    since np.linalg.inv raises on an exactly singular block.  NaN compares
+    False, so an undecidable bound leaves its block open.
+    """
+    det = np.linalg.det(sub)
+    open_ = ~(_ratio_lower_bound(sub, det) > threshold)
+    retry = open_ & np.isfinite(det) & (det != 0.0)
+    if np.any(retry):
+        open_[retry] = ~(_inverse_ratio_lower_bound(sub[retry]) > threshold)
+    return open_
 
 
 def check_submatrix_invertibility(spec: VandermondeSpec) -> SubmatrixReport:

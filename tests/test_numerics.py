@@ -359,6 +359,47 @@ def test_iter_subset_chunks_equal_reference_chunking(n, k, chunk):
         assert np.array_equal(g, w)
 
 
+def test_cached_subset_table_is_read_only_and_repeatable():
+    first = list(iter_subset_chunks(7, 3))
+    again = list(iter_subset_chunks(7, 3))
+    assert len(first) == len(again) == 1
+    assert np.array_equal(first[0], again[0])
+    assert np.array_equal(first[0], np.array(list(itertools.combinations(range(7), 3))))
+    with pytest.raises(ValueError):
+        first[0][0, 0] = 6
+
+
+def test_subset_table_cache_holds_at_most_its_stated_bytes():
+    # the bound stated beside SUBSET_TABLE_CELLS: 32 tables of 2**15 indices
+    itemsize = np.dtype(np.intp).itemsize
+    per_table = numerics.SUBSET_TABLE_CELLS * itemsize
+    assert numerics.SUBSET_TABLE_CACHE * per_table <= 8 * 2**20
+    numerics._subset_table.cache_clear()
+    try:
+        # every single-chunk enumeration up to n = 16, and the edge of the
+        # cell cap: C(181, 180) x 180 = 32,580 entries fit, C(182, 181) x 181
+        # = 32,942 do not and come out writable, outside the cache
+        pairs = [(n, k) for n in range(1, 17) for k in range(1, n + 1) if math.comb(n, k) <= BLOCK]
+        for n, k in pairs + [(181, 180), (182, 181)]:
+            (table,) = iter_subset_chunks(n, k)
+            cached = not table.flags.writeable
+            assert cached == (math.comb(n, k) * k <= numerics.SUBSET_TABLE_CELLS), (n, k)
+            assert not cached or table.nbytes <= per_table
+        info = numerics._subset_table.cache_info()
+        assert info.maxsize == numerics.SUBSET_TABLE_CACHE
+        assert info.currsize == numerics.SUBSET_TABLE_CACHE < len(pairs)
+    finally:
+        numerics._subset_table.cache_clear()
+
+
+def test_multi_chunk_enumerations_bypass_the_cache():
+    numerics._subset_table.cache_clear()
+    chunks = list(iter_subset_chunks(9, 4, chunk=5))
+    assert len(chunks) == math.ceil(math.comb(9, 4) / 5)
+    assert all(c.flags.writeable for c in chunks)
+    assert numerics._subset_table.cache_info().currsize == 0
+
+
 def test_check_budget_raises_past_cap(monkeypatch):
     monkeypatch.setenv("LP_EQUIV_BUDGET", "10")
     check_budget(10, "ok at the cap")

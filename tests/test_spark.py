@@ -19,6 +19,8 @@ from lp_equiv.numerics import RANK_TOL, BudgetExceededError, iter_subset_chunks,
 from lp_equiv.spark import (
     SCREEN_FACTOR,
     _equilibrated,
+    _inverse_ratio_lower_bound,
+    _open_after_screens,
     _ratio_lower_bound,
     check_submatrix_invertibility,
     compute_spark,
@@ -349,7 +351,8 @@ def test_screen_bound_is_below_the_svd_ratio_property():
 
 def test_screen_spares_most_svds_on_prop1(monkeypatch):
     # A_t for m = 3, n = 9 is 8 x 14: the level-8 probe scans C(14, 8) square
-    # subsets, and the screen clears all but a few percent of them
+    # subsets, and the two screens clear every one of them, so the only SVD
+    # left is the rank SVD of A_t itself
     seen = []
     svd = np.linalg.svd
 
@@ -361,7 +364,7 @@ def test_screen_spares_most_svds_on_prop1(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     report = verify_prop1(AugmentedSpec(sample_instance(3, 9, seed=0), x_t=0.1, y_t=0.01))
     assert report.passes
-    assert sum(seen) < 0.2 * math.comb(14, 8)
+    assert seen == [1]
 
 
 def test_screen_raises_no_warning_on_zero_columns():
@@ -374,6 +377,95 @@ def test_screen_raises_no_warning_on_zero_columns():
         assert assert_matches_reference(row) == (1, (0,))
         assert assert_matches_reference(wide) == (1, (3,))
         assert np.isnan(_ratio_lower_bound(np.zeros((2, 3, 3)))).all()
+
+
+def _mp_ratio(A: np.ndarray) -> float:
+    """sigma_min/sigma_max of A from a 50-digit mpmath SVD."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        s = mpmath.svd_r(mpmath.matrix(A.tolist()), compute_uv=False)
+        values = [abs(v) for v in s]
+        return float(min(values) / max(values))
+
+
+def test_inverse_screen_bound_is_below_the_svd_ratio_property():
+    # beta' is proven for the computed inverse (spark module docstring), so it
+    # sits below the ratio up to the rounding of its three norms.  The float
+    # SVD's ratio is itself off by about k eps absolute, which exceeds 1e-9
+    # relative below a ratio near 1e-6, where beta' can be that tight (at
+    # k = 2, ||S||_F ||S^-1||_F = (1 + ratio^2) / ratio exactly); a
+    # comparison the float ratio fails is decided by a 50-digit SVD.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(
+        k=st.integers(1, 2 * MAX_M + 2),
+        kind=st.sampled_from(["random", "flat spectrum", "near-dependent column", "graded rows"]),
+        depth=st.floats(0.0, 12.0),
+        log_scale=st.floats(-3.0, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def check(k, kind, depth, log_scale, seed):
+        rng = np.random.default_rng(seed)
+        if kind == "flat spectrum":
+            # singular values 1, ..., 1, 10^-depth: where the bound is tightest
+            Q, _ = np.linalg.qr(rng.standard_normal((k, k)))
+            s = np.ones(k)
+            s[-1] = 10.0**-depth
+            A = (Q * s) @ Q.T
+        else:
+            A = rng.standard_normal((k, k))
+            if kind == "near-dependent column" and k > 1:
+                A[:, -1] = A[:, :-1] @ rng.standard_normal(k - 1) + 10.0**-depth * rng.standard_normal(k)
+            elif kind == "graded rows":
+                A *= 10.0 ** rng.uniform(-3.0, 3.0, size=(k, 1))
+        A *= 10.0**log_scale
+        det = np.linalg.det(A)
+        hypothesis.assume(np.isfinite(det) and det != 0.0)  # stage 1 lets no other block through
+        beta = _inverse_ratio_lower_bound(A[None])[0]
+        s = np.linalg.svd(A, compute_uv=False)
+        if not beta <= s[-1] / s[0] * (1.0 + 1e-9):
+            assert beta <= _mp_ratio(A) * (1.0 + 1e-9)
+
+    check()
+
+
+def test_screens_clear_no_block_at_or_below_the_rank_tolerance():
+    # synthetic k x k blocks with sigma ratios 1e-16..1e-6 and rows graded
+    # over 1e-3..1e3: none whose SVD ratio is <= RANK_TOL may be cleared
+    rng = np.random.default_rng(20)
+    threshold = SCREEN_FACTOR * RANK_TOL
+    dependent = cleared = 0
+    for k in range(2, 9):
+        blocks = []
+        for exponent in range(-16, -5):
+            for _ in range(30):
+                U, _ = np.linalg.qr(rng.standard_normal((k, k)))
+                V, _ = np.linalg.qr(rng.standard_normal((k, k)))
+                spectrum = np.logspace(0.0, exponent, k)
+                rows = 10.0 ** rng.uniform(-3.0, 3.0, size=(k, 1))
+                blocks.append(rows * ((U * spectrum) @ V.T))
+        blocks = np.array(blocks)
+        s = np.linalg.svd(blocks, compute_uv=False)
+        at_or_below = s[:, -1] <= RANK_TOL * s[:, 0]
+        open_ = _open_after_screens(blocks, threshold)
+        assert open_[at_or_below].all(), k
+        dependent += int(at_or_below.sum())
+        cleared += int((~open_).sum())
+    assert dependent > 1000 and cleared > 50  # the probe is not vacuous
+
+
+def test_screens_leave_an_exactly_singular_member_open_without_warning():
+    # np.linalg.inv raises LinAlgError on a batch holding an exactly singular
+    # block, so stage 2 must skip every block whose determinant is zero
+    batch = np.array([np.eye(3), np.ones((3, 3)), np.zeros((3, 3)), [[1.0, 2.0, 1.0], [3.0, 4.0, 3.0], [5.0, 6.0, 5.0]]])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(batch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _open_after_screens(batch, SCREEN_FACTOR * RANK_TOL).tolist() == [False, True, True, True]
 
 
 def test_submatrix_positivity_for_positive_nodes():

@@ -1,7 +1,7 @@
 """Call-count invariants, traced over the benchmark's workloads.
 
-Most tests run one pass of a workload's seed-1 units (suite-artifacts or
-t1-sweep, ``perfbench/workloads.py``) under ``perfbench/tracer.py``'s
+Most tests run one pass of a workload's seed-1 units (suite-artifacts,
+t1-sweep or prop1-spark, ``perfbench/workloads.py``) under ``perfbench/tracer.py``'s
 ``Tracer`` and check an equality between call counts that a structural
 regression breaks; the T2 test and the two basis-scan tests trace direct calls.
 """
@@ -15,10 +15,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lp_equiv.numerics import RANK_TOL, SCREEN_FACTOR, _ratio_lower_bound
+from lp_equiv.numerics import RANK_TOL, SCREEN_FACTOR, _ratio_lower_bound, iter_subset_chunks, numerical_rank
+from lp_equiv.spark import _equilibrated, _open_after_screens
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from test_solvers import _recorded_svd_solves  # noqa: E402
+from test_spark import ascending_spark  # noqa: E402
 from tracer import Tracer  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
@@ -42,6 +44,11 @@ def suite_metrics(tmp_path_factory):
 @pytest.fixture(scope="module")
 def t1_metrics(tmp_path_factory):
     return _traced_pass("t1-sweep", 100, str(tmp_path_factory.mktemp("t1-sweep")))
+
+
+@pytest.fixture(scope="module")
+def prop1_metrics(tmp_path_factory):
+    return _traced_pass("prop1-spark", 180, str(tmp_path_factory.mktemp("prop1-spark")))
 
 
 def test_one_claim_evaluator_for_t1_t2_and_t3(suite_metrics):
@@ -145,3 +152,31 @@ def test_cleared_bases_skip_the_svd(monkeypatch):
     assert min(len(s.support) for s in basics) == 2
     assert solved and max(map(len, solved)) < 4
     assert tracer.lapack_matrices["svd"] == 1 + len(solved)
+
+
+def test_prop1_probe_makes_only_the_rank_svds(prop1_metrics):
+    # the two screens clear every square subset of the seed-1 certificates,
+    # so the only SVD left per certificate is the rank SVD of A_t; stage 2
+    # reuses stage 1's determinants, one per subset
+    certificates = prop1_metrics["spark.compute_spark.calls"]
+    assert certificates == 180
+    assert prop1_metrics["lapack.svd.matrices"] == certificates
+    assert prop1_metrics["lapack.det.matrices"] == prop1_metrics["numerics.iter_subset_chunks.subsets"]
+
+
+def test_prop1_certificates_equal_the_unscreened_svd_probe():
+    # the prop1-spark digest hashes spark and witness, the same on every
+    # instance, so it cannot see a screen that clears a dependent subset.
+    # Check directly: every square subset the screens clear has full SVD
+    # rank, and each certificate equals the plain ascending SVD search
+    lp = importlib.import_module("lp_equiv")
+    for aug in WORKLOADS["prop1-spark"].make_inputs(lp, 1):
+        A = lp.build_augmented_t(aug)
+        M = _equilibrated(A.entries)
+        k = M.shape[0]
+        for subsets in iter_subset_chunks(M.shape[1], k):
+            sub = M[:, subsets].transpose(1, 0, 2)
+            cleared = sub[~_open_after_screens(sub, SCREEN_FACTOR * RANK_TOL)]
+            assert np.all(numerical_rank(np.linalg.svd(cleared, compute_uv=False)) == k)
+        cert = lp.compute_spark(A)
+        assert (cert.spark, cert.witness) == ascending_spark(A)
