@@ -19,7 +19,7 @@ import hashlib
 import itertools
 import math
 import os
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -38,12 +38,16 @@ POWER_FLOOR = 1e-300
 RANK_TOL = 1e-11
 
 # Margin between a screen's bound and the rank tolerance: a square block whose
-# _ratio_lower_bound (the determinant screen) or _inverse_ratio_lower_bound
-# (the inverse-norm screen) exceeds SCREEN_FACTOR * tol_rel is full rank at
-# tol_rel without an SVD.  The arguments, rounding included, are in the spark
-# module docstring.  compute_spark runs both screens, the second only on what
-# the first leaves open; enumerate_basic_solutions runs the determinant
-# screen alone.
+# determinant-screen bound (_ratio_lower_bound on an LU determinant, or
+# _det_ratio_bound on a shared-prefix minor from _prefix_minors) or
+# inverse-norm bound (_inverse_ratio_lower_bound, with LU's inverse or one
+# built from prefix QRs by _prefix_inverses) exceeds SCREEN_FACTOR *
+# tol_rel is full rank at tol_rel without an SVD.  The factor covers the LU
+# determinant's relative error, about k^2 eps / beta, and the prefix minor's
+# absolute one, at most 6e-13 in beta at k = 18; the arguments, rounding
+# included, are in the spark module docstring.  compute_spark runs both
+# screens, the second only on what the first leaves open;
+# enumerate_basic_solutions runs the LU determinant screen alone.
 SCREEN_FACTOR = 1e3
 
 # The package's one block size: subset scans, randomized audit trials, the
@@ -97,14 +101,32 @@ def check_budget(total: int, what: str) -> None:
 
 # An enumeration that fits in one chunk is served from a read-only table
 # cached by (n, k): every certificate of a campaign asks for the same few
-# tables.  Only tables of at most SUBSET_TABLE_CELLS entries are cached, and
-# at most SUBSET_TABLE_CACHE of them, so the cache holds at most
-# 32 * 2**15 * 8 bytes = 8 MiB of 64-bit indices.  In practice it holds far
-# less: criterion 07's level-8 probe of a 14-column A_t reads the largest
-# table, C(14, 8) x 8 = 24,024 entries (188 KiB), and a pass over each
-# benchmark workload asks for 6 to 26 distinct tables, 14 to 310 KB in all.
+# tables.  The square probe's prefix plans (_prefix_plan) share the cache,
+# keyed by (n, k, tail), and a plan holds no more entries than its table.
+# Only enumerations of at most SUBSET_TABLE_CELLS table entries are cached,
+# and at most SUBSET_TABLE_CACHE tables and plans in all, so the cache holds
+# at most 32 * 2**15 * 8 bytes = 8 MiB of 64-bit indices.  In practice it
+# holds far less: criterion 07's level-8 probe of a 14-column A_t reads the
+# largest table, C(14, 8) x 8 = 24,024 entries (188 KiB), and its plan,
+# 12,852 entries, and a pass over each benchmark workload asks for 9 to 26
+# distinct tables and plans, 14 to 473 KB in all.
 SUBSET_TABLE_CELLS = 2**15
 SUBSET_TABLE_CACHE = 32
+
+# Square enumerations of more subsets than this take their stage-1
+# determinants from shared column prefixes (_prefix_minors) and their stage-2
+# inverses from the same QRs (_prefix_inverses), smaller ones both from one
+# batched LU: the prefix QRs and each chunk's triangular solves pay for
+# themselves only once they serve enough subsets.  Both screens of the spark
+# probe, LU against prefixes, in the benchmark's nominal-host time on one
+# x86-64 core (OpenBLAS, one thread): 0.25 against 0.39 ms over C(10, 5) = 252
+# node-matrix subsets and 0.33 against 0.41 ms over C(11, 5) = 462; 0.18
+# against 0.24 ms over an A_t's C(10, 6) = 210, 0.38 against 0.43 ms over its
+# C(11, 6) = 462 and 1.2 against 0.8 ms over its C(13, 8) = 1,287.  Every
+# node-matrix probe of t1-sweep and suite-artifacts (C(n, m) <= 252) stays on
+# LU.  Where stage 1 leaves most subsets open, as on node matrices at m >= 6,
+# the prefix inverses gain most: 1.43 against 1.05 ms over C(12, 8).
+PREFIX_MINORS_MIN_SUBSETS = 256
 
 
 def _combinations_table(it, count: int, k: int) -> np.ndarray:
@@ -112,12 +134,24 @@ def _combinations_table(it, count: int, k: int) -> np.ndarray:
     return np.fromiter(flat, dtype=np.intp, count=count * k).reshape(count, k)
 
 
+def _single_cached_table(n: int, k: int, chunk: int = BLOCK) -> bool:
+    """Whether iter_subset_chunks(n, k, chunk) is one cached table."""
+    count = math.comb(n, k)
+    return k > 0 and 0 < count <= chunk and count * k <= SUBSET_TABLE_CELLS
+
+
 @functools.lru_cache(maxsize=SUBSET_TABLE_CACHE)
-def _subset_table(n: int, k: int) -> np.ndarray:
-    """All C(n, k) k-subsets of range(n), lexicographic, as a read-only array."""
-    table = _combinations_table(itertools.combinations(range(n), k), math.comb(n, k), k)
-    table.flags.writeable = False
-    return table
+def _subset_table(n: int, k: int, tail: int = 0):
+    """All C(n, k) k-subsets of range(n), lexicographic, as a read-only array;
+    for tail > 0, that table's prefix plan (_prefix_plan) instead, as a pair
+    of read-only arrays."""
+    if tail:
+        arrays = _prefix_plan(_subset_table(n, k), n, tail)
+    else:
+        arrays = (_combinations_table(itertools.combinations(range(n), k), math.comb(n, k), k),)
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays if tail else arrays[0]
 
 
 def iter_subset_chunks(n: int, k: int, chunk: int = BLOCK) -> Iterator[np.ndarray]:
@@ -132,15 +166,35 @@ def iter_subset_chunks(n: int, k: int, chunk: int = BLOCK) -> Iterator[np.ndarra
     if k == 0:
         yield np.empty((1, 0), dtype=np.intp)
         return
-    remaining = math.comb(n, k)
-    if 0 < remaining <= chunk and remaining * k <= SUBSET_TABLE_CELLS:
+    if _single_cached_table(n, k, chunk):
         yield _subset_table(n, k)
         return
+    remaining = math.comb(n, k)
     it = itertools.combinations(range(n), k)
     while remaining:
         count = min(chunk, remaining)
         yield _combinations_table(it, count, k)
         remaining -= count
+
+
+def _prefix_plan(subsets: np.ndarray, n: int, tail: int) -> tuple[np.ndarray, np.ndarray]:
+    """Split a lexicographic chunk of k-subsets of range(n) into prefixes, the
+    first k - tail columns, and tails, the last tail columns.
+
+    Returns the distinct prefixes in order, one row each, and the
+    (tail, len(subsets)) gather index: gather[i, s] = (the number of subset
+    s's prefix) * n + (column i of its tail).  In lexicographic order the
+    subsets sharing a prefix are consecutive, and the first of them is the
+    one whose tail follows the prefix without a gap: the only tail that ends
+    at the prefix's last column + tail.
+    """
+    p = subsets.shape[1] - tail
+    first = np.zeros(len(subsets), dtype=bool)
+    if p:
+        first[:] = subsets[:, -1] == subsets[:, p - 1] + tail
+    first[0] = True
+    number = np.cumsum(first) - 1
+    return subsets[first, :p], number * n + subsets[:, p:].T
 
 
 def numerical_rank(s, tol_rel: float = RANK_TOL):
@@ -162,28 +216,197 @@ def _ratio_lower_bound(sub: np.ndarray, det: np.ndarray | None = None) -> np.nda
     NaN (a zero block, determinant underflow) compares False against any
     threshold, so such a block is never cleared.
     """
-    k = sub.shape[-1]
     with np.errstate(all="ignore"):
-        det = np.abs(np.linalg.det(sub) if det is None else det)
-        fro = np.sqrt(np.einsum("cij,cij->c", sub, sub))
-        return det * (k - 1) ** ((k - 1) / 2) / fro**k
+        det = np.linalg.det(sub) if det is None else det
+        return _det_ratio_bound(det, np.einsum("cij,cij->c", sub, sub), sub.shape[-1])
 
 
-def _inverse_ratio_lower_bound(sub: np.ndarray) -> np.ndarray:
+def _det_ratio_bound(det: np.ndarray, fro_sq: np.ndarray, k: int) -> np.ndarray:
+    """beta of k x k blocks from their determinants and squared Frobenius
+    norms.  Callers evaluate it under np.errstate(all="ignore"): F = 0 gives
+    0/0, a NaN that never clears a block."""
+    return np.abs(det) * (k - 1) ** ((k - 1) / 2) / np.sqrt(fro_sq) ** k
+
+
+class _PrefixFactors(NamedTuple):
+    """What _prefix_minors computed for one chunk, kept for _prefix_inverses."""
+
+    q: np.ndarray | None  # (prefixes, k, k): each prefix's complete Q; None without prefix
+    r: np.ndarray | None  # (prefixes, k, p): its R
+    diag: np.ndarray | None  # (prefixes,): prod diag R, carried on proj's row 0
+    proj: np.ndarray  # (t, prefixes, n): Q_2^T M, or M itself without prefix
+    gather: np.ndarray  # (t, subsets): prefix number * n + tail column
+
+
+def _prefix_minors(M: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, _PrefixFactors]]:
+    """(subsets, |det|, beta, factors) for the k x k column subsets of the
+    k x n matrix M, chunk by chunk as iter_subset_chunks(n, k) yields the
+    subsets; beta is stage 1's bound (_det_ratio_bound) and factors what
+    _prefix_inverses reuses for stage 2.
+
+    Each subset splits into a prefix P, its first p = k - t columns with
+    t = min(k, 4), and a tail T of t later columns (_prefix_plan).  With
+    M[:, P] = Q R the complete Householder QR and Q_2 the last t columns of
+    Q, |det M[:, P + T]| = |prod diag R| |det(Q_2^T M[:, T])|: one small QR
+    per prefix and one projection of all n columns onto its Q_2, then one
+    closed-form t x t determinant per subset (_laplace_det) of gathered
+    projections.  beta's F^2, the subset's squared Frobenius norm, sums its
+    columns' squared norms.  The error bounds are in the spark module
+    docstring.
+    """
+    k, n = M.shape
+    t = min(k, 4)
+    p = k - t
+    col_sq = np.einsum("ij,ij->j", M, M)
+    cached = _single_cached_table(n, k)
+    for subsets in iter_subset_chunks(n, k):
+        prefixes, gather = _subset_table(n, k, t) if cached else _prefix_plan(subsets, n, t)
+        if p:
+            q, r = np.linalg.qr(M[:, prefixes].transpose(1, 0, 2), mode="complete")
+            proj = np.matmul(q[:, :, p:].transpose(2, 0, 1), M)  # (t, prefixes, n)
+            # |prod diag R| rides on row 0, which every term of a determinant
+            # of Q_2^T M[:, T] takes exactly one factor from
+            diag = np.prod(np.diagonal(r, axis1=1, axis2=2), axis=1)
+            proj[0] *= diag[:, None]
+        else:
+            q = r = diag = None
+            proj = M[:, None, :]
+        # blocks[r, c, s]: entry (r, c) of Q_2^T M[:, T] for subset s
+        blocks = np.take(proj.reshape(t, -1), gather, axis=1)
+        det = np.abs(_laplace_det(blocks))
+        # each tail column carries a t-th of its prefix's squared norm
+        shares = np.add.outer(col_sq[prefixes].sum(axis=1) / t, col_sq)
+        with np.errstate(all="ignore"):
+            beta = _det_ratio_bound(det, np.take(shares, gather).sum(axis=0), k)
+        yield subsets, det, beta, _PrefixFactors(q, r, diag, proj, gather)
+
+
+def _laplace_det(rows) -> np.ndarray:
+    """Determinants of t x t matrices, t <= 4, stacked along the last axis:
+    rows[r][c] is the vector of entries (r, c).
+
+    Laplace expansion on rows (0, 1): each 2 x 2 minor of those rows times
+    the determinant of the rows below on the complementary columns, with
+    sign (-1)^(i+j+1) for minor columns (i, j); at t = 4, six 2 x 2 minors
+    per row pair.
+    """
+    t = len(rows)
+    if t == 1:
+        return rows[0][0]
+    a, b = rows[0], rows[1]
+    det = None
+    for i, j in itertools.combinations(range(t), 2):
+        term = a[i] * b[j] - a[j] * b[i]
+        rest = [c for c in range(t) if c not in (i, j)]
+        if rest:
+            term *= _laplace_det([[row[c] for c in rest] for row in rows[2:]])
+        if det is None:
+            det = term
+        elif (i + j) % 2:
+            det += term
+        else:
+            det -= term
+    return det
+
+
+def _prefix_inverses(M: np.ndarray, factors: _PrefixFactors, open_: np.ndarray) -> np.ndarray:
+    """Approximate inverses X of the blocks S = M[:, subsets[open_]] of one
+    _prefix_minors chunk, (count, k, k), from that chunk's prefix QRs.
+
+    With M[:, P] = Q R, Q = [Q_1 Q_2] and R_11 the top p x p block of R,
+    Q^T S = [[R_11, B], [0, Z]] for B = Q_1^T M[:, T] and Z = Q_2^T M[:, T],
+    so S^-1 = [[G - W Z^-1 Q_2^T], [Z^-1 Q_2^T]] with G = R_11^-1 Q_1^T and
+    W = R_11^-1 B, the tail columns of G M.  G and G M are taken once per
+    prefix, by back substitution on the triangular R_11; each block costs
+    the t x t inverse of Z (_cofactor_inverse) and two small products, where
+    np.linalg.inv makes one LAPACK call per block.  Without prefix (k <= 4)
+    X = S^-1 by cofactors alone.
+
+    Stage 2's bound holds for any X (spark module docstring), so no step
+    needs to be accurate for it to be sound; a zero pivot of R_11, a zero
+    prod diag R or an exactly singular Z gives an infinite or NaN X, whose
+    bound is NaN and leaves the block open.  Call under np.errstate(all=
+    "ignore").
+    """
+    k, n = M.shape
+    t = min(k, 4)
+    p = k - t
+    picked = factors.gather[:, open_]
+    z = np.take(factors.proj.reshape(t, -1), picked, axis=1)  # (t, t, count): z[:, i] = Q_2^T m_(T_i)
+    if not p:
+        return _cofactor_inverse(z)
+    prefix = picked[0] // n
+    z[0] /= factors.diag[prefix]  # undo the prod diag R carried on row 0
+    q, r = factors.q, factors.r
+    g = np.empty((len(q), p, k))  # R_11 G = Q_1^T, bottom row first
+    for i in range(p - 1, -1, -1):
+        row = q[:, :, i] - np.matmul(r[:, i : i + 1, i + 1 : p], g[:, i + 1 :])[:, 0]
+        g[:, i] = row / r[:, i, i, None]
+    # w[s] = W for block s: its tail columns of G M, (count, p, t)
+    w = np.take(np.matmul(g, M).transpose(1, 0, 2).reshape(p, -1), picked.T, axis=1).transpose(1, 0, 2)
+    x = np.empty((len(prefix), k, k))
+    np.matmul(_cofactor_inverse(z), np.ascontiguousarray(q[:, :, p:].transpose(0, 2, 1))[prefix], out=x[:, p:])
+    np.subtract(g[prefix], np.matmul(w, x[:, p:]), out=x[:, :p])
+    return x
+
+
+# The 4 x 4 cofactor expansion behind _cofactor_inverse.  _PAIRS lists the
+# column pairs (i, j), i < j.  The cofactor of entry (r, c) expands along row
+# _ALONG[r], the other row of r's pair of rows (0, 1) or (2, 3), into the
+# 2 x 2 minors of the opposite pair of rows: for j = 0, 1, 2 the entry in
+# column _OTHERS[c, j] (the columns other than c, in order) times the minor
+# on the pair _REST[c, j] left over, with sign (-1)^j, all times (-1)^(r+c).
+_PAIRS = tuple(itertools.combinations(range(4), 2))
+_PAIR_I, _PAIR_J = (np.array(side) for side in zip(*_PAIRS))
+_ALONG = np.array([1, 0, 3, 2])
+_OPPOSITE = np.array([1, 1, 0, 0])  # rows (2, 3) for r = 0, 1, rows (0, 1) for r = 2, 3
+_OTHERS = np.array([[d for d in range(4) if d != c] for c in range(4)])
+_REST = np.array(
+    [[_PAIRS.index(tuple(e for e in range(4) if e not in (c, d))) for d in _OTHERS[c]] for c in range(4)]
+)
+_EXPANSION_SIGN = np.array([1.0, -1.0, 1.0])[:, None]  # (-1)^j
+_COFACTOR_SIGN = (-1.0) ** np.add.outer(np.arange(4), np.arange(4))[:, :, None]  # (-1)^(r+c)
+
+
+def _cofactor_inverse(z: np.ndarray) -> np.ndarray:
+    """Inverses of t x t matrices, t <= 4, stacked along the last axis of z
+    (z[r, c] is the vector of entries (r, c)), as a (count, t, t) array.
+
+    X = adj(A) / det A for A = z padded to 4 x 4 with an identity block,
+    every cofactor from the twelve 2 x 2 minors of rows (0, 1) and (2, 3)
+    (see _PAIRS).  A zero determinant gives an infinite or NaN X.  Call
+    under np.errstate(all="ignore").
+    """
+    t, _, count = z.shape
+    if t < 4:
+        a = np.zeros((4, 4, count))
+        a[range(t, 4), range(t, 4)] = 1.0
+        a[:t, :t] = z
+    else:
+        a = z
+    minors = a[[0, 2]][:, _PAIR_I] * a[[1, 3]][:, _PAIR_J] - a[[0, 2]][:, _PAIR_J] * a[[1, 3]][:, _PAIR_I]
+    terms = a[_ALONG][:, _OTHERS] * minors[_OPPOSITE][:, _REST]  # (r, c, j, count)
+    cofactor = _COFACTOR_SIGN * np.sum(_EXPANSION_SIGN * terms, axis=2)
+    det = np.sum(a[0] * cofactor[0], axis=0)
+    return np.ascontiguousarray((cofactor / det).transpose(2, 1, 0)[:, :t, :t])
+
+
+def _inverse_ratio_lower_bound(sub: np.ndarray, inv: np.ndarray | None = None) -> np.ndarray:
     """beta' = (1 - (1+2u) ||R||_F) / (||S||_F ||X||_F) - gamma_k <=
-    sigma_min/sigma_max per square block S, with X = fl(S^-1) the computed
-    inverse, R = fl(S X - I) its computed residual, u = 2^-53 and
-    gamma_k = k u / (1 - k u).  The proof, valid for any computed X, is in the
-    spark module docstring.
+    sigma_min/sigma_max per square block S, with X an approximate inverse,
+    R = fl(S X - I) its computed residual, u = 2^-53 and
+    gamma_k = k u / (1 - k u).  The proof, valid for any X, is in the spark
+    module docstring.
 
-    sub is a (count, k, k) stack with nonzero finite determinants, since
-    np.linalg.inv raises on an exactly singular member.  An overflowed
-    inverse gives a NaN or nonpositive bound, which never clears a block.
+    X is inv if given (_prefix_inverses), else np.linalg.inv's; then sub
+    must have nonzero finite determinants, since np.linalg.inv raises on an
+    exactly singular member.  An overflowed or NaN X gives a NaN or
+    nonpositive bound, which never clears a block.
     """
     k = sub.shape[-1]
     u = 2.0**-53
     with np.errstate(all="ignore"):
-        inv = np.linalg.inv(sub)
+        inv = np.linalg.inv(sub) if inv is None else inv
         res = np.matmul(sub, inv)
         diag = np.arange(k)
         res[:, diag, diag] -= 1.0

@@ -38,19 +38,53 @@ sigma_min = |det| / prod_{i<k} sigma_i >= |det| ((k-1)/F^2)^((k-1)/2)
 
     beta = |det| (k-1)^((k-1)/2) / F^k <= sigma_min / sigma_max.
 
-Its margin covers floating point: a cleared block has condition number below
+The determinant comes from one of two kernels, chosen by the size of the
+enumeration alone (numerics.PREFIX_MINORS_MIN_SUBSETS = 256 subsets).  Up to
+it, one batched LU per chunk: a cleared block has condition number below
 1/beta, so the LU determinant's relative error is at most about
-k^2 eps / beta, under 1e-3 even at beta = 1e-10 (tol_rel = 1e-13), and the
-SVD's own ratio is off by about k eps absolute; both sit far inside the
-factor SCREEN_FACTOR = 10^3 between a cleared subset and the tolerance, so
-every cleared subset would also pass the SVD test.  A NaN or zero beta (a
-zero column, F = 0, determinant underflow) leaves the subset open.
+k^2 eps / beta, under 1e-3 even at beta = 1e-10 (tol_rel = 1e-13).  Beyond
+it, shared-prefix minors (numerics._prefix_minors).  In lexicographic order
+the subsets S = M[:, P + T] that share their first p = k - t columns P,
+t = min(k, 4), are consecutive; with M[:, P] = Q R the complete Householder
+QR and Q_2 the last t columns of Q, |det S| = |prod diag R| |det Z| for
+Z = Q_2^T M[:, T], so each prefix costs one QR and each subset one t x t
+determinant, taken in closed form by Laplace expansion on rows (0, 1).
 
-Stage 2, the inverse-norm screen, runs only on what stage 1 leaves open, and
-only where stage 1's determinant is nonzero and finite, so that no exactly
-singular block reaches the inverse (np.linalg.inv raises on one).  Let X be
-the computed inverse of a block S, R = fl(fl(S X) - I) its computed residual
-and E = S X - I the exact one.  Each entry of fl(S X) is a k-term dot
+The prefix kernel's error, with columns s_j of S, D = prod_j ||s_j||_2 and
+u = 2^-53.  Householder QR is columnwise backward stable (Higham, Accuracy
+and Stability of Numerical Algorithms, 2nd ed., chapter 19): the computed R
+is exact for M[:, P] + dM_P with ||dm_j||_2 <= eps ||m_j||_2 for every
+column, and so, through the computed Q, is the computed projection
+fl(Q_2^T M[:, T]) for M[:, T] + dM_T; eps is of order k^2 u (the tests take
+eps = 4 k^2 u).  Hence computed R and Z are exact for one S + dS, and
+det(S + dS) = +-prod diag R det Z.  The closed form rounds each of the t!
+products of Z's entries at most 10 times (two per 2 x 2 minor, one for
+their product, five for the six-term sum), and prod diag R, carried on row
+0, p times more, so its error is at most
+gamma_(k+10) |prod diag R| per(|Z|) <= 16 gamma_(k+10) |prod diag R|
+prod_c ||z_c||_2, with gamma_j = j u / (1 - j u) and per the permanent;
+||z_c||_2 <= ||s_c + ds_c||_2 and, by Hadamard's inequality,
+|prod diag R| <= prod_{j in P} ||s_j + ds_j||_2.  Expanding det(S + dS)
+column by column gives
+
+    | computed |det| - |det S| | <= eta D,
+    eta = (1 + eps)^k (1 + 16 gamma_(k+10)) - 1,
+
+and with D <= (F^2/k)^(k/2) (AM-GM) and (k-1)^((k-1)/2) <= k^(k/2) / sqrt(k),
+the computed beta is at most sigma_min/sigma_max + eta/sqrt(k), up to a
+relative O(k u) from rounding F^2 (summed from the columns' squared norms).
+At k = 18 eta/sqrt(k) is 6e-13, under 1e-2 of the smallest threshold
+SCREEN_FACTOR * 1e-13, and at k = 8 it is 9e-14.
+
+Either way the margin covers floating point: neither kernel's error, nor the
+SVD's own ratio, which is off by about k eps absolute, comes near the factor
+SCREEN_FACTOR = 10^3 between a cleared subset and the tolerance, so every
+cleared subset would also pass the SVD test.  A NaN or zero beta (a zero
+column, F = 0, determinant underflow) leaves the subset open.
+
+Stage 2, the inverse-norm screen, runs only on what stage 1 leaves open.
+Let X be an approximate inverse of a block S, R = fl(fl(S X) - I) its
+computed residual and E = S X - I the exact one.  Each entry of fl(S X) is a k-term dot
 product, so |fl(S X) - S X| <= gamma_k |S| |X| entrywise in any summation
 order, with gamma_k = k u / (1 - k u) and u = 2^-53, and subtracting I
 rounds once more (Higham, Accuracy and Stability of Numerical Algorithms,
@@ -63,17 +97,34 @@ sigma_min >= (1 - ||E||_F) / ||X||_F; with sigma_max <= ||S||_F,
     beta' = (1 - (1 + 2u) ||R||_F) / (||S||_F ||X||_F) - gamma_k
           <= sigma_min / sigma_max.
 
-The bound is a posteriori: it holds for whatever X the LU returns, with no
+The bound is a posteriori: it holds for whatever X is used, with no
 growth factor, so for every k (2 MAX_M + 2 = 18 included) and every
 tolerance; a poor X only makes beta' small, negative or NaN (an overflowed
-inverse), which leaves the subset open.  Evaluating beta' in floating point
-adds a relative error of order k^2 u from the three norms, and underflow in
-fl(S X) at most k 2^-1074 per entry; like the SVD's own error, both sit far
-inside SCREEN_FACTOR.  Stage 2 reuses stage 1's determinants, and it is not
-run on the subsets stage 1 already clears: a batched inverse of C(14, 8)
-8 x 8 blocks takes 4.7 ms against 1.7 ms for their determinants (one x86-64
-core, OpenBLAS).  Tall levels (k < rows: the ascending fallback and
+or undefined inverse), which leaves the subset open.  Evaluating beta' in
+floating point adds a relative error of order k^2 u from the three norms,
+and underflow in fl(S X) at most k 2^-1074 per entry; like the SVD's own
+error, both sit far inside SCREEN_FACTOR.  Stage 2 is not run on the
+subsets stage 1 already clears: a batched inverse of C(14, 8) 8 x 8 blocks
+takes 4.7 ms against 1.7 ms for their determinants (one x86-64 core,
+OpenBLAS).  Tall levels (k < rows: the ascending fallback and
 rank-deficient inputs) keep the plain SVD.
+
+X comes from the kernel that gave stage 1 its determinants.  On the LU
+path it is np.linalg.inv's, taken only where the LU determinant is nonzero
+and finite, since np.linalg.inv raises on an exactly singular block.  On
+the prefix path it is built from the prefix QRs (numerics._prefix_inverses):
+with Q^T S = [[R_11, B], [0, Z]], S^-1 = [[G - W Z^-1 Q_2^T], [Z^-1 Q_2^T]]
+for G = R_11^-1 Q_1^T and W = R_11^-1 B, so G is taken once per prefix and
+each open block costs one t x t cofactor inverse of Z and two small
+products instead of a LAPACK call.  Nothing there raises: a zero pivot of
+R_11 or an exactly singular Z gives an infinite or NaN X, which leaves the
+subset open, so the prefix path takes no LU at all.  It also halves what
+each subset stage 1 leaves open adds to a probe, which is what makes probe
+times differ between instances of one shape: on the 8 x 14 A_t of
+prop1-spark stage 1 leaves 16 to 1,390 of the 3,003 subsets open, and each
+costs about 2 us through an LU gate and np.linalg.inv, about 1 us through
+the prefix inverse, bound included, after a fixed 0.1 ms or so per chunk
+for G (nominal x86-64 core, OpenBLAS, one thread).
 
 Stage 1 (numerics._ratio_lower_bound, SCREEN_FACTOR) has a second caller:
 the basis scan of solvers.enumerate_basic_solutions clears the square bases
@@ -92,14 +143,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .matgen import AugmentedSpec, DenseMatrix, VandermondeSpec, build_augmented_t, build_vandermonde
 from .numerics import (
+    PREFIX_MINORS_MIN_SUBSETS,
     RANK_TOL,
     SCREEN_FACTOR,
     _inverse_ratio_lower_bound,
+    _prefix_inverses,
+    _prefix_minors,
     _ratio_lower_bound,
     check_budget,
     iter_subset_chunks,
@@ -210,18 +265,46 @@ def _first_dependent(M: np.ndarray, k: int, tol_rel: float) -> tuple[int, ...] |
     if k > m_rows:
         # More columns than rows: dependent outright, so the first k columns.
         return tuple(range(k))
-    for subsets in iter_subset_chunks(n, k):
+    if k == m_rows:
+        chunks = _open_square_subsets(M, SCREEN_FACTOR * tol_rel)
+    else:
+        chunks = iter_subset_chunks(n, k)
+    for subsets in chunks:
         sub = M[:, subsets].transpose(1, 0, 2)  # (chunk, m_rows, k)
-        if k == m_rows:
-            open_ = _open_after_screens(sub, SCREEN_FACTOR * tol_rel)
-            if not np.any(open_):
-                continue
-            subsets, sub = subsets[open_], sub[open_]
         dependent = numerical_rank(np.linalg.svd(sub, compute_uv=False), tol_rel) < k
         if np.any(dependent):
             idx = int(np.argmax(dependent))  # first hit = lex smallest
             return tuple(int(j) for j in subsets[idx])
     return None
+
+
+def _open_square_subsets(M: np.ndarray, threshold: float) -> Iterator[np.ndarray]:
+    """The k-subsets of the k-row M's columns that neither screen clears above
+    threshold, as nonempty chunks in lexicographic order.
+
+    Up to PREFIX_MINORS_MIN_SUBSETS subsets, every subset goes to
+    _open_after_screens, whose batched LU serves both stages.  Beyond, stage 1
+    reads the shared-prefix minors (_prefix_minors), and stage 2 takes the
+    subsets they leave open with inverses built from the same prefix QRs
+    (_prefix_inverses), so the prefix path takes no LU.
+    """
+    k, n = M.shape
+    if math.comb(n, k) <= PREFIX_MINORS_MIN_SUBSETS:
+        for subsets in iter_subset_chunks(n, k):
+            subsets = subsets[_open_after_screens(M[:, subsets].transpose(1, 0, 2), threshold)]
+            if len(subsets):
+                yield subsets
+        return
+    for subsets, _, beta, factors in _prefix_minors(M):
+        open_ = ~(beta > threshold)
+        if not np.any(open_):
+            continue
+        subsets = subsets[open_]
+        with np.errstate(all="ignore"):
+            inv = _prefix_inverses(M, factors, open_)
+        subsets = subsets[~(_inverse_ratio_lower_bound(M[:, subsets].transpose(1, 0, 2), inv) > threshold)]
+        if len(subsets):
+            yield subsets
 
 
 def _open_after_screens(sub: np.ndarray, threshold: float) -> np.ndarray:

@@ -370,7 +370,8 @@ def test_cached_subset_table_is_read_only_and_repeatable():
 
 
 def test_subset_table_cache_holds_at_most_its_stated_bytes():
-    # the bound stated beside SUBSET_TABLE_CELLS: 32 tables of 2**15 indices
+    # the bound stated beside SUBSET_TABLE_CELLS: 32 tables or prefix plans
+    # of 2**15 indices
     itemsize = np.dtype(np.intp).itemsize
     per_table = numerics.SUBSET_TABLE_CELLS * itemsize
     assert numerics.SUBSET_TABLE_CACHE * per_table <= 8 * 2**20
@@ -378,13 +379,18 @@ def test_subset_table_cache_holds_at_most_its_stated_bytes():
     try:
         # every single-chunk enumeration up to n = 16, and the edge of the
         # cell cap: C(181, 180) x 180 = 32,580 entries fit, C(182, 181) x 181
-        # = 32,942 do not and come out writable, outside the cache
+        # = 32,942 do not and come out writable, outside the cache.  A cached
+        # table's prefix plan is read-only and holds no more bytes than it
         pairs = [(n, k) for n in range(1, 17) for k in range(1, n + 1) if math.comb(n, k) <= BLOCK]
         for n, k in pairs + [(181, 180), (182, 181)]:
             (table,) = iter_subset_chunks(n, k)
             cached = not table.flags.writeable
             assert cached == (math.comb(n, k) * k <= numerics.SUBSET_TABLE_CELLS), (n, k)
             assert not cached or table.nbytes <= per_table
+            if cached:
+                plan = numerics._subset_table(n, k, min(k, 4))
+                assert not any(a.flags.writeable for a in plan)
+                assert sum(a.nbytes for a in plan) <= table.nbytes
         info = numerics._subset_table.cache_info()
         assert info.maxsize == numerics.SUBSET_TABLE_CACHE
         assert info.currsize == numerics.SUBSET_TABLE_CACHE < len(pairs)

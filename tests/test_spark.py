@@ -1,6 +1,7 @@
 import itertools
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,12 +16,24 @@ from lp_equiv.matgen import (
     build_vandermonde,
     sample_instance,
 )
-from lp_equiv.numerics import RANK_TOL, BudgetExceededError, iter_subset_chunks, numerical_rank
+from lp_equiv import spark
+from lp_equiv.numerics import (
+    BLOCK,
+    PREFIX_MINORS_MIN_SUBSETS,
+    RANK_TOL,
+    BudgetExceededError,
+    _cofactor_inverse,
+    _prefix_inverses,
+    _prefix_minors,
+    iter_subset_chunks,
+    numerical_rank,
+)
 from lp_equiv.spark import (
     SCREEN_FACTOR,
     _equilibrated,
     _inverse_ratio_lower_bound,
     _open_after_screens,
+    _open_square_subsets,
     _ratio_lower_bound,
     check_submatrix_invertibility,
     compute_spark,
@@ -257,6 +270,12 @@ def test_spark_matches_ascending_reference_property():
 SCREEN_TOLS = (1e-13, RANK_TOL, 1e-9, 1e-6, 1e-4, 1e-2)
 
 
+def minors_leave_open(M: np.ndarray, threshold: float) -> np.ndarray:
+    """Mask, in lexicographic order, of the square column subsets of M that
+    stage 1 on shared-prefix minors leaves open."""
+    return np.concatenate([~(beta > threshold) for _, _, beta, _ in _prefix_minors(M)])
+
+
 def planted_square_block(rho: float, extra: int = 2, seed: int = 3) -> np.ndarray:
     """4 x (4 + extra) matrix whose first four columns have sigma ratio rho.
 
@@ -323,6 +342,9 @@ def test_screen_bound_is_below_the_svd_ratio_property():
         log_scale=st.floats(-3.0, 3.0),
         seed=st.integers(0, 2**32 - 1),
     )
+    # beta exceeds the float SVD ratio by 1.3e-9 here, and the exact ratio by
+    # 1.2e-10: the depth cap does not bound the ratio of two random columns
+    @hypothesis.example(k=2, kind="near-dependent column", depth=4.0, log_scale=0.22265625, seed=189173573)
     def check(k, kind, depth, log_scale, seed):
         rng = np.random.default_rng(seed)
         if k == 2:
@@ -344,7 +366,10 @@ def test_screen_bound_is_below_the_svd_ratio_property():
         A *= 10.0**log_scale
         s = np.linalg.svd(A, compute_uv=False)
         beta = _ratio_lower_bound(A[None])[0]
-        assert beta <= s[-1] / s[0] * (1.0 + 1e-9)
+        # the float ratio is off by about k eps absolute, so a comparison it
+        # fails is decided by a 50-digit SVD
+        if not beta <= s[-1] / s[0] * (1.0 + 1e-9):
+            assert beta <= _mp_ratio(A) * (1.0 + 1e-9)
 
     check()
 
@@ -352,19 +377,28 @@ def test_screen_bound_is_below_the_svd_ratio_property():
 def test_screen_spares_most_svds_on_prop1(monkeypatch):
     # A_t for m = 3, n = 9 is 8 x 14: the level-8 probe scans C(14, 8) square
     # subsets, and the two screens clear every one of them, so the only SVD
-    # left is the rank SVD of A_t itself
-    seen = []
-    svd = np.linalg.svd
+    # left is the rank SVD of A_t itself.  Stage 1 reads shared-prefix
+    # minors and stage 2 builds the inverses of the 88 subsets it leaves
+    # open (measured) from the same prefix QRs, so the probe takes no LU
+    # determinant and no LAPACK inverse
+    seen = {"svd": [], "det": [], "inv": []}
 
-    def counting_svd(a, *args, **kwargs):
-        a = np.asarray(a)
-        seen.append(math.prod(a.shape[:-2]))
-        return svd(a, *args, **kwargs)
+    def counting(name):
+        call = getattr(np.linalg, name)
 
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        def counted(a, *args, **kwargs):
+            a = np.asarray(a)
+            seen[name].append(math.prod(a.shape[:-2]))
+            return call(a, *args, **kwargs)
+
+        return counted
+
+    for name in seen:
+        monkeypatch.setattr(np.linalg, name, counting(name))
     report = verify_prop1(AugmentedSpec(sample_instance(3, 9, seed=0), x_t=0.1, y_t=0.01))
     assert report.passes
-    assert seen == [1]
+    assert seen["svd"] == [1]
+    assert seen["det"] == [] and seen["inv"] == []
 
 
 def test_screen_raises_no_warning_on_zero_columns():
@@ -432,12 +466,14 @@ def test_inverse_screen_bound_is_below_the_svd_ratio_property():
     check()
 
 
-def test_screens_clear_no_block_at_or_below_the_rank_tolerance():
+def test_screens_clear_no_block_at_or_below_the_rank_tolerance(monkeypatch):
     # synthetic k x k blocks with sigma ratios 1e-16..1e-6 and rows graded
-    # over 1e-3..1e3: none whose SVD ratio is <= RANK_TOL may be cleared
+    # over 1e-3..1e3: none whose SVD ratio is <= RANK_TOL may be cleared, by
+    # the LU path or by the shared-prefix path (forced here for one subset)
     rng = np.random.default_rng(20)
     threshold = SCREEN_FACTOR * RANK_TOL
-    dependent = cleared = 0
+    monkeypatch.setattr(spark, "PREFIX_MINORS_MIN_SUBSETS", 0)
+    dependent = cleared = cleared_by_minors = 0
     for k in range(2, 9):
         blocks = []
         for exponent in range(-16, -5):
@@ -452,9 +488,15 @@ def test_screens_clear_no_block_at_or_below_the_rank_tolerance():
         at_or_below = s[:, -1] <= RANK_TOL * s[:, 0]
         open_ = _open_after_screens(blocks, threshold)
         assert open_[at_or_below].all(), k
+        minors_open = np.array([minors_leave_open(b, threshold)[0] for b in blocks])
+        prefix_open = np.array([any(True for _ in _open_square_subsets(b, threshold)) for b in blocks])
+        assert minors_open[at_or_below].all() and prefix_open[at_or_below].all(), k
         dependent += int(at_or_below.sum())
         cleared += int((~open_).sum())
-    assert dependent > 1000 and cleared > 50  # the probe is not vacuous
+        cleared_by_minors += int((~minors_open).sum())
+    # the probe is not vacuous; stage 1 alone clears 44 blocks, all at k = 2,
+    # from either kernel
+    assert dependent > 1000 and cleared > 50 and cleared_by_minors > 40
 
 
 def test_screens_leave_an_exactly_singular_member_open_without_warning():
@@ -466,6 +508,220 @@ def test_screens_leave_an_exactly_singular_member_open_without_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert _open_after_screens(batch, SCREEN_FACTOR * RANK_TOL).tolist() == [False, True, True, True]
+
+
+def test_prefix_stage_2_leaves_exactly_singular_subsets_open():
+    # a nonzero prefix minor does not mean LU meets no zero pivot.  In this
+    # 0/+-1 matrix with a repeated column (equilibration leaves it as it is)
+    # C(12, 5) = 792 subsets take the prefix path, and stage 1 leaves open
+    # subsets whose minor is a rounding residue but whose LU determinant is
+    # exactly zero, a batch np.linalg.inv raises on.  The prefix path's
+    # stage 2 builds its inverses from the prefix QRs instead, and must leave
+    # every exactly singular subset open without an error or a warning
+    M = np.random.default_rng(0).integers(-1, 2, size=(5, 12)).astype(float)
+    M[:, 1] = M[:, 0]
+    assert np.array_equal(_equilibrated(M), M) and math.comb(12, 5) > PREFIX_MINORS_MIN_SUBSETS
+    ((subsets, det, beta, factors),) = _prefix_minors(M)
+    sub = M[:, subsets].transpose(1, 0, 2)
+    singular = np.linalg.det(sub) == 0.0
+    reach = minors_leave_open(M, SCREEN_FACTOR * RANK_TOL) & (det != 0.0) & singular
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(sub[reach])
+    open_ = ~(beta > SCREEN_FACTOR * RANK_TOL)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(all="ignore"):
+            inv = _prefix_inverses(M, factors, open_)
+        cleared = _inverse_ratio_lower_bound(sub[open_], inv) > SCREEN_FACTOR * RANK_TOL
+    assert not np.any(cleared & singular[open_])
+    # five zero columns: one subset has F = 0, so stage 1's beta is 0/0
+    zeros = np.hstack([M[:, 2:9], np.zeros((5, 5))])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert assert_matches_reference(DenseMatrix(M))[0] == 2
+        assert assert_matches_reference(DenseMatrix(zeros)) == (1, (7,))
+
+
+@pytest.mark.parametrize("n, k", [(7, 1), (7, 3), (8, 4), (11, 6), (14, 8), (16, 8)])
+def test_prefix_minors_follow_the_subset_chunks(n, k):
+    # the kernel walks iter_subset_chunks, so the probe keeps lexicographic
+    # order: k <= 4 has no prefix, (16, 8) has 12,870 subsets, more than one
+    # BLOCK, and plans each chunk on its own.  Minors agree with LU's to
+    # 1e-12 prod_j ||s_j||, so stage 1's bounds agree to 1e-12 / sqrt(k)
+    M = np.random.default_rng(n * k).standard_normal((k, n))
+    got = list(_prefix_minors(M))
+    want = list(iter_subset_chunks(n, k))
+    assert len(got) == len(want) == math.ceil(math.comb(n, k) / BLOCK)
+    for (subsets, det, beta, _), chunk in zip(got, want):
+        assert np.array_equal(subsets, chunk)
+        sub = M[:, chunk].transpose(1, 0, 2)
+        scale = np.prod(np.linalg.norm(sub, axis=1), axis=1)
+        assert np.all(np.abs(det - np.abs(np.linalg.det(sub))) <= 1e-12 * scale)
+        assert np.all(np.abs(beta - _ratio_lower_bound(sub)) <= 1e-12)
+
+
+def _exact_abs_det(S: np.ndarray) -> Fraction:
+    """|det S| exactly, by Gaussian elimination over the rationals (every
+    float is one).  mpmath.det raises TypeError on some exactly singular
+    matrices, such as one with a zero first column."""
+    a = [[Fraction(x) for x in row] for row in S.tolist()]
+    det = Fraction(1)
+    for c in range(len(a)):
+        pivot = next((r for r in range(c, len(a)) if a[r][c]), None)
+        if pivot is None:
+            return Fraction(0)
+        a[c], a[pivot] = a[pivot], a[c]
+        det *= a[c][c]
+        for r in range(c + 1, len(a)):
+            f = a[r][c] / a[c][c]
+            a[r][c:] = [x - f * y for x, y in zip(a[r][c:], a[c][c:])]
+    return abs(det)
+
+
+def test_prefix_minors_sit_within_their_error_bound_property():
+    # the spark module docstring bounds the computed |det| of a subset S by
+    # eta prod_j ||s_j|| around |det S|, eta = (1 + eps)^k (1 + 16
+    # gamma_(k+10)) - 1 with eps = 4 k^2 u, and so stage 1's beta by
+    # sigma_min/sigma_max + eta/sqrt(k).  On a few subsets of each wide
+    # matrix, the first against the exact determinant, the second against
+    # the float ratio or, where that fails, a 50-digit SVD; a NaN beta never
+    # clears
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    u = 2.0**-53
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(
+        k=st.integers(1, 10),
+        extra=st.integers(0, 5),
+        kind=st.sampled_from(["random", "graded rows", "near-dependent", "duplicate", "zero", "identity"]),
+        depth=st.floats(0.0, 12.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def check(k, extra, kind, depth, seed):
+        rng = np.random.default_rng(seed)
+        n = k + extra
+        M = rng.standard_normal((k, n))
+        j = int(rng.integers(n))
+        if kind == "graded rows":
+            M *= 10.0 ** rng.uniform(-3.0, 3.0, size=(k, 1))
+        elif kind == "near-dependent" and j > 0:
+            M[:, j] = M[:, :j] @ rng.standard_normal(j) + 10.0**-depth * rng.standard_normal(k)
+        elif kind == "duplicate" and j > 0:
+            M[:, j] = M[:, rng.integers(j)]
+        elif kind == "zero":
+            M[:, j] = 0.0
+        elif kind == "identity":
+            # A_t's shape: unit columns on the last rows, right of the rest
+            q = min(k, extra + 1)
+            M[:, n - q :] = np.eye(k)[:, k - q :]
+        chunks = list(_prefix_minors(M))
+        subsets, det, beta = (np.concatenate([c[i] for c in chunks]) for i in range(3))
+        gamma = (k + 10) * u / (1.0 - (k + 10) * u)
+        eta = (1.0 + 4.0 * k * k * u) ** k * (1.0 + 16.0 * gamma) - 1.0
+        picks = {0, len(subsets) - 1, *rng.integers(len(subsets), size=2).tolist()}
+        for i in sorted(picks):
+            S = M[:, subsets[i]]
+            D = float(np.prod(np.linalg.norm(S, axis=0)))
+            assert abs(Fraction(float(det[i])) - _exact_abs_det(S)) <= Fraction(eta * D), (i, subsets[i])
+            if np.isnan(beta[i]):
+                continue
+            s = np.linalg.svd(S, compute_uv=False)
+            slack = eta / math.sqrt(k)
+            if not beta[i] <= s[-1] / s[0] * (1.0 + 1e-9) + slack:
+                assert beta[i] <= _mp_ratio(S) * (1.0 + 1e-9) + slack
+
+    check()
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 4])
+def test_cofactor_inverse_matches_lapack(t):
+    # _cofactor_inverse takes its matrices entry-major (z[r, c] is the vector
+    # of entries (r, c)); it agrees with LU's inverse to rounding, and a
+    # member with a zero row, an exactly zero determinant, comes out
+    # infinite or NaN without a warning
+    rng = np.random.default_rng(t)
+    A = rng.standard_normal((200, t, t)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(200, t, 1))
+    A[0, 0] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(all="ignore"):
+            X = _cofactor_inverse(np.ascontiguousarray(A.transpose(1, 2, 0)))
+    assert X.shape == A.shape and not np.isfinite(X[0]).all()
+    want = np.linalg.inv(A[1:])
+    cond = np.linalg.cond(A[1:])
+    err = np.linalg.norm(X[1:] - want, axis=(1, 2)) / np.linalg.norm(want, axis=(1, 2))
+    assert np.all(err <= 1e-14 * cond)
+
+
+@pytest.mark.parametrize("n, k", [(9, 2), (14, 4), (11, 5), (11, 6), (14, 8), (16, 8), (14, 10)])
+def test_prefix_inverses_invert_the_subsets_they_are_given(n, k):
+    # stage 2's inverses on the prefix path come from the prefix QRs: for any
+    # mask of a chunk's subsets they are inverses to rounding, ||S X - I||_F
+    # within 1e-14 cond_F(S); (9, 2) and (14, 4) have no prefix, (16, 8) has
+    # more than one chunk and (14, 10) a prefix of six columns
+    rng = np.random.default_rng(n * k)
+    M = rng.standard_normal((k, n)) * 10.0 ** rng.uniform(-2.0, 2.0, size=(k, 1))
+    for subsets, _, _, factors in _prefix_minors(M):
+        mask = rng.random(len(subsets)) < 0.5
+        S = M[:, subsets[mask]].transpose(1, 0, 2)
+        with np.errstate(all="ignore"):
+            X = _prefix_inverses(M, factors, mask)
+        residual = np.linalg.norm(np.matmul(S, X) - np.eye(k), axis=(1, 2))
+        cond = np.linalg.norm(S, axis=(1, 2)) * np.linalg.norm(np.linalg.inv(S), axis=(1, 2))
+        assert X.shape == S.shape and np.all(residual <= 1e-14 * cond)
+
+
+def test_prefix_inverse_bound_is_below_the_svd_ratio_property():
+    # beta' holds for any X (spark module docstring), so with the prefix
+    # path's inverses it still sits below sigma_min/sigma_max up to the
+    # rounding of its norms, also where X is poor, infinite or NaN: exactly
+    # singular subsets (duplicate or zero columns, zero prefix pivots) are
+    # never cleared.  Float ratios that fail are decided by a 50-digit SVD
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(
+        k=st.integers(1, 10),
+        extra=st.integers(0, 5),
+        kind=st.sampled_from(["random", "graded rows", "near-dependent", "duplicate", "zero", "identity"]),
+        depth=st.floats(0.0, 12.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def check(k, extra, kind, depth, seed):
+        rng = np.random.default_rng(seed)
+        n = k + extra
+        M = rng.standard_normal((k, n))
+        j = int(rng.integers(n))
+        if kind == "graded rows":
+            M *= 10.0 ** rng.uniform(-3.0, 3.0, size=(k, 1))
+        elif kind == "near-dependent" and j > 0:
+            M[:, j] = M[:, :j] @ rng.standard_normal(j) + 10.0**-depth * rng.standard_normal(k)
+        elif kind == "duplicate" and j > 0:
+            M[:, j] = M[:, rng.integers(j)]
+        elif kind == "zero":
+            M[:, j] = 0.0
+        elif kind == "identity":
+            q = min(k, extra + 1)
+            M[:, n - q :] = np.eye(k)[:, k - q :]
+        for subsets, _, _, factors in _prefix_minors(M):
+            picks = np.zeros(len(subsets), dtype=bool)
+            picks[[0, -1, *rng.integers(len(subsets), size=2).tolist()]] = True
+            S = M[:, subsets[picks]].transpose(1, 0, 2)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with np.errstate(all="ignore"):
+                    inv = _prefix_inverses(M, factors, picks)
+                beta = _inverse_ratio_lower_bound(S, inv)
+            for block, b in zip(S, beta):
+                if np.isnan(b) or b <= 0.0:
+                    continue
+                s = np.linalg.svd(block, compute_uv=False)
+                if not b <= s[-1] / s[0] * (1.0 + 1e-9):
+                    assert b <= _mp_ratio(block) * (1.0 + 1e-9)
+
+    check()
 
 
 def test_submatrix_positivity_for_positive_nodes():

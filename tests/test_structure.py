@@ -15,12 +15,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lp_equiv.numerics import RANK_TOL, SCREEN_FACTOR, _ratio_lower_bound, iter_subset_chunks, numerical_rank
-from lp_equiv.spark import _equilibrated, _open_after_screens
+from lp_equiv.numerics import (
+    PREFIX_MINORS_MIN_SUBSETS,
+    RANK_TOL,
+    SCREEN_FACTOR,
+    _prefix_minors,
+    _ratio_lower_bound,
+    iter_subset_chunks,
+    numerical_rank,
+)
+from lp_equiv.spark import _equilibrated, _open_after_screens, _open_square_subsets
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from test_solvers import _recorded_svd_solves  # noqa: E402
-from test_spark import ascending_spark  # noqa: E402
+from test_spark import ascending_spark, minors_leave_open  # noqa: E402
 from tracer import Tracer  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
@@ -156,27 +164,68 @@ def test_cleared_bases_skip_the_svd(monkeypatch):
 
 def test_prop1_probe_makes_only_the_rank_svds(prop1_metrics):
     # the two screens clear every square subset of the seed-1 certificates,
-    # so the only SVD left per certificate is the rank SVD of A_t; stage 2
-    # reuses stage 1's determinants, one per subset
+    # so the only SVD left per certificate is the rank SVD of A_t.  A probe
+    # of at most PREFIX_MINORS_MIN_SUBSETS subsets takes one LU determinant
+    # per subset; a larger one reads shared-prefix minors, and its stage 2
+    # builds the inverses of the subsets they leave open from the same
+    # prefix QRs, so it takes no LU determinant at all
     certificates = prop1_metrics["spark.compute_spark.calls"]
     assert certificates == 180
     assert prop1_metrics["lapack.svd.matrices"] == certificates
-    assert prop1_metrics["lapack.det.matrices"] == prop1_metrics["numerics.iter_subset_chunks.subsets"]
+    lp = importlib.import_module("lp_equiv")
+    on_lu = left_open = on_minors = 0
+    for aug in WORKLOADS["prop1-spark"].make_inputs(lp, 1):
+        M = _equilibrated(lp.build_augmented_t(aug).entries)
+        count = math.comb(M.shape[1], M.shape[0])
+        if count <= PREFIX_MINORS_MIN_SUBSETS:
+            on_lu += count
+        else:
+            on_minors += count
+            left_open += int(minors_leave_open(M, SCREEN_FACTOR * RANK_TOL).sum())
+    assert on_lu + on_minors == prop1_metrics["numerics.iter_subset_chunks.subsets"]
+    assert 0 < left_open < on_minors / 10
+    assert prop1_metrics["lapack.det.matrices"] == on_lu
 
 
 def test_prop1_certificates_equal_the_unscreened_svd_probe():
     # the prop1-spark digest hashes spark and witness, the same on every
     # instance, so it cannot see a screen that clears a dependent subset.
-    # Check directly: every square subset the screens clear has full SVD
-    # rank, and each certificate equals the plain ascending SVD search
+    # Check directly: every square subset the probe's screens clear has full
+    # SVD rank, and each certificate equals the plain ascending SVD search
     lp = importlib.import_module("lp_equiv")
     for aug in WORKLOADS["prop1-spark"].make_inputs(lp, 1):
         A = lp.build_augmented_t(aug)
         M = _equilibrated(A.entries)
         k = M.shape[0]
+        left = {tuple(s) for chunk in _open_square_subsets(M, SCREEN_FACTOR * RANK_TOL) for s in chunk.tolist()}
         for subsets in iter_subset_chunks(M.shape[1], k):
-            sub = M[:, subsets].transpose(1, 0, 2)
-            cleared = sub[~_open_after_screens(sub, SCREEN_FACTOR * RANK_TOL)]
-            assert np.all(numerical_rank(np.linalg.svd(cleared, compute_uv=False)) == k)
+            cleared = [s not in left for s in map(tuple, subsets.tolist())]
+            sub = M[:, subsets[cleared]].transpose(1, 0, 2)
+            assert np.all(numerical_rank(np.linalg.svd(sub, compute_uv=False)) == k)
         cert = lp.compute_spark(A)
         assert (cert.spark, cert.witness) == ascending_spark(A)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_prefix_stage_2_leaves_open_what_lu_inverses_leave_open(seed):
+    # on the prefix path stage 2 builds its inverses from the prefix QRs
+    # instead of LU; on the prop1-spark matrices past the routing constant
+    # it leaves open exactly the subsets LU's inverses leave open (seed 2: 4
+    # of 14,569 subsets stage 1 leaves open; seed 1: none of 7,068)
+    lp = importlib.import_module("lp_equiv")
+    threshold = SCREEN_FACTOR * RANK_TOL
+    reached = left = 0
+    for aug in WORKLOADS["prop1-spark"].make_inputs(lp, seed):
+        M = _equilibrated(lp.build_augmented_t(aug).entries)
+        if math.comb(M.shape[1], M.shape[0]) <= PREFIX_MINORS_MIN_SUBSETS:
+            continue
+        by_lu = []
+        for subsets, _, beta, _ in _prefix_minors(M):
+            subsets = subsets[~(beta > threshold)]
+            reached += len(subsets)
+            if len(subsets):
+                by_lu += subsets[_open_after_screens(M[:, subsets].transpose(1, 0, 2), threshold)].tolist()
+        by_prefix = [s for chunk in _open_square_subsets(M, threshold) for s in chunk.tolist()]
+        assert by_prefix == by_lu
+        left += len(by_lu)
+    assert (reached, left) == {1: (7068, 0), 2: (14569, 4)}[seed]
