@@ -135,18 +135,14 @@ def log_c_pq(k: int, s: int, t: int, p: float, q: float) -> float:
     """log of the L2 comparison constant C_{p,q}(k, s, t).
 
     The log form exists because C itself leaves float64 range once 1/p
-    reaches the hundreds (the max-arm is raised to the power 1/p)."""
+    reaches the hundreds (the max-arm is raised to the power 1/p).  It is
+    _log_c_pq_block at one point, so the L2 audit and the chain audit share
+    one formula."""
     if min(k, s, t) < 1:
         raise ValueError(f"k, s, t must be >= 1, got {k}, {s}, {t}")
     if not 0.0 < p <= q:
         raise ValueError(f"need 0 < p <= q, got p={p}, q={q}")
-    r = p / q
-    arm1 = r * math.log(t) - math.log(s)
-    if r == 1.0:
-        arm2 = 0.0
-    else:
-        arm2 = r * math.log(r) + (1.0 - r) * math.log1p(-r) + (r - 1.0) * math.log(k)
-    return max(arm1, arm2) / p
+    return float(_log_c_pq_block(k, s, t, p, q))
 
 
 def c_pq(k: int, s: int, t: int, p: float, q: float) -> float:
@@ -177,53 +173,40 @@ def phi_bound(p) -> np.ndarray | float:
     return float(out) if np.isscalar(p) or arr.ndim == 0 else out
 
 
-def log_p_grid(count: int = 1000, lo: float = 1e-6) -> np.ndarray:
-    """Log-spaced grid on (lo, 1], endpoint included exactly."""
-    return np.geomspace(lo, 1.0, count)
+def _grid_check(claim: str, violation) -> ScalarCheckReport:
+    """Sweep violation(p), positive where the claim fails, over the log grid
+    (p = 1 included exactly) and report the first worst point."""
+    grid = np.geomspace(GRID_LO, 1.0, GRID_COUNT)
+    violations = violation(grid)
+    i = int(np.argmax(violations))
+    worst = float(violations[i])
+    return ScalarCheckReport(
+        claim=claim,
+        grid_size=GRID_COUNT,
+        worst_violation=worst,
+        worst_at=float(grid[i]),
+        tol=GRID_TOL,
+        passes=worst <= GRID_TOL,
+    )
 
 
 def f_lemma3_grid() -> ScalarCheckReport:
     """Grid check of f(p) >= sqrt(2)/2."""
-    grid = log_p_grid(GRID_COUNT, GRID_LO)
-    vals = f_lemma3(grid)
-    bound = SQRT2 / 2.0
-    deficits = bound - vals  # positive = violation
-    i = int(np.argmax(deficits))
-    worst = float(deficits[i])
-    return ScalarCheckReport(
-        claim="f(p) >= sqrt(2)/2 on (0, 1]",
-        grid_size=GRID_COUNT,
-        worst_violation=worst,
-        worst_at=float(grid[i]),
-        tol=GRID_TOL,
-        passes=worst <= GRID_TOL,
-    )
+    return _grid_check("f(p) >= sqrt(2)/2 on (0, 1]", lambda p: SQRT2 / 2.0 - f_lemma3(p))
 
 
 def phi_bound_grid() -> ScalarCheckReport:
     """Grid check of phi(p) <= sqrt(2)/2."""
-    grid = log_p_grid(GRID_COUNT, GRID_LO)
-    vals = phi_bound(grid)
-    bound = SQRT2 / 2.0
-    excesses = vals - bound  # positive = violation
-    i = int(np.argmax(excesses))
-    worst = float(excesses[i])
-    return ScalarCheckReport(
-        claim="phi(p) <= sqrt(2)/2 on (0, 1]",
-        grid_size=GRID_COUNT,
-        worst_violation=worst,
-        worst_at=float(grid[i]),
-        tol=GRID_TOL,
-        passes=worst <= GRID_TOL,
-    )
+    return _grid_check("phi(p) <= sqrt(2)/2 on (0, 1]", lambda p: phi_bound(p) - SQRT2 / 2.0)
 
 
 def _log_c_pq_block(k, s, t, p, q) -> np.ndarray:
-    """log_c_pq over equal-length vectors of (k, s, t, p, q), one per trial."""
+    """log C_{p,q}(k, s, t) over equal-length vectors of (k, s, t, p, q), one
+    per trial; r = p/q == 1 has second arm 0."""
     r = p / q
     arm1 = r * np.log(t) - np.log(s)
     below = r < 1.0
-    rb = np.where(below, r, 0.5)  # r == 1 (q == p) has arm2 = 0, as in log_c_pq
+    rb = np.where(below, r, 0.5)  # a stand-in where r == 1, masked out below
     arm2 = rb * np.log(rb) + (1.0 - rb) * np.log1p(-rb) + (rb - 1.0) * np.log(k)
     return np.maximum(arm1, np.where(below, arm2, 0.0)) / p
 

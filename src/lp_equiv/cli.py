@@ -43,14 +43,7 @@ from .analysis import (
     lemma2_sequence_check,
     phi_bound_grid,
 )
-from .matgen import (
-    DEFAULT_ABS_RANGE,
-    DEFAULT_SEPARATION,
-    DenseMatrix,
-    VandermondeSpec,
-    build_vandermonde,
-    sample_instance,
-)
+from .matgen import DenseMatrix, VandermondeSpec, build_vandermonde, sample_instance
 from .numerics import BudgetExceededError, SamplingError, derive_seed
 from .solvers import (
     DEFAULT_T_SCHEDULE,
@@ -117,13 +110,7 @@ def _float_list(rendered: str) -> tuple[float, ...]:
 
 
 def _cmd_gen(args) -> int:
-    spec = sample_instance(
-        args.m,
-        args.n,
-        seed=args.seed,
-        abs_range=tuple(args.abs_range),
-        separation=args.separation,
-    )
+    spec = sample_instance(args.m, args.n, seed=args.seed)
     if args.positive:
         spec = VandermondeSpec(spec.m, tuple(abs(v) for v in spec.lam), seed=spec.seed)
     matrix = build_vandermonde(spec)
@@ -263,8 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="sample nodes and emit the matrix")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--abs-range", type=float, nargs=2, default=list(DEFAULT_ABS_RANGE))
-    p.add_argument("--separation", type=float, default=DEFAULT_SEPARATION)
     p.add_argument("--positive", action="store_true", help="fold all nodes positive")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     _add_common(p)

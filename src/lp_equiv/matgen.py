@@ -27,7 +27,7 @@ import numpy as np
 
 from .numerics import SamplingError
 
-# Node sampling defaults: absolute values in [0.5, 2] with pairwise
+# Node sampling: absolute values in [0.5, 2] with pairwise
 # |.|-separation >= 0.05 keep node matrices resolvable under the rank policy
 # (numerics.RANK_TOL) up to MAX_M.  Over seeds 0..99 and n = m+1..m+4,
 # sigma_min/sigma_max of A stays above 1e-7 (cond(A A^T) reaches 2.7e11 at
@@ -258,44 +258,30 @@ def build_augmented_0(spec: VandermondeSpec) -> DenseMatrix:
     return DenseMatrix(entries=out)
 
 
-def _sample_separated_abs(
-    rng: np.random.Generator,
-    count: int,
-    taken_abs: list[float],
-    abs_range: tuple[float, float],
-    separation: float,
-) -> list[float]:
-    """Draw `count` absolute values in abs_range, pairwise separated from each
-    other and from taken_abs by at least `separation`."""
-    lo, hi = abs_range
-    if not (0.0 < lo < hi):
-        raise ValueError(f"invalid abs_range {abs_range}")
+def _sample_separated_abs(rng: np.random.Generator, count: int, taken_abs: list[float]) -> list[float]:
+    """Draw `count` absolute values in DEFAULT_ABS_RANGE, pairwise separated
+    from each other and from taken_abs by at least DEFAULT_SEPARATION."""
     got: list[float] = []
     tries = 0
     while len(got) < count:
         tries += 1
         if tries > MAX_TRIES:
             raise SamplingError(
-                f"could not place {count} nodes with separation {separation} "
-                f"in {abs_range} after {MAX_TRIES} draws"
+                f"could not place {count} nodes with separation {DEFAULT_SEPARATION} "
+                f"in {DEFAULT_ABS_RANGE} after {MAX_TRIES} draws"
             )
-        cand = float(rng.uniform(lo, hi))
-        if all(abs(cand - a) >= separation for a in taken_abs + got):
+        cand = float(rng.uniform(*DEFAULT_ABS_RANGE))
+        if all(abs(cand - a) >= DEFAULT_SEPARATION for a in taken_abs + got):
             got.append(cand)
     return got
 
 
-def sample_instance(
-    m: int,
-    n: int,
-    seed: int,
-    abs_range: tuple[float, float] = DEFAULT_ABS_RANGE,
-    separation: float = DEFAULT_SEPARATION,
-) -> VandermondeSpec:
-    """Random instance with |lam_j| in abs_range, pairwise |.|-separation
-    >= separation, random signs.  Deterministic per seed."""
+def sample_instance(m: int, n: int, seed: int) -> VandermondeSpec:
+    """Random instance with |lam_j| in DEFAULT_ABS_RANGE, pairwise
+    |.|-separation >= DEFAULT_SEPARATION, random signs.  Deterministic per
+    seed."""
     rng = np.random.default_rng(seed)
-    mags = _sample_separated_abs(rng, n, [], abs_range, separation)
+    mags = _sample_separated_abs(rng, n, [])
     signs = rng.choice([-1.0, 1.0], size=n)
     lam = tuple(s * v for s, v in zip(signs, mags))
     return VandermondeSpec(m=m, lam=lam, seed=seed)
@@ -303,15 +289,15 @@ def sample_instance(
 
 def extend_lambda(spec: VandermondeSpec, seed: int) -> VandermondeSpec:
     """Extend a node vector with n < 2m+2 to exactly 2m+2 nodes, keeping all
-    absolute values pairwise distinct (new ones drawn as sample_instance's
-    defaults draw them, also separated from the old)."""
+    absolute values pairwise distinct (new ones drawn as sample_instance
+    draws them, also separated from the old)."""
     spec.require_distinct_abs()
     target = 2 * spec.m + 2
     if spec.n >= target:
         raise ValueError(f"spec already has n={spec.n} >= 2m+2={target} nodes")
     rng = np.random.default_rng(seed)
     taken = [abs(v) for v in spec.lam]
-    mags = _sample_separated_abs(rng, target - spec.n, taken, DEFAULT_ABS_RANGE, DEFAULT_SEPARATION)
+    mags = _sample_separated_abs(rng, target - spec.n, taken)
     signs = rng.choice([-1.0, 1.0], size=len(mags))
     lam = tuple(spec.lam) + tuple(s * v for s, v in zip(signs, mags))
     out = VandermondeSpec(m=spec.m, lam=lam, seed=seed)

@@ -33,8 +33,8 @@ POWER_FLOOR = 1e-300
 # the support solves, the Gram spectrum and the null space all decide rank
 # through numerical_rank at this tolerance.  Calibration: dependent column
 # subsets land at 0..1e-15 relative; independent square submatrices of
-# sampled node matrices stay above it up to MAX_M (see the sampling defaults
-# in matgen and tests/test_calibration.py).
+# sampled node matrices stay above it up to MAX_M (see the node sampling
+# constants in matgen and tests/test_calibration.py).
 RANK_TOL = 1e-11
 
 # Margin between a screen's bound and the rank tolerance: a square block whose
@@ -391,22 +391,17 @@ def _cofactor_inverse(z: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray((cofactor / det).transpose(2, 1, 0)[:, :t, :t])
 
 
-def _inverse_ratio_lower_bound(sub: np.ndarray, inv: np.ndarray | None = None) -> np.ndarray:
+def _inverse_ratio_lower_bound(sub: np.ndarray, inv: np.ndarray) -> np.ndarray:
     """beta' = (1 - (1+2u) ||R||_F) / (||S||_F ||X||_F) - gamma_k <=
-    sigma_min/sigma_max per square block S, with X an approximate inverse,
-    R = fl(S X - I) its computed residual, u = 2^-53 and
-    gamma_k = k u / (1 - k u).  The proof, valid for any X, is in the spark
-    module docstring.
-
-    X is inv if given (_prefix_inverses), else np.linalg.inv's; then sub
-    must have nonzero finite determinants, since np.linalg.inv raises on an
-    exactly singular member.  An overflowed or NaN X gives a NaN or
-    nonpositive bound, which never clears a block.
+    sigma_min/sigma_max per square block S, with X = inv an approximate
+    inverse (_prefix_inverses', or np.linalg.inv's), R = fl(S X - I) its
+    computed residual, u = 2^-53 and gamma_k = k u / (1 - k u).  The proof,
+    valid for any X, is in the spark module docstring.  An overflowed or NaN
+    X gives a NaN or nonpositive bound, which never clears a block.
     """
     k = sub.shape[-1]
     u = 2.0**-53
     with np.errstate(all="ignore"):
-        inv = np.linalg.inv(sub) if inv is None else inv
         res = np.matmul(sub, inv)
         diag = np.arange(k)
         res[:, diag, diag] -= 1.0

@@ -207,7 +207,6 @@ class EquivalenceReport:
     margin_min: float
     argmin_match: bool | None
     trials: int
-    seed: int | None
     below_threshold: bool | None
     violations: tuple[dict, ...]
     margins: tuple[float, ...]
@@ -487,12 +486,7 @@ def _draw_coefficients(rng: np.random.Generator, unit: np.ndarray, dim: int) -> 
     return g
 
 
-def sample_null(
-    A: DenseMatrix,
-    count: int,
-    seed: int,
-    witness: tuple[int, ...] | None = None,
-) -> KernelSamples:
+def sample_null(A: DenseMatrix, count: int, seed: int, witness: tuple[int, ...]) -> KernelSamples:
     """Deterministic mixture of kernel vectors, `count` base directions each
     emitted at every DEFAULT_SCALES entry.
 
@@ -501,14 +495,14 @@ def sample_null(
     the given spark witness set (||h||_0 = spark(A)) -- the adversarial end
     of the kernel: smallest support, largest chance of touching few
     coordinates.  The witness comes from the caller's own spark certificate
-    (compute_spark(A).witness); None means no minsupport row.
+    (compute_spark(A).witness); the minsupport row is base row 0.
 
-    Base row i, counting the minsupport row, is "unit" when i is even and
-    "signed" when i is odd.  The generator draws one standard normal block
-    for all unit rows, then one sign block for all signed rows; each row's
-    vector is basis @ g, normalized by its 1-D norm, bit for bit.  A row
-    whose norm is at most 1e-12 is redrawn with the same kind after the two
-    blocks, until none is left.
+    Base row i >= 1 is "unit" when i is even and "signed" when i is odd.
+    The generator draws one standard normal block for all unit rows, then
+    one sign block for all signed rows; each row's vector is basis @ g,
+    normalized by its 1-D norm, bit for bit.  A row whose norm is at most
+    1e-12 is redrawn with the same kind after the two blocks, until none is
+    left.
     """
     basis = null_space_basis(A)
     dim = basis.shape[1]
@@ -518,14 +512,10 @@ def sample_null(
         raise ValueError(f"count must be >= 1, got {count}")
     rng = np.random.default_rng(seed)
 
-    head: list[np.ndarray] = []
-    if witness is not None:
-        _, _, vt = np.linalg.svd(A.entries[:, list(witness)])
-        h = np.zeros(A.cols)
-        h[list(witness)] = vt[-1]
-        head.append(h / np.linalg.norm(h))
-    # row i, counting the minsupport row, is "unit" when i is even
-    unit = np.arange(len(head), count) % 2 == 0
+    _, _, vt = np.linalg.svd(A.entries[:, list(witness)])
+    head = np.zeros(A.cols)
+    head[list(witness)] = vt[-1]
+    unit = np.arange(1, count) % 2 == 0
     H = _matvecs(basis, _draw_coefficients(rng, unit, dim))
     norms = _row_norms(H)
     # a near-zero draw cannot be normalized: redraw those rows, same kind
@@ -534,18 +524,16 @@ def sample_null(
         H[bad] = _matvecs(basis, _draw_coefficients(rng, unit[bad], dim))
         norms[bad] = _row_norms(H[bad])
         bad = bad[norms[bad] <= 1e-12]
-    base = np.vstack([*head, H / norms[:, None]])
+    base = np.vstack([head / np.linalg.norm(head), H / norms[:, None]])
 
     # one (count, scales, n) product, whose rows are the samples in order
     scaled = base[:, None, :] * np.asarray(DEFAULT_SCALES)[None, :, None]
     # the same alternation, each row's kind repeated once per scale
     per_row = len(DEFAULT_SCALES)
     pair = ("unit",) * per_row + ("signed",) * per_row
-    head_rows = len(head) * per_row
     return KernelSamples(
         vectors=scaled.reshape(-1, A.cols),
-        kinds=("minsupport",) * head_rows
-        + (pair * ((count + 1) // 2))[head_rows : count * per_row],
+        kinds=("minsupport",) * per_row + (pair * ((count + 1) // 2))[per_row : count * per_row],
         scales=DEFAULT_SCALES * count,
     )
 
@@ -557,16 +545,16 @@ def _trial_samples(A: DenseMatrix, trials: int, seed: int, witness: tuple[int, .
     return sample_null(A, count=count, seed=seed, witness=witness)
 
 
-def support_partition(x_star, h, k: int | None = None) -> SupportPartition:
-    """Partition indices into supp(x*) and k-blocks of its complement ordered
-    by decreasing |h| (ties broken toward the lower index)."""
+def support_partition(x_star, h) -> SupportPartition:
+    """Partition indices into supp(x*) and k-blocks of its complement, with
+    k = |supp(x*)|, ordered by decreasing |h| (ties broken toward the lower
+    index)."""
     x = np.asarray(x_star, dtype=float)
     hv = np.asarray(h, dtype=float)
     if x.shape != hv.shape:
         raise ValueError("x_star and h must share a shape")
     s0 = np.flatnonzero(x != 0.0)
-    if k is None:
-        k = int(s0.size)
+    k = int(s0.size)
     if k < 1:
         raise ValueError("x_star must have at least one nonzero entry")
     rest = np.setdiff1d(np.arange(x.size), s0)
@@ -582,7 +570,6 @@ def verify_strict_inequality(
     x_star,
     samples: KernelSamples,
     p,
-    seed: int | None = None,
     p_star: float | None = None,
 ) -> EquivalenceReport | list[EquivalenceReport]:
     """Margins ||x*+h||_p^p - ||x*||_p^p over a kernel sample block: the one
@@ -613,7 +600,6 @@ def verify_strict_inequality(
                 margin_min=min(row),
                 argmin_match=None,
                 trials=len(H),
-                seed=seed,
                 below_threshold=None if p_star is None else p_i < p_star,
                 violations=violations,
                 margins=tuple(row),
@@ -699,7 +685,7 @@ def verify_theorem1(
 
     reports: list[EquivalenceReport] = []
     counterexamples: list[dict] = []
-    sweeps = verify_strict_inequality(inst.x_star, samples, grid, seed=seed, p_star=summary.p_star)
+    sweeps = verify_strict_inequality(inst.x_star, samples, grid, p_star=summary.p_star)
     lp_mins = solve_lp_basic(inst.problem, grid, basics=basics)
     for p, rep, lp_min in zip(grid, sweeps, lp_mins):
         argmin_supports = {s.support for s in lp_min.minimizers}

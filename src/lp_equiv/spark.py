@@ -319,7 +319,8 @@ def _open_after_screens(sub: np.ndarray, threshold: float) -> np.ndarray:
     open_ = ~(_ratio_lower_bound(sub, det) > threshold)
     retry = open_ & np.isfinite(det) & (det != 0.0)
     if np.any(retry):
-        open_[retry] = ~(_inverse_ratio_lower_bound(sub[retry]) > threshold)
+        square = sub[retry]
+        open_[retry] = ~(_inverse_ratio_lower_bound(square, np.linalg.inv(square)) > threshold)
     return open_
 
 

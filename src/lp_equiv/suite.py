@@ -36,7 +36,6 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass, field, fields, is_dataclass
-from functools import partial
 
 import numpy as np
 
@@ -51,7 +50,6 @@ from .analysis import (
 from .matgen import build_vandermonde, sample_instance
 from .numerics import BudgetExceededError, SamplingError, derive_seed
 from .solvers import (
-    DEFAULT_T_SCHEDULE,
     Theorem1Report,
     _plant_attempt,
     sample_null,
@@ -64,14 +62,15 @@ from .spectral import gram_spectrum, lemma1_constants
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Flat key = value configuration with a lossless text round-trip."""
+    """Flat key = value configuration with a lossless text round-trip.
+
+    No key sets the T1 p grid or the T2 t schedule: every run takes
+    default_p_grid of the computed threshold and DEFAULT_T_SCHEDULE."""
 
     seed: int = 0
     m: int = 2
     n: int = 8
     trials: int = 30
-    p_grid: tuple[float, ...] | None = None  # None: derive from the computed threshold
-    t_schedule: tuple[float, ...] = DEFAULT_T_SCHEDULE
     output_dir: str = "lp_equiv_out"
 
     def __post_init__(self) -> None:
@@ -79,33 +78,15 @@ class RunConfig:
             raise ValueError(f"need 1 <= m < n, got m={self.m}, n={self.n}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.p_grid is not None and not self.p_grid:
-            raise ValueError("p_grid needs at least one entry")
-        if self.p_grid is not None and any(not 0.0 < p <= 1.0 for p in self.p_grid):
-            raise ValueError("p_grid entries must lie in (0, 1]")
-        if not self.t_schedule:
-            raise ValueError("t_schedule needs at least one entry")
-        if any(t <= 0.0 for t in self.t_schedule):
-            raise ValueError("t_schedule entries must be positive")
 
     def to_text(self) -> str:
         lines = ["# run configuration for the lp-equiv suite"]
-        for f in fields(self):
-            name, value = f.name, getattr(self, f.name)
-            if value is None:
-                continue
-            if isinstance(value, tuple):
-                rendered = ", ".join(repr(float(v)) for v in value)
-            elif isinstance(value, float):
-                rendered = repr(value)
-            else:
-                rendered = str(value)
-            lines.append(f"{name} = {rendered}")
+        lines += [f"{f.name} = {getattr(self, f.name)}" for f in fields(self)]
         return "\n".join(lines) + "\n"
 
     @classmethod
     def from_text(cls, text: str) -> "RunConfig":
-        known = {f.name: f for f in fields(cls)}
+        known = {f.name for f in fields(cls)}
         seen: dict[str, object] = {}
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
@@ -120,18 +101,8 @@ class RunConfig:
                 raise ValueError(f"line {lineno}: unknown config key {key!r}")
             if key in seen:
                 raise ValueError(f"line {lineno}: duplicate config key {key!r}")
-            seen[key] = _parse_config_value(key, rendered)
+            seen[key] = rendered if key == "output_dir" else int(rendered)
         return cls(**seen)
-
-
-def _parse_config_value(key: str, rendered: str):
-    if key in ("seed", "m", "n", "trials"):
-        return int(rendered)
-    if key == "output_dir":
-        return rendered
-    if key in ("p_grid", "t_schedule"):
-        return tuple(float(part) for part in rendered.split(",") if part.strip())
-    raise AssertionError(f"unhandled config key {key}")
 
 
 @dataclass(frozen=True)
@@ -372,7 +343,7 @@ def _t1_check(rec: _Recorder, A, k: int, config: RunConfig) -> None:
     """The T1 harness at level k, which also fills that level's phase and
     margin rows."""
     seed = derive_seed(config.seed, f"thm1-k{k}")
-    report = verify_theorem1(A, k, trials=config.trials, p_grid=config.p_grid, seed=seed)
+    report = verify_theorem1(A, k, trials=config.trials, seed=seed)
     detail = {key: getattr(report, key) for key in ("k", "p_star", "all_hold", "l0_unique")}
     detail["counterexample_count"] = len(report.counterexamples)
     x_star = list(report.x_star)
@@ -412,8 +383,7 @@ def _run_deep_regime(rec: _Recorder, config: RunConfig, spec) -> None:
     check."""
     m, n = config.m, config.n
     if n >= 2 * m + 2:
-        harness = partial(verify_theorem2, t_schedule=config.t_schedule)
-        name, label = "t2-augmented", "t2"
+        harness, name, label = verify_theorem2, "t2-augmented", "t2"
         own_keys = ("limit_monotone", "final_gap_ratio", "degenerate")
     else:
         harness, name, label = verify_theorem3, "t3-extension", "t3"

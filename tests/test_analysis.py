@@ -14,7 +14,6 @@ from lp_equiv.analysis import (
     f_lemma3_grid,
     lemma2_sequence_check,
     log_c_pq,
-    log_p_grid,
     phi_bound,
     phi_bound_grid,
     theorem1_coefficient,
@@ -64,7 +63,7 @@ def test_log_c_pq_consistent_with_exp():
 
 def test_f_lemma3_endpoint_and_floor():
     assert f_lemma3(1.0) == pytest.approx(SQRT2_OVER_2, abs=1e-15)
-    ps = log_p_grid(400, lo=1e-6)
+    ps = np.geomspace(1e-6, 1.0, 400)
     vals = f_lemma3(ps)
     assert np.all(vals >= SQRT2_OVER_2 - 1e-12)
     # decreasing toward p = 1 (its long tail): compare coarse samples
@@ -73,7 +72,7 @@ def test_f_lemma3_endpoint_and_floor():
 
 def test_phi_bound_shape():
     assert phi_bound(1.0) == pytest.approx(SQRT2_OVER_2, abs=1e-15)
-    ps = log_p_grid(400, lo=1e-6)
+    ps = np.geomspace(1e-6, 1.0, 400)
     vals = phi_bound(ps)
     assert np.all(vals <= SQRT2_OVER_2 + 1e-12)
     assert np.all(np.diff(vals) > 0)  # increasing in p on the log grid

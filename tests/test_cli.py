@@ -12,6 +12,7 @@ from lp_equiv.analysis import (
     audit_theorem1_chain,
 )
 from lp_equiv.cli import _load_matrix, main
+from lp_equiv.matgen import DenseMatrix, VandermondeSpec, build_vandermonde, sample_instance
 from lp_equiv.numerics import derive_seed
 from lp_equiv.solvers import (
     LpMinimum,
@@ -22,7 +23,7 @@ from lp_equiv.solvers import (
     plant_with_level,
     sample_null,
 )
-from lp_equiv.spark import SparkCertificate, compute_spark
+from lp_equiv.spark import SparkCertificate, check_submatrix_invertibility, compute_spark
 from lp_equiv.spectral import RestrictedSpectrum, SpectralSummary, gram_spectrum
 from lp_equiv.suite import _json_text
 
@@ -50,6 +51,23 @@ def test_gen_then_spark_round_trip(tmp_path, capsys):
     assert set(out) == _fields(SparkCertificate)
     assert out["spark"] == 3
     assert len(out["witness"]) == 3
+
+
+def test_gen_positive_emits_the_unsigned_draw(tmp_path):
+    # --positive folds the seed's signed draw to |lam|; distinct positive
+    # nodes make every square submatrix invertible (total positivity)
+    signed, positive = tmp_path / "signed.json", tmp_path / "positive.json"
+    assert main(["gen", "--m", "3", "--n", "7", "--seed", "5", "--out", str(signed)]) == 0
+    argv = ["gen", "--m", "3", "--n", "7", "--seed", "5", "--positive", "--out", str(positive)]
+    assert main(argv) == 0
+    lam = json.loads(signed.read_text())["spec"]["lambda"]
+    assert lam == list(sample_instance(3, 7, seed=5).lam) and min(lam) < 0.0
+    envelope = json.loads(positive.read_text())
+    spec = VandermondeSpec.from_json_dict(envelope["spec"])
+    assert spec.lam == tuple(abs(v) for v in lam) and spec.seed == 5
+    emitted = DenseMatrix.from_json_dict(envelope["matrix"]).entries
+    assert emitted.tobytes() == build_vandermonde(spec).entries.tobytes()
+    assert check_submatrix_invertibility(spec).passes
 
 
 def test_gen_csv_format(tmp_path):
@@ -267,10 +285,17 @@ def test_suite_exits_1_when_the_cap_skips_an_asserted_check(tmp_path, capsys, mo
 
 
 def test_no_subcommand_takes_a_cap_flag(tmp_path):
-    # LP_EQUIV_BUDGET is the one way to set the subset cap
+    # LP_EQUIV_BUDGET is the one way to set the subset cap; gen takes no node
+    # range or separation either, since the rank calibration holds only for
+    # matgen's constants
     mat = tmp_path / "A.json"
     main(["gen", "--m", "2", "--n", "6", "--seed", "3", "--out", str(mat)])
-    for argv in (["spark", "--matrix", str(mat)], ["suite", "--m", "2", "--n", "5"]):
+    for argv in (
+        ["spark", "--matrix", str(mat), "--budget", "5"],
+        ["suite", "--m", "2", "--n", "5", "--budget", "5"],
+        ["gen", "--m", "2", "--n", "6", "--abs-range", "0.5", "2.0"],
+        ["gen", "--m", "2", "--n", "6", "--separation", "0.05"],
+    ):
         with pytest.raises(SystemExit) as exc:
-            main([*argv, "--budget", "5"])
+            main(argv)
         assert exc.value.code == 2

@@ -273,10 +273,10 @@ def test_sample_null_kinds_scales_and_membership():
 
 
 def test_support_partition_blocks_and_ties():
-    x = np.array([0.0, 5.0, 0.0, 0.0, 0.0, 0.0])
-    h = np.array([3.0, 9.0, -3.0, 1.0, 4.0, 0.0])
-    part = support_partition(x, h, k=2)
-    assert part.s0 == (1,)
+    x = np.array([0.0, 5.0, 0.0, 0.0, 0.0, 0.0, -2.0])
+    h = np.array([3.0, 9.0, -3.0, 1.0, 4.0, 0.0, 7.0])
+    part = support_partition(x, h)
+    assert (part.s0, part.k) == ((1, 6), 2)
     # complement ordered by |h| desc with index tiebreak: 4, 0, 2, 3, 5
     assert part.blocks == ((4, 0), (2, 3), (5,))
 
@@ -600,22 +600,20 @@ def test_deep_regime_claim_equals_verify_strict_inequality(
 # --- p grids and kernel sampling against the loops they replaced -----------
 
 
-def reference_sample_null(A, count, seed, witness=None):
-    """Per-direction loop over the two documented blocks: base row i,
-    counting the minsupport row, takes the next row of the normal block when
-    i is even ("unit") and of the rng.choice sign block when i is odd
-    ("signed"); each vector is basis @ g over its 1-D np.linalg.norm, and one
-    h * s product per sample, as (vector, kind, scale) rows."""
+def reference_sample_null(A, count, seed, witness):
+    """Per-direction loop over the two documented blocks: base row 0 is the
+    minsupport row, and base row i >= 1 takes the next row of the normal
+    block when i is even ("unit") and of the rng.choice sign block when i is
+    odd ("signed"); each vector is basis @ g over its 1-D np.linalg.norm,
+    and one h * s product per sample, as (vector, kind, scale) rows."""
     basis = null_space_basis(A)
     dim = basis.shape[1]
     rng = np.random.default_rng(seed)
-    base = []
-    if witness is not None:
-        _, _, vt = np.linalg.svd(A.entries[:, list(witness)])
-        h = np.zeros(A.cols)
-        h[list(witness)] = vt[-1]
-        base.append((h / np.linalg.norm(h), "minsupport"))
-    rows = range(len(base), count)
+    _, _, vt = np.linalg.svd(A.entries[:, list(witness)])
+    h = np.zeros(A.cols)
+    h[list(witness)] = vt[-1]
+    base = [(h / np.linalg.norm(h), "minsupport")]
+    rows = range(1, count)
     normal = iter(rng.standard_normal((sum(i % 2 == 0 for i in rows), dim)))
     signs = iter(rng.choice([-1.0, 1.0], size=(sum(i % 2 == 1 for i in rows), dim)))
     for i in rows:
@@ -633,15 +631,12 @@ SAMPLE_SHAPES = [(2, 3), (2, 5), (3, 7), (4, 9), (5, 8), (6, 9)]
 @pytest.mark.parametrize("m, n", SAMPLE_SHAPES)
 def test_sample_null_equals_per_direction_reference(m, n):
     A = build_vandermonde(sample_instance(m, n, seed=m * n))
-    for seed, count, witness in itertools.product(
-        (0, 7), (1, 2, 5, 70), (compute_spark(A).witness, None)
-    ):
-        # no witness, no minsupport row
+    witness = compute_spark(A).witness
+    for seed, count in itertools.product((0, 7), (1, 2, 5, 70)):
         got = sample_null(A, count=count, seed=seed, witness=witness)
         want = reference_sample_null(A, count, seed, witness)
         assert got.vectors.shape == (len(want), n) and len(want) == count * len(DEFAULT_SCALES)
         assert len(got.kinds) == len(got.scales) == len(want)
-        assert ("minsupport" in got.kinds) == (witness is not None)
         for i, (vector, kind, scale) in enumerate(want):
             assert (got.kinds[i], got.scales[i]) == (kind, scale)
             assert type(got.scales[i]) is float
@@ -664,10 +659,11 @@ def test_sample_null_blocks_do_not_share_memory():
     # each call returns its own block: overwriting one leaves a fresh
     # call's block as drawn
     A = build_vandermonde(sample_instance(3, 7, seed=2))
-    samples = sample_null(A, count=4, seed=1)
+    witness = compute_spark(A).witness
+    samples = sample_null(A, count=4, seed=1, witness=witness)
     before = samples.vectors.copy()
     samples.vectors[:] = -1.0
-    again = sample_null(A, count=4, seed=1)
+    again = sample_null(A, count=4, seed=1, witness=witness)
     assert again.vectors.tobytes() == before.tobytes()
     assert not np.shares_memory(samples.vectors, again.vectors)
 
@@ -709,17 +705,14 @@ def test_sample_null_draw_calls_do_not_grow_with_count(monkeypatch):
     # one normal block and one sign block per call, whatever the count
     A = build_vandermonde(sample_instance(4, 9, seed=36))
     dim = A.cols - A.rows
-    for witness in (compute_spark(A).witness, None):
-        logs = {}
-        for count in (2, 70):
-            samples, logs[count] = counted_sample_null(
-                monkeypatch, A, count, 5, witness=witness
-            )
-            assert samples.vectors.shape == (3 * count, A.cols)
-        assert [name for name, _ in logs[2]] == ["standard_normal", "integers"]
-        # 70 rows without a witness: 35 unit, 35 signed; with one: 34 and 35
-        with_witness = witness is not None
-        assert logs[70] == [("standard_normal", (35 - with_witness, dim)), ("integers", (35, dim))]
+    witness = compute_spark(A).witness
+    logs = {}
+    for count in (2, 70):
+        samples, logs[count] = counted_sample_null(monkeypatch, A, count, 5, witness=witness)
+        assert samples.vectors.shape == (3 * count, A.cols)
+    assert [name for name, _ in logs[2]] == ["standard_normal", "integers"]
+    # 70 rows: the minsupport row, then 34 unit and 35 signed
+    assert logs[70] == [("standard_normal", (34, dim)), ("integers", (35, dim))]
 
 
 def test_sample_null_redraws_a_near_zero_row_with_its_kind(monkeypatch):
@@ -761,7 +754,7 @@ def test_sample_null_redraws_a_near_zero_row_with_its_kind(monkeypatch):
     assert moved == [6, 7, 8]
 
 
-def reference_strict_inequality(x_star, samples, p, seed=None, p_star=None):
+def reference_strict_inequality(x_star, samples, p, p_star=None):
     """One exponent, one margin and one violation test per row of the block."""
     x = np.asarray(x_star, dtype=float)
     margins, violations = [], []
@@ -779,7 +772,6 @@ def reference_strict_inequality(x_star, samples, p, seed=None, p_star=None):
         margin_min=min(margins),
         argmin_match=None,
         trials=len(margins),
-        seed=seed,
         below_threshold=None if p_star is None else p < p_star,
         violations=tuple(violations),
         margins=tuple(margins),
@@ -812,9 +804,9 @@ def test_verify_strict_inequality_grid_equals_per_p_reports():
     items = sample_block(hs)
     grid = (1e-6, 0.013, 0.5, 1.0)
     for p_star in (None, 0.3):
-        reports = verify_strict_inequality(x, items, grid, seed=4, p_star=p_star)
-        per_p = [verify_strict_inequality(x, items, p, seed=4, p_star=p_star) for p in grid]
-        want = [reference_strict_inequality(x, items, p, seed=4, p_star=p_star) for p in grid]
+        reports = verify_strict_inequality(x, items, grid, p_star=p_star)
+        per_p = [verify_strict_inequality(x, items, p, p_star=p_star) for p in grid]
+        want = [reference_strict_inequality(x, items, p, p_star=p_star) for p in grid]
         assert reports == per_p == want
         assert [len(r.violations) for r in reports] == [3, 3, 4, 4]
     assert verify_strict_inequality(x, items, np.array(grid)) == verify_strict_inequality(x, items, list(grid))
@@ -852,7 +844,7 @@ def reference_theorem1(A, k, trials=210, p_grid=None, seed=0):
     l0_supports = set(sol.supports)
     reports, counterexamples = [], []
     for p in grid:
-        rep = reference_strict_inequality(inst.x_star, samples, p, seed=seed, p_star=p_star)
+        rep = reference_strict_inequality(inst.x_star, samples, p, p_star=p_star)
         argmin_supports = {s.support for s in reference_lp_basic(basics, p).minimizers}
         rep = dataclasses.replace(rep, argmin_match=argmin_supports <= l0_supports)
         reports.append(rep)

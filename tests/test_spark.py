@@ -458,7 +458,7 @@ def test_inverse_screen_bound_is_below_the_svd_ratio_property():
         A *= 10.0**log_scale
         det = np.linalg.det(A)
         hypothesis.assume(np.isfinite(det) and det != 0.0)  # stage 1 lets no other block through
-        beta = _inverse_ratio_lower_bound(A[None])[0]
+        beta = _inverse_ratio_lower_bound(A[None], np.linalg.inv(A[None]))[0]
         s = np.linalg.svd(A, compute_uv=False)
         if not beta <= s[-1] / s[0] * (1.0 + 1e-9):
             assert beta <= _mp_ratio(A) * (1.0 + 1e-9)

@@ -38,12 +38,10 @@ m=3
 n = 8
 
 trials = 4
-t_schedule = 10, 100
 output_dir = somewhere
 """
     cfg = RunConfig.from_text(text)
     assert cfg.seed == 5 and cfg.m == 3 and cfg.n == 8 and cfg.trials == 4
-    assert cfg.t_schedule == (10.0, 100.0)
     assert cfg.output_dir == "somewhere"
     # no key sets the subset cap: LP_EQUIV_BUDGET is its one setting
     with pytest.raises(ValueError, match="unknown config key 'budget'"):
@@ -51,6 +49,12 @@ output_dir = somewhere
     # no key sets a rank tolerance: the package has one rank policy
     with pytest.raises(ValueError, match="unknown config key 'tol'"):
         RunConfig.from_text(text + "tol = 1e-9\n")
+    # no key sets the T1 p grid or the T2 t schedule: every run derives the
+    # grid from the computed threshold and takes the default schedule
+    with pytest.raises(ValueError, match="unknown config key 'p_grid'"):
+        RunConfig.from_text(text + "p_grid = 0.5, 1.0\n")
+    with pytest.raises(ValueError, match="unknown config key 't_schedule'"):
+        RunConfig.from_text(text + "t_schedule = 10, 100\n")
 
 
 def test_config_text_rejects_unknown_and_duplicate_keys():
@@ -69,15 +73,6 @@ def test_config_validation():
         RunConfig(m=3, n=3)
     with pytest.raises(ValueError):
         RunConfig(trials=0)
-    with pytest.raises(ValueError):
-        RunConfig(p_grid=(0.5, 1.5))
-    # an empty schedule or grid is rejected here, not by an IndexError mid-run
-    with pytest.raises(ValueError, match="t_schedule needs at least one entry"):
-        RunConfig(t_schedule=())
-    with pytest.raises(ValueError, match="p_grid needs at least one entry"):
-        RunConfig(p_grid=())
-    with pytest.raises(ValueError, match="t_schedule needs at least one entry"):
-        RunConfig.from_text("t_schedule = ,\n")
 
 
 def test_json_safe_handles_numpy_and_dataclasses():
