@@ -54,6 +54,7 @@ from .numerics import (
     subset_budget,
 )
 from .solvers import (
+    BasicSolutions,
     EquivalenceReport,
     InfeasibleProblemError,
     KernelSamples,
@@ -135,6 +136,7 @@ __all__ = [
     "p_star_from_extremes",
     # solvers and harnesses
     "InfeasibleProblemError",
+    "BasicSolutions",
     "SparseProblem",
     "SparseSolution",
     "SparseSolutionSet",

@@ -317,7 +317,9 @@ def _prefix_inverses(M: np.ndarray, factors: _PrefixFactors, open_: np.ndarray) 
     Q^T S = [[R_11, B], [0, Z]] for B = Q_1^T M[:, T] and Z = Q_2^T M[:, T],
     so S^-1 = [[G - W Z^-1 Q_2^T], [Z^-1 Q_2^T]] with G = R_11^-1 Q_1^T and
     W = R_11^-1 B, the tail columns of G M.  G and G M are taken once per
-    prefix, by back substitution on the triangular R_11; each block costs
+    prefix that owns a given block, by back substitution on the triangular
+    R_11 (batched matmul works matrix by matrix, so a prefix's G does not
+    depend on which other prefixes are in the batch); each block costs
     the t x t inverse of Z (_cofactor_inverse) and two small products, where
     np.linalg.inv makes one LAPACK call per block.  Without prefix (k <= 4)
     X = S^-1 by cofactors alone.
@@ -335,15 +337,21 @@ def _prefix_inverses(M: np.ndarray, factors: _PrefixFactors, open_: np.ndarray) 
     z = np.take(factors.proj.reshape(t, -1), picked, axis=1)  # (t, t, count): z[:, i] = Q_2^T m_(T_i)
     if not p:
         return _cofactor_inverse(z)
-    prefix = picked[0] // n
-    z[0] /= factors.diag[prefix]  # undo the prod diag R carried on row 0
-    q, r = factors.q, factors.r
+    # G only for the prefixes that own a given block: block s has prefix
+    # number used[prefix[s]]; a chunk's prefix numbers never decrease
+    # (lexicographic order), so they group without a sort
+    owner = picked[0] // n
+    z[0] /= factors.diag[owner]  # undo the prod diag R carried on row 0
+    first = np.concatenate([[True], owner[1:] != owner[:-1]])
+    used, prefix = owner[first], np.cumsum(first) - 1
+    q, r = factors.q[used], factors.r[used]
     g = np.empty((len(q), p, k))  # R_11 G = Q_1^T, bottom row first
     for i in range(p - 1, -1, -1):
         row = q[:, :, i] - np.matmul(r[:, i : i + 1, i + 1 : p], g[:, i + 1 :])[:, 0]
         g[:, i] = row / r[:, i, i, None]
     # w[s] = W for block s: its tail columns of G M, (count, p, t)
-    w = np.take(np.matmul(g, M).transpose(1, 0, 2).reshape(p, -1), picked.T, axis=1).transpose(1, 0, 2)
+    local = prefix * n + picked % n
+    w = np.take(np.matmul(g, M).transpose(1, 0, 2).reshape(p, -1), local.T, axis=1).transpose(1, 0, 2)
     x = np.empty((len(prefix), k, k))
     np.matmul(_cofactor_inverse(z), np.ascontiguousarray(q[:, :, p:].transpose(0, 2, 1))[prefix], out=x[:, p:])
     np.subtract(g[prefix], np.matmul(w, x[:, p:]), out=x[:, :p])
@@ -432,8 +440,11 @@ def abs_pow(values, p) -> np.ndarray:
     if not all(0.0 < q <= 1.0 for q in ps.ravel().tolist()):
         raise ValueError(f"p must lie in (0, 1], got {p}")
     a = np.abs(np.asarray(values, dtype=float))
-    out = np.zeros(ps.shape + a.shape)
     mask = a > POWER_FLOOR
+    if mask.all():
+        # every entry is a power to take, as for x* + h: no scatter needed
+        return np.asarray(np.exp(np.multiply.outer(ps, np.log(a))))
+    out = np.zeros(ps.shape + a.shape)
     if mask.any():
         out[..., mask] = np.exp(np.multiply.outer(ps, np.log(a[mask])))
     return out
@@ -503,7 +514,7 @@ def _cascade_sums(rows: np.ndarray):
 
 def _row_fsums(d: np.ndarray):
     """math.fsum over the last axis, bit for bit: a float for 1-D input, else
-    nested lists of floats shaped like the leading axes.
+    a float64 array shaped like the leading axes.
 
     Rows go BLOCK at a time through _cascade_sums, a vectorized TwoSum cascade
     whose sum is accepted only where it provably equals fsum's: at most one
@@ -526,15 +537,15 @@ def _row_fsums(d: np.ndarray):
             for i in np.flatnonzero(~exact).tolist():
                 c[i] = math.fsum(block[i].tolist())
             sums[first : first + BLOCK] = c
-    return sums.reshape(d.shape[:-1]).tolist()
+    return sums.reshape(d.shape[:-1])
 
 
 def lp_power_sum(values, p):
     """sum_i |x_i|^p with exact accumulation, over the last axis.
 
-    A 1-D vector gives a float; a (rows, n) block gives a list of floats, one
-    per row, from a single abs_pow call.  A 1-D grid of p adds a leading
-    axis: one result per p, each bit-identical to the call at that p.
+    A 1-D vector gives a float; a (rows, n) block gives a float64 array, one
+    entry per row, from a single abs_pow call.  A 1-D grid of p adds a
+    leading axis: one result per p, each bit-identical to the call at that p.
     """
     return _row_fsums(abs_pow(values, p))
 
@@ -545,10 +556,11 @@ def lp_margin(x_star, h, p):
     Termwise differences keep the near-cancellation on the support of x* from
     being swamped by the off-support bulk before it is ever summed.  h is one
     perturbation of shape (n,), giving a float, or a (samples, n) block,
-    giving a list with one margin per row; the block makes one abs_pow call
-    for x* + h and each row's margin is bit-identical to evaluating it alone.
-    A 1-D grid of p gives one such result per p, each bit-identical to the
-    call at that p, from one abs_pow call on x* + h and one on x*.
+    giving a float64 array with one margin per row; the block makes one
+    abs_pow call for x* + h and each row's margin is bit-identical to
+    evaluating it alone.  A 1-D grid of p adds a leading axis, one result per
+    p, each bit-identical to the call at that p, from one abs_pow call on
+    x* + h and one on x*.
     """
     x = np.asarray(x_star, dtype=float)
     hv = np.asarray(h, dtype=float)

@@ -32,6 +32,7 @@ contracts (feasibility, rank logic, budgets).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -55,6 +56,7 @@ from .numerics import (
     SCREEN_FACTOR,
     SamplingError,
     _ratio_lower_bound,
+    abs_pow,
     check_budget,
     derive_seed,
     iter_subset_chunks,
@@ -167,6 +169,32 @@ class SparseSolutionSet:
     @property
     def supports(self) -> tuple[tuple[int, ...], ...]:
         return tuple(s.support for s in self.solutions)
+
+
+@dataclass(frozen=True, eq=False)
+class BasicSolutions:
+    """The basic solutions of a problem as one block, row i a solution on a
+    support of sizes[i] columns: supports[i, :sizes[i]] (ascending) and
+    coefficients[i, :sizes[i]], each row padded with zeros to the widest.
+    Rows go in ascending size, lexicographic within a size.  Iterating or
+    indexing yields SparseSolutions."""
+
+    sizes: np.ndarray  # (count,) intp
+    supports: np.ndarray  # (count, width) intp
+    coefficients: np.ndarray  # (count, width) float64
+
+    def __len__(self) -> int:
+        return len(self.sizes)
+
+    def __getitem__(self, i: int) -> SparseSolution:
+        size = int(self.sizes[i])
+        return SparseSolution(
+            support=tuple(self.supports[i, :size].tolist()),
+            coefficients=tuple(self.coefficients[i, :size].tolist()),
+        )
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
 
 
 @dataclass(frozen=True)
@@ -343,9 +371,10 @@ def _solve_bases(M: np.ndarray, b: np.ndarray, bases: np.ndarray):
     return cleared, coeff, _row_norms(_matvecs(sub, coeff) - b)
 
 
-def enumerate_basic_solutions(prob: SparseProblem) -> tuple[SparseSolution, ...]:
+def enumerate_basic_solutions(prob: SparseProblem) -> BasicSolutions:
     """Every basic solution, each reported once on its minimal support, in
-    ascending support size (lexicographic within a size).
+    ascending support size (lexicographic within a size), as one
+    BasicSolutions block.
 
     A basic solution is the unique representation of b on a full-column-rank
     support.  Each one's support extends to a basis of r = rank(A) columns
@@ -361,7 +390,11 @@ def enumerate_basic_solutions(prob: SparseProblem) -> tuple[SparseSolution, ...]
     When r is the row count, the bases the determinant screen clears are
     solved by LU (_solve_bases), the rest and every read-off support by SVD
     (_solve_supports): the supports are the SVD's, and a cleared basis's
-    coefficients may differ from the SVD's in their last bits.
+    coefficients may differ from the SVD's in their last bits.  Supports and
+    coefficients stay arrays throughout: a solve's rows are kept or read off
+    by mask, grouped by the size read off.  The order needs no sort of the
+    solutions: the bases are solved in enumeration order, and each read-off
+    size in one lexicographic pass.
 
     The budget is charged for every size 1..r, still the worst case: the
     C(n, r) bases, plus at most sum C(n, 1..r-1) re-solves, since each is a
@@ -371,25 +404,33 @@ def enumerate_basic_solutions(prob: SparseProblem) -> tuple[SparseSolution, ...]
     n = M.shape[1]
     nb = float(np.linalg.norm(b))
     if nb <= POWER_FLOOR:
-        return (SparseSolution(support=(), coefficients=()),)
+        return BasicSolutions(np.zeros(1, dtype=np.intp), np.empty((1, 0), dtype=np.intp), np.empty((1, 0)))
     r = numerical_rank(np.linalg.svd(M, compute_uv=False))
     check_budget(sum(math.comb(n, k) for k in range(1, r + 1)), "enumerate_basic_solutions")
-    out: list[SparseSolution] = []
-    read: dict[int, set[tuple[int, ...]]] = {}  # size -> supports read off, not yet solved
+    found: list[tuple[np.ndarray, np.ndarray]] = []  # (supports, coefficients) blocks, one size each
+    read: dict[int, list[np.ndarray]] = {}  # size -> supports read off, not yet solved
 
     def take(supports: np.ndarray, coeff: np.ndarray, res: np.ndarray) -> None:
         ok = res <= RESIDUAL_TOL * nb
-        supports, coeff = supports[ok], coeff[ok]
+        if not ok.all():
+            supports, coeff = supports.compress(ok, axis=0), coeff.compress(ok, axis=0)
         mag = np.abs(coeff)
-        nonzero = mag > ZERO_COEFF * np.max(mag, axis=1, keepdims=True)
-        keep = nonzero.all(axis=1)
-        for s, c in zip(supports[keep].tolist(), coeff[keep].tolist()):
-            out.append(SparseSolution(support=tuple(s), coefficients=tuple(c)))
-        # a numerically zero coefficient: read off the support of the others
-        for s, nz in zip(supports[~keep].tolist(), nonzero[~keep].tolist()):
-            smaller = tuple(i for i, z in zip(s, nz) if z)
-            if smaller:
-                read.setdefault(len(smaller), set()).add(smaller)
+        # row maxima and minima column by column: numpy reduces short rows slowly
+        cut = ZERO_COEFF * functools.reduce(np.maximum, mag.T)
+        keep = functools.reduce(np.minimum, mag.T) > cut
+        if keep.any():
+            found.append((supports.compress(keep, axis=0), coeff.compress(keep, axis=0)))
+        drop = ~keep
+        if not drop.any():
+            return
+        # a numerically zero coefficient: read off the support of the others;
+        # a boolean mask reads each row in column order, so it stays ascending
+        supports = supports.compress(drop, axis=0)
+        nonzero = mag.compress(drop, axis=0) > cut.compress(drop)[:, None]
+        sizes = np.count_nonzero(nonzero, axis=1)
+        for size in set(sizes.tolist()) - {0}:
+            rows = sizes == size
+            read.setdefault(size, []).append(supports[rows][nonzero[rows]].reshape(-1, size))
 
     def solve(supports: np.ndarray) -> None:
         full, coeff, res = _solve_supports(M, b, supports)
@@ -397,27 +438,55 @@ def enumerate_basic_solutions(prob: SparseProblem) -> tuple[SparseSolution, ...]
 
     square = r == M.shape[0]
     for subsets in iter_subset_chunks(n, r):
-        if square:
-            cleared, coeff, res = _solve_bases(M, b, subsets)
-            take(subsets[cleared], coeff, res)
-            subsets = subsets[~cleared]
-        if len(subsets):
+        if not square:
             solve(subsets)
+            continue
+        # LU on the bases the screen clears, SVD on the rest, back in
+        # enumeration order; a basis neither solves keeps res = inf
+        cleared, coeff_lu, res_lu = _solve_bases(M, b, subsets)
+        coeff, res = np.zeros((len(subsets), r)), np.full(len(subsets), np.inf)
+        coeff[cleared], res[cleared] = coeff_lu, res_lu
+        rest = np.flatnonzero(~cleared)
+        if len(rest):
+            full, coeff_svd, res_svd = _solve_supports(M, b, subsets[rest])
+            coeff[rest[full]], res[rest[full]] = coeff_svd, res_svd
+        take(subsets, coeff, res)
     for size in range(r - 1, 0, -1):
         # a read-off support is a proper subset, so it only adds smaller sizes
-        pending = np.array(sorted(read.pop(size, ())), dtype=np.intp).reshape(-1, size)
+        if size not in read:
+            continue
+        pending = np.concatenate(read.pop(size))
+        pending = pending[np.lexsort(pending.T[::-1])]  # lexicographic: the last key is primary
+        # the distinct ones, each solved once
+        pending = pending[np.concatenate([[True], np.any(pending[1:] != pending[:-1], axis=1)])]
         for start in range(0, len(pending), BLOCK):
             solve(pending[start : start + BLOCK])
-    if not out:
+    if not found:
         raise InfeasibleProblemError("no basic solution found")
-    return tuple(sorted(out, key=lambda s: (len(s.support), s.support)))
+    # each size's blocks came in lexicographic order (the bases chunk by chunk,
+    # each read-off size in one sorted pass), the sizes downwards
+    found.sort(key=lambda block: block[0].shape[1])
+    count = sum(len(block) for block, _ in found)
+    sizes = np.empty(count, dtype=np.intp)
+    supports = np.zeros((count, r), dtype=np.intp)
+    coeffs = np.zeros((count, r))
+    row = 0
+    for sup, coeff in found:
+        end, size = row + len(sup), sup.shape[1]
+        sizes[row:end] = size
+        supports[row:end, :size] = sup
+        coeffs[row:end, :size] = coeff
+        row = end
+    return BasicSolutions(sizes, supports, coeffs)
 
 
-def _l0_from_basics(basics: tuple[SparseSolution, ...]) -> SparseSolutionSet:
+def _l0_from_basics(basics: BasicSolutions) -> SparseSolutionSet:
     """The l0 solution set read off the basic solutions: the smallest support
-    size among them and every basic solution of that size."""
-    level = min(len(s.support) for s in basics)
-    return SparseSolutionSet(level, tuple(s for s in basics if len(s.support) == level))
+    size among them and every basic solution of that size, the leading rows
+    of the block."""
+    level = int(basics.sizes[0])
+    count = int(np.searchsorted(basics.sizes, level, side="right"))
+    return SparseSolutionSet(level, tuple(basics[i] for i in range(count)))
 
 
 def solve_l0(prob: SparseProblem) -> SparseSolutionSet:
@@ -436,26 +505,61 @@ def _p_list(p) -> list:
 def solve_lp_basic(
     prob: SparseProblem,
     p,
-    basics: tuple[SparseSolution, ...] | None = None,
+    basics: BasicSolutions | None = None,
 ) -> LpMinimum | list[LpMinimum]:
     """Global lp minimum over basic solutions (ties within 1e-10 relative).
 
     p is one exponent, giving one LpMinimum, or a 1-D grid, giving one
-    LpMinimum per p, each bit-identical to the call at that p; the basic
-    solutions are enumerated and padded into one block for the whole grid.
+    LpMinimum per p, each bit-identical to the call at that p.  value is the
+    least exact sum V_i = fsum(|y_i|^p) over the basic solutions y_i, and the
+    minimizers are every y_i with V_i <= tie(value), in block order, where
+    tie(v) = v + 1e-10 max(1, |v|).
+
+    One abs_pow call on the padded coefficient block gives every term of the
+    whole grid; math.fsum runs only on the rows that may be minimizers.  Row
+    i has w = width terms t >= 0 (zero padding adds exactly 0.0), so its
+    float sum f_i, in any order, is within gamma_(w-1) v_i of its exact sum
+    v_i, gamma_j = j u / (1 - j u), u = 2^-53 (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., section 4.2).  With
+    c = w 2^-52 = 2 w u, an exact float, lo_i = fl(f_i (1 - c)) and
+    hi_i = fl(f_i (1 + c)) bracket v_i:
+
+      lo_i <= f_i (1 - c)(1 + u) <= f_i (1 - (2w - 1) u) <= f_i / (1 + gamma) <= v_i,
+      hi_i >= f_i (1 + c)(1 - u) >= f_i (1 + (2w - 1.25) u) >= f_i / (1 - gamma) >= v_i
+
+    for w u <= 1/8, since every nonzero term is at least about POWER_FLOOR,
+    far above the subnormal range, and so are the products.  V_i rounds v_i
+    to nearest, so it lies in the same float bracket, and the least V is at
+    most H = min hi.  For v >= 0, tie(v) is nondecreasing (each step rounds
+    a nondecreasing function), so every minimizer, the argmin included, has
+    lo_i <= V_i <= tie(min V) <= tie(H).  The rows with lo_i <= tie(H) are
+    the candidates: the minimum, the band and the minimizers read off their
+    fsums are those of all rows.  A block with a non-finite float sum makes
+    every row a candidate, so fsum decides it and raises as it does.
     """
     if basics is None:
         basics = enumerate_basic_solutions(prob)
     ps = _p_list(p)
-    # zero padding adds exactly 0.0 to each row's exact sum
-    padded = np.zeros((len(basics), max(len(s.coefficients) for s in basics)))
-    for row, s in zip(padded, basics):
-        row[: len(s.coefficients)] = s.coefficients
+    powers = abs_pow(basics.coefficients, ps)  # (len(ps), len(basics), width)
+    width = powers.shape[-1]
+    c = width * 2.0**-52
+    # float row sums, in whatever order the product takes: the bracket holds for any
+    sums = powers @ np.ones(width)
+    hmin = np.min(sums * (1.0 + c), axis=1)
+    candidates = sums * (1.0 - c) <= (hmin + 1e-10 * np.maximum(1.0, hmin))[:, None]
+    if not np.all(np.isfinite(sums)):
+        candidates[:] = True
+    at_p, rows = np.nonzero(candidates)
+    values = [math.fsum(terms) for terms in powers[at_p, rows].tolist()]
+    # each p's candidates as (row, exact sum) pairs, in row order
+    picked: list[list[tuple[int, float]]] = [[] for _ in ps]
+    for i, row, v in zip(at_p.tolist(), rows.tolist(), values):
+        picked[i].append((row, v))
     out = []
-    for p_i, values in zip(ps, lp_power_sum(padded, ps)):
-        vmin = min(values)
+    for p_i, pairs in zip(ps, picked):
+        vmin = min(v for _, v in pairs)
         tie = vmin + 1e-10 * max(1.0, abs(vmin))
-        winners = tuple(s for s, v in zip(basics, values) if v <= tie)
+        winners = tuple(basics[row] for row, v in pairs if v <= tie)
         out.append(LpMinimum(p=p_i, value=vmin, minimizers=winners))
     return out[0] if np.ndim(p) == 0 else out
 
@@ -586,9 +690,10 @@ def verify_strict_inequality(
     if not len(H):
         raise ValueError("empty kernel sample set")
     ps = _p_list(p)
-    margins = lp_margin(x_star, H, ps)
+    margins = lp_margin(x_star, H, ps)  # (len(ps), len(H))
     reports = []
-    for p_i, row, bad in zip(ps, margins, np.asarray(margins).reshape(len(ps), len(H)) <= 0.0):
+    # Python floats in the reports: numpy 2 prints np.float64 otherwise
+    for p_i, row, low, bad in zip(ps, margins.tolist(), margins.min(axis=1).tolist(), margins <= 0.0):
         violations = tuple(
             {"index": idx, "kind": samples.kinds[idx], "scale": samples.scales[idx], "p": p_i,
              "margin": row[idx], "h": H[idx].tolist()}
@@ -597,7 +702,7 @@ def verify_strict_inequality(
         reports.append(
             EquivalenceReport(
                 p=p_i,
-                margin_min=min(row),
+                margin_min=low,
                 argmin_match=None,
                 trials=len(H),
                 below_threshold=None if p_star is None else p_i < p_star,
@@ -884,7 +989,7 @@ def verify_theorem2(
 
     base_power = lp_power_sum(x, p)
     H = samples.vectors
-    shifted_powers = lp_power_sum(x + H, p)
+    shifted_powers = lp_power_sum(x + H, p).tolist()
     # l_i = <B_i, h>, sorted by decreasing |l_i| (ties to the lower i)
     L = _matvecs(b_vectors(spec), H)
     orders = np.lexsort((np.broadcast_to(np.arange(m + 2), L.shape), -np.abs(L)), axis=-1)
@@ -897,7 +1002,7 @@ def verify_theorem2(
     tail_bounds = np.all(
         np.abs(tails[:, :, 1:]) <= ((1.0 / t_arr) * (1.0 + 1e-12))[None, :, None], axis=-1
     )
-    tail_rows = iter(zip(lp_power_sum(tails, p), tail_bounds.tolist()))
+    tail_rows = iter(zip(lp_power_sum(tails, p).tolist(), tail_bounds.tolist()))
     head_powers = [(m + 1) / t**p for t in t_schedule]
 
     records: list[dict] = []

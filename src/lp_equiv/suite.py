@@ -78,6 +78,9 @@ class RunConfig:
             raise ValueError(f"need 1 <= m < n, got m={self.m}, n={self.n}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if not self.output_dir:
+            # an empty path would write the artifacts into the current directory
+            raise ValueError("output_dir must be a nonempty path")
 
     def to_text(self) -> str:
         lines = ["# run configuration for the lp-equiv suite"]
@@ -101,7 +104,10 @@ class RunConfig:
                 raise ValueError(f"line {lineno}: unknown config key {key!r}")
             if key in seen:
                 raise ValueError(f"line {lineno}: duplicate config key {key!r}")
-            seen[key] = rendered if key == "output_dir" else int(rendered)
+            try:
+                seen[key] = rendered if key == "output_dir" else int(rendered)
+            except ValueError:
+                raise ValueError(f"line {lineno}: {key} must be an integer, got {rendered!r}") from None
         return cls(**seen)
 
 

@@ -3,9 +3,11 @@
 The references below are the per-sample margin, the per-p call, the
 per-support solve loop over every size (test_solvers._reference_scan, which
 the l0 tests there share), the per-step T2 loop and the per-sample T3
-residual loop that the block kernels and the basis scan replaced; every
-comparison is exact (==, or bit patterns where a signed zero could hide),
-except two.  log10_x_t, which the T2 harness now derives from log x_t (see
+residual loop that the block kernels and the basis scan replaced, and the
+earlier forms of two block kernels: the basis scan that built its solutions
+row by row (_object_scan) and the lp argmin that took an exact sum of every
+basic solution (_padded_lp_basic); every comparison is exact (==, or bit
+patterns where a signed zero could hide), except two.  log10_x_t, which the T2 harness now derives from log x_t (see
 test_t2_steps_equal_per_step_loop).  And the coefficients of the bases the
 determinant screen clears, which the basis scan solves by LU and the
 reference by SVD: their supports, order and l0 level are compared with ==,
@@ -32,32 +34,45 @@ from lp_equiv.matgen import (  # noqa: E402
     power_rows,
     sample_instance,
 )
+from lp_equiv import solvers  # noqa: E402
 from lp_equiv.numerics import (  # noqa: E402
     BLOCK,
     POWER_FLOOR,
     abs_pow,
     derive_seed,
+    iter_subset_chunks,
     lp_margin,
     lp_power_sum,
+    numerical_rank,
 )
 from lp_equiv.solvers import (  # noqa: E402
     DEFAULT_SCALES,
     DEFAULT_T_SCHEDULE,
     LIFT_RESIDUAL_FACTOR,
     MAX_EXPLICIT_SCALE,
+    RESIDUAL_TOL,
     ZERO_COEFF,
+    LpMinimum,
     SparseProblem,
+    SparseSolution,
     enumerate_basic_solutions,
     null_space_basis,
     plant_sparse_instance,
     sample_null,
     solve_l0,
+    solve_lp_basic,
     verify_theorem2,
     verify_theorem3,
 )
 from lp_equiv.spark import compute_spark  # noqa: E402
 from lp_equiv.spectral import gram_spectrum  # noqa: E402
-from test_solvers import _assert_same_basics, _recorded_svd_solves, _reference_scan  # noqa: E402
+from test_solvers import (  # noqa: E402
+    _assert_same_basics,
+    _recorded_svd_solves,
+    _reference_scan,
+    as_block,
+    worked_problem,
+)
 
 ENTRIES = st.one_of(
     st.floats(-1e6, 1e6, allow_nan=False),
@@ -92,10 +107,13 @@ def test_p_grid_equals_per_p_calls(data):
     powers = abs_pow(x + H, grid)
     for i, p in enumerate(grid):
         assert powers[i].tobytes() == abs_pow(x + H, p).tobytes()
-    assert lp_power_sum(x + H, grid) == [lp_power_sum(x + H, p) for p in grid]
-    assert lp_power_sum(x, grid) == [lp_power_sum(x, p) for p in grid]
-    assert lp_margin(x, H, grid) == [lp_margin(x, H, p) for p in grid]
-    assert lp_margin(x, H[0], grid) == [lp_margin(x, H[0], p) for p in grid]
+    for got, per_p in (
+        (lp_power_sum(x + H, grid), [lp_power_sum(x + H, p) for p in grid]),
+        (lp_power_sum(x, grid), [lp_power_sum(x, p) for p in grid]),
+        (lp_margin(x, H, grid), [lp_margin(x, H, p) for p in grid]),
+        (lp_margin(x, H[0], grid), [lp_margin(x, H[0], p) for p in grid]),
+    ):
+        assert got.tobytes() == np.array(per_p).tobytes()
 
 
 @settings(max_examples=200, deadline=None)
@@ -111,8 +129,8 @@ def test_lp_margin_invariant_under_zero_padding(data):
     p = data.draw(EXPONENTS)
     grid = data.draw(st.lists(EXPONENTS, min_size=1, max_size=4))
     for q in (p, grid):
-        assert lp_margin(x_pad, H_pad, q) == lp_margin(x, H, q)
-        assert lp_margin(x_pad, H_pad[0], q) == lp_margin(x, H[0], q)
+        assert np.array_equal(lp_margin(x_pad, H_pad, q), lp_margin(x, H, q))
+        assert np.array_equal(lp_margin(x_pad, H_pad[0], q), lp_margin(x, H[0], q))
 
 
 @settings(max_examples=60, deadline=None)
@@ -174,6 +192,212 @@ def test_basis_scan_re_solves_a_non_minimal_read_off(m, n, k, seed, read_off, mo
     solved = _recorded_svd_solves(monkeypatch)
     _assert_same_basics(prob.matrix.entries, enumerate_basic_solutions(prob), basics)
     assert read_off <= set(solved)
+
+
+def _object_scan(prob) -> tuple[SparseSolution, ...]:
+    """enumerate_basic_solutions as it was before its block form: the same
+    solves, each kept row turned into a SparseSolution and each read-off
+    support into a tuple by a loop over rows, one sort at the end."""
+    M, b = prob.matrix.entries, prob.b
+    n = M.shape[1]
+    nb = float(np.linalg.norm(b))
+    if nb <= POWER_FLOOR:
+        return (SparseSolution(support=(), coefficients=()),)
+    r = numerical_rank(np.linalg.svd(M, compute_uv=False))
+    out, read = [], {}
+
+    def take(supports, coeff, res):
+        ok = res <= RESIDUAL_TOL * nb
+        supports, coeff = supports[ok], coeff[ok]
+        mag = np.abs(coeff)
+        nonzero = mag > ZERO_COEFF * np.max(mag, axis=1, keepdims=True)
+        keep = nonzero.all(axis=1)
+        for sup, c in zip(supports[keep].tolist(), coeff[keep].tolist()):
+            out.append(SparseSolution(support=tuple(sup), coefficients=tuple(c)))
+        for sup, nz in zip(supports[~keep].tolist(), nonzero[~keep].tolist()):
+            smaller = tuple(i for i, z in zip(sup, nz) if z)
+            if smaller:
+                read.setdefault(len(smaller), set()).add(smaller)
+
+    def solve(supports):
+        full, coeff, res = solvers._solve_supports(M, b, supports)
+        take(supports[full], coeff, res)
+
+    for subsets in iter_subset_chunks(n, r):
+        if r == M.shape[0]:
+            cleared, coeff, res = solvers._solve_bases(M, b, subsets)
+            take(subsets[cleared], coeff, res)
+            subsets = subsets[~cleared]
+        if len(subsets):
+            solve(subsets)
+    for size in range(r - 1, 0, -1):
+        pending = np.array(sorted(read.pop(size, ())), dtype=np.intp).reshape(-1, size)
+        for start in range(0, len(pending), BLOCK):
+            solve(pending[start : start + BLOCK])
+    return tuple(sorted(out, key=lambda s: (len(s.support), s.support)))
+
+
+def _solution_bits(solutions):
+    """Supports and coefficient bit patterns, in order."""
+    return [(s.support, [struct.pack("<d", c) for c in s.coefficients]) for s in solutions]
+
+
+def _assert_block_equals_object_scan(prob):
+    got = enumerate_basic_solutions(prob)
+    expected = _object_scan(prob)
+    assert _solution_bits(got) == _solution_bits(expected)
+    # the block's own arrays say the same: sizes ascending, zero padding
+    assert got.sizes.tolist() == [len(s.support) for s in expected]
+    width = got.supports.shape[1]
+    assert got.supports.tolist() == [list(s.support) + [0] * (width - len(s.support)) for s in expected]
+    padded = np.zeros((len(expected), width))
+    for row, sol in zip(padded, expected):
+        row[: len(sol.coefficients)] = sol.coefficients
+    assert got.coefficients.tobytes() == padded.tobytes()
+
+
+@pytest.mark.parametrize("m", range(2, 6))
+def test_basis_block_equals_object_scan_on_the_node_grid(m):
+    for n in range(m + 1, m + 5):
+        for k in range(1, m):
+            for seed in range(3):
+                _assert_block_equals_object_scan(_planted_problem(m, n, k, seed).problem)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_basis_block_equals_object_scan_on_small_integer_matrices(data):
+    # small integer entries make rank-deficient bases and zero coefficients,
+    # so read-offs, and read-offs of read-offs, are common
+    m = data.draw(st.integers(1, 4))
+    n = data.draw(st.integers(m + 1, 8))
+    M = data.draw(hnp.arrays(float, (m, n), elements=st.integers(-2, 2).map(float)))
+    x = data.draw(hnp.arrays(float, n, elements=st.sampled_from([0.0, 0.0, 0.5, -1.25, 3.0])))
+    _assert_block_equals_object_scan(SparseProblem(DenseMatrix(M), M @ x))
+
+
+# the read-off sizes solved below the bases: the supports read off the
+# bases are solved and read down again, over two sizes on the first and
+# three on the second, before the loop reaches its fixpoint
+@pytest.mark.parametrize(
+    "m, n, k, seed, sizes",
+    [(5, 8, 2, 6, {2, 3}), (5, 10, 1, 4, {1, 3, 4})],
+    ids=["5x8-k2-seed6", "5x10-k1-seed4"],
+)
+def test_basis_block_equals_object_scan_through_the_read_off_fixpoint(m, n, k, seed, sizes, monkeypatch):
+    prob = _planted_problem(m, n, k, seed).problem
+    solved = _recorded_svd_solves(monkeypatch)
+    _assert_block_equals_object_scan(prob)
+    assert {len(s) for s in solved} - {m} == sizes
+
+
+def test_basis_block_equals_object_scan_when_one_solve_reads_off_two_sizes():
+    # b = -1.25 (m_4 + m_5): among the bases of this integer matrix, one
+    # block of solves has rows that read down to 2 and to 3 columns
+    M = np.array(
+        [[1.0, -1.0, 0.0, 1.0, 2.0, 0.0],
+         [-2.0, 0.0, 1.0, -1.0, 1.0, 1.0],
+         [-1.0, -1.0, 2.0, 1.0, -2.0, -1.0],
+         [1.0, 1.0, -1.0, 2.0, 1.0, -1.0]]
+    )
+    prob = SparseProblem(DenseMatrix(M), M @ np.array([0.0, 0.0, 0.0, 0.0, -1.25, -1.25]))
+    _assert_block_equals_object_scan(prob)
+    assert {len(s.support) for s in enumerate_basic_solutions(prob)} >= {2, 3}
+
+
+def _padded_lp_basic(basics, ps):
+    """solve_lp_basic as it was before its certified argmin: an exact sum of
+    every basic solution, from one lp_power_sum call on the zero-padded
+    coefficients."""
+    solutions = list(basics)
+    padded = np.zeros((len(solutions), max(len(s.coefficients) for s in solutions)))
+    for row, s in zip(padded, solutions):
+        row[: len(s.coefficients)] = s.coefficients
+    out = []
+    for p, values in zip(ps, lp_power_sum(padded, ps).tolist()):
+        vmin = min(values)
+        tie = vmin + 1e-10 * max(1.0, abs(vmin))
+        out.append(LpMinimum(p=p, value=vmin, minimizers=tuple(s for s, v in zip(solutions, values) if v <= tie)))
+    return out
+
+
+def _assert_lp_minima_equal(got, expected):
+    assert got == expected
+    assert [struct.pack("<d", g.value) for g in got] == [struct.pack("<d", e.value) for e in expected]
+
+
+LP_EXPONENTS = st.one_of(st.sampled_from([1e-16, 1e-12, 1e-6, 0.5, 1.0]), st.floats(1e-16, 1.0))
+
+
+@st.composite
+def _basic_solution_sets(draw):
+    """Up to 24 solutions on up to 6 columns: magnitudes log-uniform over
+    [1e-12, 1e4], and rows that repeat an earlier row's coefficients
+    permuted (an exact tie) or with one of them moved by up to 1e-10
+    relative (sums within 1e-10 of each other)."""
+    width = draw(st.integers(1, 6))
+    rows = []
+    for i in range(draw(st.integers(1, 24))):
+        kind = draw(st.sampled_from(["fresh", "tie", "near"])) if rows else "fresh"
+        if kind == "fresh":
+            size = draw(st.integers(1, width))
+            logs = draw(st.lists(st.floats(-12.0, 4.0), min_size=size, max_size=size))
+            signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=size, max_size=size))
+            coeff = [sign * 10.0**v for sign, v in zip(signs, logs)]
+        else:
+            coeff = list(draw(st.sampled_from(rows))[1])
+            coeff = draw(st.permutations(coeff))
+            if kind == "near":
+                j = draw(st.integers(0, len(coeff) - 1))
+                coeff[j] *= 1.0 + draw(st.floats(-1e-10, 1e-10))
+        rows.append((tuple(range(i, i + len(coeff))), tuple(coeff)))
+    return [SparseSolution(support, coeff) for support, coeff in rows]
+
+
+@settings(max_examples=300, deadline=None)
+@given(solutions=_basic_solution_sets(), grid=st.lists(LP_EXPONENTS, min_size=1, max_size=6))
+def test_certified_lp_argmin_equals_padded_exact_sums(solutions, grid):
+    block = as_block(solutions)
+    _assert_lp_minima_equal(solve_lp_basic(None, grid, basics=block), _padded_lp_basic(solutions, grid))
+    _assert_lp_minima_equal([solve_lp_basic(None, grid[0], basics=block)], _padded_lp_basic(solutions, grid[:1]))
+
+
+def test_certified_lp_argmin_at_the_edge_of_the_tie_band():
+    # at p = 1 the band of 1.0 ends at tie = fl(1 + 1e-10): a solution worth
+    # exactly tie is a minimizer, one a float above it is not, though the
+    # float-sum bracket keeps both as candidates.  The two-term rows reach
+    # those sums by exact addition; the three-term row's exact sum rounds
+    # to tie while its float sum, (a + t) + t with t between half and three
+    # quarters of an ulp, rounds up twice to tie + ulp: only the bracket
+    # keeps it a candidate.  Every term here is its own exp(log(.)), so the
+    # sums are those of the coefficients.
+    tie = 1.0 + 1e-10
+    ulp = float(np.spacing(tie))
+    above = tie + ulp
+    t = float.fromhex("0x1.19b13165d3997p-53")
+    solutions = [
+        SparseSolution((0,), (1.0,)),
+        SparseSolution((1,), (tie,)),
+        SparseSolution((2,), (above,)),
+        SparseSolution((0, 1), (0.5, tie - 0.5)),
+        SparseSolution((0, 2), (-0.5, above - 0.5)),
+        SparseSolution((3, 4, 5), (tie - ulp, t, -t)),
+    ]
+    terms = abs_pow(np.array([tie - ulp, t, t]), 1.0)
+    assert terms.tolist() == [tie - ulp, t, t]
+    assert terms.sum() == above and math.fsum(terms.tolist()) == tie
+    got = solve_lp_basic(None, [1.0, 0.5], basics=as_block(solutions))
+    _assert_lp_minima_equal(got, _padded_lp_basic(solutions, [1.0, 0.5]))
+    assert [s.support for s in got[0].minimizers] == [(0,), (1,), (0, 1), (3, 4, 5)]
+
+
+def test_certified_lp_argmin_equals_padded_exact_sums_on_node_problems():
+    grid = (1e-16, 1e-9, 1e-4, 0.3, 0.5, 1.0)
+    for m, n, k, seed in [(2, 5, 1, 0), (3, 7, 2, 1), (4, 8, 3, 2), (5, 10, 1, 4), (5, 8, 2, 6)]:
+        basics = enumerate_basic_solutions(_planted_problem(m, n, k, seed).problem)
+        _assert_lp_minima_equal(solve_lp_basic(None, grid, basics=basics), _padded_lp_basic(basics, grid))
+    worked = worked_problem()
+    _assert_lp_minima_equal(solve_lp_basic(worked, grid), _padded_lp_basic(enumerate_basic_solutions(worked), grid))
 
 
 def _reference_t2_step(spec, p, h, l, order, t, tail, step):

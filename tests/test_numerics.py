@@ -95,7 +95,7 @@ def test_block_margins_and_power_sums_are_bit_identical_to_one_row_at_a_time(p):
     H[2] = -x  # cancels x* exactly
     H[3, 3] = 1e-305  # x* + h stays at or below POWER_FLOOR
     margins = lp_margin(x, H, p)
-    assert isinstance(margins, list) and all(type(v) is float for v in margins)
+    assert isinstance(margins, np.ndarray) and margins.dtype == np.float64 and margins.shape == (64,)
     assert bits(margins) == bits([_margin_one_row(x, h, p) for h in H])
     assert bits(margins) == bits([lp_margin(x, h, p) for h in H])
     assert bits(margins[1:2]) == bits([0.0])
@@ -226,7 +226,7 @@ def test_row_sums_keep_fsum_infinities_and_nans():
     d = np.array([[math.inf, 1.0], [-math.inf, -math.inf], [math.nan, 1.0], [math.inf, math.nan]])
     for block in (d, _cascade_block(d)[0]):
         got = numerics._row_fsums(block)
-        assert got[:2] == [math.inf, -math.inf] and all(map(math.isnan, got[2:4]))
+        assert got[:2].tolist() == [math.inf, -math.inf] and all(map(math.isnan, got[2:4]))
 
 
 @pytest.mark.parametrize(
@@ -287,6 +287,41 @@ def test_abs_pow_equals_exp_of_p_log_exactly():
             assert abs_pow(values, p).tobytes() == reference_abs_pow(values, p).tobytes()
 
 
+def masked_abs_pow(values, p):
+    """abs_pow's path for input with an entry at or below POWER_FLOOR, taken
+    whatever the input: the logarithms of the entries above it only,
+    scattered into zeros."""
+    ps = np.asarray(p, dtype=float)
+    a = np.abs(np.asarray(values, dtype=float))
+    out = np.zeros(ps.shape + a.shape)
+    mask = a > POWER_FLOOR
+    out[..., mask] = np.exp(np.multiply.outer(ps, np.log(a[mask])))
+    return out
+
+
+ABOVE_FLOOR = st.floats(2e-300, 1e300) | st.floats(-1e300, -2e-300)
+AT_OR_BELOW_FLOOR = st.sampled_from([0.0, -0.0, POWER_FLOOR, -POWER_FLOOR, 1e-305, 5e-324])
+POW_EXPONENTS = st.one_of(st.sampled_from([1e-16, 1e-6, 0.5, 1.0]), st.floats(1e-16, 1.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), floored=st.booleans())
+def test_abs_pow_fast_path_equals_the_masked_path(data, floored):
+    # without an entry at or below POWER_FLOOR, abs_pow takes every
+    # logarithm and skips the scatter; both paths agree bit for bit
+    shape = data.draw(hnp.array_shapes(min_dims=0, max_dims=3, min_side=1, max_side=5))
+    values = data.draw(hnp.arrays(float, shape, elements=ABOVE_FLOOR))
+    if floored:
+        spots = data.draw(hnp.arrays(bool, shape))
+        floor_values = data.draw(hnp.arrays(float, shape, elements=AT_OR_BELOW_FLOOR))
+        values = np.where(spots, floor_values, values)
+    p = data.draw(POW_EXPONENTS | st.lists(POW_EXPONENTS, min_size=1, max_size=4))
+    got = abs_pow(values, p)
+    want = masked_abs_pow(values, p)
+    assert type(got) is np.ndarray and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("block", [False, True])
 @pytest.mark.parametrize("order", ["sorted", "shuffled"])
 def test_grid_evaluations_equal_per_p_calls(block, order):
@@ -300,19 +335,18 @@ def test_grid_evaluations_equal_per_p_calls(block, order):
     for i, p in enumerate(grid):
         assert powers[i].tobytes() == abs_pow(y, p).tobytes()
     for g in (grid, list(grid), np.array(grid)):
-        assert lp_power_sum(y, g) == [lp_power_sum(y, p) for p in grid]
-        assert lp_margin(x, h, g) == [lp_margin(x, h, p) for p in grid]
+        assert lp_power_sum(y, g).tobytes() == np.array([lp_power_sum(y, p) for p in grid]).tobytes()
+        assert lp_margin(x, h, g).tobytes() == np.array([lp_margin(x, h, p) for p in grid]).tobytes()
     margins = lp_margin(x, h, grid)
-    rows = margins if block else [[m] for m in margins]
-    assert all(type(v) is float for row in rows for v in row)
+    assert margins.dtype == np.float64 and margins.shape == (len(grid),) + h.shape[:-1]
 
 
 def test_empty_and_invalid_grids():
     x, H, _ = _grid_inputs()
     assert abs_pow(x, []).shape == (0, x.size)
-    assert lp_power_sum(x + H, []) == []
-    assert lp_margin(x, H, ()) == []
-    assert lp_margin(x, H[:0], [0.5, 1.0]) == [[], []]
+    assert lp_power_sum(x + H, []).shape == (0, len(H))
+    assert lp_margin(x, H, ()).shape == (0, len(H))
+    assert lp_margin(x, H[:0], [0.5, 1.0]).shape == (2, 0)
     for bad in ([0.5, 0.0], [1.5], [0.5, -1e-3], [0.5, float("nan")], float("nan")):
         with pytest.raises(ValueError):
             abs_pow(x, bad)

@@ -30,6 +30,7 @@ from lp_equiv.solvers import (
     DEFAULT_SCALES,
     RESIDUAL_TOL,
     ZERO_COEFF,
+    BasicSolutions,
     EquivalenceReport,
     InfeasibleProblemError,
     KernelSamples,
@@ -91,7 +92,7 @@ def test_zero_rhs_gives_level_zero():
     sol = solve_l0(SparseProblem(A, np.zeros(2)))
     assert sol.level == 0
     assert sol.solutions[0].support == ()
-    assert enumerate_basic_solutions(SparseProblem(A, np.zeros(2))) == sol.solutions
+    assert tuple(enumerate_basic_solutions(SparseProblem(A, np.zeros(2)))) == sol.solutions
 
 
 def test_infeasible_rhs_rejected():
@@ -204,6 +205,17 @@ def _recorded_svd_solves(monkeypatch) -> list:
 
     monkeypatch.setattr(solvers, "_solve_supports", recorded)
     return solved
+
+
+def as_block(solutions) -> BasicSolutions:
+    """SparseSolutions, in order, as the block enumerate_basic_solutions returns."""
+    width = max(len(s.support) for s in solutions)
+    pad = [width - len(s.support) for s in solutions]
+    return BasicSolutions(
+        np.array([len(s.support) for s in solutions], dtype=np.intp),
+        np.array([s.support + (0,) * k for s, k in zip(solutions, pad)], dtype=np.intp).reshape(-1, width),
+        np.array([s.coefficients + (0.0,) * k for s, k in zip(solutions, pad)]).reshape(-1, width),
+    )
 
 
 def _reference_scan(prob):
@@ -427,7 +439,7 @@ def test_l0_set_read_off_basic_solutions_equals_solve_l0(m):
             prob = plant_sparse_instance(A, k, derive_seed(seed, f"l0-plant-{k}")).problem
             _, basics = _reference_scan(prob)
             expected, l0 = _reference_l0(prob), solve_l0(prob)
-            assert _l0_from_basics(basics) == expected
+            assert _l0_from_basics(as_block(basics)) == expected
             assert l0.level == expected.level
             _assert_same_basics(A.entries, l0.solutions, expected.solutions)
 
@@ -551,7 +563,7 @@ def _median_shifted(lp_margin_fn):
     def shifted(x, h, p):
         out = lp_margin_fn(x, h, p)
         rows = out if np.ndim(p) else [out]
-        rows = [[v - sorted(row)[len(row) // 2] for v in row] for row in rows]
+        rows = np.array([[v - sorted(row)[len(row) // 2] for v in row] for row in rows])
         return rows if np.ndim(p) else rows[0]
 
     return shifted

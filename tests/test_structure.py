@@ -106,6 +106,15 @@ def test_one_margin_sweep_and_one_lp_argmin_call_per_t1_harness(t1_metrics):
     assert t1_metrics["solvers.solve_lp_basic.calls"] == harness
 
 
+def test_lp_argmin_takes_no_exact_sum_of_every_basic_solution(t1_metrics):
+    # solve_lp_basic brackets each basic solution's power sum from one float
+    # reduction and takes math.fsum of the candidates alone; an lp_power_sum
+    # call would sum every row of the grid exactly again (on t1-sweep it is
+    # lp_power_sum's only caller)
+    assert t1_metrics["solvers.solve_lp_basic.calls"] > 0
+    assert t1_metrics["numerics.lp_power_sum.calls"] == 0
+
+
 def test_no_eigensolve_on_the_t1_path(t1_metrics):
     # rank, lambda_max and lambda_min_plus come from one SVD under the rank
     # policy (numerics.RANK_TOL); an eigensolve of A^T A loses

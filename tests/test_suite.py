@@ -55,6 +55,11 @@ output_dir = somewhere
         RunConfig.from_text(text + "p_grid = 0.5, 1.0\n")
     with pytest.raises(ValueError, match="unknown config key 't_schedule'"):
         RunConfig.from_text(text + "t_schedule = 10, 100\n")
+    # a malformed integer names its line, as every other malformed line does
+    with pytest.raises(ValueError, match=r"line 7: trials must be an integer, got '1e3'"):
+        RunConfig.from_text(text.replace("trials = 4", "trials = 1e3"))
+    with pytest.raises(ValueError, match="line 2: seed must be an integer, got ''"):
+        RunConfig.from_text("# comment\nseed =\n")
 
 
 def test_config_text_rejects_unknown_and_duplicate_keys():
@@ -73,6 +78,11 @@ def test_config_validation():
         RunConfig(m=3, n=3)
     with pytest.raises(ValueError):
         RunConfig(trials=0)
+    # an empty path would put the artifacts in the current directory
+    with pytest.raises(ValueError, match="output_dir"):
+        RunConfig(output_dir="")
+    with pytest.raises(ValueError, match="output_dir"):
+        RunConfig.from_text("seed = 1\noutput_dir =\n")
 
 
 def test_json_safe_handles_numpy_and_dataclasses():
