@@ -5,7 +5,10 @@ The scaled augmentation A^(t) and its threshold limit
 For n >= 2m+2 nodes, gluing m+2 scaled power rows and an identity block
 onto A(m, n, lam) produces a (2m+2) x (n+m+2) matrix A^(t) whose spark
 is 2m+3 -- maximal -- for *every* positive pair of glue scales
-(x_t, y_t).  As the scales shrink, A^(t) approaches the block-diagonal
+(x_t, y_t), when every minor its (2m+2)-column subsets reduce to is
+nonzero: always for positive nodes, and for sampled signed ones unless the
+draw lands where such a minor vanishes (at m = 1, three nodes summing to
+zero).  As the scales shrink, A^(t) approaches the block-diagonal
 limit A^(0) and the threshold p*(A^(t)) converges to p*(A^(0)).
 
 Two facts are demonstrated:

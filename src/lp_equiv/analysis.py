@@ -325,40 +325,30 @@ def cross_term_check(
     """Sample disjointly supported sparse pairs and compare |<Ax1, Ax2>| with
     both candidate constants; neither is asserted.
 
-    lemma1, when given, is A's lemma1_constants report; its spark and its
-    u^2, w^2 are used instead of certifying and scanning A again.
+    lemma1, when given, is A's lemma1_constants report; its spark, u^2, w^2
+    and Gram extremes are used instead of certifying and scanning A again.
+    Spark <= 2 leaves no support size to sample (degenerate).
     The pairs are drawn and evaluated BLOCK at a time (see _draw_pairs).
     worst_example is the first pair with the largest ratio: its supports in
     ascending order, the coefficients x1, x2 on them, and the ratio."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     spark = compute_spark(A).spark if lemma1 is None else lemma1.spark
-    summary = gram_spectrum(A)
-    paper_bound = (summary.lambda_max - summary.lambda_min_plus) / 2.0
     max_support = (spark - 1) // 2
-    if max_support < 1:
-        return CrossTermReport(
-            trials=0,
-            spark=spark,
-            max_support=max_support,
-            worst_ratio=0.0,
-            paper_bound=paper_bound,
-            empirical_bound=math.nan,
-            passes_paper=True,
-            passes_empirical=True,
-            degenerate=True,
-            worst_example={},
-        )
-    if lemma1 is None:
+    degenerate = max_support < 1
+    if lemma1 is None and not degenerate:
         lemma1 = lemma1_constants(A, spark=spark)
-    empirical_bound = (lemma1.w_sq - lemma1.u_sq) / 2.0
+    extremes = gram_spectrum(A) if lemma1 is None else lemma1
+    paper_bound = (extremes.lambda_max - extremes.lambda_min_plus) / 2.0
+    empirical_bound = math.nan if degenerate else (lemma1.w_sq - lemma1.u_sq) / 2.0
+    sampled = 0 if degenerate else trials
 
     rng = np.random.default_rng(seed)
     M = A.entries
     worst = 0.0
     worst_example: dict = {}
-    for first in range(0, trials, BLOCK):
-        sup1, sup2, g = _draw_pairs(rng, A.cols, max_support, min(BLOCK, trials - first))
+    for first in range(0, sampled, BLOCK):
+        sup1, sup2, g = _draw_pairs(rng, A.cols, max_support, min(BLOCK, sampled - first))
         x1 = np.where(sup1, g, 0.0)
         x2 = np.where(sup2, g, 0.0)
         ratios = _cross_ratios(M, x1, x2)
@@ -375,15 +365,15 @@ def cross_term_check(
             }
     slack = 1.0 + 1e-9
     return CrossTermReport(
-        trials=trials,
+        trials=sampled,
         spark=spark,
         max_support=max_support,
         worst_ratio=worst,
         paper_bound=paper_bound,
         empirical_bound=empirical_bound,
-        passes_paper=worst <= paper_bound * slack,
-        passes_empirical=worst <= empirical_bound * slack,
-        degenerate=False,
+        passes_paper=degenerate or worst <= paper_bound * slack,
+        passes_empirical=degenerate or worst <= empirical_bound * slack,
+        degenerate=degenerate,
         worst_example=worst_example,
     )
 

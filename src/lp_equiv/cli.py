@@ -46,11 +46,12 @@ from .analysis import (
 from .matgen import DenseMatrix, VandermondeSpec, build_vandermonde, sample_instance
 from .numerics import BudgetExceededError, SamplingError, derive_seed
 from .solvers import (
+    DEFAULT_SCALES,
     DEFAULT_T_SCHEDULE,
     SparseProblem,
+    _minsupport_direction,
     _plant_attempt,
     _require_t1_level,
-    sample_null,
     solve_l0,
     solve_lp_basic,
     verify_theorem1,
@@ -172,7 +173,7 @@ def _cmd_audit(args) -> int:
         k = args.k if args.k is not None else (cert.spark - 1) // 2
         _require_t1_level(k, cert.spark)
         planted = _plant_attempt(A, k, derive_seed(args.seed, "plant"), 0)
-        h = sample_null(A, count=1, seed=derive_seed(args.seed, "h"), witness=cert.witness).vectors[0]
+        h = _minsupport_direction(A, cert.witness) * DEFAULT_SCALES[0]
         p = args.p if args.p is not None else gram_spectrum(A).p_star / 2.0
         report = audit_theorem1_chain(A, planted.x_star, h, min(p, 1.0))
         ok = report.asserted_ok

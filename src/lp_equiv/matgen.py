@@ -5,8 +5,9 @@ The base object is the m x n node-power matrix
     A(m, n, lam)[i, j] = lam_j ** i,        i = 0..m-1,  j = 0..n-1,
 
 for nonzero nodes lam_1..lam_n.  When the |lam_j| are pairwise distinct every
-square submatrix is invertible, which is what gives these matrices their
-extreme sparse-recovery behaviour (spark m+1, see the spark module).
+m columns are independent, which gives these matrices their extreme
+sparse-recovery behaviour (spark m+1, see the spark module).  Every square
+submatrix, on any rows, is invertible only for positive nodes (demo 01).
 
 Two augmentations extend a base instance with m+2 extra rows and columns:
 

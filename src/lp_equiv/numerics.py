@@ -118,14 +118,13 @@ SUBSET_TABLE_CACHE = 32
 # inverses from the same QRs (_prefix_inverses), smaller ones both from one
 # batched LU: the prefix QRs and each chunk's triangular solves pay for
 # themselves only once they serve enough subsets.  Both screens of the spark
-# probe, LU against prefixes, in the benchmark's nominal-host time on one
-# x86-64 core (OpenBLAS, one thread): 0.25 against 0.39 ms over C(10, 5) = 252
-# node-matrix subsets and 0.33 against 0.41 ms over C(11, 5) = 462; 0.18
-# against 0.24 ms over an A_t's C(10, 6) = 210, 0.38 against 0.43 ms over its
-# C(11, 6) = 462 and 1.2 against 0.8 ms over its C(13, 8) = 1,287.  Every
-# node-matrix probe of t1-sweep and suite-artifacts (C(n, m) <= 252) stays on
-# LU.  Where stage 1 leaves most subsets open, as on node matrices at m >= 6,
-# the prefix inverses gain most: 1.43 against 1.05 ms over C(12, 8).
+# probe, LU against prefixes, median wall time on one x86-64 core (OpenBLAS,
+# one thread): 0.16 against 0.30 ms over an A_t's C(10, 6) = 210 at scales
+# (0.1, 0.01); past the constant, prefixes won on every shape tried but a
+# node matrix's C(11, 5) = 462 (0.40 against 0.42 ms), e.g. 3.9 against
+# 1.35 ms over an A_t's C(14, 8) = 3,003 and 1.56 against 0.47 ms over a
+# 4 x 18 node matrix.  Every node-matrix probe of t1-sweep and
+# suite-artifacts (C(n, m) <= 252) stays on LU.
 PREFIX_MINORS_MIN_SUBSETS = 256
 
 
@@ -281,31 +280,18 @@ def _prefix_minors(M: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, np.n
         yield subsets, det, beta, _PrefixFactors(q, r, diag, proj, gather)
 
 
-def _laplace_det(rows) -> np.ndarray:
-    """Determinants of t x t matrices, t <= 4, stacked along the last axis:
-    rows[r][c] is the vector of entries (r, c).
-
-    Laplace expansion on rows (0, 1): each 2 x 2 minor of those rows times
-    the determinant of the rows below on the complementary columns, with
-    sign (-1)^(i+j+1) for minor columns (i, j); at t = 4, six 2 x 2 minors
-    per row pair.
-    """
-    t = len(rows)
-    if t == 1:
-        return rows[0][0]
-    a, b = rows[0], rows[1]
-    det = None
-    for i, j in itertools.combinations(range(t), 2):
-        term = a[i] * b[j] - a[j] * b[i]
-        rest = [c for c in range(t) if c not in (i, j)]
-        if rest:
-            term *= _laplace_det([[row[c] for c in rest] for row in rows[2:]])
-        if det is None:
-            det = term
-        elif (i + j) % 2:
-            det += term
-        else:
-            det -= term
+def _laplace_det(z: np.ndarray) -> np.ndarray:
+    """Determinants of t x t matrices, t <= 4, stacked along the last axis
+    of z, by Laplace expansion on rows (0, 1) of z padded to 4 x 4: minors[0][q]
+    * minors[1][5 - q] (_pair_minors) signed + - + + - + and summed in that
+    order.  The padding adds exact zeros, so at most a zero's sign changes."""
+    top, bottom = _pair_minors(z)[1]
+    det = top[0] * bottom[5]
+    det -= top[1] * bottom[4]
+    det += top[2] * bottom[3]
+    det += top[3] * bottom[2]
+    det -= top[4] * bottom[1]
+    det += top[5] * bottom[0]
     return det
 
 
@@ -358,14 +344,14 @@ def _prefix_inverses(M: np.ndarray, factors: _PrefixFactors, open_: np.ndarray) 
     return x
 
 
-# The 4 x 4 cofactor expansion behind _cofactor_inverse.  _PAIRS lists the
-# column pairs (i, j), i < j.  The cofactor of entry (r, c) expands along row
-# _ALONG[r], the other row of r's pair of rows (0, 1) or (2, 3), into the
-# 2 x 2 minors of the opposite pair of rows: for j = 0, 1, 2 the entry in
-# column _OTHERS[c, j] (the columns other than c, in order) times the minor
-# on the pair _REST[c, j] left over, with sign (-1)^j, all times (-1)^(r+c).
+# The 4 x 4 Laplace expansions behind _laplace_det and _cofactor_inverse.
+# _PAIRS lists the column pairs (i, j), i < j; pair 5 - q is the complement
+# of pair q.  The cofactor of entry (r, c) expands along row _ALONG[r], the
+# other row of r's pair of rows (0, 1) or (2, 3), into the 2 x 2 minors of
+# the opposite pair of rows: for j = 0, 1, 2 the entry in column
+# _OTHERS[c, j] (the columns other than c, in order) times the minor on the
+# pair _REST[c, j] left over, with sign (-1)^j, all times (-1)^(r+c).
 _PAIRS = tuple(itertools.combinations(range(4), 2))
-_PAIR_I, _PAIR_J = (np.array(side) for side in zip(*_PAIRS))
 _ALONG = np.array([1, 0, 3, 2])
 _OPPOSITE = np.array([1, 1, 0, 0])  # rows (2, 3) for r = 0, 1, rows (0, 1) for r = 2, 3
 _OTHERS = np.array([[d for d in range(4) if d != c] for c in range(4)])
@@ -376,24 +362,33 @@ _EXPANSION_SIGN = np.array([1.0, -1.0, 1.0])[:, None]  # (-1)^j
 _COFACTOR_SIGN = (-1.0) ** np.add.outer(np.arange(4), np.arange(4))[:, :, None]  # (-1)^(r+c)
 
 
+def _pair_minors(z: np.ndarray) -> tuple[np.ndarray, list[list[np.ndarray]]]:
+    """(a, minors): z (t x t matrices, t <= 4, along the last axis) padded to
+    4 x 4 with an identity block, and the 2 x 2 minors of a's rows (0, 1) and
+    (2, 3) on column pair _PAIRS[q] as the (count,) vectors minors[0][q] and
+    minors[1][q]; one (2, 6, count) block would pass glibc's mmap threshold
+    at 3,003 subsets and add its page faults to every prefix-path chunk."""
+    t, _, count = z.shape
+    a = z
+    if t < 4:
+        a = np.zeros((4, 4, count))
+        a[range(t, 4), range(t, 4)] = 1.0
+        a[:t, :t] = z
+    return a, [[top[i] * bottom[j] - top[j] * bottom[i] for i, j in _PAIRS] for top, bottom in (a[:2], a[2:])]
+
+
 def _cofactor_inverse(z: np.ndarray) -> np.ndarray:
     """Inverses of t x t matrices, t <= 4, stacked along the last axis of z
     (z[r, c] is the vector of entries (r, c)), as a (count, t, t) array.
 
     X = adj(A) / det A for A = z padded to 4 x 4 with an identity block,
     every cofactor from the twelve 2 x 2 minors of rows (0, 1) and (2, 3)
-    (see _PAIRS).  A zero determinant gives an infinite or NaN X.  Call
+    (_pair_minors).  A zero determinant gives an infinite or NaN X.  Call
     under np.errstate(all="ignore").
     """
-    t, _, count = z.shape
-    if t < 4:
-        a = np.zeros((4, 4, count))
-        a[range(t, 4), range(t, 4)] = 1.0
-        a[:t, :t] = z
-    else:
-        a = z
-    minors = a[[0, 2]][:, _PAIR_I] * a[[1, 3]][:, _PAIR_J] - a[[0, 2]][:, _PAIR_J] * a[[1, 3]][:, _PAIR_I]
-    terms = a[_ALONG][:, _OTHERS] * minors[_OPPOSITE][:, _REST]  # (r, c, j, count)
+    t = len(z)
+    a, minors = _pair_minors(z)
+    terms = a[_ALONG][:, _OTHERS] * np.array(minors)[_OPPOSITE][:, _REST]  # (r, c, j, count)
     cofactor = _COFACTOR_SIGN * np.sum(_EXPANSION_SIGN * terms, axis=2)
     det = np.sum(a[0] * cofactor[0], axis=0)
     return np.ascontiguousarray((cofactor / det).transpose(2, 1, 0)[:, :t, :t])

@@ -590,6 +590,15 @@ def _draw_coefficients(rng: np.random.Generator, unit: np.ndarray, dim: int) -> 
     return g
 
 
+def _minsupport_direction(A: DenseMatrix, witness: tuple[int, ...]) -> np.ndarray:
+    """The unit kernel vector on the spark witness, which draws nothing:
+    sample_null's base row 0, and the chain audit's h at DEFAULT_SCALES[0]."""
+    _, _, vt = np.linalg.svd(A.entries[:, list(witness)])
+    head = np.zeros(A.cols)
+    head[list(witness)] = vt[-1]
+    return head / np.linalg.norm(head)
+
+
 def sample_null(A: DenseMatrix, count: int, seed: int, witness: tuple[int, ...]) -> KernelSamples:
     """Deterministic mixture of kernel vectors, `count` base directions each
     emitted at every DEFAULT_SCALES entry.
@@ -616,9 +625,6 @@ def sample_null(A: DenseMatrix, count: int, seed: int, witness: tuple[int, ...])
         raise ValueError(f"count must be >= 1, got {count}")
     rng = np.random.default_rng(seed)
 
-    _, _, vt = np.linalg.svd(A.entries[:, list(witness)])
-    head = np.zeros(A.cols)
-    head[list(witness)] = vt[-1]
     unit = np.arange(1, count) % 2 == 0
     H = _matvecs(basis, _draw_coefficients(rng, unit, dim))
     norms = _row_norms(H)
@@ -628,7 +634,7 @@ def sample_null(A: DenseMatrix, count: int, seed: int, witness: tuple[int, ...])
         H[bad] = _matvecs(basis, _draw_coefficients(rng, unit[bad], dim))
         norms[bad] = _row_norms(H[bad])
         bad = bad[norms[bad] <= 1e-12]
-    base = np.vstack([head / np.linalg.norm(head), H / norms[:, None]])
+    base = np.vstack([_minsupport_direction(A, witness), H / norms[:, None]])
 
     # one (count, scales, n) product, whose rows are the samples in order
     scaled = base[:, None, :] * np.asarray(DEFAULT_SCALES)[None, :, None]

@@ -4,8 +4,11 @@ checks that make node-power matrices worth the trouble.
 spark(A) is the size of the smallest linearly dependent column subset.  For an
 m x n node-power matrix with pairwise distinct |lam_j| it equals m+1 (every
 m columns are independent, any m+1 are forced to be dependent by the row
-count), and for the scaled augmentation A_t it equals 2m+3.  Both facts are
-certified here by enumeration, never assumed.
+count).  For the scaled augmentation A_t it equals 2m+3 at every positive
+scale pair (P1) when every minor its (2m+2)-column subsets reduce to along
+their identity columns is nonzero, as for positive nodes; signed nodes with
+distinct magnitudes can break it (tests/test_spark.py pins two such A_t).
+Both values are certified here by enumeration, never assumed.
 
 The search scans level r = rank(A) first.  "Some k-subset is dependent" is
 monotone in k: by singular-value interlacing, adding a column never raises
@@ -48,7 +51,8 @@ the subsets S = M[:, P + T] that share their first p = k - t columns P,
 t = min(k, 4), are consecutive; with M[:, P] = Q R the complete Householder
 QR and Q_2 the last t columns of Q, |det S| = |prod diag R| |det Z| for
 Z = Q_2^T M[:, T], so each prefix costs one QR and each subset one t x t
-determinant, taken in closed form by Laplace expansion on rows (0, 1).
+determinant, the six-term Laplace sum over the 2 x 2 minors of rows (0, 1)
+and (2, 3) of Z, which the prefix path's cofactor inverses read too.
 
 The prefix kernel's error, with columns s_j of S, D = prod_j ||s_j||_2 and
 u = 2^-53.  Householder QR is columnwise backward stable (Higham, Accuracy
@@ -59,9 +63,9 @@ fl(Q_2^T M[:, T]) for M[:, T] + dM_T; eps is of order k^2 u (the tests take
 eps = 4 k^2 u).  Hence computed R and Z are exact for one S + dS, and
 det(S + dS) = +-prod diag R det Z.  The closed form rounds each of the t!
 products of Z's entries at most 10 times (two per 2 x 2 minor, one for
-their product, five for the six-term sum), and prod diag R, carried on row
-0, p times more, so its error is at most
-gamma_(k+10) |prod diag R| per(|Z|) <= 16 gamma_(k+10) |prod diag R|
+their product, five for the six-term sum; padding t < 4 adds exact terms
+only), and prod diag R, carried on row 0, p times more, so its error is at
+most gamma_(k+10) |prod diag R| per(|Z|) <= 16 gamma_(k+10) |prod diag R|
 prod_c ||z_c||_2, with gamma_j = j u / (1 - j u) and per the permanent;
 ||z_c||_2 <= ||s_c + ds_c||_2 and, by Hadamard's inequality,
 |prod diag R| <= prod_{j in P} ||s_j + ds_j||_2.  Expanding det(S + dS)
@@ -371,7 +375,8 @@ def check_submatrix_invertibility(spec: VandermondeSpec) -> SubmatrixReport:
 
 
 def verify_prop1(aug: AugmentedSpec) -> Prop1Report:
-    """Certify spark(A_t) = 2m+3 for an augmentation with n >= 2m+2 nodes."""
+    """Certify spark(A_t) for n >= 2m+2 nodes against P1's 2m+3, which needs
+    the hypothesis in the module docstring: passes is False where it fails."""
     base = aug.base
     base.require_distinct_abs()
     if base.n < 2 * base.m + 2:

@@ -31,7 +31,7 @@ import numpy as np
 
 from .matgen import DenseMatrix
 from .numerics import check_budget, iter_subset_chunks, numerical_rank
-from .spark import compute_spark
+from .spark import compute_spark  # noqa: F401  (bound for perfbench's tracer self-test)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -162,15 +162,14 @@ def restricted_extremes(A: DenseMatrix, k: int) -> RestrictedSpectrum:
     )
 
 
-def lemma1_constants(A: DenseMatrix, spark: int | None = None) -> Lemma1Report:
+def lemma1_constants(A: DenseMatrix, spark: int) -> Lemma1Report:
     """u^2, w^2 at subset size spark-1, with the contested sandwich as data.
 
-    u^2 ||x||^2 <= ||A x||^2 <= w^2 ||x||^2 holds for every x with
-    ||x||_0 < spark(A) by construction (min/max over supports plus
-    interlacing); whether lambda_min_plus <= u^2 is recorded, not assumed.
+    spark is A's, from the caller's certificate.  u^2 ||x||^2 <= ||A x||^2
+    <= w^2 ||x||^2 holds for every x with ||x||_0 < spark(A) by construction
+    (min/max over supports plus interlacing); whether lambda_min_plus <= u^2
+    (gram_spectrum(A)'s, as is lambda_max) is recorded, not assumed.
     """
-    if spark is None:
-        spark = compute_spark(A).spark
     if spark < 2:
         raise ValueError(f"spark must be >= 2 for a nonempty restricted spectrum, got {spark}")
     rs = restricted_extremes(A, spark - 1)

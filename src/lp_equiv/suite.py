@@ -50,9 +50,10 @@ from .analysis import (
 from .matgen import build_vandermonde, sample_instance
 from .numerics import BudgetExceededError, SamplingError, derive_seed
 from .solvers import (
+    DEFAULT_SCALES,
     Theorem1Report,
+    _minsupport_direction,
     _plant_attempt,
-    sample_null,
     verify_theorem1,
     verify_theorem2,
     verify_theorem3,
@@ -365,8 +366,7 @@ def _chain_check(rec: _Recorder, A, cert, k: int, summary, seed: int) -> None:
     """The chain audit on one concrete witness at level k < spark/2, planted
     with no l0 solve; a failed step of either tier leaves one replay record."""
     planted = _plant_attempt(A, k, derive_seed(seed, "chain"), 0)
-    kernel = sample_null(A, count=1, seed=derive_seed(seed, "chain-h"), witness=cert.witness)
-    h = kernel.vectors[0]
+    h = _minsupport_direction(A, cert.witness) * DEFAULT_SCALES[0]
     p_audit = min(summary.p_star / 2.0, 1.0)
     audit = audit_theorem1_chain(A, planted.x_star, h, p_audit)
     status = "pass" if audit.asserted_ok else "fail"

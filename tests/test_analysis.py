@@ -21,7 +21,7 @@ from lp_equiv.analysis import (
 from lp_equiv.matgen import VandermondeSpec, build_vandermonde, sample_instance
 from lp_equiv.numerics import BLOCK
 from lp_equiv.solvers import null_space_basis, plant_with_level
-from lp_equiv.spectral import gram_spectrum, p_star_from_extremes
+from lp_equiv.spectral import gram_spectrum, lemma1_constants, p_star_from_extremes
 from lp_equiv.suite import json_safe
 
 SQRT2_OVER_2 = math.sqrt(2.0) / 2.0
@@ -320,6 +320,13 @@ def test_cross_term_check_degenerate_spark_two():
     assert rep.degenerate
     assert rep.max_support == 0
     assert rep.trials == 0
+    assert rep.passes_paper and rep.passes_empirical and math.isnan(rep.empirical_bound)
+    # with a spark-2 Lemma-1 report the Gram extremes come from it, and the
+    # report stays degenerate: no empirical bound, nothing sampled
+    lemma1 = lemma1_constants(DenseMatrix(entries), spark=2)
+    again = cross_term_check(DenseMatrix(entries), trials=50, seed=1, lemma1=lemma1)
+    assert again.degenerate and again.trials == 0 and math.isnan(again.empirical_bound)
+    assert again.passes_paper and again.passes_empirical and again.paper_bound == rep.paper_bound
 
 
 def test_chain_audit_asserted_steps_pass_on_valid_inputs():

@@ -54,7 +54,7 @@ from lp_equiv.solvers import (
     verify_theorem2,
     verify_theorem3,
 )
-from lp_equiv.solvers import _l0_from_basics, _solve_supports
+from lp_equiv.solvers import _l0_from_basics, _minsupport_direction, _solve_supports
 from lp_equiv.spark import compute_spark
 from lp_equiv.spectral import gram_spectrum
 
@@ -282,6 +282,18 @@ def test_sample_null_kinds_scales_and_membership():
     again = sample_null(A, count=4, seed=9, witness=witness)
     assert np.array_equal(samples.vectors, again.vectors)
     assert (samples.kinds, samples.scales) == (again.kinds, again.scales)
+
+
+@pytest.mark.parametrize("m, n", [(2, 8), (3, 9), (4, 10), (5, 7), (8, 11)])
+def test_chain_direction_is_the_minsupport_sample_bit_for_bit(m, n):
+    # the suite's and the CLI's chain audits take h from the minsupport
+    # helper at the first scale; that is row 0 of any sample_null block,
+    # whatever its seed and count, without the null-space SVD
+    A = build_vandermonde(sample_instance(m, n, seed=0))
+    witness = compute_spark(A).witness
+    h = _minsupport_direction(A, witness) * DEFAULT_SCALES[0]
+    for count, seed in ((1, 0), (4, 9)):
+        assert h.tobytes() == sample_null(A, count=count, seed=seed, witness=witness).vectors[0].tobytes()
 
 
 def test_support_partition_blocks_and_ties():

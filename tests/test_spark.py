@@ -23,6 +23,7 @@ from lp_equiv.numerics import (
     RANK_TOL,
     BudgetExceededError,
     _cofactor_inverse,
+    _laplace_det,
     _prefix_inverses,
     _prefix_minors,
     iter_subset_chunks,
@@ -634,6 +635,47 @@ def test_prefix_minors_sit_within_their_error_bound_property():
     check()
 
 
+def _recursive_laplace_det(rows):
+    """The reference: Laplace expansion on rows (0, 1), each 2 x 2 minor of
+    those rows times the determinant of the rows below on the complementary
+    columns, recursively, signed (-1)^(i+j+1) for minor columns (i, j)."""
+    t = len(rows)
+    if t == 1:
+        return rows[0][0]
+    a, b = rows[0], rows[1]
+    det = None
+    for i, j in itertools.combinations(range(t), 2):
+        term = a[i] * b[j] - a[j] * b[i]
+        rest = [c for c in range(t) if c not in (i, j)]
+        if rest:
+            term *= _recursive_laplace_det([[row[c] for c in rest] for row in rows[2:]])
+        if det is None:
+            det = term
+        elif (i + j) % 2:
+            det += term
+        else:
+            det -= term
+    return det
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 4])
+def test_laplace_det_equals_the_recursive_expansion(t):
+    # the fixed six-term sum over _pair_minors' table rounds as the recursion
+    # does: bit for bit at t = 4, and for t < 4, where the identity padding
+    # adds exact zeros, up to the sign of a zero determinant; entries span
+    # twelve decades, and some members are exactly singular or zero
+    rng = np.random.default_rng(t)
+    z = rng.standard_normal((t, t, 600)) * 10.0 ** rng.integers(-6, 6, size=(t, t, 600))
+    z[:, :, :20] = 0.0
+    z[0, :, 20:40] = z[t - 1, :, 20:40]
+    z[:, 0, 40:60] = 0.0
+    got, want = _laplace_det(z), _recursive_laplace_det(z)
+    assert np.count_nonzero(want == 0.0) >= 40
+    if t == 4:
+        assert got.tobytes() == want.tobytes()
+    assert np.abs(got).tobytes() == np.abs(want).tobytes()
+
+
 @pytest.mark.parametrize("t", [1, 2, 3, 4])
 def test_cofactor_inverse_matches_lapack(t):
     # _cofactor_inverse takes its matrices entry-major (z[r, c] is the vector
@@ -749,6 +791,35 @@ def test_prop1_spark_of_augmented_family():
         report = verify_prop1(AugmentedSpec(spec, x_t=x_t, y_t=y_t))
         assert report.passes
         assert report.certificate.spark == 2 * spec.m + 3
+
+
+# P1's counterexamples: distinct |lam_j| inside sample_instance's range, yet
+# the first 2m+1 nodes sum to zero (to rounding).  The witness is those node
+# columns and the identity column on power row 2m; expanding along it leaves
+# the powers 0..2m+1 without 2m on the 2m+1 nodes, e_1 times their
+# Vandermonde determinant, which vanishes at every scale pair.  On their
+# magnitudes every such minor is nonzero (total positivity)
+P1_COUNTEREXAMPLES = [
+    (1, (1.0, 0.7, -1.7, 1.3), (0, 1, 2, 5)),
+    (3, (1.1, 0.6, 1.5, 0.7, -1.9, -1.25, -0.75, 1.7), (0, 1, 2, 3, 4, 5, 6, 11)),
+]
+
+
+@pytest.mark.parametrize("t", [1.0, 10.0, 1000.0])
+@pytest.mark.parametrize("m, lam, witness", P1_COUNTEREXAMPLES)
+def test_prop1_fails_for_signed_nodes_with_a_vanishing_minor(m, lam, witness, t):
+    spec = VandermondeSpec(m, lam)
+    assert spec.distinct_abs
+    report = verify_prop1(AugmentedSpec(spec, x_t=t, y_t=t))
+    assert report.certificate.spark == 2 * m + 2 and report.certificate.witness == witness
+    assert not report.passes
+
+
+@pytest.mark.parametrize("t", [1.0, 10.0, 1000.0])
+@pytest.mark.parametrize("m, lam, witness", P1_COUNTEREXAMPLES)
+def test_prop1_holds_on_the_magnitudes_of_its_counterexamples(m, lam, witness, t):
+    report = verify_prop1(AugmentedSpec(VandermondeSpec(m, tuple(abs(v) for v in lam)), x_t=t, y_t=t))
+    assert report.passes and report.certificate.spark == 2 * m + 3
 
 
 def test_prop1_requires_wide_instance():

@@ -10,6 +10,7 @@ from lp_equiv.matgen import (
     build_vandermonde,
     sample_instance,
 )
+from lp_equiv.spark import compute_spark
 from lp_equiv.spectral import (
     gram_spectrum,
     lemma1_constants,
@@ -86,7 +87,7 @@ def test_sandwich_counterexample_two_columns():
     # the claimed lower sandwich fails
     eps = 1e-3
     A = DenseMatrix(np.array([[1.0, 1.0 + eps]]))
-    rep = lemma1_constants(A)
+    rep = lemma1_constants(A, spark=compute_spark(A).spark)
     assert rep.spark == 2
     assert rep.u_sq == pytest.approx(1.0, rel=1e-9)
     assert rep.lambda_min_plus == pytest.approx(2.0 + 2.0 * eps + eps**2, rel=1e-9)
@@ -99,7 +100,7 @@ def test_sandwich_on_duplicated_orthogonal_columns_holds():
     # u^2 = min column norm^2 = 1 equals lambda_min_plus, and the sandwich
     # holds with equality
     A = DenseMatrix(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]))
-    rep = lemma1_constants(A)
+    rep = lemma1_constants(A, spark=compute_spark(A).spark)
     assert rep.spark == 2
     assert rep.u_sq == pytest.approx(1.0, rel=1e-12)
     assert rep.lambda_min_plus == pytest.approx(1.0, rel=1e-12)

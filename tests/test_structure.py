@@ -3,7 +3,8 @@
 Most tests run one pass of a workload's seed-1 units (suite-artifacts,
 t1-sweep or prop1-spark, ``perfbench/workloads.py``) under ``perfbench/tracer.py``'s
 ``Tracer`` and check an equality between call counts that a structural
-regression breaks; the T2 test and the two basis-scan tests trace direct calls.
+regression breaks; the T2 and T3 tests and the two basis-scan tests trace
+direct calls.
 """
 
 import importlib
@@ -88,6 +89,32 @@ def test_one_plant_per_deep_regime_harness(suite_metrics):
     assert harnesses > 0 and plants == harnesses
 
 
+def test_one_kernel_sample_per_harness(suite_metrics):
+    # every sample_null call, and with it every null-space SVD, is a T1, T2
+    # or T3 harness's; the chain audit takes its direction, the minsupport
+    # row, without a kernel draw
+    samples = suite_metrics["solvers.sample_null.calls"]
+    harnesses = sum(suite_metrics[f"solvers.verify_theorem{i}.calls"] for i in (1, 2, 3))
+    assert suite_metrics["analysis.audit_theorem1_chain.calls"] > 0
+    assert harnesses > 0 and samples == harnesses
+    assert suite_metrics["solvers.null_space_basis.calls"] == samples
+
+
+def test_cross_term_check_reads_the_gram_extremes_off_its_report():
+    # with A's Lemma-1 report, the cross-term bound takes lambda_min_plus and
+    # lambda_max from it: no gram_spectrum call and no SVD of its own
+    lp = importlib.import_module("lp_equiv")
+    A = lp.build_vandermonde(lp.sample_instance(3, 9, seed=0))
+    lemma1 = lp.lemma1_constants(A, spark=lp.compute_spark(A).spark)
+    with Tracer() as tracer:
+        report = lp.cross_term_check(A, trials=200, seed=1, lemma1=lemma1)
+    metrics = tracer.summary()
+    assert metrics["analysis.cross_term_check.calls"] == 1
+    assert metrics["spectral.gram_spectrum.calls"] == 0 and tracer.lapack_calls["svd"] == 0
+    assert report.paper_bound == (lemma1.lambda_max - lemma1.lambda_min_plus) / 2.0
+    assert report == lp.cross_term_check(A, trials=200, seed=1)
+
+
 def test_one_enumeration_per_t1_harness_and_l0_solve(suite_metrics):
     # solve_l0 reads the l0 set off one enumeration, as T1 does; a second
     # scan in either, or a scan of its own in solve_l0, breaks the equality
@@ -136,6 +163,24 @@ def test_t2_svd_count_does_not_grow_with_trials():
         counts[trials] = (tracer.lapack_calls["svd"], tracer.lapack_matrices["svd"], explicit)
     (calls6, mats6, _), (calls60, mats60, explicit60) = counts[6], counts[60]
     assert calls6 == calls60 and mats60 > mats6 and explicit60 > 0
+
+
+@pytest.mark.parametrize("m, n", [(2, 4), (2, 5), (3, 6), (3, 7)])
+def test_one_evaluator_plant_and_certificate_per_t3_harness(m, n):
+    # no workload reaches verify_theorem3 (suite-artifacts runs wide
+    # instances, which take T2), so trace direct calls: one harness call
+    # makes one verify_strict_inequality call, one plant_with_level call and
+    # one spark certificate, of A's; a per-sample evaluator, a second plant
+    # or a certificate of the extended nodes' matrix would raise a count
+    lp = importlib.import_module("lp_equiv")
+    spec = lp.sample_instance(m, n, seed=0)
+    with Tracer() as tracer:
+        lp.verify_theorem3(spec, m, trials=30, seed=1)
+    metrics = tracer.summary()
+    assert metrics["solvers.verify_theorem3.calls"] == 1
+    assert metrics["solvers.verify_strict_inequality.calls"] == 1
+    assert metrics["solvers.plant_with_level.calls"] == 1
+    assert metrics["spark.compute_spark.calls"] == 1
 
 
 def test_only_the_bases_go_through_the_subset_scan():
