@@ -1,16 +1,17 @@
 """Shared numeric primitives: the rank policy and its two square screens,
-exact summation, tiny-exponent powers, the subset cap.
+sign-certified summation, tiny-exponent powers, the subset cap.
 
 Every exhaustive subset scan charges its worst-case subset count to one cap
 before it starts (check_budget).  The cap is read from the LP_EQUIV_BUDGET
 environment variable on each charge, DEFAULT_SUBSET_BUDGET when unset; no
 function argument, config key or command-line flag sets it.
 
-Exact summation returns math.fsum's result bit for bit.  Row sums of a block
-come from a vectorized TwoSum cascade, accepted for a row only when at most
-one nonzero term is left beside the top or a proven error bound puts the
-candidate strictly nearest the exact sum; every other row, inf, NaN and
-overflow included, and every block below CASCADE_MIN_ROWS rows go to fsum."""
+Margins and power sums are float row sums whose sign is proven: a row keeps
+its left-to-right float sum where a summation error bound puts it farther
+from zero than the sum's error can reach, so it has the exact sum's sign,
+and goes to math.fsum everywhere else (_row_sum), so every zero, inf, NaN
+and fsum error is fsum's.  The lp argmin in solvers brackets its power sums
+by the same bound."""
 
 from __future__ import annotations
 
@@ -50,17 +51,11 @@ RANK_TOL = 1e-11
 # enumerate_basic_solutions runs the LU determinant screen alone.
 SCREEN_FACTOR = 1e3
 
-# The package's one block size: subset scans, randomized audit trials, the
-# explicit T2 augmentations and the rows of exact sums are evaluated at most
-# BLOCK at a time, so their working memory scales with the block and the
-# matrix size, not with the enumeration or trial count.
+# The package's one block size: subset scans, randomized audit trials and the
+# explicit T2 augmentations are evaluated at most BLOCK at a time, so their
+# working memory scales with the block and the matrix size, not with the
+# enumeration or trial count.
 BLOCK = 4096
-
-# Blocks of fewer rows go to math.fsum row by row: the cascade makes about 20
-# numpy calls per column whatever the row count.  On margins of 5 to 10 terms
-# the two cross between 240 and 280 rows (x86-64; at 10 terms, 30 rows take
-# 21 us by fsum and 142 us by the cascade, 1,680 rows 1,243 us and 400 us).
-CASCADE_MIN_ROWS = 256
 
 DEFAULT_SUBSET_BUDGET = 1_000_000
 BUDGET_ENV_VAR = "LP_EQUIV_BUDGET"
@@ -445,111 +440,80 @@ def abs_pow(values, p) -> np.ndarray:
     return out
 
 
-def _two_sum(a, b):
-    """Knuth's TwoSum, elementwise: s = fl(a + b) and the rounding error
-    a + b - s, which is a float and is computed exactly whenever s is finite
-    (subnormals included)."""
-    s = a + b
-    b_virtual = s - a
-    return s, (a - (s - b_virtual)) + (b - b_virtual)
+def _row_sum(terms: list) -> float:
+    """One row's sum, as _row_sums takes it: the float sum f of the terms,
+    left to right, where |f| > k 2^-52 M and M < 2^1021, with M the float
+    sum of the |terms| in the same order and k the count of nonzero terms;
+    math.fsum(terms) everywhere else.
 
-
-def _cascade_sums(rows: np.ndarray):
-    """Candidate exactly-rounded sums of an (r, n) block, n >= 1, and a mask of
-    the rows whose candidate provably equals math.fsum of the row.
-
-    The block is transposed to (n, r), so that each step below is one numpy
-    call over all r rows on contiguous memory.  Two VecSum passes (a cascade
-    of TwoSum; Ogita, Rump and Oishi, SIAM J. Sci. Comput. 26, 2005) keep the
-    exact row sum S = top + sum(rest), gathering most of it in top.  Then
-    c, e = TwoSum(top, s), with s the float sum of the m = n - 1 rest terms,
-    so S = c + e + (R - s), R the exact sum of the rest.  A row is accepted:
-
-    * when at most one rest term is nonzero: s is that term exactly, and c is
-      one IEEE addition of two floats whose exact sum is S, rounded to
-      nearest-even as fsum rounds;
-    * when |e| + |R - s| < half the smaller float spacing at c: then c is the
-      float strictly nearest S, whatever the rule for ties.  Any summation
-      order gives |R - s| <= g M, with M = sum|rest| and g = (m-1)u/(1-(m-1)u),
-      u = 2**-53 (Higham, Accuracy and Stability of Numerical Algorithms,
-      section 4.2; addition has no underflow error, since sums of floats in
-      the subnormal range are exact).  The float sum M' of the same
-      nonnegative terms has M' >= (1-u)**(m-1) M, and 2n is an integer, so
-      fl(2n M') >= 2n (1-u) M' >= 2**53 g M while m < 2**50.  The test
-      fl(|e| 2**53 + fl(2n M')) < spacing 2**52 compares exactly scaled
-      floats, and rounding is monotone, so it implies the exact inequality
-      |e| + g M < spacing / 2.
-
-    A row whose float sum of |terms| is not below 2**1021, an eighth of the
-    float range (inf and NaN included), is never accepted: math.fsum must
-    decide such rows, and raise on those it raises on.  Below it no step of
-    the cascade or of fsum overflows, since VecSum and fsum's partials keep
-    every intermediate within a factor 1 + O(n u) of the sum of |terms|.
-    fsum returns 0.0 for every zero sum, and c + 0.0 does too.  (A TwoSum
-    error term is never -0.0 and the empty rest sums to 0.0, so c is not
-    -0.0 to begin with; the addition keeps that from resting on the argument.)
+    Zero terms add exactly nothing, so f and M are the float sums of the k
+    nonzero terms: |f - S| <= gamma_(k-1) M_S for the exact sum S and the
+    exact sum M_S of the |terms|, with gamma_j = j u / (1 - j u), u = 2^-53
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    section 4.2; additions have no underflow error), and M >= (1 - u)^(k-1)
+    M_S.  With c = k 2^-52, exact, a float above fl(c M) lies above c M,
+    since fl rounds monotonically, so the test gives |f| > c M >= 2 k u
+    (1 - u)^(k-1) M_S >= gamma_(k-1) M_S >= |f - S|: f has the sign of S,
+    and S is not zero.  Every zero sum, every
+    row with an inf or a NaN and every row whose fsum could overflow (M <
+    2^1021 keeps fsum's partials below the float range) therefore goes to
+    fsum, which decides it and raises as it raises.
     """
-    t = rows.T.copy()
-    n = len(t)
-    with np.errstate(over="ignore", invalid="ignore"):
-        in_range = np.abs(t).sum(axis=0) < 2.0**1021
-        for _ in range(2):
-            for i in range(1, n):
-                t[i], t[i - 1] = _two_sum(t[i], t[i - 1])
-        rest = t[:-1]
-        c, e = _two_sum(t[-1], rest.sum(axis=0))
-        mass = np.abs(rest).sum(axis=0)
-        # the spacing below |c|: that of the float just under |c|, to which
-        # |c| (1 - 2**-53) rounds; it is the smaller of the two at c
-        spacing = np.spacing(np.abs(c) * (1.0 - 2.0**-53))
-        nearest = np.abs(e) * 2.0**53 + (2 * n) * mass < spacing * 2.0**52
-    single = np.count_nonzero(rest, axis=0) <= 1
-    return c + 0.0, in_range & (single | nearest)
+    f = m = 0.0
+    for v in terms:
+        f += v
+        m += abs(v)
+    if abs(f) > (len(terms) - terms.count(0.0)) * 2.0**-52 * m and m < 2.0**1021:
+        return f
+    return math.fsum(terms)
 
 
-def _row_fsums(d: np.ndarray):
-    """math.fsum over the last axis, bit for bit: a float for 1-D input, else
-    a float64 array shaped like the leading axes.
+def _row_sums(d: np.ndarray):
+    """_row_sum over the last axis: a float for 1-D input, else a float64
+    array shaped like the leading axes.
 
-    Rows go BLOCK at a time through _cascade_sums, a vectorized TwoSum cascade
-    whose sum is accepted only where it provably equals fsum's: at most one
-    nonzero term left beside the top, or the remaining error bounded below
-    half a float spacing.  Every other row, including each with an inf, a NaN
-    or an overflow, goes to math.fsum itself, which raises as fsum does.  The
-    cascade makes O(n) numpy calls per block, so a block below
-    CASCADE_MIN_ROWS rows and a single 1-D vector go to fsum directly."""
+    A block takes f and M one column at a time, so each row's are the floats
+    _row_sum computes from that row alone.  A row keeps f where |f| >
+    w 2^-52 M and M < 2^1021, for w the row width: w >= k, so _row_sum's own
+    test passes there too.  The rows this leaves open, the zero and near-zero
+    sums and the non-finite ones, go through _row_sum itself.
+    """
     if d.ndim <= 1:
-        return compensated_sum(d)
+        return _row_sum(d.ravel().tolist())
     rows = d.reshape(math.prod(d.shape[:-1]), d.shape[-1])
-    sums = np.zeros(len(rows))
-    if rows.shape[1]:
-        for first in range(0, len(rows), BLOCK):
-            block = rows[first : first + BLOCK]
-            if len(block) < CASCADE_MIN_ROWS:
-                sums[first : first + BLOCK] = [math.fsum(row) for row in block.tolist()]
-                continue
-            c, exact = _cascade_sums(block)
-            for i in np.flatnonzero(~exact).tolist():
-                c[i] = math.fsum(block[i].tolist())
-            sums[first : first + BLOCK] = c
+    sums, mass = np.zeros(len(rows)), np.zeros(len(rows))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for column, magnitude in zip(rows.T, np.abs(rows).T):
+            sums += column
+            mass += magnitude
+        kept = (np.abs(sums) > rows.shape[1] * 2.0**-52 * mass) & (mass < 2.0**1021)
+    for i in np.flatnonzero(~kept).tolist():
+        sums[i] = _row_sum(rows[i].tolist())
     return sums.reshape(d.shape[:-1])
 
 
 def lp_power_sum(values, p):
-    """sum_i |x_i|^p with exact accumulation, over the last axis.
+    """sum_i |x_i|^p over the last axis, by _row_sum: the float sum of the
+    nonnegative terms wherever it is positive and below 2^1021, math.fsum's
+    otherwise.
 
     A 1-D vector gives a float; a (rows, n) block gives a float64 array, one
     entry per row, from a single abs_pow call.  A 1-D grid of p adds a
     leading axis: one result per p, each bit-identical to the call at that p.
     """
-    return _row_fsums(abs_pow(values, p))
+    return _row_sums(abs_pow(values, p))
 
 
 def lp_margin(x_star, h, p):
-    """||x* + h||_p^p - ||x*||_p^p, accumulated termwise with exact summation.
+    """||x* + h||_p^p - ||x*||_p^p, summed termwise by _row_sum: the float
+    sum with the exact sum's sign, or math.fsum's where the bound leaves the
+    sign open, so margin <= 0 is decided as exact arithmetic decides it.
 
     Termwise differences keep the near-cancellation on the support of x* from
-    being swamped by the off-support bulk before it is ever summed.  h is one
+    being swamped by the off-support bulk before it is ever summed.  The
+    float sum's error, gamma_(k-1) sum|d_i| for k nonzero terms d_i, is of
+    the order of the terms' own rounding errors from abs_pow, so exact
+    rounding would add no accuracy.  h is one
     perturbation of shape (n,), giving a float, or a (samples, n) block,
     giving a float64 array with one margin per row; the block makes one
     abs_pow call for x* + h and each row's margin is bit-identical to
@@ -563,4 +527,4 @@ def lp_margin(x_star, h, p):
     # broadcast |x*|^p over the sample axes between the p axis and the last
     x_pow = x_pow.reshape(x_pow.shape[:-1] + (1,) * (hv.ndim - 1) + x_pow.shape[-1:])
     d = abs_pow(x + hv, p) - x_pow
-    return _row_fsums(d)
+    return _row_sums(d)

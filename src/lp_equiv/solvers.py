@@ -25,7 +25,11 @@ block for the "unit" rows and one sign block for the "signed" rows, kinds
 alternating by row parity, then redraws any near-zero row with its kind.
 All three harnesses evaluate the sampled claim ||x*||_p^p < ||x*+h||_p^p
 through one function, verify_strict_inequality, and take their margins,
-margin_min and violation records from its report.
+margin_min and violation records from its report.  Margins and the lp argmin
+share one summation policy (numerics module docstring): float row sums whose
+error bound brackets the exact sum, with math.fsum only on the rows where the
+bracket leaves the decision open, so each margin has the exact sign and the
+argmin the exact minimizers.
 Harness outcomes are *reports*; the only hard assertions are implementation
 contracts (feasibility, rank logic, budgets).
 """

@@ -1,6 +1,7 @@
 """Property checks: block evaluations are bit-identical to one item at a time.
 
-The references below are the per-sample margin, the per-p call, the
+The references below are the per-sample margin (a 1-D lp_margin call, with
+the sign and bracket of the exact per-sample sum), the per-p call, the
 per-support solve loop over every size (test_solvers._reference_scan, which
 the l0 tests there share), the per-step T2 loop and the per-sample T3
 residual loop that the block kernels and the basis scan replaced, and the
@@ -66,6 +67,7 @@ from lp_equiv.solvers import (  # noqa: E402
 )
 from lp_equiv.spark import compute_spark  # noqa: E402
 from lp_equiv.spectral import gram_spectrum  # noqa: E402
+from test_numerics import assert_bracketed  # noqa: E402
 from test_solvers import (  # noqa: E402
     _assert_same_basics,
     _recorded_svd_solves,
@@ -89,11 +91,11 @@ def test_lp_margin_block_equals_per_sample_margins(data):
     x = data.draw(hnp.arrays(float, n, elements=ENTRIES))
     H = data.draw(hnp.arrays(float, (rows, n), elements=ENTRIES))
     p = data.draw(EXPONENTS)
-    expected = [math.fsum((abs_pow(x + h, p) - abs_pow(x, p)).tolist()) for h in H]
-    # bit patterns, not ==, so that a -0.0 against fsum's 0.0 fails
-    assert [struct.pack("<d", v) for v in lp_margin(x, H, p)] == [
-        struct.pack("<d", v) for v in expected
-    ]
+    got = lp_margin(x, H, p)
+    # bit patterns, not ==, so that a -0.0 against a 0.0 fails
+    assert [struct.pack("<d", v) for v in got] == [struct.pack("<d", lp_margin(x, h, p)) for h in H]
+    # each has the sign of the per-sample exact sum, within its bracket
+    assert_bracketed(got.tolist(), [(abs_pow(x + h, p) - abs_pow(x, p)).tolist() for h in H])
 
 
 @settings(max_examples=200, deadline=None)
@@ -306,15 +308,16 @@ def test_basis_block_equals_object_scan_when_one_solve_reads_off_two_sizes():
 
 
 def _padded_lp_basic(basics, ps):
-    """solve_lp_basic as it was before its certified argmin: an exact sum of
-    every basic solution, from one lp_power_sum call on the zero-padded
-    coefficients."""
+    """solve_lp_basic as it was before its certified argmin: an exact sum
+    (math.fsum) of every basic solution's powers, from one abs_pow call on
+    the zero-padded coefficients."""
     solutions = list(basics)
     padded = np.zeros((len(solutions), max(len(s.coefficients) for s in solutions)))
     for row, s in zip(padded, solutions):
         row[: len(s.coefficients)] = s.coefficients
     out = []
-    for p, values in zip(ps, lp_power_sum(padded, ps).tolist()):
+    for p, powers in zip(ps, abs_pow(padded, ps).tolist()):
+        values = [math.fsum(terms) for terms in powers]
         vmin = min(values)
         tie = vmin + 1e-10 * max(1.0, abs(vmin))
         out.append(LpMinimum(p=p, value=vmin, minimizers=tuple(s for s, v in zip(solutions, values) if v <= tie)))

@@ -1,6 +1,7 @@
 import itertools
 import math
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from lp_equiv import numerics
 from lp_equiv.matgen import build_vandermonde, sample_instance
 from lp_equiv.numerics import (
     BLOCK,
-    CASCADE_MIN_ROWS,
     BudgetExceededError,
     POWER_FLOOR,
     abs_pow,
@@ -24,6 +24,7 @@ from lp_equiv.numerics import (
     lp_power_sum,
     subset_budget,
 )
+from lp_equiv.solvers import KernelSamples, verify_strict_inequality
 from lp_equiv.spectral import gram_spectrum
 
 
@@ -80,9 +81,23 @@ def bits(values):
     return [struct.pack("<d", v) for v in values]
 
 
-def _margin_one_row(x, h, p):
-    # the per-sample formula the block evaluation replaced
-    return math.fsum((abs_pow(x + h, p) - abs_pow(x, p)).tolist())
+def assert_bracketed(got, rows):
+    """Each got[i] is the sum _row_sum defines for the list rows[i]: where
+    math.fsum's result is zero or not finite, that result bit for bit;
+    elsewhere a float of fsum's sign within k 2^-52 M_S of it, for k nonzero
+    terms and M_S the exact sum of their magnitudes (the float sum's error
+    gamma_(k-1) M_S plus fsum's rounding, u M_S)."""
+    for g, row in zip(got, rows):
+        want = math.fsum(row)
+        if want == 0.0 or not math.isfinite(want):
+            assert bits([g]) == bits([want]) or math.isnan(g) and math.isnan(want), (row, g)
+            continue
+        try:
+            mass = math.fsum(map(abs, row))
+        except OverflowError:
+            mass = math.inf
+        k = len(row) - row.count(0.0)
+        assert (g > 0.0) == (want > 0.0) and abs(g - want) <= k * 2.0**-52 * mass, (row, g, want)
 
 
 @pytest.mark.parametrize("p", [1e-6, 0.013, 0.5, 1.0])
@@ -96,19 +111,20 @@ def test_block_margins_and_power_sums_are_bit_identical_to_one_row_at_a_time(p):
     H[3, 3] = 1e-305  # x* + h stays at or below POWER_FLOOR
     margins = lp_margin(x, H, p)
     assert isinstance(margins, np.ndarray) and margins.dtype == np.float64 and margins.shape == (64,)
-    assert bits(margins) == bits([_margin_one_row(x, h, p) for h in H])
     assert bits(margins) == bits([lp_margin(x, h, p) for h in H])
     assert bits(margins[1:2]) == bits([0.0])
+    assert_bracketed(margins.tolist(), [(abs_pow(x + h, p) - abs_pow(x, p)).tolist() for h in H])
 
     powers = lp_power_sum(x + H, p)
-    assert bits(powers) == bits([math.fsum(abs_pow(row, p).tolist()) for row in x + H])
-    # padded zeros add exactly nothing to an exact sum
+    assert bits(powers) == bits([lp_power_sum(row, p) for row in x + H])
+    assert_bracketed(powers.tolist(), [abs_pow(row, p).tolist() for row in x + H])
+    # padded zeros add exactly nothing to a row sum
     assert bits(lp_power_sum(np.pad(x + H, ((0, 0), (0, 3))), p)) == bits(powers)
 
 
-# Terms chosen to stress an exactly rounded sum: halfway ties against 1.0,
-# signed zeros, subnormals, the extremes of the float range and magnitudes
-# from 1e-20 to 1e20.  Infinities and NaNs have their own fixed cases.
+# Terms chosen to stress a row sum's sign: halfway ties against 1.0, signed
+# zeros, subnormals, the extremes of the float range and magnitudes from
+# 1e-20 to 1e20.  Infinities and NaNs have their own fixed cases.
 SUM_TERMS = st.one_of(
     st.sampled_from(
         [0.0, -0.0, 1.0, -1.0, 2.0**-53, -(2.0**-53), 2.0**-106, 3 * 2.0**-53, 5e-324, -5e-324]
@@ -119,22 +135,13 @@ SUM_TERMS = st.one_of(
 )
 
 
-def _cascade_block(rows):
-    """The rows repeated into one block of at least CASCADE_MIN_ROWS rows, so
-    that _row_fsums sends it through the cascade, and the repeat count."""
-    reps = -(-CASCADE_MIN_ROWS // max(1, len(rows)))
-    return np.tile(rows, (reps, 1)), reps
-
-
-def _assert_fsum_rows(d):
-    """_row_fsums(d) equals math.fsum of every row, bit for bit, on d itself
-    and on its rows repeated into a block that takes the cascade."""
-    got = np.asarray(numerics._row_fsums(d), dtype=float).ravel().tolist()
+def _assert_row_sums(d):
+    """_row_sums(d) on a block: each row bit-identical to the 1-D call on
+    that row, and bracketed as assert_bracketed checks."""
     rows = d.reshape(math.prod(d.shape[:-1]), d.shape[-1])
-    want = bits([math.fsum(row) for row in rows.tolist()])
-    assert bits(got) == want
-    block, reps = _cascade_block(rows)
-    assert bits(numerics._row_fsums(block)) == want * reps
+    got = np.asarray(numerics._row_sums(d), dtype=float).ravel().tolist()
+    assert bits(got) == bits([numerics._row_sums(row) for row in rows])
+    assert_bracketed(got, rows.tolist())
 
 
 def _summable(rows):
@@ -151,7 +158,7 @@ def _summable(rows):
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
-def test_row_sums_are_bit_identical_to_fsum(data):
+def test_row_sums_have_fsums_sign_within_the_bracket(data):
     n = data.draw(st.integers(0, 12))
     rows = data.draw(st.lists(st.lists(SUM_TERMS, min_size=n, max_size=n), min_size=1, max_size=8))
     # rows whose second half negates the first, so that they cancel to exactly zero
@@ -159,18 +166,21 @@ def test_row_sums_are_bit_identical_to_fsum(data):
     rows += [half + [-v for v in reversed(half)] + [-0.0] * (n % 2) for half in halves]
     rows = _summable(rows)
     d = np.array(rows, dtype=float).reshape(len(rows), n)
-    _assert_fsum_rows(d)
-    _assert_fsum_rows(d.reshape(1, len(rows), n))
+    _assert_row_sums(d)
+    _assert_row_sums(d.reshape(1, len(rows), n))
 
 
 @settings(max_examples=50, deadline=None)
 @given(row=hnp.arrays(float, st.integers(1, 6), elements=SUM_TERMS))
 def test_row_sums_across_a_block_boundary(row):
-    # BLOCK + 1 rows: the drawn row ends the first block and starts the second
+    # BLOCK + 1 rows, the drawn row at BLOCK - 1 and at BLOCK: each row's
+    # sum depends on that row alone, wherever it sits
     d = np.tile(np.array([[1.0, 2.0**-53, -0.0, 1e20, -1e20, 5e-324]])[:, : row.size], (BLOCK + 1, 1))
     d[BLOCK - 1] = d[BLOCK] = row
     if _summable([row.tolist()]):
-        _assert_fsum_rows(d)
+        got = numerics._row_sums(d)
+        assert bits(got[BLOCK - 1 : BLOCK + 1]) == bits([numerics._row_sums(row)] * 2)
+        assert_bracketed(got.tolist(), d.tolist())
 
 
 @pytest.mark.parametrize(
@@ -188,18 +198,31 @@ def test_row_sums_across_a_block_boundary(row):
     ],
 )
 def test_row_sums_fixed_edge_cases(row):
-    _assert_fsum_rows(np.array([row, row[::-1]], dtype=float).reshape(2, len(row)))
+    _assert_row_sums(np.array([row, row[::-1]], dtype=float).reshape(2, len(row)))
 
 
 def test_bound_test_decides_the_rows_it_accepts():
-    # 1 + 2**-53 + 2**-106 lies just above a tie: after the cascade, two rest
-    # terms are nonzero and the candidate c = 1.0 is off by one spacing, so the
-    # row must go to fsum; accepting every candidate would return 1.0
-    d = np.array([[1.0, 2.0**-53, 2.0**-106], [1.0, 2.0**-53, 0.0]])
-    candidates, exact = numerics._cascade_sums(d)
-    assert exact.tolist() == [False, True]
-    assert candidates[0] == 1.0 != math.fsum(d[0].tolist()) == 1.0 + 2.0**-52
-    _assert_fsum_rows(d)
+    # [1, 2**-53, -1] float-sums to 0.0 (1 + 2**-53 ties down to 1), but its
+    # exact sum is 2**-53: the bound cannot clear the float sum's sign, so
+    # the row goes to fsum.  [1, 2**-52, -1] float-sums exactly and is kept.
+    d = np.array([[1.0, 2.0**-53, -1.0], [1.0, 2.0**-52, -1.0], [1.0, 2.0, -1.0]])
+    assert d.sum(axis=1).tolist() == [0.0, 2.0**-52, 2.0]
+    assert numerics._row_sums(d).tolist() == [2.0**-53, 2.0**-52, 2.0]
+    assert numerics._row_sums(d[0]) == 2.0**-53
+    # the same cancellation through a margin at p = 1: x* + h gives the
+    # terms 1, t and -1 for a float t <= 2**-53, so the float sum says tie
+    # but the margin is t > 0, not a violation; x* = (1, 0), h = (-1, 1)
+    # gives the terms -1 and 1, an exact zero, and a tie is a violation
+    x = np.array([0.0, 0.0, 1.0, 1.0, 0.0])
+    hs = np.array([[1.0, 2.0**-54, -1.0, 0.0, 0.0], [0.0, 0.0, 0.0, -1.0, 1.0]])
+    terms = abs_pow(x + hs[0], 1.0) - abs_pow(x, 1.0)
+    t = float(terms[1])
+    assert 0.0 < t <= 2.0**-53 and terms.sum() == 0.0 and terms[[0, 2, 3, 4]].tolist() == [1.0, -1.0, 0.0, 0.0]
+    assert lp_margin(x, hs, 1.0).tolist() == [t, 0.0]
+    samples = KernelSamples(vectors=hs, kinds=("unit", "unit"), scales=(1.0, 1.0))
+    report = verify_strict_inequality(x, samples, 1.0)
+    assert report.margins == (t, 0.0)
+    assert [v["index"] for v in report.violations] == [1] and report.margin_min == 0.0
 
 
 @pytest.mark.parametrize(
@@ -211,51 +234,26 @@ def test_bound_test_decides_the_rows_it_accepts():
         ([1e308, 1e308, -1e308, 1e308], OverflowError),
         # fsum raises on an intermediate overflow even where the sum is finite
         ([1e308, 1e308, -1e308, -1e308, 1.0], OverflowError),
+        # the float sums stay at the largest float (each 2**970 - ulp is below
+        # half a spacing there) while the exact sum rounds past it
+        ([sys.float_info.max, 2.0**970 * (1 - 2.0**-53), 2.0**970 * (1 - 2.0**-53)], OverflowError),
     ],
 )
 def test_row_sums_raise_as_fsum_raises(row, error):
     with pytest.raises(error):
         math.fsum(row)
     d = np.array([[1.0] * len(row), row])
-    for block in (d, _cascade_block(d)[0]):
+    for block in (d, d[1]):
         with pytest.raises(error):
-            numerics._row_fsums(block)
+            numerics._row_sums(block)
 
 
 def test_row_sums_keep_fsum_infinities_and_nans():
     d = np.array([[math.inf, 1.0], [-math.inf, -math.inf], [math.nan, 1.0], [math.inf, math.nan]])
-    for block in (d, _cascade_block(d)[0]):
-        got = numerics._row_fsums(block)
-        assert got[:2].tolist() == [math.inf, -math.inf] and all(map(math.isnan, got[2:4]))
-
-
-@pytest.mark.parametrize(
-    "rows",
-    [CASCADE_MIN_ROWS - 1, CASCADE_MIN_ROWS, CASCADE_MIN_ROWS + 1, BLOCK + CASCADE_MIN_ROWS - 1],
-)
-def test_row_sums_straddling_the_cascade_cut_off(monkeypatch, rows):
-    # blocks below CASCADE_MIN_ROWS rows, the trailing one of a BLOCK-split
-    # array included, skip the cascade; every row equals fsum's bit pattern
-    # on either path, with halfway ties, signed zeros and exact cancellation
-    seen = []
-    cascade = numerics._cascade_sums
-
-    def spy(block):
-        seen.append(len(block))
-        return cascade(block)
-
-    monkeypatch.setattr(numerics, "_cascade_sums", spy)
-    rng = np.random.default_rng(rows)
-    d = rng.choice([-1.0, 1.0], (rows, 7)) * 10.0 ** rng.uniform(-20, 20, (rows, 7))
-    d[::3, 1] = np.spacing(d[::3, 0]) / 2
-    d[::3, 2:] = 0.0
-    d[1::5] = -0.0
-    d[2::7, 4:] = -d[2::7, :3][:, ::-1]
-    d[2::7, 3] = 0.0
-    got = numerics._row_fsums(d)
-    assert bits(got) == bits([math.fsum(row) for row in d.tolist()])
-    sizes = [min(BLOCK, rows - first) for first in range(0, rows, BLOCK)]
-    assert seen == [size for size in sizes if size >= CASCADE_MIN_ROWS]
+    got = numerics._row_sums(d)
+    assert got[:2].tolist() == [math.inf, -math.inf] and all(map(math.isnan, got[2:4]))
+    assert [numerics._row_sums(row) for row in d[:2]] == [math.inf, -math.inf]
+    assert all(math.isnan(numerics._row_sums(row)) for row in d[2:])
 
 
 def reference_abs_pow(x, p):
@@ -467,13 +465,13 @@ def test_malformed_cap_raises_naming_the_variable_and_value(value, monkeypatch):
             read()
 
 
-def test_row_sums_equal_fsum_on_200000_seeded_rows():
+def test_row_sums_keep_fsums_sign_on_200000_seeded_rows():
     # 200,000 seeded rows of widths 1 to 12 (mixed magnitudes, halfway ties,
-    # signed zeros, subnormals, exact cancellation) must match fsum bit for
-    # bit: the vectorized row sums keep a row's cascade result only where a
-    # proven bound says it is fsum's
+    # signed zeros, subnormals, exact cancellation) must have fsum's sign and
+    # lie within the bracket of its value (assert_bracketed); each exact zero
+    # must be fsum's 0.0
     rng = np.random.default_rng(2005)
-    rows_total = mismatches = 0
+    rows_total = 0
     for n in range(1, 13):
         r = 200_000 // 12 + (n <= 200_000 % 12)
         d = rng.choice([-1.0, 1.0], (r, n)) * 10.0 ** rng.uniform(-20, 20, (r, n))
@@ -490,9 +488,8 @@ def test_row_sums_equal_fsum_on_200000_seeded_rows():
         d[sub] = rng.integers(-(2**20), 2**20, (sub.sum(), n)) * 5e-324
         cancel = kind == 4  # the second half negates the first: an exact zero
         d[cancel, n - n // 2 :] = -d[cancel, : n // 2][:, ::-1]
-        got = numerics._row_fsums(d)
-        want = [math.fsum(row) for row in d.tolist()]
+        got = numerics._row_sums(d)
         assert len(got) == r
-        mismatches += sum(a != b for a, b in zip(bits(got), bits(want)))
+        assert_bracketed(got.tolist(), d.tolist())
         rows_total += r
-    assert rows_total == 200_000 and mismatches == 0
+    assert rows_total == 200_000

@@ -779,12 +779,13 @@ def test_sample_null_redraws_a_near_zero_row_with_its_kind(monkeypatch):
 
 
 def reference_strict_inequality(x_star, samples, p, p_star=None):
-    """One exponent, one margin and one violation test per row of the block."""
+    """One exponent, one margin (a 1-D lp_margin call) and one violation
+    test per row of the block."""
     x = np.asarray(x_star, dtype=float)
     margins, violations = [], []
     for idx in range(len(samples.vectors)):
         h = samples.vectors[idx]
-        margin = math.fsum((abs_pow(x + h, p) - abs_pow(x, p)).tolist())
+        margin = lp_margin(x, h, p)
         margins.append(margin)
         if margin <= 0.0:
             violations.append(

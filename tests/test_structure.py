@@ -4,7 +4,8 @@ Most tests run one pass of a workload's seed-1 units (suite-artifacts,
 t1-sweep or prop1-spark, ``perfbench/workloads.py``) under ``perfbench/tracer.py``'s
 ``Tracer`` and check an equality between call counts that a structural
 regression breaks; the T2 and T3 tests and the two basis-scan tests trace
-direct calls.
+direct calls, and the row-sum cost guard counts math.fsum calls over
+t1-sweep's seed-1 and seed-7 units.
 """
 
 import importlib
@@ -16,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from lp_equiv import numerics
 from lp_equiv.numerics import (
     PREFIX_MINORS_MIN_SUBSETS,
     RANK_TOL,
@@ -140,6 +142,44 @@ def test_lp_argmin_takes_no_exact_sum_of_every_basic_solution(t1_metrics):
     # lp_power_sum's only caller)
     assert t1_metrics["solvers.solve_lp_basic.calls"] > 0
     assert t1_metrics["numerics.lp_power_sum.calls"] == 0
+
+
+class _CountingMath:
+    """The math module, with the calls of math.fsum counted."""
+
+    def __init__(self):
+        self.fsum_calls = 0
+
+    def fsum(self, values):
+        self.fsum_calls += 1
+        return math.fsum(values)
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+
+def test_row_sums_take_fsum_only_on_the_rows_the_bracket_leaves_open(monkeypatch, tmp_path):
+    # a margin row goes to math.fsum only where its float sum lies too close
+    # to zero for the summation bound to prove its sign: 41 of the 314,790
+    # rows of t1-sweep's seed-1 and seed-7 inputs, all at seed 7.  The float
+    # sums are cheap only while that share stays tiny; a per-row fsum loop
+    # would make the count equal the rows
+    lp = importlib.import_module("lp_equiv")
+    counting, rows = _CountingMath(), []
+    row_sums = numerics._row_sums
+
+    def counted(d):
+        rows.append(math.prod(d.shape[:-1]))
+        return row_sums(d)
+
+    monkeypatch.setattr(numerics, "math", counting)
+    monkeypatch.setattr(numerics, "_row_sums", counted)
+    workload = WORKLOADS["t1-sweep"]
+    for seed in (1, 7):
+        for unit in workload.make_inputs(lp, seed):
+            assert workload.run_unit(lp, unit, str(tmp_path)).ok
+    assert sum(rows) == 314_790
+    assert counting.fsum_calls <= 100
 
 
 def test_no_eigensolve_on_the_t1_path(t1_metrics):
