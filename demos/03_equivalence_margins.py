@@ -49,9 +49,9 @@ N = null_space_basis(A)
 rng = np.random.default_rng(3)
 h = N @ rng.standard_normal(N.shape[1])
 h /= np.linalg.norm(h)
-p = 0.5 * gram_spectrum(A).p_star
+gram = gram_spectrum(A)
 
-audit = audit_theorem1_chain(A, planted.x_star, h, p)
+audit = audit_theorem1_chain(A, planted.x_star, h, 0.5 * gram.p_star, gram)
 print(f"bound-chain audit at p = p*/2 (k={audit.k}, margin = {audit.margin:+.3e}):")
 for step in audit.steps:
     kind = "asserted" if step.asserted else "reported"

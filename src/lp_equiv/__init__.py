@@ -59,6 +59,7 @@ from .solvers import (
     InfeasibleProblemError,
     KernelSamples,
     LpMinimum,
+    MatrixFacts,
     PlantedInstance,
     SparseProblem,
     SparseSolution,
@@ -142,6 +143,7 @@ __all__ = [
     "SparseSolutionSet",
     "LpMinimum",
     "KernelSamples",
+    "MatrixFacts",
     "EquivalenceReport",
     "PlantedInstance",
     "Theorem1Report",

@@ -40,7 +40,7 @@ import numpy as np
 from .matgen import DenseMatrix
 from .numerics import BLOCK, compensated_sum, lp_margin, lp_power_sum
 from .spark import compute_spark
-from .spectral import SQRT2, Lemma1Report, gram_spectrum, lemma1_constants
+from .spectral import SQRT2, Lemma1Report, SpectralSummary, gram_spectrum, lemma1_constants
 from .solvers import support_partition
 
 # The L2 audit draws k from 1..SEQ_K_MAX and t from 1..SEQ_T_MAX, so a
@@ -336,9 +336,9 @@ def cross_term_check(
     spark = compute_spark(A).spark if lemma1 is None else lemma1.spark
     max_support = (spark - 1) // 2
     degenerate = max_support < 1
-    if lemma1 is None and not degenerate:
-        lemma1 = lemma1_constants(A, spark=spark)
     extremes = gram_spectrum(A) if lemma1 is None else lemma1
+    if lemma1 is None and not degenerate:
+        lemma1 = lemma1_constants(A, spark=spark, gram=extremes)
     paper_bound = (extremes.lambda_max - extremes.lambda_min_plus) / 2.0
     empirical_bound = math.nan if degenerate else (lemma1.w_sq - lemma1.u_sq) / 2.0
     sampled = 0 if degenerate else trials
@@ -382,9 +382,9 @@ def _block_vec(h: np.ndarray, idx: tuple[int, ...]) -> np.ndarray:
     return h[list(idx)] if idx else np.zeros(0)
 
 
-def audit_theorem1_chain(A: DenseMatrix, x_star, h, p: float) -> ChainAudit:
+def audit_theorem1_chain(A: DenseMatrix, x_star, h, p: float, gram: SpectralSummary) -> ChainAudit:
     """Evaluate every intermediate inequality of the T1 derivation on one
-    concrete instance.
+    concrete instance; gram is A's gram_spectrum, from the caller's.
 
     Steps marked asserted=True hold unconditionally (identities, Cauchy-
     Schwarz, the L2 window comparison, p-quasinorm superadditivity, Hoelder);
@@ -395,8 +395,7 @@ def audit_theorem1_chain(A: DenseMatrix, x_star, h, p: float) -> ChainAudit:
     hv = np.asarray(h, dtype=float)
     if not 0.0 < p <= 1.0:
         raise ValueError(f"p must lie in (0, 1], got {p}")
-    summary = gram_spectrum(A)
-    lmp, lmax = summary.lambda_min_plus, summary.lambda_max
+    lmp, lmax = gram.lambda_min_plus, gram.lambda_max
     part = support_partition(x, hv)
     k = part.k
     if not part.blocks:
@@ -565,7 +564,7 @@ def audit_theorem1_chain(A: DenseMatrix, x_star, h, p: float) -> ChainAudit:
     return ChainAudit(
         k=k,
         p=p,
-        p_star=summary.p_star,
+        p_star=gram.p_star,
         coefficient=coef,
         log10_b_value=log_b / math.log(10.0),
         margin=margin,

@@ -48,8 +48,8 @@ from .numerics import BudgetExceededError, SamplingError, derive_seed
 from .solvers import (
     DEFAULT_SCALES,
     DEFAULT_T_SCHEDULE,
+    MatrixFacts,
     SparseProblem,
-    _minsupport_direction,
     _plant_attempt,
     _require_t1_level,
     solve_l0,
@@ -168,14 +168,14 @@ def _cmd_audit(args) -> int:
         report = cross_term_check(_load_matrix(args.matrix), trials=args.trials, seed=args.seed)
         ok = True  # both constants are reported, neither asserted
     elif args.lemma == "chain":
-        A = _load_matrix(args.matrix)
-        cert = compute_spark(A)
-        k = args.k if args.k is not None else (cert.spark - 1) // 2
-        _require_t1_level(k, cert.spark)
-        planted = _plant_attempt(A, k, derive_seed(args.seed, "plant"), 0)
-        h = _minsupport_direction(A, cert.witness) * DEFAULT_SCALES[0]
-        p = args.p if args.p is not None else gram_spectrum(A).p_star / 2.0
-        report = audit_theorem1_chain(A, planted.x_star, h, min(p, 1.0))
+        facts = MatrixFacts(_load_matrix(args.matrix))
+        spark = facts.spark.spark
+        k = args.k if args.k is not None else (spark - 1) // 2
+        _require_t1_level(k, spark)
+        planted = _plant_attempt(facts.matrix, k, derive_seed(args.seed, "plant"), 0)
+        h = facts.direction * DEFAULT_SCALES[0]
+        p = args.p if args.p is not None else facts.gram.p_star / 2.0
+        report = audit_theorem1_chain(facts.matrix, planted.x_star, h, min(p, 1.0), facts.gram)
         ok = report.asserted_ok
     else:
         raise AssertionError(f"unhandled lemma {args.lemma}")

@@ -43,13 +43,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .matgen import (
-    AugmentedSpec,
     DenseMatrix,
     VandermondeSpec,
     _augmented_with_scales,
     b_vectors,
     build_augmented_0,
-    build_augmented_t,
     build_vandermonde,
     extend_lambda,
 )
@@ -68,8 +66,8 @@ from .numerics import (
     lp_power_sum,
     numerical_rank,
 )
-from .spark import compute_spark
-from .spectral import gram_spectrum, spectrum_from_singular_values
+from .spark import SparkCertificate, compute_spark
+from .spectral import SpectralSummary, gram_spectrum, spectrum_from_singular_values
 
 # Support ranks follow the package's one rank policy (numerics.RANK_TOL on
 # the raw submatrix); residuals are accepted relative to ||b||.
@@ -490,7 +488,12 @@ def _l0_from_basics(basics: BasicSolutions) -> SparseSolutionSet:
     of the block."""
     level = int(basics.sizes[0])
     count = int(np.searchsorted(basics.sizes, level, side="right"))
-    return SparseSolutionSet(level, tuple(basics[i] for i in range(count)))
+    # one .tolist() per block: the leading rows all have the level's width
+    supports = basics.supports[:count, :level].tolist()
+    coefficients = basics.coefficients[:count, :level].tolist()
+    return SparseSolutionSet(
+        level, tuple(SparseSolution(tuple(s), tuple(c)) for s, c in zip(supports, coefficients))
+    )
 
 
 def solve_l0(prob: SparseProblem) -> SparseSolutionSet:
@@ -603,16 +606,64 @@ def _minsupport_direction(A: DenseMatrix, witness: tuple[int, ...]) -> np.ndarra
     return head / np.linalg.norm(head)
 
 
-def sample_null(A: DenseMatrix, count: int, seed: int, witness: tuple[int, ...]) -> KernelSamples:
-    """Deterministic mixture of kernel vectors, `count` base directions each
-    emitted at every DEFAULT_SCALES entry.
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True, eq=False)
+class MatrixFacts:
+    """The facts about one matrix A that its checks share: the spark
+    certificate, the Gram summary, the kernel basis and the unit kernel
+    vector on the spark witness (sample_null's minsupport row and the chain
+    audit's direction).
+
+    Each fact is computed at most once, on first use, so a bundle costs only
+    what its readers read, and a scan over the subset cap raises where its
+    fact is first needed, as the direct call would.  The arrays are
+    read-only: every reader sees them as computed.  A bundle carries its
+    matrix; a harness handed one checks that it describes its own A.
+    """
+
+    matrix: DenseMatrix
+
+    @functools.cached_property
+    def spark(self) -> SparkCertificate:
+        return compute_spark(self.matrix)
+
+    @functools.cached_property
+    def gram(self) -> SpectralSummary:
+        return gram_spectrum(self.matrix)
+
+    @functools.cached_property
+    def kernel(self) -> np.ndarray:
+        return _read_only(null_space_basis(self.matrix))
+
+    @functools.cached_property
+    def direction(self) -> np.ndarray:
+        return _read_only(_minsupport_direction(self.matrix, self.spark.witness))
+
+
+def _facts_for(A: DenseMatrix, facts: MatrixFacts | None) -> MatrixFacts:
+    """A harness's bundle: A's own when facts is None, else facts, which
+    must describe A (ValueError otherwise)."""
+    if facts is None:
+        return MatrixFacts(A)
+    if facts.matrix is not A and not np.array_equal(facts.matrix.entries, A.entries):
+        raise ValueError("the facts bundle describes another matrix")
+    return facts
+
+
+def sample_null(facts: MatrixFacts, count: int, seed: int) -> KernelSamples:
+    """Deterministic mixture of kernel vectors of facts.matrix, `count` base
+    directions each emitted at every DEFAULT_SCALES entry, drawn from the
+    bundle's kernel basis and minsupport direction.
 
     Kinds: "unit" (random unit directions in the kernel), "signed"
     (+-1 combinations of the basis), and one "minsupport" vector supported on
-    the given spark witness set (||h||_0 = spark(A)) -- the adversarial end
-    of the kernel: smallest support, largest chance of touching few
-    coordinates.  The witness comes from the caller's own spark certificate
-    (compute_spark(A).witness); the minsupport row is base row 0.
+    the spark witness set (||h||_0 = spark(A)) -- the adversarial end of the
+    kernel: smallest support, largest chance of touching few coordinates.
+    The minsupport row is base row 0.
 
     Base row i >= 1 is "unit" when i is even and "signed" when i is odd.
     The generator draws one standard normal block for all unit rows, then
@@ -621,7 +672,7 @@ def sample_null(A: DenseMatrix, count: int, seed: int, witness: tuple[int, ...])
     1e-12 is redrawn with the same kind after the two blocks, until none is
     left.
     """
-    basis = null_space_basis(A)
+    basis = facts.kernel
     dim = basis.shape[1]
     if dim == 0:
         raise ValueError("trivial kernel: nothing to sample")
@@ -638,7 +689,7 @@ def sample_null(A: DenseMatrix, count: int, seed: int, witness: tuple[int, ...])
         H[bad] = _matvecs(basis, _draw_coefficients(rng, unit[bad], dim))
         norms[bad] = _row_norms(H[bad])
         bad = bad[norms[bad] <= 1e-12]
-    base = np.vstack([_minsupport_direction(A, witness), H / norms[:, None]])
+    base = np.vstack([facts.direction, H / norms[:, None]])
 
     # one (count, scales, n) product, whose rows are the samples in order
     scaled = base[:, None, :] * np.asarray(DEFAULT_SCALES)[None, :, None]
@@ -646,17 +697,17 @@ def sample_null(A: DenseMatrix, count: int, seed: int, witness: tuple[int, ...])
     per_row = len(DEFAULT_SCALES)
     pair = ("unit",) * per_row + ("signed",) * per_row
     return KernelSamples(
-        vectors=scaled.reshape(-1, A.cols),
+        vectors=scaled.reshape(-1, basis.shape[0]),
         kinds=("minsupport",) * per_row + (pair * ((count + 1) // 2))[per_row : count * per_row],
         scales=DEFAULT_SCALES * count,
     )
 
 
-def _trial_samples(A: DenseMatrix, trials: int, seed: int, witness: tuple[int, ...]) -> KernelSamples:
+def _trial_samples(facts: MatrixFacts, trials: int, seed: int) -> KernelSamples:
     """A harness's kernel samples: ceil(trials / len(DEFAULT_SCALES)) base
     directions (at least one), each at every default scale."""
     count = max(1, math.ceil(trials / len(DEFAULT_SCALES)))
-    return sample_null(A, count=count, seed=seed, witness=witness)
+    return sample_null(facts, count=count, seed=seed)
 
 
 def support_partition(x_star, h) -> SupportPartition:
@@ -776,6 +827,8 @@ def verify_theorem1(
     trials: int = 210,
     p_grid: tuple[float, ...] | None = None,
     seed: int = 0,
+    *,
+    facts: MatrixFacts | None = None,
 ) -> Theorem1Report:
     """T1 harness: plant a k-sparse instance (k < spark/2), enumerate its
     basic solutions once (the l0 solutions are the smallest of them), then
@@ -784,16 +837,19 @@ def verify_theorem1(
 
     Grid points below p_star are the claim under test; points at or above it
     are recorded without judgement.  Counterexamples carry enough data to
-    replay: the violating h, p, and margin.
+    replay: the violating h, p, and margin.  facts is A's MatrixFacts when
+    the caller holds them (the suite, across its levels); without it the
+    harness computes its own.
     """
-    cert = compute_spark(A)
+    facts = _facts_for(A, facts)
+    cert = facts.spark
     _require_t1_level(k, cert.spark)
     inst = plant_sparse_instance(A, k, derive_seed(seed, "plant"))
-    summary = gram_spectrum(A)
+    summary = facts.gram
     grid = default_p_grid(summary.p_star) if p_grid is None else tuple(sorted(set(p_grid)))
     below_empty = not any(p < summary.p_star for p in grid)
 
-    samples = _trial_samples(A, trials, derive_seed(seed, "null"), cert.witness)
+    samples = _trial_samples(facts, trials, derive_seed(seed, "null"))
     basics = enumerate_basic_solutions(inst.problem)
     sol = _l0_from_basics(basics)
     l0_supports = set(sol.supports)
@@ -882,6 +938,7 @@ def _deep_regime_hypothesis(
     trials: int,
     seed: int,
     null_label: str,
+    facts: MatrixFacts | None,
 ):
     """The preamble T2 and T3 share: check k and p_check, plant x* at l0
     level k, and draw the kernel samples of A = A(m, n, lam).
@@ -890,8 +947,10 @@ def _deep_regime_hypothesis(
     T2, of the extended nodes for T3); p_check defaults to p_star(A0) / 2.
     x* comes from plant_with_level at derive_seed(seed, "plant"), whose l0
     solve certifies the hypothesis (it raises SamplingError when no plant
-    reaches level k).  The samples' minsupport row lies on the witness of
-    compute_spark(A), as in T1.  Returns (x*, p_star(A0), p_check, samples).
+    reaches level k).  The samples come from A's MatrixFacts, facts when
+    given: their minsupport row lies on A's spark witness, as in T1.  The
+    plant runs before the certificate, so a cap below both names the plant's
+    scan.  Returns (x*, p_star(A0), p_check, samples).
     """
     spec.require_distinct_abs()
     m = spec.m
@@ -902,9 +961,22 @@ def _deep_regime_hypothesis(
     if not 0.0 < p < p_star0:
         raise ValueError(f"p_check must lie in (0, p_star(A_0)) = (0, {p_star0}), got {p}")
     A = build_vandermonde(spec)
+    facts = _facts_for(A, facts)
     inst, _ = plant_with_level(A, k, derive_seed(seed, "plant"))
-    samples = _trial_samples(A, trials, derive_seed(seed, null_label), compute_spark(A).witness)
+    samples = _trial_samples(facts, trials, derive_seed(seed, null_label))
     return inst.x_star, p_star0, p, samples
+
+
+def _limit_gaps(spec: VandermondeSpec, p_star0: float, t_schedule) -> list[float]:
+    """|p_star(A_t) - p_star0| at x_t = y_t = 1/t, one per step t, from one
+    block of the A_t and one stacked SVD.  Each gap is bit-identical to
+    gram_spectrum(build_augmented_t(...)) of its step alone: the stacked
+    LAPACK call sees every matrix in a DenseMatrix's layout."""
+    inv_t = 1.0 / np.asarray(t_schedule, dtype=float)
+    scales = np.repeat(inv_t[:, None], spec.m + 2, axis=1)
+    orders = np.broadcast_to(np.arange(spec.m + 2), scales.shape)
+    s = np.linalg.svd(_augmented_with_scales(spec, scales, orders), compute_uv=False)
+    return [abs(spectrum_from_singular_values(row).p_star - p_star0) for row in s]
 
 
 def _explicit_steps(
@@ -955,6 +1027,8 @@ def verify_theorem2(
     t_schedule: tuple[float, ...] = DEFAULT_T_SCHEDULE,
     trials: int = 21,
     seed: int = 0,
+    *,
+    facts: MatrixFacts | None = None,
 ) -> Theorem2Report:
     """T2 harness for n >= 2m+2: plant an l0 solution x* at level k,
     (m+1)/2 <= k <= m, and check it.
@@ -978,22 +1052,23 @@ def verify_theorem2(
     also keeps all 2m+2 singular values of A_t.  These explicit steps are
     collected over all samples and evaluated numerics.BLOCK at a time, each
     block with two stacked products and one stacked SVD.  The instance-level
-    limit |p_star(A_t) -> p_star(A_0)| uses x_t = y_t = 1/t.
+    limit |p_star(A_t) -> p_star(A_0)| uses x_t = y_t = 1/t, every step's
+    A_t in one stacked SVD (_limit_gaps).  facts is the MatrixFacts of
+    A(m, n, lam) when the caller holds them, as for verify_theorem1.
     """
     m, n = spec.m, spec.n
     if n < 2 * m + 2:
         raise ValueError(f"T2 needs n >= 2m+2 = {2 * m + 2}, got n={n}")
     if not t_schedule:
         raise ValueError("t_schedule needs at least one step")
+    if not all(0.0 < t < math.inf for t in t_schedule):
+        raise ValueError(f"t_schedule steps must be finite and > 0, got {tuple(t_schedule)}")
     x, p_star0, p, samples = _deep_regime_hypothesis(
-        spec, k, build_augmented_0(spec), p_check, trials, seed, "thm2-null"
+        spec, k, build_augmented_0(spec), p_check, trials, seed, "thm2-null", facts
     )
     claim = verify_strict_inequality(x, samples, p)
 
-    gaps = []
-    for t in t_schedule:
-        At = build_augmented_t(AugmentedSpec(base=spec, x_t=1.0 / t, y_t=1.0 / t))
-        gaps.append(abs(gram_spectrum(At).p_star - p_star0))
+    gaps = _limit_gaps(spec, p_star0, t_schedule)
     limit_monotone = _strictly_decreasing(gaps)
     final_gap_ratio = gaps[-1] / p_star0
 
@@ -1105,6 +1180,8 @@ def verify_theorem3(
     p_check: float | None = None,
     trials: int = 21,
     seed: int = 0,
+    *,
+    facts: MatrixFacts | None = None,
 ) -> Theorem3Report:
     """T3 harness for m < n < 2m+2: plant an l0 solution x* at level k,
     (m+1)/2 <= k <= m, extend the nodes to 2m+2, embed kernel vectors by
@@ -1116,7 +1193,8 @@ def verify_theorem3(
     A(m,2m+2,lam*) (worst ||A h~|| / ||h~||), and padded kernel vectors of
     the extended Vandermonde lie in the kernel of its block augmentation A_0
     (worst ||A_0 g|| over the extended kernel basis).  Zero padding must
-    leave every margin unchanged.
+    leave every margin unchanged.  facts is the MatrixFacts of A(m, n, lam)
+    when the caller holds them, as for verify_theorem1.
     """
     m, n = spec.m, spec.n
     if not m < n < 2 * m + 2:
@@ -1124,7 +1202,7 @@ def verify_theorem3(
     ext = extend_lambda(spec, derive_seed(seed, "thm3-extend"))
     A0_ext = build_augmented_0(ext)
     x, p_star0, p, samples = _deep_regime_hypothesis(
-        spec, k, A0_ext, p_check, trials, seed, "thm3-null"
+        spec, k, A0_ext, p_check, trials, seed, "thm3-null", facts
     )
     claim = verify_strict_inequality(x, samples, p)
 

@@ -162,26 +162,26 @@ def restricted_extremes(A: DenseMatrix, k: int) -> RestrictedSpectrum:
     )
 
 
-def lemma1_constants(A: DenseMatrix, spark: int) -> Lemma1Report:
+def lemma1_constants(A: DenseMatrix, spark: int, gram: SpectralSummary) -> Lemma1Report:
     """u^2, w^2 at subset size spark-1, with the contested sandwich as data.
 
-    spark is A's, from the caller's certificate.  u^2 ||x||^2 <= ||A x||^2
+    spark is A's, from the caller's certificate, and gram is A's
+    gram_spectrum, from the caller's.  u^2 ||x||^2 <= ||A x||^2
     <= w^2 ||x||^2 holds for every x with ||x||_0 < spark(A) by construction
     (min/max over supports plus interlacing); whether lambda_min_plus <= u^2
-    (gram_spectrum(A)'s, as is lambda_max) is recorded, not assumed.
+    (gram's, as is lambda_max) is recorded, not assumed.
     """
     if spark < 2:
         raise ValueError(f"spark must be >= 2 for a nonempty restricted spectrum, got {spark}")
     rs = restricted_extremes(A, spark - 1)
-    summary = gram_spectrum(A)
     return Lemma1Report(
         spark=spark,
         u_sq=rs.min_eig,
         w_sq=rs.max_eig,
-        lambda_min_plus=summary.lambda_min_plus,
-        lambda_max=summary.lambda_max,
-        sandwich_holds=summary.lambda_min_plus <= rs.min_eig * (1 + 1e-12)
-        and rs.max_eig <= summary.lambda_max * (1 + 1e-12),
+        lambda_min_plus=gram.lambda_min_plus,
+        lambda_max=gram.lambda_max,
+        sandwich_holds=gram.lambda_min_plus <= rs.min_eig * (1 + 1e-12)
+        and rs.max_eig <= gram.lambda_max * (1 + 1e-12),
         argmin_support=rs.argmin_support,
         argmax_support=rs.argmax_support,
     )

@@ -8,9 +8,13 @@ Artifacts (all deterministic for a fixed config; no wall-clock data anywhere):
   counterexamples.json  every recorded violation, with enough data to replay
 
 The phase and margin rows of each k are read from that k's verify_theorem1
-report, so each sparsity level gets one T1 sweep.  Every rank decision (spark,
-spectrum, kernel, support solves), here and in the T2/T3 harnesses, follows
-the one policy of numerics.RANK_TOL; no configuration key sets a tolerance.
+report, so each sparsity level gets one T1 sweep.  A's spark certificate,
+Gram summary, kernel basis and minsupport direction are computed once per
+run, in one MatrixFacts bundle that the spark and gram-spectrum records, the
+sandwich, every T1 level, the chain audit and the deep-regime harness read.
+Every rank decision (spark, spectrum, kernel, support solves), here and in
+the T2/T3 harnesses, follows the one policy of numerics.RANK_TOL; no
+configuration key sets a tolerance.
 
 Checks are split into two tiers.  Asserted checks are machinery the package
 guarantees (instance generation, spark certificates, the scalar/sequence
@@ -51,15 +55,16 @@ from .matgen import build_vandermonde, sample_instance
 from .numerics import BudgetExceededError, SamplingError, derive_seed
 from .solvers import (
     DEFAULT_SCALES,
+    MatrixFacts,
     Theorem1Report,
-    _minsupport_direction,
     _plant_attempt,
     verify_theorem1,
     verify_theorem2,
     verify_theorem3,
 )
-from .spark import check_submatrix_invertibility, compute_spark
-from .spectral import gram_spectrum, lemma1_constants
+from .spark import check_submatrix_invertibility
+from .spark import compute_spark  # noqa: F401  (bound for perfbench's tracer self-test)
+from .spectral import lemma1_constants
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -272,14 +277,13 @@ def run_suite(config: RunConfig) -> RunManifest:
         return _finalize(config, rec)
     rec.lam = [float(v) for v in spec.lam]
     rec.record("instance", "pass", {"m": m, "n": n, "lambda": rec.lam})
-    A = build_vandermonde(spec)
+    facts = MatrixFacts(build_vandermonde(spec))
 
-    cert = rec.run(("spark",), _spark_check, A, m)
+    cert = rec.run(("spark",), _spark_check, facts, m)
     no_spark = None if cert is not None else "needs the spark certificate, which was skipped"
     rec.run(("submatrix-invertibility",), _submatrix_check, spec)
-    summary = gram_spectrum(A)
-    rec.record("gram-spectrum", "pass", json_safe(summary))
-    lem1 = rec.run(("spectral-sandwich",), _sandwich_check, A, cert, missing=no_spark)
+    rec.record("gram-spectrum", "pass", json_safe(facts.gram))
+    lem1 = rec.run(("spectral-sandwich",), _sandwich_check, facts, missing=no_spark)
 
     # --- scalar and sequence bounds -------------------------------------------
     seq = lemma2_sequence_check(trials=max(config.trials * 10, 200), seed=derive_seed(seed, "seq"))
@@ -292,23 +296,23 @@ def run_suite(config: RunConfig) -> RunManifest:
         detail = {"worst_violation": grid.worst_violation, "worst_at": grid.worst_at}
         rec.record(name, "pass" if grid.passes else "fail", detail)
 
-    rec.run(("cross-term",), _cross_term_check, A, config, lem1)
+    rec.run(("cross-term",), _cross_term_check, facts.matrix, config, lem1)
 
     # --- T1 per level 1 <= k < spark/2 (those of the expected spark m + 1
     #     without a certificate), then the chain audit at the deepest ----------
     k_max = (m if cert is None else cert.spark - 1) // 2
     for k in range(1, k_max + 1):
-        rec.run((f"t1-margins-k{k}",), _t1_check, A, k, config, missing=no_spark)
+        rec.run((f"t1-margins-k{k}",), _t1_check, facts, k, config, missing=no_spark)
     if k_max >= 1:
         names = ("chain-asserted", "chain-reported")
-        rec.run(names, _chain_check, A, cert, k_max, summary, seed, missing=no_spark)
+        rec.run(names, _chain_check, facts, k_max, seed, missing=no_spark)
 
-    _run_deep_regime(rec, config, spec)
+    _run_deep_regime(rec, config, spec, facts)
     return _finalize(config, rec)
 
 
-def _spark_check(rec: _Recorder, A, m: int):
-    cert = compute_spark(A)
+def _spark_check(rec: _Recorder, facts: MatrixFacts, m: int):
+    cert = facts.spark
     detail = {"spark": cert.spark, "expected": m + 1, "witness": list(cert.witness)}
     rec.record("spark", "pass" if cert.spark == m + 1 else "fail", detail)
     return cert
@@ -324,8 +328,8 @@ def _submatrix_check(rec: _Recorder, spec) -> None:
     rec.record("submatrix-invertibility", "reported", detail, () if sub.passes else (worst,))
 
 
-def _sandwich_check(rec: _Recorder, A, cert):
-    lem1 = lemma1_constants(A, spark=cert.spark)
+def _sandwich_check(rec: _Recorder, facts: MatrixFacts):
+    lem1 = lemma1_constants(facts.matrix, spark=facts.spark.spark, gram=facts.gram)
     keys = ("u_sq", "w_sq", "lambda_min_plus", "lambda_max")
     constants = {key: getattr(lem1, key) for key in keys}
     worst = {**constants, "argmin_support": list(lem1.argmin_support)}
@@ -346,11 +350,11 @@ def _cross_term_check(rec: _Recorder, A, config: RunConfig, lem1) -> None:
     rec.record("cross-term", "reported", detail, (worst,) if violated else ())
 
 
-def _t1_check(rec: _Recorder, A, k: int, config: RunConfig) -> None:
+def _t1_check(rec: _Recorder, facts: MatrixFacts, k: int, config: RunConfig) -> None:
     """The T1 harness at level k, which also fills that level's phase and
     margin rows."""
     seed = derive_seed(config.seed, f"thm1-k{k}")
-    report = verify_theorem1(A, k, trials=config.trials, seed=seed)
+    report = verify_theorem1(facts.matrix, k, trials=config.trials, seed=seed, facts=facts)
     detail = {key: getattr(report, key) for key in ("k", "p_star", "all_hold", "l0_unique")}
     detail["counterexample_count"] = len(report.counterexamples)
     x_star = list(report.x_star)
@@ -362,13 +366,14 @@ def _t1_check(rec: _Recorder, A, k: int, config: RunConfig) -> None:
     rec.margin_lines += _margin_lines(report)
 
 
-def _chain_check(rec: _Recorder, A, cert, k: int, summary, seed: int) -> None:
+def _chain_check(rec: _Recorder, facts: MatrixFacts, k: int, seed: int) -> None:
     """The chain audit on one concrete witness at level k < spark/2, planted
     with no l0 solve; a failed step of either tier leaves one replay record."""
+    A = facts.matrix
     planted = _plant_attempt(A, k, derive_seed(seed, "chain"), 0)
-    h = _minsupport_direction(A, cert.witness) * DEFAULT_SCALES[0]
-    p_audit = min(summary.p_star / 2.0, 1.0)
-    audit = audit_theorem1_chain(A, planted.x_star, h, p_audit)
+    h = facts.direction * DEFAULT_SCALES[0]
+    p_audit = min(facts.gram.p_star / 2.0, 1.0)
+    audit = audit_theorem1_chain(A, planted.x_star, h, p_audit, facts.gram)
     status = "pass" if audit.asserted_ok else "fail"
     rec.record("chain-asserted", status, {"p": p_audit, "k": audit.k})
     steps = [{"name": s.name, "ok": s.ok, "asserted": s.asserted} for s in audit.steps]
@@ -380,13 +385,13 @@ def _chain_check(rec: _Recorder, A, cert, k: int, summary, seed: int) -> None:
         rec.counterexample("chain", {**json_safe(audit), **replay})
 
 
-def _run_deep_regime(rec: _Recorder, config: RunConfig, spec) -> None:
+def _run_deep_regime(rec: _Recorder, config: RunConfig, spec, facts: MatrixFacts) -> None:
     """Route the high-sparsity check by column count: wide instances exercise
     the t-indexed augmented family directly, narrow ones go through the
     node-extension embedding.  Both run the same way; they differ only in
     the harness, the check name, the seed label and the detail keys.  The
-    harness plants its own x*; a plant that misses the level skips the
-    check."""
+    harness plants its own x* and draws its samples from the run's facts
+    of A; a plant that misses the level skips the check."""
     m, n = config.m, config.n
     if n >= 2 * m + 2:
         harness, name, label = verify_theorem2, "t2-augmented", "t2"
@@ -397,7 +402,8 @@ def _run_deep_regime(rec: _Recorder, config: RunConfig, spec) -> None:
 
     def check(rec: _Recorder) -> None:
         # k = m, the deepest admissible level: (m+1)/2 <= k <= m
-        report = harness(spec, m, trials=config.trials, seed=derive_seed(config.seed, label))
+        seed = derive_seed(config.seed, label)
+        report = harness(spec, m, trials=config.trials, seed=seed, facts=facts)
         keys = ("k", "p_star0", "p_check", "margin_min", *own_keys)
         detail = {key: getattr(report, key) for key in keys}
         detail["violation_count"] = len(report.violations)

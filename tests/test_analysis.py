@@ -323,7 +323,7 @@ def test_cross_term_check_degenerate_spark_two():
     assert rep.passes_paper and rep.passes_empirical and math.isnan(rep.empirical_bound)
     # with a spark-2 Lemma-1 report the Gram extremes come from it, and the
     # report stays degenerate: no empirical bound, nothing sampled
-    lemma1 = lemma1_constants(DenseMatrix(entries), spark=2)
+    lemma1 = lemma1_constants(DenseMatrix(entries), spark=2, gram=gram_spectrum(DenseMatrix(entries)))
     again = cross_term_check(DenseMatrix(entries), trials=50, seed=1, lemma1=lemma1)
     assert again.degenerate and again.trials == 0 and math.isnan(again.empirical_bound)
     assert again.passes_paper and again.passes_empirical and again.paper_bound == rep.paper_bound
@@ -338,8 +338,8 @@ def test_chain_audit_asserted_steps_pass_on_valid_inputs():
         rng = np.random.default_rng(seed + 20)
         h = N @ rng.standard_normal(N.shape[1])
         h /= np.linalg.norm(h)
-        p = 0.5 * gram_spectrum(A).p_star
-        audit = audit_theorem1_chain(A, inst.x_star, h, p)
+        gram = gram_spectrum(A)
+        audit = audit_theorem1_chain(A, inst.x_star, h, 0.5 * gram.p_star, gram)
         assert audit.asserted_ok
         assert audit.margin > 0.0
         assert audit.k == 1
@@ -356,7 +356,7 @@ def test_chain_audit_rejects_vanishing_h_off_support():
     A = build_vandermonde(spec)
     inst, _ = plant_with_level(A, 1, seed=10)
     with pytest.raises(ValueError):
-        audit_theorem1_chain(A, inst.x_star, np.zeros(7), 0.5)
+        audit_theorem1_chain(A, inst.x_star, np.zeros(7), 0.5, gram_spectrum(A))
 
 
 def test_chain_audit_json_round_trip_fields():
@@ -366,7 +366,7 @@ def test_chain_audit_json_round_trip_fields():
     N = null_space_basis(A)
     h = N @ np.ones(N.shape[1])
     h /= np.linalg.norm(h)
-    audit = audit_theorem1_chain(A, inst.x_star, h, 0.3)
+    audit = audit_theorem1_chain(A, inst.x_star, h, 0.3, gram_spectrum(A))
     d = json_safe(audit)
     assert set(d) >= {"k", "p", "p_star", "margin", "steps", "asserted_ok", "reported_ok"}
     assert len(d["steps"]) == len(audit.steps)

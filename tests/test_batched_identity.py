@@ -3,8 +3,10 @@
 The references below are the per-sample margin (a 1-D lp_margin call, with
 the sign and bracket of the exact per-sample sum), the per-p call, the
 per-support solve loop over every size (test_solvers._reference_scan, which
-the l0 tests there share), the per-step T2 loop and the per-sample T3
-residual loop that the block kernels and the basis scan replaced, and the
+the l0 tests there share), the per-step T2 loop, the per-t loop of the T2
+limit gaps, the per-row read of the l0 set off the basic solutions and the
+per-sample T3 residual loop that the block kernels and the basis scan
+replaced, and the
 earlier forms of two block kernels: the basis scan that built its solutions
 row by row (_object_scan) and the lp argmin that took an exact sum of every
 basic solution (_padded_lp_basic); every comparison is exact (==, or bit
@@ -27,9 +29,12 @@ from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
 from lp_equiv.matgen import (  # noqa: E402
+    AugmentedSpec,
     DenseMatrix,
+    VandermondeSpec,
     b_vectors,
     build_augmented_0,
+    build_augmented_t,
     build_vandermonde,
     extend_lambda,
     power_rows,
@@ -54,6 +59,7 @@ from lp_equiv.solvers import (  # noqa: E402
     RESIDUAL_TOL,
     ZERO_COEFF,
     LpMinimum,
+    MatrixFacts,
     SparseProblem,
     SparseSolution,
     enumerate_basic_solutions,
@@ -65,7 +71,7 @@ from lp_equiv.solvers import (  # noqa: E402
     verify_theorem2,
     verify_theorem3,
 )
-from lp_equiv.spark import compute_spark  # noqa: E402
+from lp_equiv.solvers import _l0_from_basics, _limit_gaps  # noqa: E402
 from lp_equiv.spectral import gram_spectrum  # noqa: E402
 from test_numerics import assert_bracketed  # noqa: E402
 from test_solvers import (  # noqa: E402
@@ -248,6 +254,12 @@ def _assert_block_equals_object_scan(prob):
     got = enumerate_basic_solutions(prob)
     expected = _object_scan(prob)
     assert _solution_bits(got) == _solution_bits(expected)
+    # the l0 set read off the block in one pass equals its leading rows read
+    # one at a time: supports, coefficient bits and order
+    l0 = _l0_from_basics(got)
+    per_row = [got[i] for i in range(len(got)) if got.sizes[i] == got.sizes[0]]
+    assert l0.level == len(per_row[0].support)
+    assert _solution_bits(l0.solutions) == _solution_bits(per_row)
     # the block's own arrays say the same: sizes ascending, zero padding
     assert got.sizes.tolist() == [len(s.support) for s in expected]
     width = got.supports.shape[1]
@@ -260,8 +272,10 @@ def _assert_block_equals_object_scan(prob):
 
 @pytest.mark.parametrize("m", range(2, 6))
 def test_basis_block_equals_object_scan_on_the_node_grid(m):
+    # k = m included: there every basis is a basic solution of the level, and
+    # the l0 set is the whole block
     for n in range(m + 1, m + 5):
-        for k in range(1, m):
+        for k in range(1, m + 1):
             for seed in range(3):
                 _assert_block_equals_object_scan(_planted_problem(m, n, k, seed).problem)
 
@@ -505,9 +519,7 @@ def test_t2_steps_equal_per_step_loop(m, n, seed, p_frac, t_schedule, trials):
     rep = verify_theorem2(spec, m, p_check=p_check, t_schedule=t_schedule, trials=trials, seed=seed)
     count = max(1, math.ceil(trials / len(DEFAULT_SCALES)))
     A = build_vandermonde(spec)
-    samples = sample_null(
-        A, count, seed=derive_seed(seed, "thm2-null"), witness=compute_spark(A).witness
-    )
+    samples = sample_null(MatrixFacts(A), count, seed=derive_seed(seed, "thm2-null"))
     reference = _reference_t2_records(spec, np.array(rep.x_star), rep.p_check, t_schedule, samples)
 
     def pop_log10(records):
@@ -530,6 +542,34 @@ def test_t2_steps_equal_per_step_loop(m, n, seed, p_frac, t_schedule, trials):
         assert explicit > BLOCK
 
 
+def _reference_limit_gaps(spec, p_star0, t_schedule):
+    """verify_theorem2's limit gaps as they were, one A_t built and
+    summarized per step."""
+    gaps = []
+    for t in t_schedule:
+        At = build_augmented_t(AugmentedSpec(base=spec, x_t=1.0 / t, y_t=1.0 / t))
+        gaps.append(abs(gram_spectrum(At).p_star - p_star0))
+    return gaps
+
+
+@pytest.mark.parametrize("t_schedule", [DEFAULT_T_SCHEDULE, (1000.0,)], ids=["default", "one-step"])
+@pytest.mark.parametrize("nodes", ["signed", "abs"])
+@pytest.mark.parametrize("m", range(1, 5))
+def test_limit_gaps_equal_per_t_loop(m, nodes, t_schedule):
+    for n in (2 * m + 2, 2 * m + 3):
+        for seed in range(10):
+            spec = sample_instance(m, n, seed=seed)
+            if nodes == "abs":
+                spec = VandermondeSpec(m, tuple(abs(v) for v in spec.lam), seed=spec.seed)
+            p_star0 = gram_spectrum(build_augmented_0(spec)).p_star
+            got = _limit_gaps(spec, p_star0, t_schedule)
+            expected = _reference_limit_gaps(spec, p_star0, t_schedule)
+            assert [g.hex() for g in got] == [e.hex() for e in expected]
+    # and through the harness, on the last instance
+    rep = verify_theorem2(spec, m, t_schedule=t_schedule, trials=3, seed=0)
+    assert rep.limit_gaps == tuple(expected)
+
+
 def _reference_t3_residuals(spec, seed, trials):
     """verify_theorem3's worst embedding and block residuals, one padded
     kernel sample and one extended kernel basis vector at a time."""
@@ -538,9 +578,7 @@ def _reference_t3_residuals(spec, seed, trials):
     A_ext, A0_ext = build_vandermonde(ext), build_augmented_0(ext)
     count = max(1, math.ceil(trials / len(DEFAULT_SCALES)))
     A = build_vandermonde(spec)
-    samples = sample_null(
-        A, count, seed=derive_seed(seed, "thm3-null"), witness=compute_spark(A).witness
-    )
+    samples = sample_null(MatrixFacts(A), count, seed=derive_seed(seed, "thm3-null"))
     worst_embed = 0.0
     for i in range(len(samples.vectors)):
         h_tilde = np.pad(samples.vectors[i], (0, ext.n - n))

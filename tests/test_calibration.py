@@ -27,7 +27,7 @@ from lp_equiv.matgen import (
     sample_instance,
 )
 from lp_equiv.numerics import RANK_TOL
-from lp_equiv.solvers import null_space_basis, sample_null
+from lp_equiv.solvers import MatrixFacts, null_space_basis, sample_null
 from lp_equiv.spark import _equilibrated, compute_spark, verify_prop1
 from lp_equiv.spectral import gram_spectrum
 
@@ -55,7 +55,7 @@ def test_rank_kernel_and_conditioning_are_calibrated(m):
         assert gram_spectrum(A).rank == m, (m, n, seed)
         basis = null_space_basis(A)
         assert basis.shape == (n, n - m), (m, n, seed)
-        samples = sample_null(A, count=70, seed=seed, witness=compute_spark(A).witness)
+        samples = sample_null(MatrixFacts(A), count=70, seed=seed)
         base = samples.vectors[np.array(samples.scales) == 1.0]
         assert len(base) == 70, (m, n, seed)
         assert np.all(np.abs(np.linalg.norm(base, axis=1) - 1.0) <= 1e-12), (m, n, seed)

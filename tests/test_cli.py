@@ -16,6 +16,7 @@ from lp_equiv.matgen import DenseMatrix, VandermondeSpec, build_vandermonde, sam
 from lp_equiv.numerics import derive_seed
 from lp_equiv.solvers import (
     LpMinimum,
+    MatrixFacts,
     SparseSolution,
     SparseSolutionSet,
     Theorem2Report,
@@ -23,7 +24,7 @@ from lp_equiv.solvers import (
     plant_with_level,
     sample_null,
 )
-from lp_equiv.spark import SparkCertificate, check_submatrix_invertibility, compute_spark
+from lp_equiv.spark import SparkCertificate, check_submatrix_invertibility
 from lp_equiv.spectral import RestrictedSpectrum, SpectralSummary, gram_spectrum
 from lp_equiv.suite import _json_text
 
@@ -159,11 +160,10 @@ def test_audit_chain_report_is_the_level_certified_plants(tmp_path, capsys, k):
     flags = [] if k is None else ["--k", str(k)]
     assert main(["audit", "--lemma", "chain", "--matrix", str(mat), "--seed", "5", *flags]) == 0
     A = _load_matrix(str(mat))
-    cert = compute_spark(A)
     planted, sol = plant_with_level(A, 2 if k is None else k, derive_seed(5, "plant"))
-    h = sample_null(A, count=1, seed=derive_seed(5, "h"), witness=cert.witness).vectors[0]
-    p = min(gram_spectrum(A).p_star / 2.0, 1.0)
-    expected = audit_theorem1_chain(A, planted.x_star, h, p)
+    h = sample_null(MatrixFacts(A), count=1, seed=derive_seed(5, "h")).vectors[0]
+    gram = gram_spectrum(A)
+    expected = audit_theorem1_chain(A, planted.x_star, h, min(gram.p_star / 2.0, 1.0), gram)
     assert sol.supports == (planted.support,)
     assert capsys.readouterr().out == _json_text(expected)
 

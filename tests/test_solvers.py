@@ -28,6 +28,7 @@ from lp_equiv.numerics import (
 )
 from lp_equiv.solvers import (
     DEFAULT_SCALES,
+    DEFAULT_T_SCHEDULE,
     RESIDUAL_TOL,
     ZERO_COEFF,
     BasicSolutions,
@@ -35,6 +36,7 @@ from lp_equiv.solvers import (
     InfeasibleProblemError,
     KernelSamples,
     LpMinimum,
+    MatrixFacts,
     SparseProblem,
     SparseSolution,
     SparseSolutionSet,
@@ -269,8 +271,7 @@ def test_null_space_basis_annihilates():
 def test_sample_null_kinds_scales_and_membership():
     spec = sample_instance(2, 8, seed=4)
     A = build_vandermonde(spec)
-    witness = compute_spark(A).witness
-    samples = sample_null(A, count=4, seed=9, witness=witness)
+    samples = sample_null(MatrixFacts(A), count=4, seed=9)
     assert samples.vectors.shape == (12, 8)  # count * len(DEFAULT_SCALES) rows
     assert samples.vectors.dtype == np.float64
     assert samples.scales == DEFAULT_SCALES * 4
@@ -279,7 +280,7 @@ def test_sample_null_kinds_scales_and_membership():
     for h, scale in zip(samples.vectors, samples.scales):
         assert np.linalg.norm(A.entries @ h) < 1e-6 * max(1.0, scale)
         assert np.linalg.norm(h) == pytest.approx(scale, rel=1e-9)
-    again = sample_null(A, count=4, seed=9, witness=witness)
+    again = sample_null(MatrixFacts(A), count=4, seed=9)
     assert np.array_equal(samples.vectors, again.vectors)
     assert (samples.kinds, samples.scales) == (again.kinds, again.scales)
 
@@ -293,7 +294,7 @@ def test_chain_direction_is_the_minsupport_sample_bit_for_bit(m, n):
     witness = compute_spark(A).witness
     h = _minsupport_direction(A, witness) * DEFAULT_SCALES[0]
     for count, seed in ((1, 0), (4, 9)):
-        assert h.tobytes() == sample_null(A, count=count, seed=seed, witness=witness).vectors[0].tobytes()
+        assert h.tobytes() == sample_null(MatrixFacts(A), count=count, seed=seed).vectors[0].tobytes()
 
 
 def test_support_partition_blocks_and_ties():
@@ -527,6 +528,32 @@ def test_verify_theorem2_rejects_an_empty_schedule():
         verify_theorem2(spec, 2, t_schedule=(), trials=3, seed=0)
 
 
+@pytest.mark.parametrize("t", [0.0, -10.0, math.inf, math.nan])
+def test_verify_theorem2_rejects_a_step_that_is_not_finite_and_positive(t):
+    # the limit gaps take x_t = y_t = 1/t for every step at once, so a step
+    # with no positive finite scale is refused before anything runs
+    spec = sample_instance(2, 8, seed=42)
+    with pytest.raises(ValueError, match="t_schedule steps must be finite and > 0"):
+        verify_theorem2(spec, 2, t_schedule=(10.0, t), trials=3, seed=0)
+
+
+def test_harnesses_refuse_the_facts_of_another_matrix():
+    # a MatrixFacts bundle carries its matrix: handed to a harness of
+    # another A, it is refused, not read
+    spec = sample_instance(2, 8, seed=42)
+    other = MatrixFacts(build_vandermonde(sample_instance(2, 8, seed=43)))
+    with pytest.raises(ValueError, match="describes another matrix"):
+        verify_theorem1(build_vandermonde(spec), 1, trials=3, seed=0, facts=other)
+    with pytest.raises(ValueError, match="describes another matrix"):
+        verify_theorem2(spec, 2, trials=3, seed=0, facts=other)
+    # the same entries in another DenseMatrix are the same matrix
+    facts = MatrixFacts(build_vandermonde(spec))
+    assert verify_theorem1(build_vandermonde(spec), 1, trials=3, seed=0, facts=facts) == verify_theorem1(
+        build_vandermonde(spec), 1, trials=3, seed=0
+    )
+    assert facts.kernel.flags.writeable is False and facts.direction.flags.writeable is False
+
+
 def test_verify_theorem3_narrow_instance():
     spec = sample_instance(3, 5, seed=5)
     rep = verify_theorem3(spec, 3, trials=9, seed=3)
@@ -611,7 +638,7 @@ def test_deep_regime_claim_equals_verify_strict_inequality(
     spec = sample_instance(m, n, seed=seed)
     A = build_vandermonde(spec)
     rep = harness(spec, m, trials=9, seed=seed)
-    samples = sample_null(A, 3, seed=derive_seed(seed, label), witness=compute_spark(A).witness)
+    samples = sample_null(MatrixFacts(A), 3, seed=derive_seed(seed, label))
     ref = evaluate(np.array(rep.x_star), samples, rep.p_check)
     assert len(calls) == 1 and calls[0].margins == ref.margins
     assert rep.margin_min == ref.margin_min
@@ -657,7 +684,7 @@ def test_sample_null_equals_per_direction_reference(m, n):
     A = build_vandermonde(sample_instance(m, n, seed=m * n))
     witness = compute_spark(A).witness
     for seed, count in itertools.product((0, 7), (1, 2, 5, 70)):
-        got = sample_null(A, count=count, seed=seed, witness=witness)
+        got = sample_null(MatrixFacts(A), count=count, seed=seed)
         want = reference_sample_null(A, count, seed, witness)
         assert got.vectors.shape == (len(want), n) and len(want) == count * len(DEFAULT_SCALES)
         assert len(got.kinds) == len(got.scales) == len(want)
@@ -683,11 +710,10 @@ def test_sample_null_blocks_do_not_share_memory():
     # each call returns its own block: overwriting one leaves a fresh
     # call's block as drawn
     A = build_vandermonde(sample_instance(3, 7, seed=2))
-    witness = compute_spark(A).witness
-    samples = sample_null(A, count=4, seed=1, witness=witness)
+    samples = sample_null(MatrixFacts(A), count=4, seed=1)
     before = samples.vectors.copy()
     samples.vectors[:] = -1.0
-    again = sample_null(A, count=4, seed=1, witness=witness)
+    again = sample_null(MatrixFacts(A), count=4, seed=1)
     assert again.vectors.tobytes() == before.tobytes()
     assert not np.shares_memory(samples.vectors, again.vectors)
 
@@ -722,17 +748,16 @@ def counted_sample_null(monkeypatch, A, count, seed, edit=None, **kwargs):
     log = []
     with monkeypatch.context() as patch:
         patch.setattr(np.random, "default_rng", lambda s: CountingGenerator(s, log, edit))
-        return sample_null(A, count=count, seed=seed, **kwargs), log
+        return sample_null(MatrixFacts(A), count=count, seed=seed, **kwargs), log
 
 
 def test_sample_null_draw_calls_do_not_grow_with_count(monkeypatch):
     # one normal block and one sign block per call, whatever the count
     A = build_vandermonde(sample_instance(4, 9, seed=36))
     dim = A.cols - A.rows
-    witness = compute_spark(A).witness
     logs = {}
     for count in (2, 70):
-        samples, logs[count] = counted_sample_null(monkeypatch, A, count, 5, witness=witness)
+        samples, logs[count] = counted_sample_null(monkeypatch, A, count, 5)
         assert samples.vectors.shape == (3 * count, A.cols)
     assert [name for name, _ in logs[2]] == ["standard_normal", "integers"]
     # 70 rows: the minsupport row, then 34 unit and 35 signed
@@ -753,11 +778,8 @@ def test_sample_null_redraws_a_near_zero_row_with_its_kind(monkeypatch):
             out[0] = 0.0
         return out
 
-    witness = compute_spark(A).witness
-    plain = sample_null(A, count=5, seed=3, witness=witness)
-    got, log = counted_sample_null(
-        monkeypatch, A, 5, 3, edit=zero_first_normal_row, witness=witness
-    )
+    plain = sample_null(MatrixFacts(A), count=5, seed=3)
+    got, log = counted_sample_null(monkeypatch, A, 5, 3, edit=zero_first_normal_row)
     assert log == [
         ("standard_normal", (2, dim)), ("integers", (2, dim)),
         ("standard_normal", (1, dim)), ("integers", (0, dim)),
@@ -863,7 +885,7 @@ def reference_theorem1(A, k, trials=210, p_grid=None, seed=0):
     grid = default_p_grid(p_star) if p_grid is None else tuple(sorted(set(p_grid)))
     below_empty = not any(p < p_star for p in grid)
     count = max(1, math.ceil(trials / len(DEFAULT_SCALES)))
-    samples = sample_null(A, count=count, seed=derive_seed(seed, "null"), witness=cert.witness)
+    samples = sample_null(MatrixFacts(A), count=count, seed=derive_seed(seed, "null"))
     basics = enumerate_basic_solutions(inst.problem)
     sol = _l0_from_basics(basics)
     l0_supports = set(sol.supports)
@@ -940,19 +962,23 @@ def test_verify_theorem1_counterexamples_equal_per_p_reference(monkeypatch):
 def _explicit_t2_matrices(monkeypatch, m, seed):
     """verify_theorem2's report on a planted (m, 2m+2) instance at level m,
     plus every explicit augmentation A_t it ranked (one per kept step), in
-    step order, taken apart from the stacked blocks."""
-    built = []
+    step order, taken apart from the stacked blocks.  The first block is the
+    limit gaps' (x_t = y_t = 1/t, one per step of the schedule), assembled
+    before any sample's step."""
+    blocks = []
     assemble = solvers._augmented_with_scales
 
     def keep(spec, scales, orders):
         block = assemble(spec, scales, orders)
-        built.extend(DenseMatrix(entries=entries) for entries in block)
+        # copies: the explicit steps overwrite their block with |A_t|
+        blocks.append([DenseMatrix(entries=entries) for entries in block])
         return block
 
     monkeypatch.setattr(solvers, "_augmented_with_scales", keep)
     spec = sample_instance(m, 2 * m + 2, seed=seed)
     rep = verify_theorem2(spec, m, trials=6, seed=derive_seed(seed, "t2"))
-    return rep, built
+    assert len(blocks[0]) == len(DEFAULT_T_SCHEDULE)
+    return rep, [At for block in blocks[1:] for At in block]
 
 
 def _exact_singular_values(entries, mpmath):

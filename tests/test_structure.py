@@ -3,8 +3,8 @@
 Most tests run one pass of a workload's seed-1 units (suite-artifacts,
 t1-sweep or prop1-spark, ``perfbench/workloads.py``) under ``perfbench/tracer.py``'s
 ``Tracer`` and check an equality between call counts that a structural
-regression breaks; the T2 and T3 tests and the two basis-scan tests trace
-direct calls, and the row-sum cost guard counts math.fsum calls over
+regression breaks; the T2 and T3 tests, the cross-term test and the two
+basis-scan tests trace direct calls, and the row-sum cost guard counts math.fsum calls over
 t1-sweep's seed-1 and seed-7 units.
 """
 
@@ -92,14 +92,28 @@ def test_one_plant_per_deep_regime_harness(suite_metrics):
 
 
 def test_one_kernel_sample_per_harness(suite_metrics):
-    # every sample_null call, and with it every null-space SVD, is a T1, T2
-    # or T3 harness's; the chain audit takes its direction, the minsupport
-    # row, without a kernel draw
+    # every sample_null call is a T1, T2 or T3 harness's; all of them draw
+    # from the run's one kernel basis, and the chain audit takes its
+    # direction, the minsupport row, without a kernel draw
     samples = suite_metrics["solvers.sample_null.calls"]
     harnesses = sum(suite_metrics[f"solvers.verify_theorem{i}.calls"] for i in (1, 2, 3))
     assert suite_metrics["analysis.audit_theorem1_chain.calls"] > 0
     assert harnesses > 0 and samples == harnesses
-    assert suite_metrics["solvers.null_space_basis.calls"] == samples
+    assert suite_metrics["solvers.null_space_basis.calls"] == suite_metrics["suite.run_suite.calls"]
+
+
+def test_one_set_of_matrix_facts_per_suite_run(suite_metrics):
+    # run_suite certifies A's spark and takes its Gram summary once, for the
+    # spark and gram-spectrum records, the sandwich, every T1 level, the
+    # chain audit and the deep-regime harness alike; the only other Gram
+    # summary is the T2 harness's A_0, and the T2 limit gaps take every A_t
+    # from one stacked SVD, with no A_t built alone
+    runs = suite_metrics["suite.run_suite.calls"]
+    wide = suite_metrics["solvers.verify_theorem2.calls"]
+    assert runs == 12 and wide == runs
+    assert suite_metrics["spark.compute_spark.calls"] == runs
+    assert suite_metrics["spectral.gram_spectrum.calls"] == runs + wide
+    assert suite_metrics["matgen.build_augmented_t.calls"] == 0
 
 
 def test_cross_term_check_reads_the_gram_extremes_off_its_report():
@@ -107,7 +121,7 @@ def test_cross_term_check_reads_the_gram_extremes_off_its_report():
     # lambda_max from it: no gram_spectrum call and no SVD of its own
     lp = importlib.import_module("lp_equiv")
     A = lp.build_vandermonde(lp.sample_instance(3, 9, seed=0))
-    lemma1 = lp.lemma1_constants(A, spark=lp.compute_spark(A).spark)
+    lemma1 = lp.lemma1_constants(A, spark=lp.compute_spark(A).spark, gram=lp.gram_spectrum(A))
     with Tracer() as tracer:
         report = lp.cross_term_check(A, trials=200, seed=1, lemma1=lemma1)
     metrics = tracer.summary()
@@ -221,6 +235,26 @@ def test_one_evaluator_plant_and_certificate_per_t3_harness(m, n):
     assert metrics["solvers.verify_strict_inequality.calls"] == 1
     assert metrics["solvers.plant_with_level.calls"] == 1
     assert metrics["spark.compute_spark.calls"] == 1
+
+
+@pytest.mark.parametrize("m, n", [(1, 4), (2, 6), (2, 7), (3, 8)])
+def test_one_evaluator_plant_certificate_and_kernel_basis_per_t2_harness(m, n):
+    # the direct-call twin of the T3 test: one harness call makes one
+    # verify_strict_inequality call, one plant_with_level call, one spark
+    # certificate and one kernel basis, of A's, and one Gram summary, of
+    # A_0's; the limit gaps build no A_t of their own
+    lp = importlib.import_module("lp_equiv")
+    spec = lp.sample_instance(m, n, seed=0)
+    with Tracer() as tracer:
+        lp.verify_theorem2(spec, m, trials=30, seed=1)
+    metrics = tracer.summary()
+    assert metrics["solvers.verify_theorem2.calls"] == 1
+    assert metrics["solvers.verify_strict_inequality.calls"] == 1
+    assert metrics["solvers.plant_with_level.calls"] == 1
+    assert metrics["spark.compute_spark.calls"] == 1
+    assert metrics["solvers.null_space_basis.calls"] == 1
+    assert metrics["spectral.gram_spectrum.calls"] == 1
+    assert metrics["matgen.build_augmented_t.calls"] == 0
 
 
 def test_only_the_bases_go_through_the_subset_scan():

@@ -12,6 +12,7 @@ from lp_equiv.matgen import VandermondeSpec, build_vandermonde, sample_instance
 from lp_equiv.numerics import derive_seed
 from lp_equiv.solvers import plant_with_level, verify_theorem1
 from lp_equiv.spark import compute_spark
+from lp_equiv.spectral import gram_spectrum
 from lp_equiv.suite import (
     CheckResult,
     RunConfig,
@@ -216,6 +217,18 @@ def test_run_suite_skips_enumerating_checks_under_a_small_cap(tmp_path, monkeypa
                for name in dependent)
     # a skipped asserted check is not a pass
     assert not manifest.asserted_pass
+    # which scan hits the cap first: the deep-regime harness plants before
+    # it reads the spark certificate, and the cross-term check, with no
+    # Lemma-1 report to read, certifies the spark itself.  At (3,9) a cap of
+    # 100 is below both the plant's scan (129 subsets) and the spark's (255)
+    monkeypatch.setenv("LP_EQUIV_BUDGET", "100")
+    wider = run_suite(replace(cfg, m=3, n=9, output_dir=str(tmp_path / "capped-3x9")))
+    for checks in (manifest.checks, wider.checks):
+        reasons = {c.name: c.detail.get("reason", "") for c in checks}
+        assert reasons["t2-augmented"].startswith("enumerate_basic_solutions would enumerate")
+        assert reasons["cross-term"].startswith("compute_spark would enumerate")
+    assert "129 column subsets" in reasons["t2-augmented"]
+    assert "255 column subsets" in reasons["cross-term"]
 
 
 @pytest.mark.parametrize("n, deep", [(3, "t3-extension"), (4, "t2-augmented")])
@@ -349,7 +362,7 @@ def test_chain_counterexample_replays_from_its_record(tmp_path):
     (ce,) = [c for c in dumped if c["check"] == "chain"]
     assert {"lambda", "x_star", "h", "p"} <= set(ce)
     A = build_vandermonde(VandermondeSpec(cfg.m, tuple(ce["lambda"])))
-    audit = audit_theorem1_chain(A, np.array(ce["x_star"]), np.array(ce["h"]), ce["p"])
+    audit = audit_theorem1_chain(A, np.array(ce["x_star"]), np.array(ce["h"]), ce["p"], gram_spectrum(A))
     # JSON floats round-trip exactly, so the replay is the same computation
     replay = {key: ce[key] for key in ce if key not in ("check", "lambda", "x_star", "h")}
     assert json_safe(audit) == replay
