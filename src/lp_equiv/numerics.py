@@ -30,12 +30,18 @@ import numpy as np
 POWER_FLOOR = 1e-300
 
 # The package's one rank policy: a singular value counts as nonzero when it
-# exceeds RANK_TOL times the largest singular value of the same matrix.  Spark,
-# the support solves, the Gram spectrum and the null space all decide rank
-# through numerical_rank at this tolerance.  Calibration: dependent column
-# subsets land at 0..1e-15 relative; independent square submatrices of
-# sampled node matrices stay above it up to MAX_M (see the node sampling
-# constants in matgen and tests/test_calibration.py).
+# exceeds RANK_TOL times the largest singular value of the same matrix.  Every
+# rank and spectrum decision reads np.linalg.svd under numerical_rank at this
+# tolerance: spark, a problem's rank and feasibility (SparseProblem), the
+# basis scan and its support solves, the Gram spectrum, the restricted Gram
+# extremes (squared singular values, never an eigensolve of A_S^T A_S) and
+# the null space.  The one exception is spark.DET_TOL, the absolute
+# determinant cutoff of check_submatrix_invertibility, kept until a
+# minors-based Proposition 1 check replaces that function as a whole.
+# Calibration: dependent column subsets land at 0..1e-15 relative;
+# independent square submatrices of sampled node matrices stay above it up
+# to MAX_M (see the node sampling constants in matgen and
+# tests/test_calibration.py).
 RANK_TOL = 1e-11
 
 # Margin between a screen's bound and the rank tolerance: a square block whose

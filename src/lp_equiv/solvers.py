@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -127,10 +127,19 @@ class InfeasibleProblemError(ValueError):
 
 @dataclass(frozen=True)
 class SparseProblem:
-    """Ax = b with b certified to lie in the column span at construction."""
+    """Ax = b with b certified to lie in the column span at construction.
+
+    One thin SVD of A decides both A's rank, r = numerics.numerical_rank of
+    its singular values (the package's one rank policy), and feasibility: b
+    is accepted when its residual off the span of the first r left singular
+    vectors is at most RESIDUAL_TOL * ||b||.  rank is derived, not passed,
+    and enumerate_basic_solutions scans the C(n, rank) bases, so a problem's
+    feasibility and its basis scan read the same rank.
+    """
 
     matrix: DenseMatrix
     b: np.ndarray
+    rank: int = field(init=False)
 
     def __post_init__(self) -> None:
         b = np.asarray(self.b, dtype=float).ravel()
@@ -139,10 +148,13 @@ class SparseProblem:
             raise ValueError(f"b has {b.size} entries for a {self.matrix.rows}-row matrix")
         if not np.all(np.isfinite(b)):
             raise ValueError("b must be finite")
+        u, s, _ = np.linalg.svd(self.matrix.entries, full_matrices=False)
+        rank = numerical_rank(s)
+        object.__setattr__(self, "rank", rank)
         nb = float(np.linalg.norm(b))
         if nb > 0.0:
-            x, *_ = np.linalg.lstsq(self.matrix.entries, b, rcond=None)
-            res = float(np.linalg.norm(self.matrix.entries @ x - b))
+            span = u[:, :rank]
+            res = float(np.linalg.norm(b - span @ (span.T @ b)))
             if res > RESIDUAL_TOL * nb:
                 raise InfeasibleProblemError(
                     f"b is outside the column span (relative residual {res / nb:.3e})"
@@ -379,9 +391,10 @@ def enumerate_basic_solutions(prob: SparseProblem) -> BasicSolutions:
     BasicSolutions block.
 
     A basic solution is the unique representation of b on a full-column-rank
-    support.  Each one's support extends to a basis of r = rank(A) columns
-    with the same solution (the LP vertex argument), so only the C(n, r)
-    bases are scanned.  A basis solution with a numerically zero coefficient
+    support.  Each one's support extends to a basis of r = prob.rank columns
+    (A's rank under the policy that certified b feasible) with the same
+    solution (the LP vertex argument), so only the C(n, r) bases are
+    scanned.  A basis solution with a numerically zero coefficient
     is not minimal: the support of the others is read off and solved on its
     own under the same tests, size by size downwards.  Dropping those
     coefficients keeps ||x||_p^p honest for very small p, where each would
@@ -407,7 +420,7 @@ def enumerate_basic_solutions(prob: SparseProblem) -> BasicSolutions:
     nb = float(np.linalg.norm(b))
     if nb <= POWER_FLOOR:
         return BasicSolutions(np.zeros(1, dtype=np.intp), np.empty((1, 0), dtype=np.intp), np.empty((1, 0)))
-    r = numerical_rank(np.linalg.svd(M, compute_uv=False))
+    r = prob.rank
     check_budget(sum(math.comb(n, k) for k in range(1, r + 1)), "enumerate_basic_solutions")
     found: list[tuple[np.ndarray, np.ndarray]] = []  # (supports, coefficients) blocks, one size each
     read: dict[int, list[np.ndarray]] = {}  # size -> supports read off, not yet solved

@@ -10,6 +10,9 @@ lp/l0 inequality claims are supposed to hold; the solvers module tests them.
 
 Also computed here: restricted eigenvalue extremes over all k-column subsets
 (the operational version of the two-sided norm sandwich on sparse vectors).
+Every Gram eigenvalue here, full or restricted, is a squared singular value
+from np.linalg.svd, and every rank is numerics.numerical_rank's; no Gram
+matrix is formed and no eigensolver runs.
 
 Caution on the sandwich: the claim lmp <= u^2, with u^2 the restricted
 minimum at subset size spark-1, is FALSE in general.  Where spark = rank + 1,
@@ -130,13 +133,20 @@ def spectrum_from_singular_values(s) -> SpectralSummary:
 def restricted_extremes(A: DenseMatrix, k: int) -> RestrictedSpectrum:
     """Extreme eigenvalues of A_S^T A_S over every |S| = k, by exhaustion.
 
+    Each subset's extremes are its squared extreme singular values, from one
+    stacked SVD per chunk of subsets, as gram_spectrum reads A's: s_max^2,
+    and s_min^2 while k <= rows.  Past the row count A_S^T A_S has k - rows
+    exact zero eigenvalues, so the minimum is 0.0, attained first by the
+    lexicographically first subset.  Squaring singular values keeps s_min^2
+    accurate to about eps * cond(A_S) relative, where an eigensolve of the
+    formed A_S^T A_S would carry eps * cond(A_S)^2.
+
     Monotone in k (min nonincreasing, max nondecreasing) by eigenvalue
-    interlacing; chunked stacked eigensolves keep it fast, the subset budget
-    keeps it honest.  Could be parallelized per chunk; reductions stay
-    deterministic either way because ties keep the first (lexicographic) hit.
+    interlacing; the subset budget keeps the exhaustion honest.  Ties keep
+    the first (lexicographic) hit, so witnesses are reproducible.
     """
     M = A.entries
-    n = M.shape[1]
+    rows, n = M.shape
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in [1, {n}], got {k}")
     check_budget(math.comb(n, k), "restricted_extremes")
@@ -145,10 +155,9 @@ def restricted_extremes(A: DenseMatrix, k: int) -> RestrictedSpectrum:
     arg_min: tuple[int, ...] = ()
     arg_max: tuple[int, ...] = ()
     for subsets in iter_subset_chunks(n, k):
-        sub = M[:, subsets].transpose(1, 0, 2)  # (chunk, m, k)
-        grams = np.einsum("cik,cil->ckl", sub, sub)
-        evals = np.linalg.eigvalsh(grams)
-        lo, hi = evals[:, 0], evals[:, -1]
+        s = np.linalg.svd(M[:, subsets].transpose(1, 0, 2), compute_uv=False)  # (chunk, min(rows, k))
+        lo = s[:, -1] ** 2 if k <= rows else np.zeros(len(subsets))
+        hi = s[:, 0] ** 2
         i = int(np.argmin(lo))
         if float(lo[i]) < best_min:
             best_min = float(lo[i])

@@ -6,7 +6,8 @@ matrices, for every m up to MAX_M, with two independent oracles:
   gives a floor on sigma_min/sigma_max of every square node submatrix from
   the node gaps alone, with no SVD involved;
 * a 50-digit mpmath SVD gives p_star on instances where float64 rank and
-  spectrum decisions are hardest.
+  spectrum decisions are hardest, and the restricted Gram extremes u^2 and
+  w^2 on their witness subsets.
 
 The positive-node augmentations A_t of Proposition 1 get their own check: the
 closest (2m+2)-column subsets to singular, pinned by seed and scale pair.
@@ -29,7 +30,7 @@ from lp_equiv.matgen import (
 from lp_equiv.numerics import RANK_TOL
 from lp_equiv.solvers import MatrixFacts, null_space_basis, sample_null
 from lp_equiv.spark import _equilibrated, compute_spark, verify_prop1
-from lp_equiv.spectral import gram_spectrum
+from lp_equiv.spectral import gram_spectrum, restricted_extremes
 
 SEEDS = range(100)
 EXTRA_COLUMNS = range(1, 5)  # n = m+1 .. m+4
@@ -127,6 +128,41 @@ def test_p_star_matches_extended_precision(m, n, seed):
     summary = gram_spectrum(build_vandermonde(spec))
     assert summary.rank == m
     assert summary.p_star == pytest.approx(mp_p_star(spec.lam, m), rel=1e-9, abs=0.0)
+
+
+def mp_singular_values(M: np.ndarray, support) -> list:
+    """The singular values of the float submatrix M[:, support], each entry
+    taken exactly, from a 50-digit SVD, descending."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        sub = mpmath.matrix([[mpmath.mpf(float(M[i, j])) for j in support] for i in range(M.shape[0])])
+        return sorted(mpmath.svd_r(sub, compute_uv=False), reverse=True)
+
+
+@pytest.mark.parametrize("m", range(2, MAX_M + 1))
+def test_restricted_extremes_match_extended_precision(m):
+    # u^2 and w^2 at k = m (spark - 1 on node matrices) against the exact
+    # extremes of the reported witness subsets of the same float matrix.  A
+    # backward-stable SVD moves each singular value of A_S by at most a
+    # modest multiple c of eps ||A_S||_2 (Weyl), so squaring, with its own
+    # rounding and the reference's rounding to float, leaves s_min^2 within
+    # (2 c cond(A_S) + 1) eps relative and s_max^2 within (2 c + 1) eps.
+    # c = m covers the measured errors with room: over these instances they
+    # reach 0.64 m eps cond(A_S) for u^2 (6.8e-9 at m = 8, cond 1.4e9) and
+    # 1.04 m eps for w^2 (both at m = 2).  An eigensolve of the formed
+    # A_S^T A_S errs by about eps cond(A_S)^2 in u^2: 9e-11 relative already
+    # at (3, 6), cond 1.6e3, and 1.7e-4 at (6, 12), far outside this bound
+    eps = np.finfo(float).eps
+    for seed in range(4):
+        A = build_vandermonde(sample_instance(m, 2 * m, seed=seed))
+        rs = restricted_extremes(A, m)
+        s = mp_singular_values(A.entries, rs.argmin_support)
+        cond = float(s[0] / s[-1])
+        u_sq = float(s[-1] ** 2)
+        assert abs(rs.min_eig - u_sq) <= (2 * m * cond + 1) * eps * u_sq, (m, seed, rs.min_eig, u_sq, cond)
+        w_sq = float(mp_singular_values(A.entries, rs.argmax_support)[0] ** 2)
+        assert abs(rs.max_eig - w_sq) <= (2 * m + 1) * eps * w_sq, (m, seed, rs.max_eig, w_sq)
 
 
 def positive_nodes(m: int, n: int, seed: int) -> VandermondeSpec:

@@ -97,10 +97,52 @@ def test_zero_rhs_gives_level_zero():
     assert tuple(enumerate_basic_solutions(SparseProblem(A, np.zeros(2)))) == sol.solutions
 
 
+def _orthogonal(size: int, seed: int) -> np.ndarray:
+    return np.linalg.qr(np.random.default_rng(seed).standard_normal((size, size)))[0]
+
+
 def test_infeasible_rhs_rejected():
     A = DenseMatrix(np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]]))  # rank 1
     with pytest.raises(InfeasibleProblemError):
         SparseProblem(A, np.array([1.0, 0.0, 0.0]))
+    # A's second singular value, 1e-13, lies below the rank policy's
+    # RANK_TOL but above numpy's own lstsq cutoff (about 4 eps), so b's
+    # 1e-5 component along u_2 is outside A's span under the policy; a
+    # problem accepted under lstsq's cutoff has no basic solution, since
+    # the scan reads rank 1
+    U, V = _orthogonal(3, 0), _orthogonal(4, 1)
+    A = DenseMatrix(U[:, :2] @ np.diag([1.0, 1e-13]) @ V[:, :2].T)
+    with pytest.raises(InfeasibleProblemError, match=r"column span \(relative residual 1\.000e-05\)"):
+        SparseProblem(A, U[:, 0] + 1e-5 * U[:, 1])
+
+
+def test_accepted_problems_have_a_basic_solution():
+    # feasibility and the basis scan read one rank: every problem accepted on
+    # a low-rank A, with b in or near its span, has a basic solution.  A
+    # carries a trailing singular value around RANK_TOL (relative 10^-14.5
+    # to 10^-11.5) and b a component along it and one off A's span, each
+    # 10^-9 to 10^-3 relative, so both verdicts occur and some accepted b
+    # lean on a direction the policy does or does not count
+    accepted = rejected = 0
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(3, 6))
+        n = m + int(rng.integers(1, 4))
+        r = int(rng.integers(1, m - 1))  # rank r + 1 < m: b can leave the span
+        U, V = _orthogonal(m, 2 * seed), _orthogonal(n, 2 * seed + 1)
+        s = np.sort(rng.uniform(0.5, 2.0, r))[::-1]
+        s = np.append(s, s[0] * 10.0 ** rng.uniform(-14.5, -11.5))
+        A = DenseMatrix(U[:, : r + 1] @ np.diag(s) @ V[:, : r + 1].T)
+        along, off = 10.0 ** rng.uniform(-9.0, -3.0, 2)
+        b = U[:, :r] @ rng.uniform(0.5, 2.0, r) + along * U[:, r] + off * U[:, r + 1]
+        try:
+            prob = SparseProblem(A, b)
+        except InfeasibleProblemError:
+            rejected += 1
+            continue
+        accepted += 1
+        assert len(enumerate_basic_solutions(prob)) > 0, seed
+    assert accepted > 10 and rejected > 10
 
 
 def test_basic_solutions_drop_zero_coefficients():

@@ -81,6 +81,20 @@ def test_restricted_extremes_k1_is_column_norms():
     assert rs.max_eig == pytest.approx(float(norms_sq.max()), rel=1e-12)
 
 
+def test_restricted_extremes_past_the_row_count_read_exact_zeros():
+    # for k > rows, A_S^T A_S has k - rows exact zero eigenvalues: the
+    # minimum is 0.0 itself, not eigensolver noise, and its witness is the
+    # lexicographically first subset; at k = n the maximum is lambda_max
+    A = worked_matrix()
+    rs = restricted_extremes(A, 3)
+    assert rs.min_eig == 0.0 and rs.argmin_support == (0, 1, 2)
+    assert rs.max_eig == pytest.approx((17.0 + math.sqrt(265.0)) / 2.0, rel=1e-12)
+    B = build_vandermonde(sample_instance(3, 7, seed=1))
+    rs = restricted_extremes(B, 4)
+    assert rs.min_eig == 0.0 and rs.argmin_support == (0, 1, 2, 3)
+    assert rs.max_eig <= gram_spectrum(B).lambda_max * (1.0 + 1e-12)
+
+
 def test_sandwich_counterexample_two_columns():
     # A = [1, 1+eps]: lambda_min_plus is the single nonzero Gram eigenvalue
     # ~ 2 + 2 eps, while the restricted (k = spark - 1 = 1) minimum is ~ 1;
@@ -135,10 +149,13 @@ def test_restricted_extremes_are_monotone_in_k_property():
         # Cauchy interlacing: every k-subset lies in some (k+1)-subset whose
         # Gram matrix has it as a principal submatrix, so the minimum over
         # k+1 columns cannot exceed the minimum over k, nor the maximum fall.
-        # Forming A_S^T A_S and eigvalsh each move an eigenvalue by at most
-        # a small multiple of n eps ||A_S||_2^2 <= n eps lambda_max (Weyl's
-        # bound for a backward-stable eigensolve), so two computed extremes
-        # may cross by twice that; 4 n^2 eps lambda_max covers it with room.
+        # The extremes are squared singular values of A_S; a backward-stable
+        # SVD moves each singular value by at most a small multiple of
+        # k eps ||A_S||_2 (Weyl), so its square moves by about twice that
+        # times ||A_S||_2, at most a small multiple of n eps lambda_max, and
+        # two computed extremes may cross by twice that.  Past the row count
+        # the minimum is an exact 0.0 and cannot cross.  4 n^2 eps
+        # lambda_max covers it with room.
         A = build_vandermonde(sample_instance(m, m + extra, seed=seed))
         n = A.cols
         slack = 4.0 * n * n * np.finfo(float).eps * gram_spectrum(A).lambda_max

@@ -4,10 +4,12 @@ Most tests run one pass of a workload's seed-1 units (suite-artifacts,
 t1-sweep or prop1-spark, ``perfbench/workloads.py``) under ``perfbench/tracer.py``'s
 ``Tracer`` and check an equality between call counts that a structural
 regression breaks; the T2 and T3 tests, the cross-term test and the two
-basis-scan tests trace direct calls, and the row-sum cost guard counts math.fsum calls over
-t1-sweep's seed-1 and seed-7 units.
+basis-scan tests trace direct calls, the row-sum cost guard counts math.fsum calls over
+t1-sweep's seed-1 and seed-7 units, and the source guard reads the package's
+own source for a second rank or spectrum convention.
 """
 
+import ast
 import importlib
 import itertools
 import math
@@ -199,8 +201,20 @@ def test_row_sums_take_fsum_only_on_the_rows_the_bracket_leaves_open(monkeypatch
 def test_no_eigensolve_on_the_t1_path(t1_metrics):
     # rank, lambda_max and lambda_min_plus come from one SVD under the rank
     # policy (numerics.RANK_TOL); an eigensolve of A^T A loses
-    # lambda_min_plus once cond(A) passes about 1e5
+    # lambda_min_plus once cond(A) passes about 1e5.  Feasibility reads the
+    # same policy's rank: lstsq's own rank cutoff would certify problems the
+    # basis scan cannot solve
     assert t1_metrics["lapack.eigvalsh.calls"] == 0
+    assert t1_metrics["lapack.lstsq.calls"] == 0
+
+
+def test_no_eigensolve_on_the_suite_path(suite_metrics):
+    # the suite is the one workload reaching restricted_extremes: its
+    # restricted extremes are squared singular values as well, and its
+    # problems' feasibility is the rank policy's, as on the T1 path
+    assert suite_metrics["spectral.restricted_extremes.calls"] > 0
+    assert suite_metrics["lapack.eigvalsh.calls"] == 0
+    assert suite_metrics["lapack.lstsq.calls"] == 0
 
 
 def test_t2_svd_count_does_not_grow_with_trials():
@@ -274,8 +288,10 @@ def test_only_the_bases_go_through_the_subset_scan():
 
 def test_cleared_bases_skip_the_svd(monkeypatch):
     # the determinant screen clears all 210 bases of this node matrix, so the
-    # only SVDs are rank(A)'s and those of the supports read off the bases;
-    # a basis sent to the stacked SVD would show in lapack.svd.matrices
+    # only SVDs are those of the supports read off the bases: A's rank comes
+    # with the problem, from the SVD that certified it feasible.  A basis
+    # sent to the stacked SVD, or a second rank SVD of A in the scan, would
+    # show in lapack.svd.matrices
     lp = importlib.import_module("lp_equiv")
     A = lp.build_vandermonde(lp.sample_instance(4, 10, seed=0))
     prob = lp.plant_sparse_instance(A, 2, seed=1).problem
@@ -287,7 +303,7 @@ def test_cleared_bases_skip_the_svd(monkeypatch):
         basics = lp.enumerate_basic_solutions(prob)
     assert min(len(s.support) for s in basics) == 2
     assert solved and max(map(len, solved)) < 4
-    assert tracer.lapack_matrices["svd"] == 1 + len(solved)
+    assert tracer.lapack_matrices["svd"] == len(solved)
 
 
 def test_prop1_probe_makes_only_the_rank_svds(prop1_metrics):
@@ -357,3 +373,41 @@ def test_prefix_stage_2_leaves_open_what_lu_inverses_leave_open(seed):
         assert by_prefix == by_lu
         left += len(by_lu)
     assert (reached, left) == {1: (7068, 0), 2: (14569, 4)}[seed]
+
+
+# numpy.linalg entry points that decide a rank or a spectrum by a convention
+# other than an SVD read under numerics.numerical_rank: eigensolvers (which
+# square the condition number when fed A^T A) and solvers with their own
+# rank cutoff
+OTHER_CONVENTIONS = frozenset({"eigvalsh", "eigh", "eig", "eigvals", "lstsq", "pinv", "matrix_rank"})
+
+
+def other_convention_calls(source: str) -> list:
+    """(line, name) of every linalg.<name> attribute or linalg import of a
+    name in OTHER_CONVENTIONS in one module's source."""
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in OTHER_CONVENTIONS:
+            owner = node.value
+            name = owner.attr if isinstance(owner, ast.Attribute) else getattr(owner, "id", "")
+            if name == "linalg":
+                hits.append((node.lineno, node.attr))
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg"):
+            hits.extend((node.lineno, a.name) for a in node.names if a.name in OTHER_CONVENTIONS)
+    return sorted(hits)
+
+
+def test_source_calls_no_second_rank_or_spectrum_convention():
+    # a path no workload traces (the restricted-spec or solve-l0 command, a
+    # helper) could bring a second convention back unseen by the traced
+    # counts above; the source itself must not name one.  The scanner
+    # itself must see the calls it forbids
+    assert other_convention_calls("x = np.linalg.eigvalsh(g)\nfrom numpy.linalg import lstsq\n") == [
+        (1, "eigvalsh"),
+        (2, "lstsq"),
+    ]
+    package = Path(importlib.import_module("lp_equiv").__file__).parent
+    found = {
+        path.name: hits for path in sorted(package.glob("*.py")) if (hits := other_convention_calls(path.read_text()))
+    }
+    assert found == {}
