@@ -27,7 +27,8 @@ the block size bounds their working memory whatever the trial count.
 
 audit_theorem1_chain then walks one concrete (A, x*, h, p) through every
 intermediate inequality of the threshold derivation, labelling each step as
-asserted (provable regardless of the contested sandwich) or reported.
+asserted (provable regardless of the contested sandwich) or reported;
+audit_planted_chain picks that witness for the suite and the CLI alike.
 """
 
 from __future__ import annotations
@@ -41,7 +42,13 @@ from .matgen import DenseMatrix
 from .numerics import BLOCK, compensated_sum, lp_margin, lp_power_sum
 from .spark import compute_spark
 from .spectral import SQRT2, Lemma1Report, SpectralSummary, gram_spectrum, lemma1_constants
-from .solvers import support_partition
+from .solvers import (
+    DEFAULT_SCALES,
+    MatrixFacts,
+    _plant_attempt,
+    _require_t1_level,
+    support_partition,
+)
 
 # The L2 audit draws k from 1..SEQ_K_MAX and t from 1..SEQ_T_MAX, so a
 # sequence has at most SEQ_K_MAX + SEQ_T_MAX entries.
@@ -572,6 +579,21 @@ def audit_theorem1_chain(A: DenseMatrix, x_star, h, p: float, gram: SpectralSumm
         asserted_ok=asserted_ok,
         reported_ok=reported_ok,
     )
+
+
+def audit_planted_chain(
+    facts: MatrixFacts, k: int, seed: int, p: float | None = None
+) -> tuple[ChainAudit, np.ndarray, np.ndarray]:
+    """audit_theorem1_chain on one concrete witness of facts.matrix at level
+    k < spark/2 (ValueError otherwise): x* is plant_with_level's first plant
+    at seed, which needs no l0 solve there, h the minsupport direction at
+    DEFAULT_SCALES[0], and p defaults to p_star / 2, capped at 1.  Returns
+    (audit, x*, h)."""
+    _require_t1_level(k, facts.spark.spark)
+    x_star = _plant_attempt(facts.matrix, k, seed, 0).x_star
+    h = facts.direction * DEFAULT_SCALES[0]
+    p = facts.gram.p_star / 2.0 if p is None else p
+    return audit_theorem1_chain(facts.matrix, x_star, h, min(p, 1.0), facts.gram), x_star, h
 
 
 def _pad(h: np.ndarray, idx: tuple[int, ...], n: int) -> np.ndarray:

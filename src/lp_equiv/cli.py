@@ -37,7 +37,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
-    audit_theorem1_chain,
+    audit_planted_chain,
     cross_term_check,
     f_lemma3_grid,
     lemma2_sequence_check,
@@ -46,12 +46,9 @@ from .analysis import (
 from .matgen import DenseMatrix, VandermondeSpec, build_vandermonde, sample_instance
 from .numerics import BudgetExceededError, SamplingError, derive_seed
 from .solvers import (
-    DEFAULT_SCALES,
     DEFAULT_T_SCHEDULE,
     MatrixFacts,
     SparseProblem,
-    _plant_attempt,
-    _require_t1_level,
     solve_l0,
     solve_lp_basic,
     verify_theorem1,
@@ -169,13 +166,8 @@ def _cmd_audit(args) -> int:
         ok = True  # both constants are reported, neither asserted
     elif args.lemma == "chain":
         facts = MatrixFacts(_load_matrix(args.matrix))
-        spark = facts.spark.spark
-        k = args.k if args.k is not None else (spark - 1) // 2
-        _require_t1_level(k, spark)
-        planted = _plant_attempt(facts.matrix, k, derive_seed(args.seed, "plant"), 0)
-        h = facts.direction * DEFAULT_SCALES[0]
-        p = args.p if args.p is not None else facts.gram.p_star / 2.0
-        report = audit_theorem1_chain(facts.matrix, planted.x_star, h, min(p, 1.0), facts.gram)
+        k = args.k if args.k is not None else (facts.spark.spark - 1) // 2
+        report, _, _ = audit_planted_chain(facts, k, derive_seed(args.seed, "plant"), args.p)
         ok = report.asserted_ok
     else:
         raise AssertionError(f"unhandled lemma {args.lemma}")

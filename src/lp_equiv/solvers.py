@@ -809,16 +809,17 @@ def _plant_attempt(A: DenseMatrix, k: int, seed: int, attempt: int) -> PlantedIn
     return plant_sparse_instance(A, k, derive_seed(seed, f"plant-{attempt}"))
 
 
-def plant_with_level(
-    A: DenseMatrix, k: int, seed: int
-) -> tuple[PlantedInstance, SparseSolutionSet]:
+def plant_with_level(A: DenseMatrix, k: int, seed: int) -> tuple[PlantedInstance, BasicSolutions]:
     """Plant until the instance's true l0 level equals k (the planted x* is
-    then *an* l0 solution, which is all the T2/T3 hypotheses need)."""
+    then *an* l0 solution, which is all the T2/T3 hypotheses need).  The
+    level is the smallest support size among the basic solutions, read off
+    one enumerate_basic_solutions scan per attempt, as solve_l0 reads it;
+    the scan of the plant that reached k is returned with it."""
     for i in range(PLANT_RETRIES):
         inst = _plant_attempt(A, k, seed, i)
-        sol = solve_l0(inst.problem)
-        if sol.level == k:
-            return inst, sol
+        basics = enumerate_basic_solutions(inst.problem)
+        if basics.sizes[0] == k:
+            return inst, basics
     raise SamplingError(f"no planted instance reached l0 level {k} in {PLANT_RETRIES} tries")
 
 
@@ -958,10 +959,10 @@ def _deep_regime_hypothesis(
 
     A0 is the block augmentation whose threshold bounds p_check (of lam for
     T2, of the extended nodes for T3); p_check defaults to p_star(A0) / 2.
-    x* comes from plant_with_level at derive_seed(seed, "plant"), whose l0
-    solve certifies the hypothesis (it raises SamplingError when no plant
-    reaches level k).  The samples come from A's MatrixFacts, facts when
-    given: their minsupport row lies on A's spark witness, as in T1.  The
+    x* comes from plant_with_level at derive_seed(seed, "plant"), whose
+    basic-solution scan certifies the hypothesis (it raises SamplingError
+    when no plant reaches level k).  The samples come from A's MatrixFacts,
+    facts when given: their minsupport row lies on A's spark witness, as in T1.  The
     plant runs before the certificate, so a cap below both names the plant's
     scan.  Returns (x*, p_star(A0), p_check, samples).
     """
@@ -992,13 +993,12 @@ def _limit_gaps(spec: VandermondeSpec, p_star0: float, t_schedule) -> list[float
     return [abs(spectrum_from_singular_values(row).p_star - p_star0) for row in s]
 
 
-def _explicit_steps(
-    spec: VandermondeSpec, p: float, scales, orders, hhat, steps: list[dict]
-) -> None:
-    """Fill the explicit-matrix keys of a block of T2 steps at p_check = p:
-    two stacked products give every residual A_t hhat and its componentwise
-    scale |A_t| |hhat|, and one stacked SVD every singular value set.  scales
-    and orders are (count, m+2), hhat is (count, n+m+2), one row per step.
+def _explicit_steps(spec: VandermondeSpec, p: float, scales, orders, hhat) -> list[dict]:
+    """The explicit-matrix keys of a block of T2 steps at p_check = p, one
+    dict per step: two stacked products give every residual A_t hhat and its
+    componentwise scale |A_t| |hhat|, and one stacked SVD every singular
+    value set.  scales and orders are (count, m+2), hhat is (count, n+m+2),
+    one row per step.
 
     Each step's numbers are bit-identical to building its A_t alone: the
     stacked LAPACK and BLAS calls see every matrix in a DenseMatrix's layout
@@ -1013,11 +1013,13 @@ def _explicit_steps(
     # |A_t| overwrites A_t, which nothing needs past the SVD
     backward = np.max(np.abs(r) / _matvecs(np.abs(mats, out=mats), np.abs(hhat)), axis=1)
     bound = LIFT_RESIDUAL_FACTOR * (n + m + 2) * np.finfo(float).eps
-    ranks = numerical_rank(s).tolist()
-    for step, res, err, rank, sv in zip(steps, resid.tolist(), backward.tolist(), ranks, s):
-        step["explicit_residual"] = res
-        step["explicit_componentwise_backward_error"] = err
-        step["explicit_componentwise_backward_error_ok"] = err <= bound
+    keys = []
+    for res, err, rank, sv in zip(resid.tolist(), backward.tolist(), numerical_rank(s).tolist(), s):
+        step = {
+            "explicit_residual": res,
+            "explicit_componentwise_backward_error": err,
+            "explicit_componentwise_backward_error_ok": err <= bound,
+        }
         # A_t has full row rank 2m+2 at any positive scales (distinct nodes in
         # the power rows, the identity block beside the scaled ones); a lower
         # policy rank means the scaled rows pushed its O(1) singular values
@@ -1031,6 +1033,8 @@ def _explicit_steps(
                 f"rank policy kept {rank} of the {2 * m + 2} singular"
                 " values of the explicit matrix"
             )
+        keys.append(step)
+    return keys
 
 
 def verify_theorem2(
@@ -1062,9 +1066,14 @@ def verify_theorem2(
     explicit matrix A_t: its residual ||A_t hhat||, and the componentwise
     backward error max_i |A_t hhat|_i / (|A_t| |hhat|)_i against the rounding
     bound LIFT_RESIDUAL_FACTOR; p_star(A_t) is recorded when the rank policy
-    also keeps all 2m+2 singular values of A_t.  These explicit steps are
-    collected over all samples and evaluated numerics.BLOCK at a time, each
-    block with two stacked products and one stacked SVD.  The instance-level
+    also keeps all 2m+2 singular values of A_t.
+
+    Every step quantity is one (kept sample, t) array, x_t, y_t and log x_t
+    from theorem2_sequences.  One mask picks the explicit steps, in
+    sample-major order, numerics.BLOCK at a time, each block with two
+    stacked products and one stacked SVD; _explicit_steps returns their
+    keys, and each step's record is built once, in sample order, degenerate
+    samples (|l_(2)| <= POWER_FLOOR) in their place.  The instance-level
     limit |p_star(A_t) -> p_star(A_0)| uses x_t = y_t = 1/t, every step's
     A_t in one stacked SVD (_limit_gaps).  facts is the MatrixFacts of
     A(m, n, lam) when the caller holds them, as for verify_theorem1.
@@ -1085,88 +1094,62 @@ def verify_theorem2(
     limit_monotone = _strictly_decreasing(gaps)
     final_gap_ratio = gaps[-1] / p_star0
 
-    base_power = lp_power_sum(x, p)
-    H = samples.vectors
-    shifted_powers = lp_power_sum(x + H, p).tolist()
-    # l_i = <B_i, h>, sorted by decreasing |l_i| (ties to the lower i)
-    L = _matvecs(b_vectors(spec), H)
+    # l_i = <B_i, h>, sorted by decreasing |l_i| (ties to the lower i); a
+    # sample is kept when |l_(2)| is above POWER_FLOOR
+    L = _matvecs(b_vectors(spec), samples.vectors)
     orders = np.lexsort((np.broadcast_to(np.arange(m + 2), L.shape), -np.abs(L)), axis=-1)
     L = np.take_along_axis(L, orders, axis=-1)
-    kept = np.abs(L[:, 1]) > POWER_FLOOR
-    # hhat_2 .. hhat_{m+2} as a (kept samples, t, m+1) block, and every row's
-    # power sum from one call, each bit-identical to the call on that row
+    kept = np.flatnonzero(np.abs(L[:, 1]) > POWER_FLOOR)
+    H, L, orders = samples.vectors[kept], L[kept], orders[kept]
+    l_abs = np.abs(L[:, :2]).tolist()
+
+    # every step quantity as a (kept sample, t) block, hhat_2 .. hhat_{m+2}
+    # on a last axis; each power sum is bit-identical to the call on its row
     t_arr = np.asarray(t_schedule, dtype=float)
-    tails = -(L[kept, 1:] / np.abs(L[kept, 1:2]))[:, None, :] / t_arr[None, :, None]
-    tail_bounds = np.all(
+    tails = -(L[:, 1:] / np.abs(L[:, 1:2]))[:, None, :] / t_arr[None, :, None]
+    tail_bound_ok = np.all(
         np.abs(tails[:, :, 1:]) <= ((1.0 / t_arr) * (1.0 + 1e-12))[None, :, None], axis=-1
     )
-    tail_rows = iter(zip(lp_power_sum(tails, p).tolist(), tail_bounds.tolist()))
-    head_powers = [(m + 1) / t**p for t in t_schedule]
+    tail_powers = lp_power_sum(tails, p)
+    head_powers = np.array([(m + 1) / t**p for t in t_schedule])
+    dominance_ok = head_powers >= tail_powers * (1.0 - 1e-12)
+    chain_margin = (lp_power_sum(x + H, p)[:, None] + tail_powers) - (lp_power_sum(x, p) + head_powers)
+    seq = np.array([[theorem2_sequences(m, l1, l2, p, t) for t in t_schedule] for l1, l2 in l_abs])
+    x_t, y_t, log_x = seq.reshape(len(kept), len(t_schedule), 3).transpose(2, 0, 1)
 
-    records: list[dict] = []
-    # every step of the kept samples, sample-major, and its x_t, y_t
-    flat_steps: list[dict] = []
-    flat_scales: list[float] = []
-    for idx, (kind, scale) in enumerate(zip(samples.kinds, samples.scales)):
-        if not kept[idx]:
-            records.append({"index": idx, "kind": kind, "scale": scale, "degenerate": True})
-            continue
-        l1_abs, l2_abs = abs(float(L[idx, 0])), abs(float(L[idx, 1]))
-        shifted_power = shifted_powers[idx]
-        steps = []
-        sample_tail_powers, sample_tail_bounds = next(tail_rows)
-        for t, head_power, tail_power, tail_bound_ok in zip(
-            t_schedule, head_powers, sample_tail_powers, sample_tail_bounds
-        ):
-            x_t, y_t, log_x = theorem2_sequences(m, l1_abs, l2_abs, p, t)
-            steps.append(
-                {
-                    "t": t,
-                    "log10_x_t": log_x / LN10,
-                    "dominance_ok": head_power >= tail_power * (1.0 - 1e-12),
-                    "tail_bound_ok": tail_bound_ok,
-                    "chain_margin": (shifted_power + tail_power) - (base_power + head_power),
-                    "lifted_l0": k + 1,
-                }
-            )
-            flat_scales += (x_t, y_t)
-        flat_steps += steps
-        records.append(
-            {
-                "index": idx,
-                "kind": kind,
-                "scale": scale,
-                "l1_abs": l1_abs,
-                "l2_abs": l2_abs,
-                "final_margin": claim.margins[idx],
-                "steps": steps,
-            }
-        )
-
-    xy = np.array(flat_scales).reshape(-1, 2)
-    # the per-sample Python lists are spent; at large trials they would
-    # otherwise sit beside the records through every explicit block
-    del tail_rows, flat_scales
-    explicit = np.all(xy <= MAX_EXPLICIT_SCALE, axis=1)
-    for i in np.flatnonzero(~explicit).tolist():
-        flat_steps[i]["explicit_skipped"] = (
-            f"row scale above MAX_EXPLICIT_SCALE = {MAX_EXPLICIT_SCALE:g}"
-        )
-    # the explicit steps, BLOCK at a time: step i is step t_i of kept sample j
-    rows = np.flatnonzero(explicit)
-    kept_idx = np.flatnonzero(kept)
+    # the explicit steps, those whose scales are representable, in
+    # sample-major order and BLOCK at a time; the rest record the skip
+    explicit = (x_t <= MAX_EXPLICIT_SCALE) & (y_t <= MAX_EXPLICIT_SCALE)
+    skipped = {"explicit_skipped": f"row scale above MAX_EXPLICIT_SCALE = {MAX_EXPLICIT_SCALE:g}"}
+    explicit_keys = np.full(explicit.shape, skipped, dtype=object)
+    rows, cols = np.nonzero(explicit)
     for first in range(0, len(rows), BLOCK):
-        block = rows[first : first + BLOCK]
-        j, t_i = np.divmod(block, len(t_schedule))
-        idx = kept_idx[j]
-        x_t = xy[block, 0]
-        scales = np.empty((len(block), m + 2))
-        scales[:, 0] = x_t
-        scales[:, 1:] = xy[block, 1:]
+        j, i = rows[first : first + BLOCK], cols[first : first + BLOCK]
+        scales = np.repeat(y_t[j, i][:, None], m + 2, axis=1)
+        scales[:, 0] = x_t[j, i]
         # hhat = (h, -x_t l_(1), hhat_2 .. hhat_{m+2})
-        hhat = np.concatenate([H[idx], (-x_t * L[idx, 0])[:, None], tails[j, t_i]], axis=1)
-        steps = [flat_steps[i] for i in block.tolist()]
-        _explicit_steps(spec, p, scales, orders[idx], hhat, steps)
+        hhat = np.concatenate([H[j], (-x_t[j, i] * L[j, 0])[:, None], tails[j, i]], axis=1)
+        explicit_keys[j, i] = _explicit_steps(spec, p, scales, orders[j], hhat)
+
+    steps = [
+        [
+            {"t": t, "log10_x_t": lg, "dominance_ok": d, "tail_bound_ok": b, "chain_margin": c,
+             "lifted_l0": k + 1, **e}
+            for t, lg, d, b, c, e in zip(t_schedule, *row)
+        ]
+        for row in zip((log_x / LN10).tolist(), dominance_ok.tolist(), tail_bound_ok.tolist(),
+                       chain_margin.tolist(), explicit_keys)
+    ]
+    kept_rows = dict(zip(kept.tolist(), zip(l_abs, steps)))
+    records = []
+    for idx, (kind, scale) in enumerate(zip(samples.kinds, samples.scales)):
+        if idx in kept_rows:
+            (l1_abs, l2_abs), sample_steps = kept_rows[idx]
+            rest = {"l1_abs": l1_abs, "l2_abs": l2_abs, "final_margin": claim.margins[idx],
+                    "steps": sample_steps}
+        else:
+            rest = {"degenerate": True}
+        records.append({"index": idx, "kind": kind, "scale": scale, **rest})
 
     return Theorem2Report(
         m=m,
@@ -1179,9 +1162,9 @@ def verify_theorem2(
         final_gap_ratio=final_gap_ratio,
         margin_min=claim.margin_min,
         violations=claim.violations,
-        degenerate=int(np.sum(~kept)),
+        degenerate=len(samples.vectors) - len(kept),
         records=tuple(records),
-        trials=len(H),
+        trials=len(samples.vectors),
         seed=seed,
         x_star=tuple(x.tolist()),
     )

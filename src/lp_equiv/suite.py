@@ -45,7 +45,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
-    audit_theorem1_chain,
+    audit_planted_chain,
     cross_term_check,
     f_lemma3_grid,
     lemma2_sequence_check,
@@ -54,10 +54,8 @@ from .analysis import (
 from .matgen import build_vandermonde, sample_instance
 from .numerics import BudgetExceededError, SamplingError, derive_seed
 from .solvers import (
-    DEFAULT_SCALES,
     MatrixFacts,
     Theorem1Report,
-    _plant_attempt,
     verify_theorem1,
     verify_theorem2,
     verify_theorem3,
@@ -369,19 +367,15 @@ def _t1_check(rec: _Recorder, facts: MatrixFacts, k: int, config: RunConfig) -> 
 def _chain_check(rec: _Recorder, facts: MatrixFacts, k: int, seed: int) -> None:
     """The chain audit on one concrete witness at level k < spark/2, planted
     with no l0 solve; a failed step of either tier leaves one replay record."""
-    A = facts.matrix
-    planted = _plant_attempt(A, k, derive_seed(seed, "chain"), 0)
-    h = facts.direction * DEFAULT_SCALES[0]
-    p_audit = min(facts.gram.p_star / 2.0, 1.0)
-    audit = audit_theorem1_chain(A, planted.x_star, h, p_audit, facts.gram)
+    audit, x_star, h = audit_planted_chain(facts, k, derive_seed(seed, "chain"))
     status = "pass" if audit.asserted_ok else "fail"
-    rec.record("chain-asserted", status, {"p": p_audit, "k": audit.k})
+    rec.record("chain-asserted", status, {"p": audit.p, "k": audit.k})
     steps = [{"name": s.name, "ok": s.ok, "asserted": s.asserted} for s in audit.steps]
-    detail = {"p": p_audit, "coefficient": audit.coefficient, "reported_ok": audit.reported_ok,
+    detail = {"p": audit.p, "coefficient": audit.coefficient, "reported_ok": audit.reported_ok,
               "steps": steps}
     rec.record("chain-reported", "reported", detail)
     if not audit.asserted_ok or not audit.reported_ok:
-        replay = {"x_star": planted.x_star.tolist(), "h": h.tolist()}
+        replay = {"x_star": x_star.tolist(), "h": h.tolist()}
         rec.counterexample("chain", {**json_safe(audit), **replay})
 
 

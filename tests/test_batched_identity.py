@@ -17,6 +17,7 @@ reference by SVD: their supports, order and l0 level are compared with ==,
 the coefficients within a forward-error bound (test_solvers.COEFF_FACTOR).
 """
 
+import dataclasses
 import math
 import struct
 
@@ -513,13 +514,38 @@ LOG10_ULPS = 8
     ],
 )
 def test_t2_steps_equal_per_step_loop(m, n, seed, p_frac, t_schedule, trials):
+    _assert_t2_records_equal_per_step_loop(m, n, seed, p_frac, t_schedule, trials)
+
+
+def _zeroed(samples, rows):
+    """samples with the vectors of rows set to zero."""
+    vectors = samples.vectors.copy()
+    vectors[list(rows)] = 0.0
+    return dataclasses.replace(samples, vectors=vectors)
+
+
+def test_t2_degenerate_samples_keep_their_place(monkeypatch):
+    # random kernel samples never have |l_(2)| <= POWER_FLOOR, so two sample
+    # rows are zeroed: their records stay degenerate, in place among the kept
+    # samples' records, and their zero margins are violations
+    draw = solvers._trial_samples
+    monkeypatch.setattr(solvers, "_trial_samples", lambda *args: _zeroed(draw(*args), (4, 7)))
+    rep = _assert_t2_records_equal_per_step_loop(2, 7, 3, None, DEFAULT_T_SCHEDULE, 30, zeroed=(4, 7))
+    assert rep.degenerate == 2
+    assert [r["index"] for r in rep.records if "degenerate" in r] == [4, 7]
+    assert [(v["index"], v["margin"]) for v in rep.violations] == [(4, 0.0), (7, 0.0)]
+
+
+def _assert_t2_records_equal_per_step_loop(m, n, seed, p_frac, t_schedule, trials, zeroed=()):
+    """verify_theorem2's records against _reference_t2_records on the same
+    samples, those of rows zeroed set to zero; returns the report."""
     spec = sample_instance(m, n, seed=seed)
     p_star0 = gram_spectrum(build_augmented_0(spec)).p_star
     p_check = None if p_frac is None else p_frac * p_star0
     rep = verify_theorem2(spec, m, p_check=p_check, t_schedule=t_schedule, trials=trials, seed=seed)
     count = max(1, math.ceil(trials / len(DEFAULT_SCALES)))
     A = build_vandermonde(spec)
-    samples = sample_null(MatrixFacts(A), count, seed=derive_seed(seed, "thm2-null"))
+    samples = _zeroed(sample_null(MatrixFacts(A), count, seed=derive_seed(seed, "thm2-null")), zeroed)
     reference = _reference_t2_records(spec, np.array(rep.x_star), rep.p_check, t_schedule, samples)
 
     def pop_log10(records):
@@ -540,6 +566,7 @@ def test_t2_steps_equal_per_step_loop(m, n, seed, p_frac, t_schedule, trials):
         assert explicit > 0
     if len(samples.vectors) * len(t_schedule) > BLOCK:
         assert explicit > BLOCK
+    return rep
 
 
 def _reference_limit_gaps(spec, p_star0, t_schedule):

@@ -23,6 +23,7 @@ from lp_equiv.solvers import (
     Theorem3Report,
     plant_with_level,
     sample_null,
+    solve_l0,
 )
 from lp_equiv.spark import SparkCertificate, check_submatrix_invertibility
 from lp_equiv.spectral import RestrictedSpectrum, SpectralSummary, gram_spectrum
@@ -160,11 +161,11 @@ def test_audit_chain_report_is_the_level_certified_plants(tmp_path, capsys, k):
     flags = [] if k is None else ["--k", str(k)]
     assert main(["audit", "--lemma", "chain", "--matrix", str(mat), "--seed", "5", *flags]) == 0
     A = _load_matrix(str(mat))
-    planted, sol = plant_with_level(A, 2 if k is None else k, derive_seed(5, "plant"))
+    planted, _ = plant_with_level(A, 2 if k is None else k, derive_seed(5, "plant"))
     h = sample_null(MatrixFacts(A), count=1, seed=derive_seed(5, "h")).vectors[0]
     gram = gram_spectrum(A)
     expected = audit_theorem1_chain(A, planted.x_star, h, min(gram.p_star / 2.0, 1.0), gram)
-    assert sol.supports == (planted.support,)
+    assert solve_l0(planted.problem).supports == (planted.support,)
     assert capsys.readouterr().out == _json_text(expected)
 
 

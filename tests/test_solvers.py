@@ -433,18 +433,18 @@ def test_plant_with_level_hits_requested_level():
     spec = sample_instance(3, 7, seed=6)
     A = build_vandermonde(spec)
     for k in (1, 2, 3):
-        inst, sol = plant_with_level(A, k, seed=13)
+        inst, basics = plant_with_level(A, k, seed=13)
         assert inst.k == k
-        assert sol.level == k
+        assert basics.sizes[0] == solve_l0(inst.problem).level == k
         assert np.allclose(A.entries @ inst.x_star, inst.problem.b)
 
 
-def test_plant_with_level_solves_l0_once_per_attempt(monkeypatch):
+def test_plant_with_level_scans_once_per_attempt(monkeypatch):
     # columns 1 and 3 are parallel to 0 and 2, so a plant on {0, 1} or {2, 3}
-    # reads level 1 and is redrawn: seed 1 takes two attempts at k = 2.  The
-    # traced suite pass cannot see a second solve inside the plant (its
-    # per-plant ratio grows with it), so both calls are counted here
-    calls = dict.fromkeys(("solve_l0", "_plant_attempt"), 0)
+    # reads level 1 and is redrawn: seed 1 takes two attempts at k = 2.  Each
+    # attempt reads its level off one basic-solution scan and builds no l0
+    # solution set, and the plant hands over the scan of the attempt it keeps
+    calls = dict.fromkeys(("enumerate_basic_solutions", "solve_l0", "_plant_attempt"), 0)
     for name in calls:
         def counted(*args, _name=name, _fn=getattr(solvers, name), **kwargs):
             calls[_name] += 1
@@ -453,9 +453,10 @@ def test_plant_with_level_solves_l0_once_per_attempt(monkeypatch):
         monkeypatch.setattr(solvers, name, counted)
     a, c = np.array([1.0, 0.5]), np.array([-0.25, 1.0])
     A = DenseMatrix(np.column_stack([a, 2.0 * a, c, 3.0 * c]))
-    inst, sol = plant_with_level(A, 2, seed=1)
-    assert sol.level == 2 and inst.support not in ((0, 1), (2, 3))
-    assert calls == {"solve_l0": 2, "_plant_attempt": 2}
+    inst, basics = plant_with_level(A, 2, seed=1)
+    assert basics.sizes[0] == 2 and inst.support not in ((0, 1), (2, 3))
+    assert calls == {"enumerate_basic_solutions": 2, "solve_l0": 0, "_plant_attempt": 2}
+    _assert_same_basics(A.entries, basics, enumerate_basic_solutions(inst.problem))
 
 
 def test_verify_theorem1_clean_run():
@@ -1107,10 +1108,10 @@ def test_explicit_residual_check_catches_a_flipped_lift(monkeypatch, m, seed):
     assert all(s[key] <= bound for s in correct)
     fill = solvers._explicit_steps
 
-    def flipped_lift(spec, p, scales, orders, hhat, steps):
+    def flipped_lift(spec, p, scales, orders, hhat):
         hhat = hhat.copy()
         hhat[:, spec.n] *= -1.0
-        fill(spec, p, scales, orders, hhat, steps)
+        return fill(spec, p, scales, orders, hhat)
 
     monkeypatch.setattr(solvers, "_explicit_steps", flipped_lift)
     flipped = explicit_steps()

@@ -73,16 +73,13 @@ def test_one_claim_evaluator_for_t1_t2_and_t3(suite_metrics):
     assert harnesses > 0 and evaluator == harnesses
 
 
-def test_one_l0_solve_per_planted_instance(suite_metrics):
-    # every solve_l0 call is a plant_with_level certificate; the T2 and T3
-    # harnesses plant their own x*, so a second l0 solve of a planted
-    # instance would leave solve_l0 above the plants' own solves.  A second
-    # solve inside the plant grows both sides; test_solvers'
-    # test_plant_with_level_solves_l0_once_per_attempt counts that one
-    solves = suite_metrics["solvers.solve_l0.calls"]
-    plants = suite_metrics["solvers.plant_with_level.calls"]
-    per_plant = suite_metrics["solvers.l0_solves_per_plant"]
-    assert plants > 0 and solves == round(plants * per_plant)
+def test_no_l0_solve_on_the_suite_path(suite_metrics):
+    # plant_with_level reads its level off the basic-solution scan it hands
+    # over, and T1 reads its l0 set off its own scan, so no check builds an
+    # l0 solution set; test_solvers' test_plant_with_level_scans_once_per_attempt
+    # counts the plant's scans
+    assert suite_metrics["solvers.plant_with_level.calls"] > 0
+    assert suite_metrics["solvers.solve_l0.calls"] == 0
 
 
 def test_one_plant_per_deep_regime_harness(suite_metrics):
@@ -133,11 +130,15 @@ def test_cross_term_check_reads_the_gram_extremes_off_its_report():
     assert report == lp.cross_term_check(A, trials=200, seed=1)
 
 
-def test_one_enumeration_per_t1_harness_and_l0_solve(suite_metrics):
-    # solve_l0 reads the l0 set off one enumeration, as T1 does; a second
-    # scan in either, or a scan of its own in solve_l0, breaks the equality
+def test_one_enumeration_per_t1_harness_and_plant(suite_metrics):
+    # T1 reads its l0 set off one enumeration and each plant its level off
+    # one (the suite's plants all reach their level at the first attempt); a
+    # second scan in either breaks the equality
     enumerations = suite_metrics["solvers.enumerate_basic_solutions.calls"]
-    readers = suite_metrics["solvers.verify_theorem1.calls"] + suite_metrics["solvers.solve_l0.calls"]
+    readers = (
+        suite_metrics["solvers.verify_theorem1.calls"]
+        + suite_metrics["solvers.plant_with_level.calls"]
+    )
     assert readers > 0 and enumerations == readers
 
 
