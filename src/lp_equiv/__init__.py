@@ -17,6 +17,8 @@ with counterexample dumps (claims inheriting the contested spectral sandwich).
 
 __version__ = "0.1.0"
 
+import types as _types
+
 from .analysis import (
     ChainAudit,
     ChainStep,
@@ -100,87 +102,8 @@ from .spectral import (
 )
 from .suite import CheckResult, RunConfig, RunManifest, json_safe, run_suite
 
-__all__ = [
-    "__version__",
-    # numerics
-    "BudgetExceededError",
-    "SamplingError",
-    "compensated_sum",
-    "derive_seed",
-    "lp_margin",
-    "lp_power_sum",
-    "subset_budget",
-    # matrices
-    "VandermondeSpec",
-    "AugmentedSpec",
-    "DenseMatrix",
-    "build_vandermonde",
-    "build_augmented_t",
-    "build_augmented_0",
-    "b_vectors",
-    "extend_lambda",
-    "sample_instance",
-    # spark
-    "SparkCertificate",
-    "SubmatrixReport",
-    "Prop1Report",
-    "compute_spark",
-    "check_submatrix_invertibility",
-    "verify_prop1",
-    # spectrum
-    "SpectralSummary",
-    "RestrictedSpectrum",
-    "Lemma1Report",
-    "gram_spectrum",
-    "restricted_extremes",
-    "lemma1_constants",
-    "p_star_from_extremes",
-    # solvers and harnesses
-    "InfeasibleProblemError",
-    "BasicSolutions",
-    "SparseProblem",
-    "SparseSolution",
-    "SparseSolutionSet",
-    "LpMinimum",
-    "KernelSamples",
-    "MatrixFacts",
-    "EquivalenceReport",
-    "PlantedInstance",
-    "Theorem1Report",
-    "Theorem2Report",
-    "Theorem3Report",
-    "solve_l0",
-    "enumerate_basic_solutions",
-    "solve_lp_basic",
-    "null_space_basis",
-    "sample_null",
-    "verify_strict_inequality",
-    "plant_sparse_instance",
-    "plant_with_level",
-    "default_p_grid",
-    "verify_theorem1",
-    "theorem2_sequences",
-    "verify_theorem2",
-    "verify_theorem3",
-    # scalar analysis
-    "ScalarCheckReport",
-    "SequenceCheckReport",
-    "CrossTermReport",
-    "ChainStep",
-    "ChainAudit",
-    "c_pq",
-    "f_lemma3",
-    "f_lemma3_grid",
-    "phi_bound",
-    "phi_bound_grid",
-    "lemma2_sequence_check",
-    "cross_term_check",
-    "audit_theorem1_chain",
-    "theorem1_coefficient",
-    # suite
-    "RunConfig",
-    "RunManifest",
-    "CheckResult",
-    "run_suite",
-    "json_safe",
+# the public names are the ones imported above, less the submodules
+__all__ = ["__version__"] + [
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _types.ModuleType)
 ]

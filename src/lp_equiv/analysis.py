@@ -33,6 +33,7 @@ audit_planted_chain picks that witness for the suite and the CLI alike.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -45,7 +46,8 @@ from .spectral import SQRT2, Lemma1Report, SpectralSummary, gram_spectrum, lemma
 from .solvers import (
     DEFAULT_SCALES,
     MatrixFacts,
-    _plant_attempt,
+    _plant_seed,
+    _planted_x,
     _require_t1_level,
     support_partition,
 )
@@ -197,13 +199,15 @@ def _grid_check(claim: str, violation) -> ScalarCheckReport:
     )
 
 
+@functools.cache
 def f_lemma3_grid() -> ScalarCheckReport:
-    """Grid check of f(p) >= sqrt(2)/2."""
+    """Grid check of f(p) >= sqrt(2)/2, once per process (a frozen report)."""
     return _grid_check("f(p) >= sqrt(2)/2 on (0, 1]", lambda p: SQRT2 / 2.0 - f_lemma3(p))
 
 
+@functools.cache
 def phi_bound_grid() -> ScalarCheckReport:
-    """Grid check of phi(p) <= sqrt(2)/2."""
+    """Grid check of phi(p) <= sqrt(2)/2, once per process (a frozen report)."""
     return _grid_check("phi(p) <= sqrt(2)/2 on (0, 1]", lambda p: phi_bound(p) - SQRT2 / 2.0)
 
 
@@ -590,7 +594,7 @@ def audit_planted_chain(
     DEFAULT_SCALES[0], and p defaults to p_star / 2, capped at 1.  Returns
     (audit, x*, h)."""
     _require_t1_level(k, facts.spark.spark)
-    x_star = _plant_attempt(facts.matrix, k, seed, 0).x_star
+    x_star = _planted_x(facts.matrix.cols, k, _plant_seed(seed, 0))
     h = facts.direction * DEFAULT_SCALES[0]
     p = facts.gram.p_star / 2.0 if p is None else p
     return audit_theorem1_chain(facts.matrix, x_star, h, min(p, 1.0), facts.gram), x_star, h

@@ -205,7 +205,7 @@ def numerical_rank(s, tol_rel: float = RANK_TOL):
     integer array with one rank per matrix.  A zero matrix has rank 0.
     """
     s = np.asarray(s)
-    rank = np.sum(s > tol_rel * s[..., :1], axis=-1)
+    rank = (s > tol_rel * s[..., :1]).sum(axis=-1)
     return int(rank) if rank.ndim == 0 else rank
 
 

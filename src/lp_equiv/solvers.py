@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 
 import numpy as np
 
@@ -129,32 +129,32 @@ class InfeasibleProblemError(ValueError):
 class SparseProblem:
     """Ax = b with b certified to lie in the column span at construction.
 
-    One thin SVD of A decides both A's rank, r = numerics.numerical_rank of
-    its singular values (the package's one rank policy), and feasibility: b
-    is accepted when its residual off the span of the first r left singular
-    vectors is at most RESIDUAL_TOL * ||b||.  rank is derived, not passed,
-    and enumerate_basic_solutions scans the C(n, rank) bases, so a problem's
+    One thin SVD of A, MatrixFacts.span (span, when the caller holds it),
+    decides both A's rank, r = numerics.numerical_rank of its singular
+    values (the package's one rank policy), and feasibility: b is accepted
+    when its residual off the span of the first r left singular vectors is
+    at most RESIDUAL_TOL * ||b||.  rank is derived, not passed, and
+    enumerate_basic_solutions scans the C(n, rank) bases, so a problem's
     feasibility and its basis scan read the same rank.
     """
 
     matrix: DenseMatrix
     b: np.ndarray
     rank: int = field(init=False)
+    span: InitVar[tuple[int, np.ndarray] | None] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, span) -> None:
         b = np.asarray(self.b, dtype=float).ravel()
         object.__setattr__(self, "b", b)
         if b.size != self.matrix.rows:
             raise ValueError(f"b has {b.size} entries for a {self.matrix.rows}-row matrix")
         if not np.all(np.isfinite(b)):
             raise ValueError("b must be finite")
-        u, s, _ = np.linalg.svd(self.matrix.entries, full_matrices=False)
-        rank = numerical_rank(s)
+        rank, basis = MatrixFacts(self.matrix).span if span is None else span
         object.__setattr__(self, "rank", rank)
         nb = float(np.linalg.norm(b))
         if nb > 0.0:
-            span = u[:, :rank]
-            res = float(np.linalg.norm(b - span @ (span.T @ b)))
+            res = float(np.linalg.norm(b - basis @ (basis.T @ b)))
             if res > RESIDUAL_TOL * nb:
                 raise InfeasibleProblemError(
                     f"b is outside the column span (relative residual {res / nb:.3e})"
@@ -627,9 +627,9 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class MatrixFacts:
     """The facts about one matrix A that its checks share: the spark
-    certificate, the Gram summary, the kernel basis and the unit kernel
-    vector on the spark witness (sample_null's minsupport row and the chain
-    audit's direction).
+    certificate, the Gram summary, the kernel basis, the unit kernel vector
+    on the spark witness (sample_null's minsupport row and the chain audit's
+    direction) and the rank and column span every SparseProblem reads.
 
     Each fact is computed at most once, on first use, so a bundle costs only
     what its readers read, and a scan over the subset cap raises where its
@@ -655,6 +655,14 @@ class MatrixFacts:
     @functools.cached_property
     def direction(self) -> np.ndarray:
         return _read_only(_minsupport_direction(self.matrix, self.spark.witness))
+
+    @functools.cached_property
+    def span(self) -> tuple[int, np.ndarray]:
+        """The policy rank r and the first r left singular vectors, an
+        orthonormal basis of the column span, from one thin SVD."""
+        u, s, _ = np.linalg.svd(self.matrix.entries, full_matrices=False)
+        rank = numerical_rank(s)
+        return rank, _read_only(u[:, :rank])
 
 
 def _facts_for(A: DenseMatrix, facts: MatrixFacts | None) -> MatrixFacts:
@@ -787,36 +795,54 @@ def verify_strict_inequality(
     return reports[0] if np.ndim(p) == 0 else reports
 
 
-def plant_sparse_instance(A: DenseMatrix, k: int, seed: int) -> PlantedInstance:
-    """b = A x* for a random k-sparse x* with coefficients +-PLANT_COEFF_RANGE."""
-    n = A.cols
+def _planted_x(n: int, k: int, seed: int) -> np.ndarray:
+    """A random k-sparse x* in R^n with coefficients +-PLANT_COEFF_RANGE."""
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in [1, {n}], got {k}")
     rng = np.random.default_rng(seed)
-    support = np.sort(rng.choice(n, size=k, replace=False))
-    coeff = rng.uniform(*PLANT_COEFF_RANGE, size=k) * rng.choice([-1.0, 1.0], size=k)
+    support = rng.choice(n, size=k, replace=False)
+    # _SIGNS[rng.integers(0, 2, k)] draws what rng.choice([-1.0, 1.0], k) draws
+    coeff = rng.uniform(*PLANT_COEFF_RANGE, size=k) * _SIGNS[rng.integers(0, 2, size=k)]
     x = np.zeros(n)
-    x[support] = coeff
-    prob = SparseProblem(matrix=A, b=A.entries @ x)
-    return PlantedInstance(
-        problem=prob, x_star=x, support=tuple(int(v) for v in support), k=k, seed=seed
-    )
+    x[np.sort(support)] = coeff
+    return x
 
 
-def _plant_attempt(A: DenseMatrix, k: int, seed: int, attempt: int) -> PlantedInstance:
+def plant_sparse_instance(
+    A: DenseMatrix, k: int, seed: int, *, facts: MatrixFacts | None = None
+) -> PlantedInstance:
+    """b = A x* for x* = _planted_x(A.cols, k, seed), a problem that reads
+    A's rank and span from facts, A's MatrixFacts, when given."""
+    x = _planted_x(A.cols, k, seed)
+    prob = SparseProblem(matrix=A, b=A.entries @ x, span=_facts_for(A, facts).span)
+    support = tuple(np.flatnonzero(x).tolist())
+    return PlantedInstance(problem=prob, x_star=x, support=support, k=k, seed=seed)
+
+
+def _plant_seed(seed: int, attempt: int) -> int:
+    return derive_seed(seed, f"plant-{attempt}")
+
+
+def _plant_attempt(
+    A: DenseMatrix, k: int, seed: int, attempt: int, facts: MatrixFacts
+) -> PlantedInstance:
     """plant_with_level's plant number attempt.  Below spark/2, attempt 0 needs
     no l0 solve: x* is the unique sparsest solution (Donoho and Elad, 2003)."""
-    return plant_sparse_instance(A, k, derive_seed(seed, f"plant-{attempt}"))
+    return plant_sparse_instance(A, k, _plant_seed(seed, attempt), facts=facts)
 
 
-def plant_with_level(A: DenseMatrix, k: int, seed: int) -> tuple[PlantedInstance, BasicSolutions]:
+def plant_with_level(
+    A: DenseMatrix, k: int, seed: int, *, facts: MatrixFacts | None = None
+) -> tuple[PlantedInstance, BasicSolutions]:
     """Plant until the instance's true l0 level equals k (the planted x* is
     then *an* l0 solution, which is all the T2/T3 hypotheses need).  The
     level is the smallest support size among the basic solutions, read off
     one enumerate_basic_solutions scan per attempt, as solve_l0 reads it;
-    the scan of the plant that reached k is returned with it."""
+    the scan of the plant that reached k is returned with it.  Every attempt
+    reads A's rank and span from one MatrixFacts, facts when given."""
+    facts = _facts_for(A, facts)
     for i in range(PLANT_RETRIES):
-        inst = _plant_attempt(A, k, seed, i)
+        inst = _plant_attempt(A, k, seed, i, facts)
         basics = enumerate_basic_solutions(inst.problem)
         if basics.sizes[0] == k:
             return inst, basics
@@ -858,7 +884,7 @@ def verify_theorem1(
     facts = _facts_for(A, facts)
     cert = facts.spark
     _require_t1_level(k, cert.spark)
-    inst = plant_sparse_instance(A, k, derive_seed(seed, "plant"))
+    inst = plant_sparse_instance(A, k, derive_seed(seed, "plant"), facts=facts)
     summary = facts.gram
     grid = default_p_grid(summary.p_star) if p_grid is None else tuple(sorted(set(p_grid)))
     below_empty = not any(p < summary.p_star for p in grid)
@@ -910,9 +936,7 @@ def verify_theorem1(
     )
 
 
-def theorem2_sequences(
-    m: int, l1_abs: float, l2_abs: float, p_check: float, t: float
-) -> tuple[float, float, float]:
+def theorem2_sequences(m: int, l1_abs, l2_abs, p_check: float, t):
     """The T2 scale pair at step t, and log x_t:
 
         x_t = (m+1)**(1/p_check) / (l1_abs * t),    y_t = 1 / (l2_abs * t).
@@ -923,25 +947,27 @@ def theorem2_sequences(
     separately).  x_t may overflow to inf for very small p_check -- callers
     needing the explicit matrix must check, the power-domain bookkeeping
     never does.  log x_t stays finite either way.
+
+    Scalars give three floats; l1_abs and l2_abs of one entry per sample and
+    t of one per step give three (sample, step) arrays, each entry
+    bit-identical to the scalar call: math.log once per sample and per step,
+    combined as log(m+1)/p_check - log l1_abs - log t, and x_t by math.exp.
     """
+    l1, l2, ts = (np.asarray(v, dtype=float) for v in (l1_abs, l2_abs, t))
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     if not 0.0 < p_check <= 1.0:
         raise ValueError(f"p_check must lie in (0, 1], got {p_check}")
-    if not t > 0.0:
+    if not (ts > 0.0).all():
         raise ValueError(f"t must be positive, got {t}")
-    if not l1_abs >= l2_abs > 0.0:
-        raise ValueError(
-            f"need l1_abs >= l2_abs > 0 (sorted, nondegenerate), got {l1_abs}, {l2_abs}"
-        )
-    log_x = math.log(m + 1) / p_check - math.log(l1_abs) - math.log(t)
-    x_t = math.exp(log_x) if log_x < 709.0 else math.inf
-    y_t = 1.0 / (l2_abs * t)
-    return x_t, y_t, log_x
-
-
-def _strictly_decreasing(vals) -> bool:
-    return all(a > b for a, b in zip(vals, vals[1:]))
+    if not ((l1 >= l2) & (l2 > 0.0)).all():
+        raise ValueError(f"need l1_abs >= l2_abs > 0 (sorted, nondegenerate), got {l1_abs}, {l2_abs}")
+    log_l1, log_t = (np.array([math.log(v) for v in a.flat]).reshape(a.shape) for a in (l1, ts))
+    log_x = np.subtract.outer(math.log(m + 1) / p_check - log_l1, log_t)
+    x_t = np.array([math.exp(v) if v < 709.0 else math.inf for v in log_x.flat]).reshape(log_x.shape)
+    with np.errstate(over="ignore"):  # as Python floats: 1 / inf is 0
+        y_t = 1.0 / np.multiply.outer(l2, ts)
+    return tuple(map(float, (x_t, y_t, log_x))) if log_x.ndim == 0 else (x_t, y_t, log_x)
 
 
 def _deep_regime_hypothesis(
@@ -974,9 +1000,8 @@ def _deep_regime_hypothesis(
     p = p_star0 / 2 if p_check is None else float(p_check)
     if not 0.0 < p < p_star0:
         raise ValueError(f"p_check must lie in (0, p_star(A_0)) = (0, {p_star0}), got {p}")
-    A = build_vandermonde(spec)
-    facts = _facts_for(A, facts)
-    inst, _ = plant_with_level(A, k, derive_seed(seed, "plant"))
+    facts = _facts_for(build_vandermonde(spec), facts)
+    inst, _ = plant_with_level(facts.matrix, k, derive_seed(seed, "plant"), facts=facts)
     samples = _trial_samples(facts, trials, derive_seed(seed, null_label))
     return inst.x_star, p_star0, p, samples
 
@@ -990,7 +1015,7 @@ def _limit_gaps(spec: VandermondeSpec, p_star0: float, t_schedule) -> list[float
     scales = np.repeat(inv_t[:, None], spec.m + 2, axis=1)
     orders = np.broadcast_to(np.arange(spec.m + 2), scales.shape)
     s = np.linalg.svd(_augmented_with_scales(spec, scales, orders), compute_uv=False)
-    return [abs(spectrum_from_singular_values(row).p_star - p_star0) for row in s]
+    return np.abs(spectrum_from_singular_values(s).p_star - p_star0).tolist()
 
 
 def _explicit_steps(spec: VandermondeSpec, p: float, scales, orders, hhat) -> list[dict]:
@@ -1013,8 +1038,10 @@ def _explicit_steps(spec: VandermondeSpec, p: float, scales, orders, hhat) -> li
     # |A_t| overwrites A_t, which nothing needs past the SVD
     backward = np.max(np.abs(r) / _matvecs(np.abs(mats, out=mats), np.abs(hhat)), axis=1)
     bound = LIFT_RESIDUAL_FACTOR * (n + m + 2) * np.finfo(float).eps
+    spectra = spectrum_from_singular_values(s)
     keys = []
-    for res, err, rank, sv in zip(resid.tolist(), backward.tolist(), numerical_rank(s).tolist(), s):
+    for res, err, rank, p_star in zip(resid.tolist(), backward.tolist(), spectra.rank.tolist(),
+                                      spectra.p_star.tolist()):
         step = {
             "explicit_residual": res,
             "explicit_componentwise_backward_error": err,
@@ -1026,8 +1053,8 @@ def _explicit_steps(spec: VandermondeSpec, p: float, scales, orders, hhat) -> li
         # below RANK_TOL times the largest, and p_star would describe a
         # truncated matrix
         if rank == 2 * m + 2:
-            step["p_star_t"] = spectrum_from_singular_values(sv).p_star
-            step["chain_applicable"] = p < step["p_star_t"]
+            step["p_star_t"] = p_star
+            step["chain_applicable"] = p < p_star
         else:
             step["p_star_t_skipped"] = (
                 f"rank policy kept {rank} of the {2 * m + 2} singular"
@@ -1091,7 +1118,7 @@ def verify_theorem2(
     claim = verify_strict_inequality(x, samples, p)
 
     gaps = _limit_gaps(spec, p_star0, t_schedule)
-    limit_monotone = _strictly_decreasing(gaps)
+    limit_monotone = all(a > b for a, b in zip(gaps, gaps[1:]))  # strictly decreasing
     final_gap_ratio = gaps[-1] / p_star0
 
     # l_i = <B_i, h>, sorted by decreasing |l_i| (ties to the lower i); a
@@ -1101,7 +1128,7 @@ def verify_theorem2(
     L = np.take_along_axis(L, orders, axis=-1)
     kept = np.flatnonzero(np.abs(L[:, 1]) > POWER_FLOOR)
     H, L, orders = samples.vectors[kept], L[kept], orders[kept]
-    l_abs = np.abs(L[:, :2]).tolist()
+    l_abs = np.abs(L[:, :2])
 
     # every step quantity as a (kept sample, t) block, hhat_2 .. hhat_{m+2}
     # on a last axis; each power sum is bit-identical to the call on its row
@@ -1114,8 +1141,7 @@ def verify_theorem2(
     head_powers = np.array([(m + 1) / t**p for t in t_schedule])
     dominance_ok = head_powers >= tail_powers * (1.0 - 1e-12)
     chain_margin = (lp_power_sum(x + H, p)[:, None] + tail_powers) - (lp_power_sum(x, p) + head_powers)
-    seq = np.array([[theorem2_sequences(m, l1, l2, p, t) for t in t_schedule] for l1, l2 in l_abs])
-    x_t, y_t, log_x = seq.reshape(len(kept), len(t_schedule), 3).transpose(2, 0, 1)
+    x_t, y_t, log_x = theorem2_sequences(m, l_abs[:, 0], l_abs[:, 1], p, t_arr)
 
     # the explicit steps, those whose scales are representable, in
     # sample-major order and BLOCK at a time; the rest record the skip
@@ -1140,7 +1166,7 @@ def verify_theorem2(
         for row in zip((log_x / LN10).tolist(), dominance_ok.tolist(), tail_bound_ok.tolist(),
                        chain_margin.tolist(), explicit_keys)
     ]
-    kept_rows = dict(zip(kept.tolist(), zip(l_abs, steps)))
+    kept_rows = dict(zip(kept.tolist(), zip(l_abs.tolist(), steps)))
     records = []
     for idx, (kind, scale) in enumerate(zip(samples.kinds, samples.scales)):
         if idx in kept_rows:

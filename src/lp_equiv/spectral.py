@@ -85,19 +85,24 @@ class Lemma1Report:
     argmax_support: tuple[int, ...]
 
 
-def p_star_from_extremes(lambda_min_plus: float, lambda_max: float) -> float:
+def p_star_from_extremes(lambda_min_plus, lambda_max):
     """The threshold exponent from the two Gram extremes.
 
     The closing inequality of the T1 chain (analysis.theorem1_coefficient
-    <= 1) solved for p; shared by every caller that needs p_star.
+    <= 1) solved for p; shared by every caller that needs p_star.  Two
+    scalars give a float, two 1-D blocks an array of one p_star per pair,
+    each in the same float arithmetic.
     """
-    lmp, lmax = float(lambda_min_plus), float(lambda_max)
-    if not (0.0 < lmp <= lmax and math.isfinite(lmax)):
-        raise ValueError(f"need 0 < lambda_min_plus <= lambda_max, got {lmp}, {lmax}")
-    gap = lmax - lmp
-    if gap == 0.0:
-        return 1.0
-    return min(1.0, 16.0 * lmp * lmp / (((SQRT2 + 1.0) ** 2) * gap * gap))
+    block = np.ndim(lambda_min_plus) > 0
+    pairs = zip(np.ravel(lambda_min_plus).tolist(), np.ravel(lambda_max).tolist()) if block else [
+        (float(lambda_min_plus), float(lambda_max))]
+    p_stars = []
+    for lmp, lmax in pairs:
+        if not (0.0 < lmp <= lmax and math.isfinite(lmax)):
+            raise ValueError(f"need 0 < lambda_min_plus <= lambda_max, got {lmp}, {lmax}")
+        gap = lmax - lmp
+        p_stars.append(1.0 if gap == 0.0 else min(1.0, 16.0 * lmp * lmp / (((SQRT2 + 1.0) ** 2) * gap * gap)))
+    return np.array(p_stars) if block else p_stars[0]
 
 
 def gram_spectrum(A: DenseMatrix) -> SpectralSummary:
@@ -115,19 +120,21 @@ def gram_spectrum(A: DenseMatrix) -> SpectralSummary:
 
 def spectrum_from_singular_values(s) -> SpectralSummary:
     """The Gram summary of one matrix from its singular values s, descending
-    as numpy's svd returns them (one row of a stacked SVD serves as well):
-    rank = r = numerics.numerical_rank(s), lambda_max = s_0^2 and
-    lambda_min_plus = s_{r-1}^2."""
+    as numpy's svd returns them: rank = r = numerics.numerical_rank(s),
+    lambda_max = s_0^2 and lambda_min_plus = s_{r-1}^2.  A (count, k) block
+    of rows, one stacked SVD's, gives (count,) arrays, each entry the bits
+    of the call on its row; one matrix is the block's single-row case.
+    """
+    s = np.asarray(s)
     rank = numerical_rank(s)
-    if rank == 0:
+    ranks = np.reshape(rank, -1).tolist()
+    if 0 in ranks:
         raise ValueError("all-zero matrix has no nonzero Gram eigenvalue")
-    lmax, lmp = float(s[0]) ** 2, float(s[rank - 1]) ** 2
-    return SpectralSummary(
-        lambda_min_plus=lmp,
-        lambda_max=lmax,
-        rank=rank,
-        p_star=p_star_from_extremes(lmp, lmax),
-    )
+    rows = s.reshape(-1, s.shape[-1]).tolist()
+    lmp, lmax = [row[r - 1] ** 2 for row, r in zip(rows, ranks)], [row[0] ** 2 for row in rows]
+    if s.ndim == 1:
+        return SpectralSummary(lmp[0], lmax[0], rank, p_star_from_extremes(lmp[0], lmax[0]))
+    return SpectralSummary(np.array(lmp), np.array(lmax), rank, p_star_from_extremes(lmp, lmax))
 
 
 def restricted_extremes(A: DenseMatrix, k: int) -> RestrictedSpectrum:

@@ -35,11 +35,12 @@ check fails it.
 
 from __future__ import annotations
 
-import json
+import functools
 import math
 import os
 import tempfile
 from dataclasses import dataclass, field, fields, is_dataclass
+from json.encoder import c_make_encoder, encode_basestring_ascii
 
 import numpy as np
 
@@ -132,45 +133,100 @@ class RunManifest:
     violation_count: int
 
 
-def json_safe(obj):
-    """Recursively convert numpy scalars/arrays, dataclasses, and containers
-    into plain JSON-encodable values.
-
-    This is the one JSON encoding of every report: a dataclass becomes the
-    dict of its fields, tuples become lists and non-finite floats become
-    their repr strings.  Only the envelope formats with a from_json_dict
-    inverse (VandermondeSpec, DenseMatrix) define their own to_json_dict."""
+def _json_node(obj):
+    """obj converted one level deep, the one conversion policy of json_safe
+    and _json_text: a plain scalar (str, int, bool, None or finite float),
+    or a dict with str keys or a list or tuple of unconverted children.  A
+    dataclass becomes the dict of its fields, an array its tolist(), a
+    non-finite float its repr string and a set its sorted list.  Only the
+    envelope formats with a from_json_dict inverse (VandermondeSpec,
+    DenseMatrix) define their own to_json_dict."""
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
+    if type(obj) in (dict, list, tuple):  # exact builtins: no to_json_dict, no dataclass
+        return {str(k): v for k, v in obj.items()} if type(obj) is dict else obj
     if isinstance(obj, float):  # also catches np.float64, a float subclass
         return float(obj) if math.isfinite(obj) else repr(float(obj))
-    if isinstance(obj, (np.bool_,)):
+    if isinstance(obj, np.bool_):
         return bool(obj)
     if isinstance(obj, np.integer):
         return int(obj)
     if isinstance(obj, np.floating):
-        return json_safe(float(obj))
+        return _json_node(float(obj))
     if isinstance(obj, np.ndarray):
-        return [json_safe(v) for v in obj.tolist()]
+        return _json_node(obj.tolist())  # a 0-d array gives its scalar
     if hasattr(obj, "to_json_dict"):
-        return json_safe(obj.to_json_dict())
+        return _json_node(obj.to_json_dict())
     if is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: json_safe(getattr(obj, f.name)) for f in fields(obj)}
+        return {name: getattr(obj, name) for name in _field_names(type(obj))}
     if isinstance(obj, dict):
-        return {str(k): json_safe(v) for k, v in obj.items()}
+        return {str(k): v for k, v in obj.items()}
     if isinstance(obj, (list, tuple, set, frozenset)):
-        seq = sorted(obj) if isinstance(obj, (set, frozenset)) else obj
-        return [json_safe(v) for v in seq]
+        return sorted(obj) if isinstance(obj, (set, frozenset)) else obj
     raise TypeError(f"cannot make {type(obj).__name__} JSON-safe")
+
+
+def json_safe(obj):
+    """Recursively convert numpy scalars/arrays, dataclasses, and containers
+    into plain JSON-encodable values, by _json_node at every level."""
+    node = _json_node(obj)
+    if isinstance(node, dict):
+        return {key: json_safe(value) for key, value in node.items()}
+    return [json_safe(v) for v in node] if isinstance(node, (list, tuple)) else node
+
+
+@functools.cache
+def _field_names(cls) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
+
+
+_PLAIN = frozenset({str, int, float, bool, type(None)})
+
+
+@functools.cache
+def _flat_encoder(depth: int):
+    """json's C encoder of plain scalars at nesting depth depth, separated as
+    indent=2 separates them; a non-finite float raises ValueError."""
+    return c_make_encoder(None, None, encode_basestring_ascii, None, ": ", ",\n" + "  " * depth,
+                          True, False, False)
+
+
+def _json_text(obj) -> str:
+    """json.dumps(json_safe(obj), indent=2, sort_keys=True) + "\n", from one
+    walk: each container whose children are all plain goes through the C
+    encoder of its depth, every other one is written here."""
+    return _encoded(obj, 0) + "\n"
+
+
+def _encoded(obj, depth: int) -> str:
+    node = _json_node(obj)
+    if not isinstance(node, (dict, list, tuple)):
+        return _flat_encoder(0)(node, 0)[0]
+    is_dict = isinstance(node, dict)
+    opening, closing = "{}" if is_dict else "[]"
+    if not node:
+        return opening + closing
+    inner = "\n" + "  " * (depth + 1)
+    if _PLAIN.issuperset(map(type, node.values() if is_dict else node)):
+        try:
+            text = "".join(_flat_encoder(depth + 1)(node, 0))[1:-1]
+            return opening + inner + text + inner[:-2] + closing
+        except ValueError:  # a non-finite float, which converts to a string
+            pass
+    if is_dict:
+        items = [f"{encode_basestring_ascii(k)}: {_encoded(node[k], depth + 1)}" for k in sorted(node)]
+    else:
+        items = [_encoded(v, depth + 1) for v in node]
+    return opening + inner + ("," + inner).join(items) + inner[:-2] + closing
 
 
 def _atomic_write_text(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+        with open(fd, "wb") as handle:
+            handle.write(text.encode())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -376,7 +432,7 @@ def _chain_check(rec: _Recorder, facts: MatrixFacts, k: int, seed: int) -> None:
     rec.record("chain-reported", "reported", detail)
     if not audit.asserted_ok or not audit.reported_ok:
         replay = {"x_star": x_star.tolist(), "h": h.tolist()}
-        rec.counterexample("chain", {**json_safe(audit), **replay})
+        rec.counterexample("chain", {**_json_node(audit), **replay})
 
 
 def _run_deep_regime(rec: _Recorder, config: RunConfig, spec, facts: MatrixFacts) -> None:
@@ -427,6 +483,3 @@ def _finalize(config: RunConfig, rec: _Recorder) -> RunManifest:
         _atomic_write_text(os.path.join(config.output_dir, name), text)
     return manifest
 
-
-def _json_text(obj) -> str:
-    return json.dumps(json_safe(obj), indent=2, sort_keys=True) + "\n"

@@ -69,6 +69,7 @@ from lp_equiv.solvers import (  # noqa: E402
     sample_null,
     solve_l0,
     solve_lp_basic,
+    theorem2_sequences,
     verify_theorem2,
     verify_theorem3,
 )
@@ -418,13 +419,10 @@ def test_certified_lp_argmin_equals_padded_exact_sums_on_node_problems():
     _assert_lp_minima_equal(solve_lp_basic(worked, grid), _padded_lp_basic(enumerate_basic_solutions(worked), grid))
 
 
-def _reference_t2_step(spec, p, h, l, order, t, tail, step):
-    """The explicit-matrix keys of one T2 step from its own A_t, one SVD."""
+def _reference_t2_step(spec, p, h, l, order, x_t, y_t, tail, step):
+    """The explicit-matrix keys of one T2 step at scales x_t, y_t from its
+    own A_t, one SVD and one gram_spectrum."""
     m, n = spec.m, spec.n
-    labs = np.abs(l[order])
-    log_x = math.log(m + 1) / p - math.log(labs[0]) - math.log(t)
-    x_t = math.exp(log_x) if log_x < 709.0 else math.inf
-    y_t = 1.0 / (labs[1] * t)
     if not (x_t <= MAX_EXPLICIT_SCALE and y_t <= MAX_EXPLICIT_SCALE):
         step["explicit_skipped"] = f"row scale above MAX_EXPLICIT_SCALE = {MAX_EXPLICIT_SCALE:g}"
         return
@@ -453,8 +451,9 @@ def _reference_t2_step(spec, p, h, l, order, t, tail, step):
 
 
 def _reference_t2_records(spec, x, p, t_schedule, samples):
-    """verify_theorem2's records, one sample and one step at a time, with
-    log10_x_t as the sum of base-10 logarithms."""
+    """verify_theorem2's records, one sample and one step at a time: x_t,
+    y_t and log x_t from the scalar formulas, which the scalar
+    theorem2_sequences call matches bit for bit."""
     m = spec.m
     B = b_vectors(spec)
     base_power = lp_power_sum(x, p)
@@ -473,15 +472,20 @@ def _reference_t2_records(spec, x, p, t_schedule, samples):
         steps = []
         for t, tail, tail_power in zip(t_schedule, tails, lp_power_sum(tails, p)):
             head_power = (m + 1) / t**p
+            log_x = math.log(m + 1) / p - math.log(labs[0]) - math.log(t)
+            x_t = math.exp(log_x) if log_x < 709.0 else math.inf
+            y_t = 1.0 / (labs[1] * t)
+            scalar = theorem2_sequences(m, float(labs[0]), float(labs[1]), p, t)
+            assert _bits(scalar) == _bits((x_t, y_t, log_x))
             step = {
                 "t": t,
-                "log10_x_t": math.log10(m + 1) / p - math.log10(labs[0]) - math.log10(t),
+                "log10_x_t": log_x / math.log(10.0),
                 "dominance_ok": head_power >= tail_power * (1.0 - 1e-12),
                 "tail_bound_ok": bool(np.all(np.abs(tail[1:]) <= (1.0 / t) * (1.0 + 1e-12))),
                 "chain_margin": (shifted_power + tail_power) - (base_power + head_power),
                 "lifted_l0": int(np.sum(x != 0.0)) + 1,
             }
-            _reference_t2_step(spec, p, h, l, order, t, tail, step)
+            _reference_t2_step(spec, p, h, l, order, x_t, y_t, tail, step)
             steps.append(step)
         records.append(
             {
@@ -536,6 +540,20 @@ def test_t2_degenerate_samples_keep_their_place(monkeypatch):
     assert [(v["index"], v["margin"]) for v in rep.violations] == [(4, 0.0), (7, 0.0)]
 
 
+def _bits(obj):
+    """obj with every float as its hex string and every bool a Python bool:
+    two structures compare equal exactly when every number is bit-identical."""
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, (float, np.floating)):
+        return float(obj).hex()
+    if isinstance(obj, dict):
+        return {key: _bits(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_bits(value) for value in obj]
+    return obj
+
+
 def _assert_t2_records_equal_per_step_loop(m, n, seed, p_frac, t_schedule, trials, zeroed=()):
     """verify_theorem2's records against _reference_t2_records on the same
     samples, those of rows zeroed set to zero; returns the report."""
@@ -548,19 +566,16 @@ def _assert_t2_records_equal_per_step_loop(m, n, seed, p_frac, t_schedule, trial
     samples = _zeroed(sample_null(MatrixFacts(A), count, seed=derive_seed(seed, "thm2-null")), zeroed)
     reference = _reference_t2_records(spec, np.array(rep.x_star), rep.p_check, t_schedule, samples)
 
-    def pop_log10(records):
-        return [
-            (step.pop("log10_x_t"), record["l1_abs"], step["t"])
-            for record in records
-            for step in record.get("steps", ())
-        ]
-
     got = list(rep.records)
-    got_logs, ref_logs = pop_log10(got), pop_log10(reference)
-    assert got == reference
-    for (new, l1_abs, t), (old, _, _) in zip(got_logs, ref_logs, strict=True):
-        largest = max(abs(math.log10(m + 1) / rep.p_check), abs(math.log10(l1_abs)), math.log10(t))
-        assert abs(new - old) <= LOG10_ULPS * np.spacing(largest)
+    assert _bits(got) == _bits(reference)
+    # and log10 x_t, which the records carry as log x_t / ln 10, is the sum
+    # of base-10 logarithms to within a few ulps
+    for record in got:
+        for step in record.get("steps", ()):
+            l1_abs, t = record["l1_abs"], step["t"]
+            old = math.log10(m + 1) / rep.p_check - math.log10(l1_abs) - math.log10(t)
+            largest = max(abs(math.log10(m + 1) / rep.p_check), abs(math.log10(l1_abs)), math.log10(t))
+            assert abs(step["log10_x_t"] - old) <= LOG10_ULPS * np.spacing(largest)
     explicit = sum("explicit_residual" in s for r in got for s in r.get("steps", ()))
     if m <= 2:
         assert explicit > 0

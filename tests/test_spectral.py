@@ -10,12 +10,14 @@ from lp_equiv.matgen import (
     build_vandermonde,
     sample_instance,
 )
+from lp_equiv.numerics import numerical_rank
 from lp_equiv.spark import compute_spark
 from lp_equiv.spectral import (
     gram_spectrum,
     lemma1_constants,
     p_star_from_extremes,
     restricted_extremes,
+    spectrum_from_singular_values,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -49,6 +51,43 @@ def test_p_star_closed_form_cases():
         p_star_from_extremes(0.0, 1.0)
     with pytest.raises(ValueError):
         p_star_from_extremes(2.0, 1.0)
+
+
+def _scalar_spectrum(s):
+    """(rank, lambda_min_plus, lambda_max, p_star) of one row of singular
+    values by the scalar formulas in Python floats, as hex strings."""
+    rank = numerical_rank(s)
+    lmp, lmax = float(s[rank - 1]) ** 2, float(s[0]) ** 2
+    gap = lmax - lmp
+    p_star = 1.0 if gap == 0.0 else min(1.0, 16.0 * lmp * lmp / ((SQRT2 + 1.0) ** 2 * gap * gap))
+    return rank, lmp.hex(), lmax.hex(), p_star.hex()
+
+
+def test_spectrum_block_rows_equal_the_scalar_formulas():
+    # rows over twelve decades, rank-deficient rows, a zero gap, and scales
+    # near 1e100 whose squared gap overflows, as the T2 explicit steps reach;
+    # every row of one block call is bit-identical to its own call and to
+    # the scalar formulas, and p_star_from_extremes' blocks to its scalars
+    rng = np.random.default_rng(0)
+    s = -np.sort(-np.abs(rng.standard_normal((400, 5))), axis=1) * 10.0 ** rng.uniform(-6, 6, (400, 1))
+    s[::7, 3:] = 0.0
+    s[::11] = s[::11, :1]
+    s[5::13, :2] *= 1e100
+    block = spectrum_from_singular_values(s)
+    assert block.p_star.shape == block.rank.shape == (400,)
+    fields = (block.rank, block.lambda_min_plus, block.lambda_max, block.p_star)
+    for row, rank, lmp, lmax, p in zip(s, *fields):
+        expected = _scalar_spectrum(row)
+        single = spectrum_from_singular_values(row)
+        assert isinstance(single.p_star, float) and isinstance(single.rank, int)
+        assert (single.rank, single.lambda_min_plus.hex(), single.lambda_max.hex(),
+                single.p_star.hex()) == expected
+        assert (int(rank), float(lmp).hex(), float(lmax).hex(), float(p).hex()) == expected
+        assert p_star_from_extremes(float(lmp), float(lmax)) == p
+    with pytest.raises(ValueError):
+        spectrum_from_singular_values(np.array([[1.0, 0.5], [0.0, 0.0]]))
+    with pytest.raises(ValueError):
+        p_star_from_extremes(np.array([1.0, 2.0]), np.array([3.0, 1.0]))
 
 
 def test_restricted_extremes_hand_oracle():

@@ -272,6 +272,81 @@ def test_one_evaluator_plant_certificate_and_kernel_basis_per_t2_harness(m, n):
     assert metrics["matgen.build_augmented_t.calls"] == 0
 
 
+def _thin_svds_of(monkeypatch, entries: np.ndarray) -> list:
+    """A list that gains one entry per thin SVD with U of a matrix equal to
+    entries, the factorization SparseProblem reads A's rank and span from."""
+    svd, seen = np.linalg.svd, []
+
+    def recorded(a, full_matrices=True, compute_uv=True, **kwargs):
+        if not full_matrices and compute_uv and np.array_equal(a, entries):
+            seen.append(a)
+        return svd(a, full_matrices=full_matrices, compute_uv=compute_uv, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    return seen
+
+
+@pytest.mark.parametrize("m, n", [(2, 8), (3, 9), (4, 10), (3, 6)])
+def test_every_problem_of_a_suite_run_reads_one_thin_svd_of_a(monkeypatch, tmp_path, m, n):
+    # every plant of a run (each T1 level, and the deep-regime harness's)
+    # reads A's rank and span from the run's MatrixFacts, so the run takes
+    # at most one thin SVD of A however many problems it builds; the chain
+    # audit builds none
+    lp = importlib.import_module("lp_equiv")
+    problems = []
+    post_init = lp.SparseProblem.__post_init__
+
+    def counted(self, span):
+        problems.append(self)
+        post_init(self, span)
+
+    monkeypatch.setattr(lp.SparseProblem, "__post_init__", counted)
+    config = lp.RunConfig(seed=1, m=m, n=n, trials=12, output_dir=str(tmp_path))
+    A = lp.build_vandermonde(lp.sample_instance(m, n, seed=lp.derive_seed(1, "instance")))
+    thin = _thin_svds_of(monkeypatch, A.entries)
+    assert lp.run_suite(config).asserted_pass
+    assert len(problems) >= m // 2 + 1 and all(np.array_equal(p.matrix.entries, A.entries) for p in problems)
+    assert len(thin) == 1
+
+
+def test_the_chain_audit_builds_no_problem(monkeypatch):
+    # the audit reads x* alone, drawn as plant_with_level's first plant draws
+    # it, and builds no SparseProblem, so it takes no SVD of A for one
+    lp = importlib.import_module("lp_equiv")
+    facts = lp.MatrixFacts(lp.build_vandermonde(lp.sample_instance(4, 10, seed=2)))
+    facts.spark, facts.gram, facts.direction  # noqa: B018  (computed before the count)
+    inst, _ = lp.plant_with_level(facts.matrix, 2, seed=5)
+    problems = []
+    monkeypatch.setattr(lp.SparseProblem, "__post_init__", lambda self, span: problems.append(self))
+    thin = _thin_svds_of(monkeypatch, facts.matrix.entries)
+    _, x_star, _ = lp.analysis.audit_planted_chain(facts, 2, 5)
+    assert problems == [] and thin == []
+    assert np.array_equal(x_star, inst.x_star)
+
+
+@pytest.mark.parametrize("trials", [6, 30, 90])
+def test_t2_step_scalars_come_from_one_call(monkeypatch, trials):
+    # verify_theorem2 takes x_t, y_t and log x_t of every (sample, t) step
+    # from one theorem2_sequences call on the whole block, and every p_star_t
+    # from one spectrum_from_singular_values call per explicit block; a call
+    # per step would make either count grow with the trials
+    lp = importlib.import_module("lp_equiv")
+    calls = dict.fromkeys(("theorem2_sequences", "spectrum_from_singular_values"), 0)
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(lp.solvers, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(lp.solvers, name, counted)
+    report = lp.verify_theorem2(lp.sample_instance(2, 6, seed=0), 2, trials=trials, seed=1)
+    steps = [s for r in report.records for s in r.get("steps", ())]
+    explicit = sum("explicit_residual" in s for s in steps)
+    assert len(steps) == 4 * trials and explicit > 0
+    # one for the limit gaps, one per numerics.BLOCK explicit steps
+    blocks = 1 + math.ceil(explicit / numerics.BLOCK)
+    assert calls == {"theorem2_sequences": 1, "spectrum_from_singular_values": blocks}
+
+
 def test_only_the_bases_go_through_the_subset_scan():
     # enumerate_basic_solutions scans the C(n, rank) bases and solves the
     # supports read off them directly; a scan of the sizes 1..rank-1 would

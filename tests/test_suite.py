@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from lp_equiv import suite
+from lp_equiv import cli, suite
 from lp_equiv.analysis import audit_theorem1_chain
 from lp_equiv.matgen import VandermondeSpec, build_vandermonde, sample_instance
 from lp_equiv.numerics import derive_seed
@@ -116,6 +116,108 @@ def test_json_safe_stringifies_nonfinite_floats():
     assert out["y"] == "nan"
     assert out["z"] == "-inf"
     assert json.loads(json.dumps(out, allow_nan=False)) == out
+
+
+def _reference_json_text(obj) -> str:
+    """The artifact JSON as json.dumps writes it, by the pure-Python indent
+    encoder on json_safe's conversion."""
+    return json.dumps(json_safe(obj), indent=2, sort_keys=True) + "\n"
+
+
+JSON_EDGE_CASES = [
+    {}, [], (), {"a": {}, "b": [[], {}]}, [[[]]], {"a": {"b": {"c": [1, 2], "d": {}}}},
+    math.inf, -math.inf, math.nan, [1.0, math.nan, -math.inf], {"x": math.inf, "y": 0.5},
+    -0.0, 1e-320, 1e300, 3, True, None, "text",
+    np.float64(2.5), np.float64("nan"), [np.float64(1.0), 2.0], np.int64(-3), np.bool_(False),
+    np.float32(0.1), np.array(1.5), np.array(7), np.array([[1.0, np.inf], [2.0, -0.0]]),
+    np.array([[1, 2], [3, 4]]), np.zeros((0, 3)), np.array([True, False]),
+    (1, "a", None), [(1, 2), (3.5, "b")], {3, 1, 2}, frozenset({"b", "a"}),
+    {2: "two", 1: ["one"]}, {1: "a", "1": "b"}, {True: 1, None: 2, 1.5: 3},
+    "na\u00efve \u00fcn\u00efc\u00f8d\u00e9 \u2028 \U0001f600", 'quote " back \\ newline \n tab \t nul \x00',
+    {"\u00e9": ["\u00e9", "\x7f"], 'k"\\': {"\n": 1}},
+    VandermondeSpec(2, (0.5, -1.25, 2.0), seed=4),
+    build_vandermonde(VandermondeSpec(2, (0.5, -1.25, 2.0))),
+    CheckResult("x", "pass", True, {"v": np.float64(2), "w": [np.int64(1), math.nan]}),
+    RunConfig(seed=3, m=2, n=7, trials=12, output_dir="out_x"),
+]
+
+
+@pytest.mark.parametrize("obj", JSON_EDGE_CASES, ids=range(len(JSON_EDGE_CASES)))
+def test_json_text_equals_the_indent_encoder(obj):
+    assert suite._json_text(obj) == _reference_json_text(obj)
+
+
+def test_json_text_equals_the_indent_encoder_on_real_artifacts(tmp_path, monkeypatch, capsys):
+    # every object the suite and the CLI write, a real manifest and
+    # counterexample list and the verify-thm2 report included
+    written = []
+
+    def recorded(obj):
+        written.append(obj)
+        return json_text(obj)
+
+    json_text = suite._json_text
+    monkeypatch.setattr(suite, "_json_text", recorded)
+    for m, n, seed in ((2, 8, 1), (3, 9, 3), (2, 5, 2)):
+        run_suite(RunConfig(seed=seed, m=m, n=n, trials=12, output_dir=str(tmp_path / f"{m}-{n}")))
+    monkeypatch.setattr(cli, "_json_text", recorded)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"m": 2, "lambda": [0.6, -0.8, 1.1, -1.3, 1.7, 0.9, -1.9, 0.7]}))
+    assert cli.main(["verify-thm2", "--spec", str(spec), "--trials", "6"]) == 0
+    assert len(written) == 7 and any(isinstance(obj, RunManifest) for obj in written)
+    for obj in written:
+        assert json_text(obj) == _reference_json_text(obj)
+    assert capsys.readouterr().out == json_text(written[-1])
+
+
+def test_json_text_and_json_safe_reject_what_they_cannot_convert():
+    for convert in (json_safe, suite._json_text):
+        with pytest.raises(TypeError, match="cannot make object JSON-safe"):
+            convert({"a": [1, object()]})
+
+
+def test_atomic_write_leaves_no_temp_file_and_no_partial_target(tmp_path, monkeypatch):
+    # a write or a rename that raises leaves the directory as it was: the
+    # old target, if any, and no .tmp-* file
+    target = tmp_path / "out" / "file.json"
+    suite._atomic_write_text(str(target), "old\n")
+
+    class Exploding:
+        def __init__(self, fd, mode):
+            self.handle = open(fd, mode)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.handle.close()
+
+        def write(self, data):
+            self.handle.write(data[:3])  # part of the text reaches the temp file
+            raise OSError("disk full")
+
+    def failed_replace(src, dst):
+        raise OSError("rename failed")
+
+    for name, patched in (("open", Exploding), ("replace", failed_replace)):
+        with monkeypatch.context() as patch:
+            if name == "open":
+                patch.setattr(suite, "open", patched, raising=False)
+            else:
+                patch.setattr(suite.os, "replace", patched)
+            with pytest.raises(OSError):
+                suite._atomic_write_text(str(target), "new text\n")
+        assert sorted(p.name for p in target.parent.iterdir()) == ["file.json"], name
+        assert target.read_text() == "old\n"
+    fresh = tmp_path / "fresh.json"
+    with monkeypatch.context() as patch:
+        patch.setattr(suite.os, "replace", failed_replace)
+        with pytest.raises(OSError):
+            suite._atomic_write_text(str(fresh), "new\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+    suite._atomic_write_text(str(target), "new text\n")
+    assert target.read_text() == "new text\n"
+    assert sorted(p.name for p in target.parent.iterdir()) == ["file.json"]
 
 
 def test_csv_text_layout_and_float_repr():
