@@ -20,6 +20,7 @@ import hashlib
 import itertools
 import math
 import os
+import threading
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -113,6 +114,28 @@ def check_budget(total: int, what: str) -> None:
 # distinct tables and plans, 14 to 473 KB in all.
 SUBSET_TABLE_CELLS = 2**15
 SUBSET_TABLE_CACHE = 32
+
+# The shared-prefix path (_prefix_minors, _prefix_inverse_bounds and the
+# functions they call) writes its chunk-sized temporaries into one workspace
+# per thread (_workspace): named float64 buffers that persist across probes.
+# Freed after every chunk, these temporaries (a (4, 4, 3003) block alone is
+# 384 KB) went back to the system through glibc's mmap and heap trimming and
+# were faulted in again by the next probe, about 290 minor page faults per
+# (3, 9) A_t certificate.  A buffer grows to exactly the size asked for and
+# never shrinks, so the workspace keeps the largest of each role the thread
+# has needed.  One name serves one role, or several whose lifetimes do not
+# overlap, and nothing the path yields or returns is a workspace buffer
+# unless its caller passed it as out=.  For a chunk of s subsets of a k-row
+# matrix, t = min(k, 4) and p = k - t, the buffers hold at most s times:
+# k^2 floats each for the gathered blocks, the inverses X and the products
+# W X_2 and S X (three buffers), p k + t k + p t for the gathered rows of G,
+# Q_2^T and G M, 96 for the gathered factors of the cofactor terms, and 66
+# for the rest.  At k <= 2 matgen.MAX_M + 2 = 18 that is at most 1,514
+# floats per subset, so a thread keeps at most PREFIX_WORKSPACE_BYTES, 47.3
+# MiB at chunks of BLOCK subsets.  A pass over prop1-spark, whose largest
+# probe is a (3, 9) A_t's C(14, 8) = 3,003 subsets, leaves 2.3 to 3.7 MB
+# (seeds 1, 5 and 7).
+PREFIX_WORKSPACE_BYTES = 1514 * BLOCK * 8
 
 # Square enumerations of more subsets than this take their stage-1
 # determinants from shared column prefixes (_prefix_minors) and their stage-2
@@ -228,6 +251,38 @@ def _det_ratio_bound(det: np.ndarray, fro_sq: np.ndarray, k: int) -> np.ndarray:
     return np.abs(det) * (k - 1) ** ((k - 1) / 2) / np.sqrt(fro_sq) ** k
 
 
+class _Workspace(threading.local):
+    """One thread's prefix-path buffers (see PREFIX_WORKSPACE_BYTES)."""
+
+    def __init__(self) -> None:
+        self.buffers: dict[str, np.ndarray] = {}
+
+    def __call__(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        """A C-contiguous float64 array of this shape on the buffer called
+        name, whose earlier contents it overwrites."""
+        size = math.prod(shape)
+        buffer = self.buffers.get(name)
+        if buffer is None or buffer.size < size:
+            buffer = self.buffers[name] = np.empty(size)
+        return buffer[:size].reshape(shape)
+
+    def nbytes(self) -> int:
+        return sum(buffer.nbytes for buffer in self.buffers.values())
+
+
+_workspace = _Workspace()
+
+
+def _gather(a: np.ndarray, indices: np.ndarray, name: str, axis: int | None = None) -> np.ndarray:
+    """np.take(a, indices, axis) written into the workspace buffer name.
+
+    The indices are in range by construction; mode="clip" only keeps numpy
+    from gathering into a temporary first, as it does for out= under the
+    default mode="raise"."""
+    shape = indices.shape if axis is None else a.shape[:axis] + indices.shape + a.shape[axis + 1 :]
+    return np.take(a, indices, axis=axis, mode="clip", out=_workspace(name, shape))
+
+
 class _PrefixFactors(NamedTuple):
     """What _prefix_minors computed for one chunk, kept for _prefix_inverses."""
 
@@ -252,7 +307,8 @@ def _prefix_minors(M: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, np.n
     closed-form t x t determinant per subset (_laplace_det) of gathered
     projections.  beta's F^2, the subset's squared Frobenius norm, sums its
     columns' squared norms.  The error bounds are in the spark module
-    docstring.
+    docstring.  What it yields is new arrays; its temporaries live in the
+    thread's workspace (PREFIX_WORKSPACE_BYTES).
     """
     k, n = M.shape
     t = min(k, 4)
@@ -272,12 +328,13 @@ def _prefix_minors(M: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, np.n
             q = r = diag = None
             proj = M[:, None, :]
         # blocks[r, c, s]: entry (r, c) of Q_2^T M[:, T] for subset s
-        blocks = np.take(proj.reshape(t, -1), gather, axis=1)
-        det = np.abs(_laplace_det(blocks))
+        blocks = _gather(proj.reshape(t, -1), gather, "gather", axis=1)
+        det = _laplace_det(blocks)
+        np.abs(det, out=det)
         # each tail column carries a t-th of its prefix's squared norm
         shares = np.add.outer(col_sq[prefixes].sum(axis=1) / t, col_sq)
         with np.errstate(all="ignore"):
-            beta = _det_ratio_bound(det, np.take(shares, gather).sum(axis=0), k)
+            beta = _det_ratio_bound(det, _gather(shares, gather, "shares").sum(axis=0), k)
         yield subsets, det, beta, _PrefixFactors(q, r, diag, proj, gather)
 
 
@@ -287,18 +344,22 @@ def _laplace_det(z: np.ndarray) -> np.ndarray:
     * minors[1][5 - q] (_pair_minors) signed + - + + - + and summed in that
     order.  The padding adds exact zeros, so at most a zero's sign changes."""
     top, bottom = _pair_minors(z)[1]
-    det = top[0] * bottom[5]
-    det -= top[1] * bottom[4]
-    det += top[2] * bottom[3]
-    det += top[3] * bottom[2]
-    det -= top[4] * bottom[1]
-    det += top[5] * bottom[0]
+    terms = np.multiply(top, bottom[::-1], out=_workspace("left", top.shape))  # top[q] * bottom[5 - q]
+    det = terms[0] - terms[1]
+    det += terms[2]
+    det += terms[3]
+    det -= terms[4]
+    det += terms[5]
     return det
 
 
-def _prefix_inverses(M: np.ndarray, factors: _PrefixFactors, open_: np.ndarray) -> np.ndarray:
+def _prefix_inverses(
+    M: np.ndarray, factors: _PrefixFactors, open_: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Approximate inverses X of the blocks S = M[:, subsets[open_]] of one
-    _prefix_minors chunk, (count, k, k), from that chunk's prefix QRs.
+    _prefix_minors chunk, (count, k, k), from that chunk's prefix QRs:
+    written into out, a C-contiguous float64 array of that shape, when
+    given, else into a new array.
 
     With M[:, P] = Q R, Q = [Q_1 Q_2] and R_11 the top p x p block of R,
     Q^T S = [[R_11, B], [0, Z]] for B = Q_1^T M[:, T] and Z = Q_2^T M[:, T],
@@ -321,14 +382,17 @@ def _prefix_inverses(M: np.ndarray, factors: _PrefixFactors, open_: np.ndarray) 
     t = min(k, 4)
     p = k - t
     picked = factors.gather[:, open_]
-    z = np.take(factors.proj.reshape(t, -1), picked, axis=1)  # (t, t, count): z[:, i] = Q_2^T m_(T_i)
+    count = picked.shape[1]
+    x = np.empty((count, k, k)) if out is None else out
+    # (t, t, count): z[:, i] = Q_2^T m_(T_i)
+    z = _gather(factors.proj.reshape(t, -1), picked, "gather", axis=1)
     if not p:
-        return _cofactor_inverse(z)
+        return _cofactor_inverse(z, out=x)
     # G only for the prefixes that own a given block: block s has prefix
     # number used[prefix[s]]; a chunk's prefix numbers never decrease
     # (lexicographic order), so they group without a sort
     owner = picked[0] // n
-    z[0] /= factors.diag[owner]  # undo the prod diag R carried on row 0
+    z[0] /= _gather(factors.diag, owner, "scratch")  # undo the prod diag R carried on row 0
     first = np.concatenate([[True], owner[1:] != owner[:-1]])
     used, prefix = owner[first], np.cumsum(first) - 1
     q, r = factors.q[used], factors.r[used]
@@ -337,12 +401,31 @@ def _prefix_inverses(M: np.ndarray, factors: _PrefixFactors, open_: np.ndarray) 
         row = q[:, :, i] - np.matmul(r[:, i : i + 1, i + 1 : p], g[:, i + 1 :])[:, 0]
         g[:, i] = row / r[:, i, i, None]
     # w[s] = W for block s: its tail columns of G M, (count, p, t)
-    local = prefix * n + picked % n
-    w = np.take(np.matmul(g, M).transpose(1, 0, 2).reshape(p, -1), local.T, axis=1).transpose(1, 0, 2)
-    x = np.empty((len(prefix), k, k))
-    np.matmul(_cofactor_inverse(z), np.ascontiguousarray(q[:, :, p:].transpose(0, 2, 1))[prefix], out=x[:, p:])
-    np.subtract(g[prefix], np.matmul(w, x[:, p:]), out=x[:, :p])
+    local = prefix[:, None] * n + picked.T % n
+    w = _gather(np.matmul(g, M).transpose(1, 0, 2).reshape(p, -1), local, "w", axis=1).transpose(1, 0, 2)
+    q_2 = np.ascontiguousarray(q[:, :, p:].transpose(0, 2, 1))
+    z_inverse = _cofactor_inverse(z, out=_workspace("z_inverse", (count, t, t)))
+    np.matmul(z_inverse, _gather(q_2, prefix, "q_rows", axis=0), out=x[:, p:])
+    w_x = np.matmul(w, x[:, p:], out=_workspace("product", (count, p, k)))
+    np.subtract(_gather(g, prefix, "g_rows", axis=0), w_x, out=x[:, :p])
     return x
+
+
+def _prefix_inverse_bounds(
+    M: np.ndarray, subsets: np.ndarray, factors: _PrefixFactors, open_: np.ndarray
+) -> np.ndarray:
+    """Stage 2's bound beta' (_inverse_ratio_lower_bound) of the blocks
+    S = M[:, subsets], subsets those of one _prefix_minors chunk picked by
+    open_, with X from _prefix_inverses.  X, the gathered S and the residual
+    live in the thread's workspace; the bound is a new array.  Call under
+    np.errstate(all="ignore")."""
+    k = M.shape[0]
+    count = len(subsets)
+    inv = _prefix_inverses(M, factors, open_, out=_workspace("x", (count, k, k)))
+    # S column-major, as M[:, subsets].transpose(1, 0, 2) lays it out, which
+    # fixes the summation order of its norm
+    sub = _gather(M.T, subsets, "gather", axis=0).transpose(0, 2, 1)
+    return _inverse_ratio_lower_bound(sub, inv, res=_workspace("product", (count, k, k)))
 
 
 # The 4 x 4 Laplace expansions behind _laplace_det and _cofactor_inverse.
@@ -359,54 +442,85 @@ _OTHERS = np.array([[d for d in range(4) if d != c] for c in range(4)])
 _REST = np.array(
     [[_PAIRS.index(tuple(e for e in range(4) if e not in (c, d))) for d in _OTHERS[c]] for c in range(4)]
 )
-_EXPANSION_SIGN = np.array([1.0, -1.0, 1.0])[:, None]  # (-1)^j
+# _PAIR_TERMS[f, h, q]: the factors of minor q of rows (2h, 2h + 1), entry
+# (2h, i) times (2h + 1, j) minus (2h, j) times (2h + 1, i) for (i, j) =
+# _PAIRS[q], as row numbers of a.reshape(16, count); _ENTRY[j, r, c] and
+# _MINOR[j, r, c]: term j's entry and minor for cofactor (r, c), as row
+# numbers of a.reshape(16, count) and of minors.reshape(12, count)
+_PAIR_TERMS = np.array(
+    [
+        [[8 * h + 4 * below + pair[side] for pair in _PAIRS] for h in range(2)]
+        for below, side in ((0, 0), (1, 1), (0, 1), (1, 0))
+    ]
+)
+_ENTRY = np.ascontiguousarray((4 * _ALONG[:, None, None] + _OTHERS).transpose(2, 0, 1))
+_MINOR = np.ascontiguousarray((6 * _OPPOSITE[:, None, None] + _REST).transpose(2, 0, 1))
 _COFACTOR_SIGN = (-1.0) ** np.add.outer(np.arange(4), np.arange(4))[:, :, None]  # (-1)^(r+c)
 
 
-def _pair_minors(z: np.ndarray) -> tuple[np.ndarray, list[list[np.ndarray]]]:
+def _pair_minors(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(a, minors): z (t x t matrices, t <= 4, along the last axis) padded to
-    4 x 4 with an identity block, and the 2 x 2 minors of a's rows (0, 1) and
-    (2, 3) on column pair _PAIRS[q] as the (count,) vectors minors[0][q] and
-    minors[1][q]; one (2, 6, count) block would pass glibc's mmap threshold
-    at 3,003 subsets and add its page faults to every prefix-path chunk."""
+    4 x 4 with an identity block, and the (2, 6, count) block of the 2 x 2
+    minors of a's rows (0, 1) and (2, 3): minors[0, q] and minors[1, q] on
+    column pair _PAIRS[q].  minors, and a where it pads z (t < 4; a is z
+    itself at t = 4), are views of the thread's workspace, valid until the
+    prefix path next uses it."""
     t, _, count = z.shape
     a = z
     if t < 4:
-        a = np.zeros((4, 4, count))
+        a = _workspace("pad", (4, 4, count))
+        a.fill(0.0)
         a[range(t, 4), range(t, 4)] = 1.0
         a[:t, :t] = z
-    return a, [[top[i] * bottom[j] - top[j] * bottom[i] for i, j in _PAIRS] for top, bottom in (a[:2], a[2:])]
+    flat = a.reshape(16, count)
+    minors = _gather(flat, _PAIR_TERMS[0], "minors", axis=0)
+    minors *= _gather(flat, _PAIR_TERMS[1], "right", axis=0)
+    left = _gather(flat, _PAIR_TERMS[2], "left", axis=0)
+    left *= _gather(flat, _PAIR_TERMS[3], "right", axis=0)
+    minors -= left
+    return a, minors
 
 
-def _cofactor_inverse(z: np.ndarray) -> np.ndarray:
+def _cofactor_inverse(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Inverses of t x t matrices, t <= 4, stacked along the last axis of z
-    (z[r, c] is the vector of entries (r, c)), as a (count, t, t) array.
+    (z[r, c] is the vector of entries (r, c)), as a (count, t, t) array:
+    out when given, else a new one.
 
     X = adj(A) / det A for A = z padded to 4 x 4 with an identity block,
     every cofactor from the twelve 2 x 2 minors of rows (0, 1) and (2, 3)
-    (_pair_minors).  A zero determinant gives an infinite or NaN X.  Call
+    (_pair_minors), as the three terms of its expansion summed in order,
+    signed + - +.  A zero determinant gives an infinite or NaN X.  Call
     under np.errstate(all="ignore").
     """
-    t = len(z)
+    t, _, count = z.shape
     a, minors = _pair_minors(z)
-    terms = a[_ALONG][:, _OTHERS] * np.array(minors)[_OPPOSITE][:, _REST]  # (r, c, j, count)
-    cofactor = _COFACTOR_SIGN * np.sum(_EXPANSION_SIGN * terms, axis=2)
-    det = np.sum(a[0] * cofactor[0], axis=0)
-    return np.ascontiguousarray((cofactor / det).transpose(2, 1, 0)[:, :t, :t])
+    terms = _gather(a.reshape(16, count), _ENTRY, "left", axis=0)  # (j, r, c, count)
+    terms *= _gather(minors.reshape(12, count), _MINOR, "right", axis=0)
+    cofactor = np.subtract(terms[0], terms[1], out=_workspace("cofactor", (4, 4, count)))
+    cofactor += terms[2]
+    cofactor *= _COFACTOR_SIGN
+    det = np.sum(np.multiply(a[0], cofactor[0], out=terms[0, 0]), axis=0, out=_workspace("det", (count,)))
+    cofactor /= det
+    if out is None:
+        out = np.empty((count, t, t))
+    out[...] = cofactor.transpose(2, 1, 0)[:, :t, :t]
+    return out
 
 
-def _inverse_ratio_lower_bound(sub: np.ndarray, inv: np.ndarray) -> np.ndarray:
+def _inverse_ratio_lower_bound(sub: np.ndarray, inv: np.ndarray, res: np.ndarray | None = None) -> np.ndarray:
     """beta' = (1 - (1+2u) ||R||_F) / (||S||_F ||X||_F) - gamma_k <=
     sigma_min/sigma_max per square block S, with X = inv an approximate
     inverse (_prefix_inverses', or np.linalg.inv's), R = fl(S X - I) its
     computed residual, u = 2^-53 and gamma_k = k u / (1 - k u).  The proof,
     valid for any X, is in the spark module docstring.  An overflowed or NaN
-    X gives a NaN or nonpositive bound, which never clears a block.
+    X gives a NaN or nonpositive bound, which never clears a block.  res,
+    when given, is a C-contiguous float64 array shaped like inv that takes
+    the residual in place of a new one.
     """
     k = sub.shape[-1]
     u = 2.0**-53
     with np.errstate(all="ignore"):
-        res = np.matmul(sub, inv)
+        res = np.matmul(sub, inv, out=res)
         diag = np.arange(k)
         res[:, diag, diag] -= 1.0
         fro_s, fro_inv, fro_res = (np.sqrt(np.einsum("cij,cij->c", a, a)) for a in (sub, inv, res))

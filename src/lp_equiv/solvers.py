@@ -1045,7 +1045,7 @@ def _explicit_steps(spec: VandermondeSpec, p: float, scales, orders, hhat) -> li
         step = {
             "explicit_residual": res,
             "explicit_componentwise_backward_error": err,
-            "explicit_componentwise_backward_error_ok": err <= bound,
+            "explicit_componentwise_backward_error_ok": bool(err <= bound),
         }
         # A_t has full row rank 2m+2 at any positive scales (distinct nodes in
         # the power rows, the identity block beside the scaled ones); a lower

@@ -126,9 +126,13 @@ subset open, so the prefix path takes no LU at all.  It also halves what
 each subset stage 1 leaves open adds to a probe, which is what makes probe
 times differ between instances of one shape: on the 8 x 14 A_t of
 prop1-spark stage 1 leaves 16 to 1,390 of the 3,003 subsets open, and each
-costs about 2 us through an LU gate and np.linalg.inv, about 1 us through
-the prefix inverse, bound included, after a fixed 0.1 ms or so per chunk
-for G (nominal x86-64 core, OpenBLAS, one thread).
+costs about 2.4 us through an LU gate and np.linalg.inv, about 0.6 us
+through the prefix inverse, bound included, after a fixed 0.13 ms or so per
+chunk for G and the cofactor set-up (nominal x86-64 core, OpenBLAS, one
+thread; a line fitted to the 81 distinct (3, 9) A_t of prop1-spark seeds 1,
+5 and 7).  The prefix path's temporaries live in a per-thread workspace
+(numerics.PREFIX_WORKSPACE_BYTES), so a probe does not pay again for the
+pages of the last one.
 
 Stage 1 (numerics._ratio_lower_bound, SCREEN_FACTOR) has a second caller:
 the basis scan of solvers.enumerate_basic_solutions clears the square bases
@@ -157,7 +161,7 @@ from .numerics import (
     RANK_TOL,
     SCREEN_FACTOR,
     _inverse_ratio_lower_bound,
-    _prefix_inverses,
+    _prefix_inverse_bounds,
     _prefix_minors,
     _ratio_lower_bound,
     check_budget,
@@ -290,7 +294,7 @@ def _open_square_subsets(M: np.ndarray, threshold: float) -> Iterator[np.ndarray
     _open_after_screens, whose batched LU serves both stages.  Beyond, stage 1
     reads the shared-prefix minors (_prefix_minors), and stage 2 takes the
     subsets they leave open with inverses built from the same prefix QRs
-    (_prefix_inverses), so the prefix path takes no LU.
+    (_prefix_inverse_bounds), so the prefix path takes no LU.
     """
     k, n = M.shape
     if math.comb(n, k) <= PREFIX_MINORS_MIN_SUBSETS:
@@ -305,8 +309,7 @@ def _open_square_subsets(M: np.ndarray, threshold: float) -> Iterator[np.ndarray
             continue
         subsets = subsets[open_]
         with np.errstate(all="ignore"):
-            inv = _prefix_inverses(M, factors, open_)
-        subsets = subsets[~(_inverse_ratio_lower_bound(M[:, subsets].transpose(1, 0, 2), inv) > threshold)]
+            subsets = subsets[~(_prefix_inverse_bounds(M, subsets, factors, open_) > threshold)]
         if len(subsets):
             yield subsets
 

@@ -1058,6 +1058,9 @@ def test_explicit_t2_steps_record_p_star_only_at_full_rank(monkeypatch, m, seed)
     for step in steps:
         if "explicit_residual" not in step:
             assert cap in step["explicit_skipped"]
+        # every flag is a Python bool, as a record's repr and JSON show it
+        flags = {key: value for key, value in step.items() if isinstance(value, (bool, np.bool_))}
+        assert all(type(value) is bool for value in flags.values()), flags
     for step, At in zip(explicit, built):
         assert math.isfinite(step["explicit_residual"])
         assert step["explicit_componentwise_backward_error_ok"]

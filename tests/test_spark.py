@@ -1,5 +1,7 @@
 import itertools
 import math
+import sys
+import threading
 import warnings
 from fractions import Fraction
 
@@ -20,12 +22,21 @@ from lp_equiv import spark
 from lp_equiv.numerics import (
     BLOCK,
     PREFIX_MINORS_MIN_SUBSETS,
+    PREFIX_WORKSPACE_BYTES,
     RANK_TOL,
     BudgetExceededError,
+    _ALONG,
+    _COFACTOR_SIGN,
+    _OPPOSITE,
+    _OTHERS,
+    _PAIRS,
+    _REST,
     _cofactor_inverse,
     _laplace_det,
+    _prefix_inverse_bounds,
     _prefix_inverses,
     _prefix_minors,
+    _workspace,
     iter_subset_chunks,
     numerical_rank,
 )
@@ -696,6 +707,62 @@ def test_cofactor_inverse_matches_lapack(t):
     assert np.all(err <= 1e-14 * cond)
 
 
+def _gathered_cofactor_inverse(z: np.ndarray) -> np.ndarray:
+    """The reference _cofactor_inverse must round as: z padded, the twelve
+    minors as products minus products, every cofactor term gathered at
+    once, summed over j with signs + - + and signed (-1)^(r+c)."""
+    t, _, count = z.shape
+    a = np.zeros((4, 4, count))
+    a[range(t, 4), range(t, 4)] = 1.0
+    a[:t, :t] = z
+    minors = np.array(
+        [[top[i] * bottom[j] - top[j] * bottom[i] for i, j in _PAIRS] for top, bottom in (a[:2], a[2:])]
+    )
+    terms = a[_ALONG][:, _OTHERS] * minors[_OPPOSITE][:, _REST]  # (r, c, j, count)
+    cofactor = _COFACTOR_SIGN * np.sum(np.array([1.0, -1.0, 1.0])[:, None] * terms, axis=2)
+    det = np.sum(a[0] * cofactor[0], axis=0)
+    return np.ascontiguousarray((cofactor / det).transpose(2, 1, 0)[:, :t, :t])
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 4])
+def test_cofactor_inverse_rounds_as_the_gathered_expansion(t):
+    # the workspace kernel takes the same products and sums in the same
+    # order as the whole-block expansion: bit for bit, infinities and NaNs
+    # of singular members included, with or without out=
+    rng = np.random.default_rng(t)
+    z = rng.standard_normal((t, t, 600)) * 10.0 ** rng.integers(-6, 6, size=(t, t, 600))
+    z[:, :, :20] = 0.0
+    z[0, :, 20:40] = z[t - 1, :, 20:40]
+    with np.errstate(all="ignore"):
+        want = _gathered_cofactor_inverse(z)
+        got = _cofactor_inverse(z)
+        out = np.empty_like(got)
+        assert _cofactor_inverse(z, out=out) is out
+    assert not np.isfinite(want[:20]).any()
+    assert got.tobytes() == want.tobytes() == out.tobytes()
+
+
+def test_prefix_path_returns_no_workspace_buffer():
+    # what the prefix path yields or returns is a new array, except an out=
+    # its caller passed, so no later probe overwrites it
+    def aliased(array):
+        return any(np.may_share_memory(array, buffer) for buffer in _workspace.buffers.values())
+
+    for k, n in ((8, 14), (3, 13)):
+        M = np.random.default_rng(n).standard_normal((k, n))
+        for subsets, det, beta, factors in _prefix_minors(M):
+            open_ = beta < np.median(beta)
+            with np.errstate(all="ignore"):
+                X = _prefix_inverses(M, factors, open_)
+                out = np.empty_like(X)
+                assert _prefix_inverses(M, factors, open_, out=out) is out and out.tobytes() == X.tobytes()
+                bound = _prefix_inverse_bounds(M, subsets[open_], factors, open_)
+                z = np.random.default_rng(0).standard_normal((4, 4, 50))
+                returned = [det, beta, X, bound, _laplace_det(z), _cofactor_inverse(z)]
+            returned += [array for array in factors if array is not None]
+            assert _workspace.buffers and not any(aliased(array) for array in returned)
+
+
 @pytest.mark.parametrize("n, k", [(9, 2), (14, 4), (11, 5), (11, 6), (14, 8), (16, 8), (14, 10)])
 def test_prefix_inverses_invert_the_subsets_they_are_given(n, k):
     # stage 2's inverses on the prefix path come from the prefix QRs: for any
@@ -766,6 +833,106 @@ def test_prefix_inverse_bound_is_below_the_svd_ratio_property():
     check()
 
 
+def _in_fresh_thread(fn):
+    """fn() in a new thread, whose prefix-path workspace starts empty."""
+    result = []
+    worker = threading.Thread(target=lambda: result.append(fn()))
+    worker.start()
+    worker.join(timeout=120)
+    assert not worker.is_alive() and len(result) == 1
+    return result[0]
+
+
+def _workspace_probes():
+    """Prefix-path probes, (M, threshold): the (3, 9) A_t of criterion 07's
+    shape (3,003 subsets, one chunk), P1's exactly singular m = 3
+    counterexample (1,287) and a (16, 8) matrix (12,870, four chunks).  At
+    threshold 1e-3 every one leaves subsets open after stage 2."""
+    a_39 = build_augmented_t(AugmentedSpec(sample_instance(3, 9, seed=0), x_t=0.1, y_t=0.01))
+    singular = build_augmented_t(AugmentedSpec(VandermondeSpec(3, P1_COUNTEREXAMPLES[2][1]), x_t=1.0, y_t=1.0))
+    wide = np.random.default_rng(168).standard_normal((8, 16))
+    return [(_equilibrated(M), 1e-3) for M in (a_39.entries, singular.entries, wide)]
+
+
+def _probe(M: np.ndarray, threshold: float):
+    """What one probe yields, and M's spark certificate."""
+    cert = compute_spark(DenseMatrix(M))
+    return [chunk.tolist() for chunk in _open_square_subsets(M, threshold)], (cert.spark, cert.witness)
+
+
+def test_prefix_workspace_keeps_interleaved_probes_apart():
+    # two probes in one thread share its workspace: advanced a chunk at a
+    # time in turn, each yields what it yields alone in a fresh thread
+    probes = _workspace_probes()[::2]
+    want = [_in_fresh_thread(lambda M=M, th=th: _probe(M, th)[0]) for M, th in probes]
+    chunks = [_open_square_subsets(M, th) for M, th in probes]
+    got = [[], []]
+    while chunks[0] is not None or chunks[1] is not None:
+        for i, probe in enumerate(chunks):
+            chunk = None if probe is None else next(probe, None)
+            if chunk is None:
+                chunks[i] = None
+            else:
+                got[i].append(chunk.tolist())
+    assert got == want and all(want) and len(want[1]) == 4
+
+
+def test_prefix_workspace_is_per_thread():
+    # three threads on two cores run the same probes at once, switching
+    # every microsecond: each gets the yields and certificates of a run
+    # alone, as it would not if the threads shared one workspace
+    probes = _workspace_probes()
+    want = _in_fresh_thread(lambda: [_probe(M, th) for M, th in probes])
+    results = [None] * 3
+    start = threading.Barrier(len(results))
+
+    def run(i):
+        start.wait()
+        results[i] = [_probe(M, th) for M, th in probes]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=run, args=(i,)) for i in range(len(results))]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert all(result == want for result in results) and all(chunks for chunks, _ in want)
+
+
+def test_prefix_workspace_serves_a_probe_after_a_larger_one():
+    # the (3, 9) A_t probe cold, after the (16, 8) probe has grown every
+    # buffer to a whole BLOCK-subset chunk, and once more: the same yields
+    # and certificate each time
+    (a_39, th), _, (wide, wide_th) = _workspace_probes()
+    runs = _in_fresh_thread(lambda: [_probe(a_39, th), _probe(wide, wide_th), _probe(a_39, th)])
+    assert runs[0] == runs[2] and runs[0][0]
+    assert runs[1] == _in_fresh_thread(lambda: _probe(wide, wide_th))
+
+
+def test_prefix_workspace_stays_within_its_bound():
+    # an infinite threshold leaves every subset open through both stages, so
+    # an 18 x 22 matrix (k = 2 MAX_M + 2, C(22, 18) = 7,315 subsets, a full
+    # BLOCK chunk) and a 3 x 13 one (t < 4, the padded cofactors) size every
+    # buffer to its largest: what the workspace keeps comes within 2% of
+    # PREFIX_WORKSPACE_BYTES and stays below it
+    assert 2 * MAX_M + 2 == 18
+
+    def run():
+        rng = np.random.default_rng(18)
+        for k, n in ((18, 22), (3, 13)):
+            chunks = _open_square_subsets(rng.standard_normal((k, n)), np.inf)
+            assert sum(len(chunk) for chunk in chunks) == math.comb(n, k)
+        return _workspace.nbytes()
+
+    kept = _in_fresh_thread(run)
+    assert 0.98 * PREFIX_WORKSPACE_BYTES <= kept <= PREFIX_WORKSPACE_BYTES
+
+
 def test_submatrix_positivity_for_positive_nodes():
     # all square submatrices of a positive-node instance have positive dets
     for m, n in ((2, 5), (3, 6), (4, 7)):
@@ -798,10 +965,15 @@ def test_prop1_spark_of_augmented_family():
 # columns and the identity column on power row 2m; expanding along it leaves
 # the powers 0..2m+1 without 2m on the 2m+1 nodes, e_1 times their
 # Vandermonde determinant, which vanishes at every scale pair.  On their
-# magnitudes every such minor is nonzero (total positivity)
+# magnitudes every such minor is nonzero (total positivity).  The first m = 3
+# case is a tolerance verdict: its seven decimal nodes sum to 2^-53 in
+# binary, not to zero.  The second has dyadic nodes that sum to exactly 0,
+# and its probe of C(13, 8) = 1,287 subsets takes the shared-prefix path
+# (numerics.PREFIX_MINORS_MIN_SUBSETS) to an exactly singular witness
 P1_COUNTEREXAMPLES = [
     (1, (1.0, 0.7, -1.7, 1.3), (0, 1, 2, 5)),
     (3, (1.1, 0.6, 1.5, 0.7, -1.9, -1.25, -0.75, 1.7), (0, 1, 2, 3, 4, 5, 6, 11)),
+    (3, (1.125, 0.625, 1.5, 0.75, -1.875, -1.25, -0.875, 1.75), (0, 1, 2, 3, 4, 5, 6, 11)),
 ]
 
 
